@@ -7,7 +7,8 @@ Subcommands:
   risk               evaluate one estimator point on one drawn instance
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure
-(ill-conditioned Gram without --jitter), 3 I/O error.
+(ill-conditioned Gram without --jitter, or any failed seed of a preset or
+sweep, whose surviving rows are still written), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import sys
 
+from ._blas import single_threaded
 from .config import ConfigError, config_from_dict, load_config, save_config
 from .estimators import EstimatorKind, SingularDesignError
 from .harness import resolve_workers, run_preset, run_sweep, write_results
@@ -67,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lambda", dest="lam", type=float, default=None,
                          help="replace the config's ridge grid with one level")
     _add_common(p_sweep)
+    p_sweep.set_defaults(seed=None)  # unset: the config's master_seed stands
 
     p_verify = sub.add_parser("verify", help="ordering and concentration suites")
     p_verify.add_argument("--p", type=int, default=2000)
@@ -108,7 +111,7 @@ def _cmd_preset(args) -> int:
     out = args.out or f"preset_{args.case}.{args.format}"
     write_results(result.rows, out, args.format)
     print(f"wrote {len(result.rows)} rows to {out}")
-    if args.plot:
+    if args.plot and result.rows:
         from .svgplot import render_tradeoff_svg
 
         tradeoff_rows = [r for r in result.rows
@@ -120,7 +123,7 @@ def _cmd_preset(args) -> int:
         render_tradeoff_svg(ft_rows, f"{args.plot}-ft.svg", mode="ft_curve",
                             ensemble_lambda=result.ft_lambda, ft_lambda=result.ft_lambda)
         print(f"wrote {args.plot}-tradeoff.svg and {args.plot}-ft.svg")
-    return EXIT_OK
+    return EXIT_NUMERICAL if result.meta["failures"] else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
@@ -129,7 +132,7 @@ def _cmd_sweep(args) -> int:
         config.replicates = args.replicates
     if args.mc_draws is not None:
         config.mc_draws = args.mc_draws
-    if args.seed:
+    if args.seed is not None:
         config.master_seed = args.seed
     if args.jitter:
         config.jitter = True
@@ -146,7 +149,7 @@ def _cmd_sweep(args) -> int:
     write_results(result.rows, out, fmt)
     print(f"wrote {len(result.rows)} rows to {out} "
           f"({result.meta['workers']} workers, {len(result.failures)} flagged)")
-    return EXIT_OK
+    return EXIT_NUMERICAL if result.failures else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -211,7 +214,8 @@ def main(argv=None) -> int:
         "risk": _cmd_risk,
     }
     try:
-        return handlers[args.command](args)
+        with single_threaded():
+            return handlers[args.command](args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -121,7 +121,8 @@ class GramSolver:
 
 def _solver(X: np.ndarray, solver: GramSolver | None, jitter: bool) -> GramSolver:
     if solver is not None:
-        if solver.X is not X and solver.X.shape != X.shape:
+        # identity, not shape: a same-shape solver for another design gives wrong weights
+        if solver.X is not X:
             raise ValueError("solver was built for a different design")
         return solver
     return GramSolver(X, jitter=jitter)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import pin_single_thread
 from .config import ExperimentConfig
 from .estimators import ENSEMBLE, PRETRAINED, RIDGE, RIDGELESS, EstimatorKind
 from .presets import (
@@ -233,6 +234,27 @@ def resolve_workers(requested: int | None) -> int:
     return os.cpu_count() or 1
 
 
+def _run_seeds(jobs: list[tuple], nworkers: int) -> tuple[list[ResultRow], list[tuple[int, str]]]:
+    """Evaluate every job; rows and failures come back in job (seed) order.
+
+    Pool workers run with one BLAS thread each (see ``_blas``).
+    """
+    if nworkers == 1 or len(jobs) == 1:
+        outputs = list(map(_sweep_worker, jobs))
+    else:
+        with ProcessPoolExecutor(max_workers=nworkers,
+                                 initializer=pin_single_thread) as pool:
+            outputs = list(pool.map(_sweep_worker, jobs))
+    merged: list[ResultRow] = []
+    failures: list[tuple[int, str]] = []
+    for seed, rows, err in outputs:
+        if err is None:
+            merged.extend(rows)
+        else:
+            failures.append((seed, err))
+    return merged, failures
+
+
 def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepResult:
     """Full factorial over (seed x estimator point x method).
 
@@ -249,25 +271,7 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepResu
         for s in range(config.replicates)
     ]
     nworkers = resolve_workers(workers if workers is not None else config.workers)
-    results: dict[int, list[ResultRow]] = {}
-    failures: list[tuple[int, str]] = []
-    if nworkers == 1 or len(jobs) == 1:
-        outputs = map(_sweep_worker, jobs)
-        for seed, rows, err in outputs:
-            if err is None:
-                results[seed] = rows
-            else:
-                failures.append((seed, err))
-    else:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            for seed, rows, err in pool.map(_sweep_worker, jobs):
-                if err is None:
-                    results[seed] = rows
-                else:
-                    failures.append((seed, err))
-    merged: list[ResultRow] = []
-    for seed in sorted(results):
-        merged.extend(results[seed])
+    merged, failures = _run_seeds(jobs, nworkers)
     meta = {
         "replicates": config.replicates,
         "master_seed": config.master_seed,
@@ -275,7 +279,7 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepResu
         "estimator_points": len(kinds),
         "methods": list(config.methods),
     }
-    return SweepResult(rows=merged, failures=sorted(failures), meta=meta)
+    return SweepResult(rows=merged, failures=failures, meta=meta)
 
 
 @dataclass
@@ -321,8 +325,6 @@ def run_preset(
     from .config import config_from_dict
 
     raw = preset_defaults(case_id, full=full)
-    if full:
-        raw["p"] = 10_000
     raw.update(overrides or {})
     if methods is not None:
         raw["methods"] = list(methods)
@@ -349,23 +351,7 @@ def run_preset(
         for s in range(cfg.replicates)
     ]
     nworkers = resolve_workers(workers if workers is not None else cfg.workers)
-    results: dict[int, list[ResultRow]] = {}
-    failures: list[tuple[int, str]] = []
-    if nworkers == 1 or len(jobs) == 1:
-        outputs = map(_sweep_worker, jobs)
-    else:
-        pool = ProcessPoolExecutor(max_workers=nworkers)
-        outputs = pool.map(_sweep_worker, jobs)
-    for seed, rows, err in outputs:
-        if err is None:
-            results[seed] = rows
-        else:
-            failures.append((seed, err))
-    if nworkers > 1 and len(jobs) > 1:
-        pool.shutdown()
-    merged: list[ResultRow] = []
-    for seed in sorted(results):
-        merged.extend(results[seed])
+    merged, failures = _run_seeds(jobs, nworkers)
     return PresetResult(
         case=case_id, env=env, rows=merged,
         tradeoff_lambda=lam_tradeoff, ft_lambda=lam_ft,

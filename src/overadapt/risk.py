@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .estimators import PRETRAINED, EstimatorKind, GramSolver
+from .estimators import PRETRAINED, EstimatorKind, GramSolver, _solver
 from .synth import TaskEnvironment, derive_rng
 
 TERM_KEYS = ("bias_thetac", "term_zeta1", "term_zeta2", "term_sigma", "term_sigma_tilde")
@@ -357,8 +357,8 @@ def mc_expected_risk(
         raise ValueError(f"draws must be >= 1, got {draws}")
     eigs_pre, eigs_ft = env.eigenvalues()
     lam, tau = kind.effective
-    sp = solver_pre or GramSolver(X, jitter=jitter)
-    st = solver_ft or GramSolver(Xt, jitter=jitter)
+    sp = _solver(X, solver_pre, jitter)
+    st = _solver(Xt, solver_ft, jitter)
     sp.factor(0.0)
     if tau != 0.0:
         st.factor(Xt.shape[0] * lam)

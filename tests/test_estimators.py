@@ -192,6 +192,17 @@ def test_solver_caches_factorizations():
     assert set(solver._factors) == {4 * 0.5, 4 * 0.25}
 
 
+def test_solver_for_another_design_rejected():
+    rng = np.random.default_rng(9)
+    X, X_other = rng.standard_normal((2, 4, 10))
+    theta1 = wv(rng.standard_normal(10))
+    Yt = rng.standard_normal(4)
+    with pytest.raises(ValueError, match="different design"):
+        finetune_ridge(theta1, X_other, Yt, 0.5, solver=GramSolver(X))
+    with pytest.raises(ValueError, match="different design"):
+        pretrain_minnorm(X_other, Yt, solver=GramSolver(X))
+
+
 # ------------------------------------------------------------- weight vector
 
 def test_weight_vector_rejects_non_finite():

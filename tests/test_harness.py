@@ -371,3 +371,49 @@ def test_cli_verify_quick(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.read_text())["rates"]
     assert "item1" in capsys.readouterr().out
+
+
+def test_cli_failed_seeds_reach_exit_code(tmp_path, capsys):
+    # a rank-5 fine-tune Gram at n = 10 fails every seed without --jitter
+    cfg_path = tmp_path / "singular.json"
+    save_config(small_config(replicates=2, p_tilde=5), cfg_path)
+    out = tmp_path / "rows.csv"
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--workers", "1"]) == 2
+    assert out.read_text().splitlines() == [",".join(CSV_COLUMNS)]
+    assert "seed 1 failed" in capsys.readouterr().err
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--workers", "1", "--jitter"]) == 0
+
+
+def test_cli_preset_partial_failure_keeps_rows(tmp_path, monkeypatch, capsys):
+    import overadapt.harness as harness
+
+    evaluate = harness.evaluate_seed
+
+    def fail_seed_one(env, seed_index, *args):
+        if seed_index == 1:
+            raise ArithmeticError("seed one is broken")
+        return evaluate(env, seed_index, *args)
+
+    monkeypatch.setattr(harness, "evaluate_seed", fail_seed_one)
+    out = tmp_path / "rows.csv"
+    assert cli_main(["preset", "a", "--out", str(out), "--replicates", "2",
+                     "--workers", "1", "--plot", str(tmp_path / "figs")]) == 2
+    seeds = {line.split(",")[1] for line in out.read_text().splitlines()[1:]}
+    assert seeds == {"0"}
+    assert (tmp_path / "figs-ft.svg").exists()
+    assert "seed one is broken" in capsys.readouterr().err
+
+
+def test_cli_sweep_seed_zero_overrides_config(tmp_path):
+    outputs = {}
+    for name, config_seed, flags in (("flag", 5, ["--seed", "0"]),
+                                     ("config", 0, []), ("kept", 5, [])):
+        cfg_path = tmp_path / f"{name}.json"
+        save_config(small_config(master_seed=config_seed, replicates=1), cfg_path)
+        out = tmp_path / f"{name}.csv"
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                         "--workers", "1", *flags]) == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["flag"] == outputs["config"] != outputs["kept"]

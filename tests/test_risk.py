@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from overadapt.estimators import EstimatorKind, SingularDesignError
+from overadapt.estimators import EstimatorKind, GramSolver, SingularDesignError
 from overadapt.risk import (
     TERM_KEYS,
     AnalyticRisk,
@@ -304,3 +304,13 @@ def test_report_task_accessor_and_dict():
         report.task("pre")
     d = report.to_dict()
     assert d["method"] == "analytic" and "l_ft" in d and "l_pre" not in d
+
+
+def test_mc_risk_rejects_solver_for_another_design():
+    env = desk_env()
+    X = sample_design(env.spectrum_pre, env.pretrain_samples, derive_rng(0, "design_pre", 0))
+    Xt, Xt_other = (sample_design(env.spectrum_ft, env.n, derive_rng(s, "design_ft", 0))
+                    for s in (0, 1))
+    with pytest.raises(ValueError, match="different design"):
+        mc_expected_risk(X, Xt, env, EstimatorKind.ridge(0.05), 10, derive_rng(0, "mc", 0),
+                         solver_ft=GramSolver(Xt_other))
