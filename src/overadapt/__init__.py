@@ -36,6 +36,7 @@ from .risk import (
     conditional_expected_risk,
     lemma_approx_risk,
     mc_expected_risk,
+    mc_expected_risks,
     plugin_excess_risk,
 )
 from .spectra import (

@@ -61,7 +61,8 @@ class GramSolver:
     over lam (or tau, which needs no new factorisation at all) reuses work.
     At lam = 0 the Gram's condition number is checked against
     ``cond_threshold``; with ``jitter=True`` a diagonal boost of
-    1e-12 * tr(G)/n is added instead of failing.
+    1e-12 * tr(G)/n is added instead of failing; with jitter the check runs
+    before the first factor at any penalty, so the boost is call-order free.
     """
 
     def __init__(self, X: np.ndarray, jitter: bool = False,
@@ -101,13 +102,10 @@ class GramSolver:
     def factor(self, nlam: float = 0.0):
         key = float(nlam)
         if key not in self._factors:
-            if key == 0.0:
+            if key == 0.0 or self.jitter_requested:
                 self._check_conditioning()
-                self._factors[key] = cho_factor(self.gram, lower=True)
-            else:
-                self._factors[key] = cho_factor(
-                    self.gram + key * np.eye(self.n), lower=True
-                )
+            gram = self.gram if key == 0.0 else self.gram + key * np.eye(self.n)
+            self._factors[key] = cho_factor(gram, lower=True)
         return self._factors[key]
 
     def solve(self, rhs: np.ndarray, nlam: float = 0.0) -> np.ndarray:

@@ -36,7 +36,7 @@ from .risk import (
     AnalyticRisk,
     RiskReport,
     lemma_approx_risk,
-    mc_expected_risk,
+    mc_expected_risks,
 )
 from .synth import TaskEnvironment, derive_rng, sample_design, sample_parameters
 
@@ -190,14 +190,16 @@ def evaluate_seed(
     analytic = None
     if "analytic" in methods:
         analytic = AnalyticRisk.from_env(X, Xt, env, theta_c=theta_c, jitter=jitter)
-    for kind in kinds:
+    mc = [None] * len(kinds)
+    if "monte_carlo" in methods:
+        mc = mc_expected_risks(X, Xt, env, kinds, mc_draws,
+                               derive_rng(master_seed, "mc", seed_index),
+                               theta_c=theta_c, jitter=jitter)
+    for kind, mc_report in zip(kinds, mc):
         if analytic is not None:
             rows.extend(rows_from_report(analytic.report(kind), case, seed_index))
-        if "monte_carlo" in methods:
-            rng = derive_rng(master_seed, "mc", seed_index)
-            report = mc_expected_risk(X, Xt, env, kind, mc_draws, rng,
-                                      theta_c=theta_c, jitter=jitter)
-            rows.extend(rows_from_report(report, case, seed_index))
+        if mc_report is not None:
+            rows.extend(rows_from_report(mc_report, case, seed_index))
         if "lemma_approx" in methods:
             rows.extend(rows_from_report(
                 lemma_approx_risk(Xt, env, kind, jitter=jitter), case, seed_index))

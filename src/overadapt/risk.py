@@ -5,8 +5,9 @@
 ``conditional_expected_risk`` exact expectation over (theta_c, alpha1,
                              alpha2, noise) with the two designs held fixed,
                              via closed-form trace formulas.
-``mc_expected_risk``         Monte-Carlo estimate of the same expectation,
-                             the independent numerical check.
+``mc_expected_risks``        Monte-Carlo estimates of the same expectation on
+                             draws shared by all estimators, the independent
+                             numerical check (``mc_expected_risk``: one).
 ``lemma_approx_risk``        the two-term (task-shift + label-noise)
                              shortcut that keeps only the dominant pieces.
 
@@ -30,6 +31,14 @@ whose coefficients are traces of n x n products only:
 These identities are unit-tested against dense p x p evaluation at tiny
 sizes.  The quadratic-in-tau structure is exact, so an ensemble sweep costs
 one factorisation per lam and O(1) arithmetic per tau.
+
+Monte Carlo
+-----------
+Every estimator is theta_1 + tau * Xt^T R^{-1} (Yt - Xt theta_1), so all of
+them share one set of draws: per batch, theta_1 is solved once and the ridge
+step once per lam; the fine-tune noise is drawn only if some tau != 0.  A
+one-estimator call consumes the stream as it always has; in a shared call the
+tau = 0 rows read a stream that also holds the fine-tune noise.
 """
 
 from __future__ import annotations
@@ -37,10 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .estimators import PRETRAINED, EstimatorKind, GramSolver, _solver
-from .synth import TaskEnvironment, derive_rng
+from .synth import TaskEnvironment
 
 TERM_KEYS = ("bias_thetac", "term_zeta1", "term_zeta2", "term_sigma", "term_sigma_tilde")
 
@@ -171,7 +179,6 @@ class AnalyticRisk:
 
         self.solver_pre = GramSolver(X, jitter=jitter)
         self.solver_ft = GramSolver(Xt, jitter=jitter)
-        self.gram_ft = self.solver_ft.gram
 
         # n x n covariance-weighted blocks, one per (design, task) pair
         self.SX = {t: (X * e) @ X.T for t, e in self._tasks()}
@@ -223,7 +230,7 @@ class AnalyticRisk:
         n = self.n
         solve = lambda B: self.solver_ft.solve(B, nlam=n * key)
         V = solve(self.Xt @ self.X.T)  # R^-1 G^T
-        RiA = solve(self.gram_ft)
+        RiA = solve(self.solver_ft.gram)  # read after factoring: any jitter is in it
         blk = {"V": V}
         for t in ("pre", "ft"):
             R1S = solve(self.SXt[t])
@@ -333,11 +340,11 @@ def conditional_expected_risk(
     return ev.report(kind, task=task)
 
 
-def mc_expected_risk(
+def mc_expected_risks(
     X: np.ndarray,
     Xt: np.ndarray,
     env: TaskEnvironment,
-    kind: EstimatorKind,
+    kinds: list[EstimatorKind],
     draws: int,
     rng: np.random.Generator,
     task: str = "both",
@@ -346,8 +353,9 @@ def mc_expected_risk(
     batch: int = _MC_BATCH,
     solver_pre: GramSolver | None = None,
     solver_ft: GramSolver | None = None,
-) -> RiskReport:
-    """Monte-Carlo mean of the plug-in risk over fresh parameter/noise draws.
+) -> list[RiskReport]:
+    """Monte-Carlo mean of the plug-in risk over fresh parameter/noise draws,
+    one report per kind, every kind on the same draws.
 
     Designs stay fixed; Gram factorisations are built once, so each draw
     costs matrix-vector work only.  Draws are vectorised in batches, which
@@ -355,17 +363,30 @@ def mc_expected_risk(
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    eigs_pre, eigs_ft = env.eigenvalues()
-    lam, tau = kind.effective
+    eigs = dict(zip(("pre", "ft"), env.eigenvalues()))
+    tasks = [t for t in ("pre", "ft") if task in (t, "both")]
+    n = Xt.shape[0]
     sp = _solver(X, solver_pre, jitter)
     st = _solver(Xt, solver_ft, jitter)
     sp.factor(0.0)
-    if tau != 0.0:
-        st.factor(Xt.shape[0] * lam)
+    # kind indices with tau = 0 (the pretrained weights), the rest grouped by lam
+    pretrained, by_lam = [], {}
+    for i, kind in enumerate(kinds):
+        lam, tau = kind.effective
+        if tau == 0.0:
+            pretrained.append(i)
+        else:
+            by_lam.setdefault(lam, []).append((i, tau))
+    for lam in by_lam:
+        st.factor(n * lam)
     p = X.shape[1]
-    want_pre = task in ("pre", "both")
-    want_ft = task in ("ft", "both")
-    risks_pre, risks_ft = [], []
+    risks = [{t: [] for t in tasks} for _ in kinds]
+
+    def add(i, hat, target):
+        for t in tasks:
+            d = hat - target[t]
+            risks[i][t].append(np.sum(eigs[t][:, None] * d * d, axis=0))
+
     done = 0
     while done < draws:
         m = min(batch, draws - done)
@@ -377,63 +398,40 @@ def mc_expected_risk(
             tc = np.broadcast_to(np.asarray(theta_c, dtype=float)[:, None], (p, m))
         a1 = rng.standard_normal((p, m)) * np.sqrt(env.zeta1) if env.zeta1 > 0 else 0.0
         a2 = rng.standard_normal((p, m)) * np.sqrt(env.zeta2) if env.zeta2 > 0 else 0.0
-        theta = tc + a1
-        theta_t = tc + a2
-        Y = X @ theta
+        target = {"pre": tc + a1, "ft": tc + a2}
+        del tc, a1, a2
+        Y = X @ target["pre"]
         if env.sigma2 > 0:
             Y = Y + rng.standard_normal(Y.shape) * np.sqrt(env.sigma2)
-        hat = X.T @ sp.solve(Y)
-        if tau != 0.0:
-            Yt = Xt @ theta_t
+        hat0 = X.T @ sp.solve(Y)
+        for i in pretrained:
+            add(i, hat0, target)
+        if by_lam:
+            Yt = Xt @ target["ft"]
             if env.sigma2_tilde > 0:
                 Yt = Yt + rng.standard_normal(Yt.shape) * np.sqrt(env.sigma2_tilde)
-            corr = st.solve(Yt - Xt @ hat, nlam=Xt.shape[0] * lam)
-            hat = hat + tau * (Xt.T @ corr)
-        if want_pre:
-            d = hat - theta
-            risks_pre.append(np.sum(eigs_pre[:, None] * d * d, axis=0))
-        if want_ft:
-            d = hat - theta_t
-            risks_ft.append(np.sum(eigs_ft[:, None] * d * d, axis=0))
+            resid = Yt - Xt @ hat0
+            for lam, points in by_lam.items():
+                step = Xt.T @ st.solve(resid, nlam=n * lam)
+                for i, tau in points:
+                    add(i, hat0 + tau * step, target)
+                del step  # one lam's step alive at a time keeps the peak memory flat
 
     def summarise(chunks) -> TaskRisk:
         r = np.concatenate(chunks)
         se = float(np.std(r, ddof=1) / np.sqrt(r.size)) if r.size > 1 else 0.0
         return TaskRisk(value=float(np.mean(r)), se=se)
 
-    return RiskReport(
-        method="monte_carlo",
-        kind=kind,
-        pre=summarise(risks_pre) if want_pre else None,
-        ft=summarise(risks_ft) if want_ft else None,
-        draws=draws,
-    )
+    return [RiskReport(method="monte_carlo", kind=kind, draws=draws,
+                       pre=summarise(r["pre"]) if "pre" in r else None,
+                       ft=summarise(r["ft"]) if "ft" in r else None)
+            for kind, r in zip(kinds, risks)]
 
 
-def mc_risk_for_env(
-    env: TaskEnvironment,
-    kind: EstimatorKind,
-    draws: int,
-    master_seed: int,
-    replicate: int = 0,
-    task: str = "both",
-    theta_c: np.ndarray | None = None,
-) -> RiskReport:
-    """Convenience wrapper: draw the designs, then run the MC evaluator."""
-    inst = _instance_designs(env, master_seed, replicate)
-    rng = derive_rng(master_seed, "mc", replicate)
-    return mc_expected_risk(inst[0], inst[1], env, kind, draws, rng,
-                            task=task, theta_c=theta_c)
-
-
-def _instance_designs(env, master_seed, replicate):
-    from .synth import sample_design
-
-    X = sample_design(env.spectrum_pre, env.pretrain_samples,
-                      derive_rng(master_seed, "design_pre", replicate), env.coord_dist)
-    Xt = sample_design(env.spectrum_ft, env.n,
-                       derive_rng(master_seed, "design_ft", replicate), env.coord_dist)
-    return X, Xt
+def mc_expected_risk(X, Xt, env, kind: EstimatorKind, draws: int, rng,
+                     **kwargs) -> RiskReport:
+    """``mc_expected_risks`` for one kind (same keyword arguments)."""
+    return mc_expected_risks(X, Xt, env, [kind], draws, rng, **kwargs)[0]
 
 
 class FtResolvent:
@@ -448,7 +446,6 @@ class FtResolvent:
     def __init__(self, Xt: np.ndarray, eigs: np.ndarray, jitter: bool = False):
         self.n = Xt.shape[0]
         self.solver = GramSolver(Xt, jitter=jitter)
-        self.gram = self.solver.gram
         self.S = (Xt * np.asarray(eigs, dtype=float)) @ Xt.T
         self.tr_cov = float(np.sum(eigs))
         self._cache: dict[float, dict] = {}
@@ -460,7 +457,7 @@ class FtResolvent:
             r1 = self.solver.solve(self.S, nlam=nlam)
             r2 = self.solver.solve(r1, nlam=nlam)
             r3 = self.solver.solve(r2, nlam=nlam)
-            ria = self.solver.solve(self.gram, nlam=nlam)
+            ria = self.solver.solve(self.solver.gram, nlam=nlam)  # after factoring
             self._cache[key] = {
                 "t1": float(np.trace(r1)),
                 "t2": float(np.trace(r2)),

@@ -45,6 +45,43 @@ def estimator_oracle(name, X, Y, Xt, Yt, lam=0.0, tau=1.0):
     return (1 - tau) * theta1 + tau * ft
 
 
+def mc_risk_oracle(X, Xt, env, kind, draws, rng, batch=512):
+    """Monte-Carlo risk of one estimator, one draw at a time through
+    ``estimator_oracle``.
+
+    Consumes ``rng`` batch by batch in the order the package promises for a
+    one-estimator call: theta_c, both offsets, the pretrain noise, then the
+    fine-tune noise only when tau != 0.  Returns {task: (mean, standard error)}.
+    """
+    eigs = dict(zip(("pre", "ft"), env.eigenvalues()))
+    lam, tau = kind.effective
+    n_pre, p = X.shape
+    n = Xt.shape[0]
+
+    def normals(shape, var):
+        return rng.standard_normal(shape) * np.sqrt(var) if var > 0 else np.zeros(shape)
+
+    risks = {"pre": [], "ft": []}
+    done = 0
+    while done < draws:
+        m = min(batch, draws - done)
+        done += m
+        tc = rng.standard_normal((p, m))
+        tc *= env.theta_c_norm / np.linalg.norm(tc, axis=0)
+        target = {"pre": tc + normals((p, m), env.zeta1), "ft": tc + normals((p, m), env.zeta2)}
+        noise = normals((n_pre, m), env.sigma2)
+        noise_t = normals((n, m), env.sigma2_tilde) if tau != 0.0 else np.zeros((n, m))
+        for j in range(m):
+            Y = X @ target["pre"][:, j] + noise[:, j]
+            Yt = Xt @ target["ft"][:, j] + noise_t[:, j]
+            hat = estimator_oracle(kind.name, X, Y, Xt, Yt, lam=lam, tau=tau)
+            for task, r in risks.items():
+                d = hat - target[task][:, j]
+                r.append(float(np.sum(eigs[task] * d * d)))
+    return {task: (np.mean(r), np.std(r, ddof=1) / np.sqrt(len(r)))
+            for task, r in risks.items()}
+
+
 def dense_risk_terms(X, Xt, eigs_pre, eigs_ft, zeta1, zeta2, sigma2, sigma2_tilde,
                      lam, tau, task, theta_c=None, theta_c_norm=1.0):
     """Exact conditional risk terms through dense p x p operators.

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from overadapt._blas import single_threaded
 from overadapt.estimators import (
     EstimatorKind,
     finetune_ridge,
@@ -37,6 +38,14 @@ from overadapt.theory import (
 from oracles import estimator_oracle
 
 MASTER_SEED = 0
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _one_blas_thread():
+    """Run this module's in-process linear algebra on one BLAS thread, as the
+    CLI and the pool workers do; the caller's counts come back afterwards."""
+    with single_threaded():
+        yield
 
 
 def report(index, ok, detail):

@@ -180,6 +180,21 @@ def test_jitter_rescues_singular_gram():
     assert np.all(np.isfinite(theta.weights))
 
 
+def test_jitter_independent_of_call_order():
+    rng = np.random.default_rng(10)
+    Xt = rng.standard_normal((5, 12))
+    Xt[1] = Xt[0]  # duplicated row: singular Gram
+    rhs = rng.standard_normal(5)
+    nlam = 1e-9
+    direct = GramSolver(Xt, jitter=True)
+    after_zero = GramSolver(Xt, jitter=True)
+    after_zero.factor(0.0)
+    got = direct.solve(rhs, nlam=nlam)
+    assert direct.jitter_applied == after_zero.jitter_applied > 0
+    np.testing.assert_array_equal(direct.gram, after_zero.gram)
+    np.testing.assert_array_equal(got, after_zero.solve(rhs, nlam=nlam))
+
+
 def test_solver_caches_factorizations():
     rng = np.random.default_rng(8)
     Xt = rng.standard_normal((4, 10))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from overadapt.config import config_from_dict
 from overadapt.estimators import EstimatorKind, GramSolver, SingularDesignError
+from overadapt.harness import run_sweep, write_results
 from overadapt.risk import (
     TERM_KEYS,
     AnalyticRisk,
@@ -9,11 +11,12 @@ from overadapt.risk import (
     conditional_expected_risk,
     lemma_approx_risk,
     mc_expected_risk,
+    mc_expected_risks,
     plugin_excess_risk,
 )
 from overadapt.spectra import SpectrumSpec, build_eigenvalues
 from overadapt.synth import TaskEnvironment, derive_rng, sample_design
-from oracles import dense_risk_terms, random_block_instance
+from oracles import dense_risk_terms, mc_risk_oracle, random_block_instance
 
 ALL_KINDS = [
     EstimatorKind.pretrained(),
@@ -247,6 +250,93 @@ def test_mc_reproducible_and_validates_draws():
     assert a.l_ft == b.l_ft and a.l_pre == b.l_pre
     with pytest.raises(ValueError):
         mc_expected_risk(X, Xt, env, kind, 0, derive_rng(4, "mc", 0))
+
+
+def test_mc_single_kind_matches_per_draw_oracle():
+    # pins the stream of a one-estimator call, which `risk` and c03 rely on
+    env = desk_env(p=60, n=8)
+    X, Xt = draw_designs(env, seed=19)
+    for kind in ALL_KINDS:
+        got = mc_expected_risk(X, Xt, env, kind, 600, derive_rng(7, "mc", 0))
+        want = mc_risk_oracle(X, Xt, env, kind, 600, derive_rng(7, "mc", 0))
+        for task in ("pre", "ft"):
+            assert got.task(task).value == pytest.approx(want[task][0], rel=1e-9)
+            assert got.task(task).se == pytest.approx(want[task][1], rel=1e-7)
+
+
+def _same_mc(shared, single):
+    for task in ("pre", "ft"):
+        assert shared.task(task).value == single.task(task).value, (single.kind, task)
+        assert shared.task(task).se == single.task(task).se, (single.kind, task)
+
+
+def test_mc_shared_draws_equal_single_kind_calls():
+    env = desk_env()
+    X, Xt = draw_designs(env, seed=17)
+    kinds = [EstimatorKind.ridgeless(), EstimatorKind.ridge(0.05),
+             EstimatorKind.ridge(0.2), EstimatorKind.ensemble(0.05, 0.4)]
+    # 1100 draws: two full batches and a partial one
+    shared = mc_expected_risks(X, Xt, env, kinds, 1100, derive_rng(5, "mc", 0))
+    assert [r.kind for r in shared] == kinds
+    for kind, got in zip(kinds, shared):
+        _same_mc(got, mc_expected_risk(X, Xt, env, kind, 1100, derive_rng(5, "mc", 0)))
+
+
+def test_mc_shared_draws_without_fine_tuning_keep_pretrained_stream():
+    # no kind with tau != 0: the fine-tune noise is never drawn
+    env = desk_env()
+    X, Xt = draw_designs(env, seed=18)
+    kinds = [EstimatorKind.pretrained(), EstimatorKind.ensemble(0.05, 0.0)]
+    shared = mc_expected_risks(X, Xt, env, kinds, 700, derive_rng(6, "mc", 0))
+    single = mc_expected_risk(X, Xt, env, kinds[0], 700, derive_rng(6, "mc", 0))
+    for got in shared:
+        _same_mc(got, single)
+
+
+def mc_sweep_config(**overrides):
+    raw = {
+        "case": None, "n": 10, "p": 120, "p_tilde": 20, "k_star": 1,
+        "gamma_pre": 0.05, "gamma_ft": 0.1,
+        "zeta1": 1e-4, "zeta2": 1e-2, "sigma2": 1e-2, "sigma2_tilde": 1e-2,
+        "master_seed": 3, "replicates": 2,
+        "lambda_grid": [1e-3, 1e-2], "tau_grid": [0.0, 0.5, 1.0],
+        "mc_draws": 600, "methods": ["analytic", "monte_carlo"],
+    }
+    raw.update(overrides)
+    return config_from_dict(raw)
+
+
+def test_sweep_mc_rows_equal_per_kind_calls():
+    cfg = mc_sweep_config()
+    env = cfg.environment()
+    rows = [r for r in run_sweep(cfg, workers=1).rows if r.method == "monte_carlo"]
+    checked = 0
+    for seed in range(cfg.replicates):
+        X = sample_design(env.spectrum_pre, env.pretrain_samples,
+                          derive_rng(cfg.master_seed, "design_pre", seed), env.coord_dist)
+        Xt = sample_design(env.spectrum_ft, env.n,
+                           derive_rng(cfg.master_seed, "design_ft", seed), env.coord_dist)
+        for r in rows:
+            if r.seed != seed or r.estimator == "pretrained" or r.tau == 0.0:
+                continue
+            kind = EstimatorKind(r.estimator, lam=r.lam or 0.0,
+                                 tau=1.0 if r.tau is None else r.tau)
+            want = mc_expected_risk(X, Xt, env, kind, cfg.mc_draws,
+                                    derive_rng(cfg.master_seed, "mc", seed))
+            assert (r.value, r.se) == (want.task(r.task).value, want.task(r.task).se)
+            checked += 1
+    # ridgeless, two ridge levels and the tau = 0.5, 1 ensembles, both tasks
+    assert checked == cfg.replicates * (1 + 2 + 2 * 2) * 2
+
+
+def test_sweep_mc_bytes_equal_at_one_and_two_workers(tmp_path):
+    cfg = mc_sweep_config(replicates=3, mc_draws=300)
+    paths = []
+    for workers in (1, 2):
+        path = tmp_path / f"w{workers}.csv"
+        write_results(run_sweep(cfg, workers=workers).rows, path, "csv")
+        paths.append(path.read_bytes())
+    assert paths[0] == paths[1]
 
 
 # ---------------------------------------------------------- lemma shortcut
