@@ -55,6 +55,7 @@ from .synth import (
     derive_rng,
     gen_labels,
     sample_design,
+    sample_designs,
     sample_instance,
     sample_parameters,
 )

@@ -5,6 +5,7 @@ Subcommands:
   sweep --config F   run a factorial sweep from a flat JSON config
   verify             ordering suite + tail-eigenvalue concentration check
   risk               evaluate one estimator point on one drawn instance
+                     (the report as JSON on stdout, or its rows with --out)
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure
 (ill-conditioned Gram without --jitter, or any failed seed of a preset or
@@ -20,11 +21,11 @@ import sys
 from ._blas import single_threaded
 from .config import ConfigError, config_from_dict, load_config, save_config
 from .estimators import EstimatorKind, SingularDesignError
-from .harness import resolve_workers, run_preset, run_sweep, write_results
+from .harness import rows_from_report, run_preset, run_sweep, write_results
 from .presets import CASES, theorem_check_env
 from .risk import conditional_expected_risk, lemma_approx_risk, mc_expected_risk
 from .spectra import SpectrumSpec
-from .synth import derive_rng, sample_design
+from .synth import derive_rng, sample_designs
 from .theory import eigen_band_check, lambda_prime, verify_theorem_orderings
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3
@@ -177,6 +178,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_risk(args) -> int:
+    for flag, value in (("--replicates", args.replicates), ("--workers", args.workers)):
+        if value is not None:
+            raise ValueError(f"risk evaluates one instance; {flag} does not apply")
     if args.config:
         config = load_config(args.config)
     else:
@@ -188,10 +192,7 @@ def _cmd_risk(args) -> int:
         "ridge_ft": lambda: EstimatorKind.ridge(args.lam),
         "ensemble": lambda: EstimatorKind.ensemble(args.lam, args.tau),
     }[args.estimator]()
-    X = sample_design(env.spectrum_pre, env.pretrain_samples,
-                      derive_rng(args.seed, "design_pre", 0), env.coord_dist)
-    Xt = sample_design(env.spectrum_ft, env.n,
-                       derive_rng(args.seed, "design_ft", 0), env.coord_dist)
+    X, Xt = sample_designs(env, args.seed)
     if args.method == "analytic":
         report = conditional_expected_risk(X, Xt, env, kind, jitter=args.jitter)
     elif args.method == "lemma_approx":
@@ -200,7 +201,12 @@ def _cmd_risk(args) -> int:
         draws = args.mc_draws or 2000
         report = mc_expected_risk(X, Xt, env, kind, draws,
                                   derive_rng(args.seed, "mc", 0), jitter=args.jitter)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    if args.out:
+        rows = rows_from_report(report, config.case or "", 0)
+        write_results(rows, args.out, args.format)
+        print(f"wrote {len(rows)} rows to {args.out}")
+    else:
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 

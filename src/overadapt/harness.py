@@ -38,7 +38,7 @@ from .risk import (
     lemma_approx_risk,
     mc_expected_risks,
 )
-from .synth import TaskEnvironment, derive_rng, sample_design, sample_parameters
+from .synth import TaskEnvironment, derive_rng, sample_designs, sample_parameters
 
 WORKERS_ENV_VAR = "OVERADAPT_WORKERS"
 
@@ -178,10 +178,7 @@ def evaluate_seed(
     jitter: bool = False,
 ) -> list[ResultRow]:
     """All rows for one replicate; deterministic in (master_seed, seed_index)."""
-    X = sample_design(env.spectrum_pre, env.pretrain_samples,
-                      derive_rng(master_seed, "design_pre", seed_index), env.coord_dist)
-    Xt = sample_design(env.spectrum_ft, env.n,
-                       derive_rng(master_seed, "design_ft", seed_index), env.coord_dist)
+    X, Xt = sample_designs(env, master_seed, seed_index)
     theta_c = None
     if fix_theta_c:
         # one shared draw held fixed across every replicate of the sweep

@@ -166,6 +166,17 @@ def sample_design(
     return X
 
 
+def sample_designs(
+    env: TaskEnvironment, master_seed: int, replicate: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (pretrain, fine-tune) design pair of one replicate, one stream each."""
+    X = sample_design(env.spectrum_pre, env.pretrain_samples,
+                      derive_rng(master_seed, "design_pre", replicate), env.coord_dist)
+    X_tilde = sample_design(env.spectrum_ft, env.n,
+                            derive_rng(master_seed, "design_ft", replicate), env.coord_dist)
+    return X, X_tilde
+
+
 def sample_parameters(
     env: TaskEnvironment, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,14 +234,7 @@ def sample_instance(
                 f"fixed theta_c has norm {norm}, expected {env.theta_c_norm}"
             )
         tc = theta_c
-    X = sample_design(
-        env.spectrum_pre, env.pretrain_samples,
-        derive_rng(master_seed, "design_pre", replicate), env.coord_dist,
-    )
-    X_tilde = sample_design(
-        env.spectrum_ft, env.n,
-        derive_rng(master_seed, "design_ft", replicate), env.coord_dist,
-    )
+    X, X_tilde = sample_designs(env, master_seed, replicate)
     Y = gen_labels(X, tc + alpha1, env.sigma2, derive_rng(master_seed, "noise_pre", replicate))
     Y_tilde = gen_labels(
         X_tilde, tc + alpha2, env.sigma2_tilde, derive_rng(master_seed, "noise_ft", replicate)

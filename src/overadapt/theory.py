@@ -8,7 +8,9 @@ risk), ensemble weight ``tau_star(lam)`` for the fine-tune task (half that
 for the sum).  ``verify_theorem_orderings`` replays the three predicted
 strict orderings on freshly drawn designs using the exact conditional
 risks, and ``eigen_band_check`` probes the tail-Gram eigenvalue
-concentration that underpins them.
+concentration that underpins them: for Gaussian coordinates that Gram is
+exactly gamma times a Wishart matrix, drawn by the Bartlett decomposition;
+Rademacher coordinates have no closed law and keep the dense draw.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .estimators import EstimatorKind
 from .risk import AnalyticRisk, FtResolvent
 from .spectra import SpectrumSpec, build_eigenvalues, effective_rank
-from .synth import TaskEnvironment, derive_rng, sample_design
+from .synth import TaskEnvironment, _coord_draws, derive_rng, sample_designs
 
 # A chain inequality counts as strict only if the gap beats this fraction of
 # the values' scale; anything smaller is recorded as a tie.
@@ -263,10 +265,7 @@ def verify_theorem_orderings(
     eigs_ft = build_eigenvalues(env.spectrum_ft)
     outcomes = []
     for rep in range(seeds):
-        X = sample_design(env.spectrum_pre, env.pretrain_samples,
-                          derive_rng(master_seed, "design_pre", rep), env.coord_dist)
-        Xt = sample_design(env.spectrum_ft, env.n,
-                           derive_rng(master_seed, "design_ft", rep), env.coord_dist)
+        X, Xt = sample_designs(env, master_seed, rep)
         ev = AnalyticRisk.from_env(X, Xt, env)
         res = FtResolvent(Xt, eigs_ft)
 
@@ -346,6 +345,31 @@ def verify_theorem_orderings(
     )
 
 
+def _wishart_bartlett(rng: np.random.Generator, a: int, dof: int) -> np.ndarray:
+    """One draw of Wishart_a(dof, I) (dof >= a) as L L^T, Bartlett's factor L.
+
+    L is lower triangular with N(0, 1) entries below the diagonal and
+    L[i, i] = sqrt(chi2(dof - i)) for 0-based i.
+    """
+    L = np.zeros((a, a))
+    L[np.tril_indices(a, -1)] = rng.standard_normal(a * (a - 1) // 2)
+    L[np.diag_indices(a)] = np.sqrt(rng.chisquare(dof - np.arange(a)))
+    return L @ L.T
+
+
+def _tail_gram_extremes(
+    rng: np.random.Generator, n: int, tail: np.ndarray, coord_dist: str
+) -> tuple[float, float]:
+    """Extreme eigenvalues of one draw of ``Z diag(tail) Z^T``, tail constant."""
+    if coord_dist == "gaussian":
+        rank, dof = sorted((n, tail.size))
+        evs = tail[0] * np.linalg.eigvalsh(_wishart_bartlett(rng, rank, dof))
+        return (0.0 if tail.size < n else evs[0]), evs[-1]
+    Z = _coord_draws(rng, (n, tail.size), coord_dist)
+    evs = np.linalg.eigvalsh((Z * tail) @ Z.T)
+    return evs[0], evs[-1]
+
+
 @dataclass(frozen=True)
 class EigenBandReport:
     trials: int
@@ -375,11 +399,20 @@ def eigen_band_check(
 ) -> EigenBandReport:
     """Empirical concentration of the tail Gram's extreme eigenvalues.
 
-    Draws the n x n Gram of the spectrum's tail block (everything past the
-    k_star leading eigenvalues) and counts how often both extreme
-    eigenvalues land inside band * (pivot eigenvalue * effective rank).
-    Outside the heavy-tail regime (effective rank below b*n) the check is
-    reported but flagged, never fatal.
+    Draws the n x n Gram ``Z diag(tail) Z^T`` of the spectrum's tail block
+    (the m = p_tilde - k_star eigenvalues past the k_star leading ones) and
+    counts how often both extreme eigenvalues land inside
+    band * (pivot eigenvalue * effective rank).  Outside the heavy-tail
+    regime (effective rank below b*n) the check is reported but flagged,
+    never fatal.
+
+    The tail is one constant block gamma, so for Gaussian coordinates the
+    Gram is gamma * Z Z^T, whose nonzero eigenvalues are those of
+    gamma * Wishart_a(d, I) with a = min(n, m) and d = max(n, m) degrees of
+    freedom.  Each trial draws that a x a matrix by the Bartlett decomposition,
+    a(a+1)/2 numbers instead of the n*m entries of Z; when m < n the Gram
+    has n - m exact zero eigenvalues, so its smallest eigenvalue is 0.
+    Rademacher coordinates have no such closed law and draw Z itself.
     """
     if rng is None:
         rng = derive_rng(0, "eigen", 0)
@@ -396,13 +429,9 @@ def eigen_band_check(
     regime_ok = r_k >= b * n
     tail = eigs[k : spec.p_tilde]
     inside = 0
-    from .synth import _coord_draws
-
     for _ in range(trials):
-        Z = _coord_draws(rng, (n, tail.size), coord_dist)
-        gram = (Z * tail) @ Z.T
-        evs = np.linalg.eigvalsh(gram)
-        if band[0] * scale <= evs[0] and evs[-1] <= band[1] * scale:
+        smallest, largest = _tail_gram_extremes(rng, n, tail, coord_dist)
+        if band[0] * scale <= smallest and largest <= band[1] * scale:
             inside += 1
     note = "" if regime_ok else f"regime violated: r_k = {r_k:.4g} < b*n = {b * n:.4g}"
     return EigenBandReport(

@@ -364,6 +364,31 @@ def test_cli_risk_json_and_numerical_failure(tmp_path, capsys):
                      str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_risk_out_writes_the_sweep_rows(tmp_path, capsys, fmt):
+    cfg = small_config(replicates=1, master_seed=3, estimators=["ensemble"],
+                       lambda_grid=[1e-3], tau_grid=[0.5])
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
+    out = tmp_path / f"risk.{fmt}"
+    assert cli_main(["risk", "--config", str(cfg_path), "--estimator", "ensemble",
+                     "--lambda", "1e-3", "--tau", "0.5", "--seed", "3",
+                     "--format", fmt, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 2 rows to {out}\n"
+    swept = tmp_path / f"sweep.{fmt}"
+    write_results(run_sweep(cfg, workers=1).rows, swept, fmt)
+    assert out.read_bytes() == swept.read_bytes()
+
+
+def test_cli_risk_rejects_pool_flags(tmp_path, capsys):
+    for flags in (["--replicates", "2"], ["--workers", "1"]):
+        out = tmp_path / "risk.csv"
+        assert cli_main(["risk", "--estimator", "ridgeless_ft", "--case", "a",
+                         "--out", str(out), *flags]) == 1
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_verify_quick(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code = cli_main(["verify", "--p", "400", "--n", "16", "--replicates", "4",

@@ -9,6 +9,7 @@ from overadapt.synth import (
     derive_rng,
     gen_labels,
     sample_design,
+    sample_designs,
     sample_instance,
     sample_parameters,
 )
@@ -182,6 +183,18 @@ def test_distinct_pretrain_sample_count():
     inst = sample_instance(env, master_seed=0)
     assert inst.X.shape[0] == 20
     assert inst.X_tilde.shape[0] == env.n
+
+
+@pytest.mark.parametrize("coord_dist", ["gaussian", "rademacher"])
+def test_design_pair_streams(coord_dist):
+    env = small_env(n_pre=12, coord_dist=coord_dist)
+    X, Xt = sample_designs(env, master_seed=4, replicate=2)
+    assert np.array_equal(X, sample_design(env.spectrum_pre, 12,
+                                           derive_rng(4, "design_pre", 2), coord_dist))
+    assert np.array_equal(Xt, sample_design(env.spectrum_ft, env.n,
+                                            derive_rng(4, "design_ft", 2), coord_dist))
+    inst = sample_instance(env, master_seed=4, replicate=2)
+    assert np.array_equal(inst.X, X) and np.array_equal(inst.X_tilde, Xt)
 
 
 def test_environment_validation():

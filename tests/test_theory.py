@@ -2,13 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from overadapt.estimators import EstimatorKind
 from overadapt.presets import theorem_check_env
 from overadapt.risk import AnalyticRisk, FtResolvent
-from overadapt.spectra import SpectrumSpec, build_eigenvalues
-from overadapt.synth import TaskEnvironment, derive_rng, sample_design
+from overadapt.spectra import SpectrumSpec, build_eigenvalues, effective_rank
+from overadapt.synth import TaskEnvironment, _coord_draws, derive_rng, sample_design
 from overadapt.theory import (
+    EigenBandReport,
+    _tail_gram_extremes,
+    _wishart_bartlett,
     eigen_band_check,
     ensemble_risk_dtau,
     ft_risk_dlambda,
@@ -233,3 +237,115 @@ def test_eigen_band_regime_violation_reported_not_fatal():
     assert not report.regime_ok
     assert "regime violated" in report.note
     assert report.trials == 5
+
+
+# ------------------------------------------- tail Gram: exact Wishart draw
+
+def dense_tail_extremes(rng, n, tail, coord_dist):
+    """Reference: form the n x m coordinate block and its Gram directly."""
+    Z = _coord_draws(rng, (n, tail.size), coord_dist)
+    evs = np.linalg.eigvalsh((Z * tail) @ Z.T)
+    return evs[0], evs[-1]
+
+
+def dense_band_check(spec, n, trials, rng, band=(1 / 3, 3.0), b=1.0,
+                     coord_dist="gaussian"):
+    """Reference: the band check drawing every trial's coordinate block."""
+    eigs = build_eigenvalues(spec)
+    k = spec.k_star
+    r_k = effective_rank(eigs, k)
+    scale = eigs[k] * r_k
+    tail = eigs[k : spec.p_tilde]
+    inside = 0
+    for _ in range(trials):
+        lo, hi = dense_tail_extremes(rng, n, tail, coord_dist)
+        if band[0] * scale <= lo and hi <= band[1] * scale:
+            inside += 1
+    regime_ok = r_k >= b * n
+    note = "" if regime_ok else f"regime violated: r_k = {r_k:.4g} < b*n = {b * n:.4g}"
+    return EigenBandReport(
+        trials=trials, inside=inside, rate=inside / trials if trials else 0.0,
+        scale=scale, band=band, regime_ok=regime_ok, note=note,
+    )
+
+
+class CountingRng:
+    """Delegates to a Generator and counts every number it draws."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.count = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.count += np.size(out)
+            return out
+        return counted
+
+
+def test_wishart_extremes_match_dense_draws():
+    n, m, gamma, trials = 10, 1999, 0.01, 2000
+    tail = np.full(m, gamma)
+    rng_w, rng_d = derive_rng(0, "eigen", 1), derive_rng(0, "eigen", 2)
+    wishart = np.array([_tail_gram_extremes(rng_w, n, tail, "gaussian")
+                        for _ in range(trials)])
+    dense = np.array([dense_tail_extremes(rng_d, n, tail, "gaussian")
+                      for _ in range(trials)])
+    assert ks_2samp(wishart[:, 0], dense[:, 0]).pvalue > 0.01
+    assert ks_2samp(wishart[:, 1], dense[:, 1]).pvalue > 0.01
+
+
+@pytest.mark.parametrize("n, m", [(10, 1999), (30, 7)])
+def test_wishart_trace_mean(n, m):
+    # tr G = gamma * chi2(n m): mean gamma n m, variance 2 n m gamma^2
+    gamma, trials = 0.01, 2000
+    rng = derive_rng(1, "eigen", 0)
+    a, dof = sorted((n, m))
+    traces = np.array([gamma * np.trace(_wishart_bartlett(rng, a, dof))
+                       for _ in range(trials)])
+    se = np.sqrt(2 * n * m) * gamma / np.sqrt(trials)
+    assert abs(traces.mean() - gamma * n * m) <= 4 * se
+
+
+def test_wishart_rank_deficient_tail_has_zero_eigenvalue():
+    n, m = 30, 20  # more samples than tail directions
+    spec = SpectrumSpec(k_star=1, gamma=0.01, p=m + 1, p_tilde=m + 1)
+    tail = build_eigenvalues(spec)[1:]
+    rng = derive_rng(4, "eigen", 0)
+    for _ in range(5):
+        smallest, largest = _tail_gram_extremes(rng, n, tail, "gaussian")
+        assert smallest == 0.0 < largest
+    report = eigen_band_check(spec, n=n, trials=50, band=(1e-12, 1e12),
+                              rng=derive_rng(4, "eigen", 1))
+    assert report.inside == 0
+
+
+def test_wishart_single_sample_is_scaled_chi_square():
+    m, gamma = 399, 0.05
+    tail = np.full(m, gamma)
+    for seed in range(5):
+        smallest, largest = _tail_gram_extremes(derive_rng(seed, "eigen", 0), 1,
+                                                tail, "gaussian")
+        expected = gamma * derive_rng(seed, "eigen", 0).chisquare(m)
+        assert smallest == largest == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, p_tilde", [(10, 2000), (1, 400), (30, 21)])
+def test_rademacher_band_check_keeps_dense_draws(n, p_tilde):
+    spec = SpectrumSpec(k_star=1, gamma=0.01, p=p_tilde, p_tilde=p_tilde)
+    report = eigen_band_check(spec, n=n, trials=30, rng=derive_rng(5, "eigen", 0),
+                              coord_dist="rademacher")
+    reference = dense_band_check(spec, n=n, trials=30, rng=derive_rng(5, "eigen", 0),
+                                 coord_dist="rademacher")
+    assert report == reference
+
+
+def test_gaussian_band_check_draws_triangle_not_block():
+    n, m, trials = 40, 8000, 5
+    spec = SpectrumSpec(k_star=1, gamma=0.01, p=m + 1, p_tilde=m + 1)
+    rng = CountingRng(derive_rng(6, "eigen", 0))
+    eigen_band_check(spec, n=n, trials=trials, rng=rng)
+    assert rng.count == trials * n * (n + 1) // 2  # not trials * n * m
