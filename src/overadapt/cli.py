@@ -78,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=200,
                           help="trials for the eigenvalue band check")
     _add_common(p_verify)
+    p_verify.set_defaults(format=None)  # it writes JSON; csv is rejected, not ignored
 
     p_risk = sub.add_parser("risk", help="single-point risk evaluation")
     p_risk.add_argument("--estimator", required=True,
@@ -154,6 +155,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # one process, exact risks, one JSON report: these flags cannot be honoured
+    # (--workers 1 names the one process it runs in, so it is accepted)
+    for flag, given in (("--workers", args.workers not in (None, 1)),
+                        ("--jitter", args.jitter),
+                        ("--mc-draws", args.mc_draws is not None),
+                        ("--format csv", args.format == "csv")):
+        if given:
+            raise ValueError(f"verify runs in one process and writes a JSON report "
+                             f"of exact risks; {flag} does not apply")
     env = theorem_check_env(p=args.p, n=args.n)
     seeds = args.replicates or 20
     lam_star = lambda_prime(env)

@@ -34,7 +34,7 @@ class ExperimentConfig:
     case: str | None = None
     n: int = 40
     p: int = 2000
-    p_tilde: int = 40
+    p_tilde: int = 80  # 2n, as in case a: off the square-Gram spike at p_tilde = n
     k_star: int = 1
     gamma_pre: float = 40.0**-1.5
     gamma_ft: float = 0.025

@@ -4,8 +4,8 @@ Four estimators: the min-norm pretrain solution, fine-tuning that
 interpolates the new labels while staying closest to the pretrained
 weights, its ridge-penalised version (penalty ``n*lam`` added to the Gram
 diagonal), and the convex combination of pretrained and fine-tuned weights.
-The p x p projector is never formed; every solve goes through a Cholesky
-factorisation of the n x n Gram, cached per design and per penalty level.
+The p x p projector is never formed; every solve goes through one
+eigendecomposition of the n x n Gram per design, read at every penalty level.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 COND_THRESHOLD = 1e12
 
@@ -55,14 +54,16 @@ class WeightVector:
 
 
 class GramSolver:
-    """Cholesky cache for one design matrix.
+    """One eigendecomposition of a design's Gram, read at every penalty.
 
-    Factors of (X X^T + n*lam*I) are kept per distinct penalty so a sweep
-    over lam (or tau, which needs no new factorisation at all) reuses work.
-    At lam = 0 the Gram's condition number is checked against
-    ``cond_threshold``; with ``jitter=True`` a diagonal boost of
-    1e-12 * tr(G)/n is added instead of failing; with jitter the check runs
-    before the first factor at any penalty, so the boost is call-order free.
+    G = X X^T = U diag(s) U^T is decomposed once, at construction, so
+    (G + nlam*I)^-1 = U diag(1/(s + nlam)) U^T at any nlam, and a sweep over
+    lam (or tau, which needs no new penalty at all) costs no new
+    factorisation.  The Gram's condition number is checked against
+    ``cond_threshold`` on the same eigenvalues.  An ill-conditioned Gram
+    raises ``SingularDesignError`` at nlam = 0; with ``jitter=True`` a
+    diagonal boost of 1e-12 * tr(G)/n is added to ``gram`` and ``s`` at
+    construction instead, so every penalty sees it whatever the call order.
     """
 
     def __init__(self, X: np.ndarray, jitter: bool = False,
@@ -73,44 +74,36 @@ class GramSolver:
         self.jitter_requested = jitter
         self.jitter_applied = 0.0
         self.cond_threshold = cond_threshold
-        self._factors: dict[float, tuple] = {}
-        self._checked = False
-
-    def _check_conditioning(self):
-        if self._checked:
-            return
-        self._checked = True
-        eigs = np.linalg.eigvalsh(self.gram)
-        lo, hi = eigs[0], eigs[-1]
-        if hi <= 0 or lo <= 0 or hi / lo > self.cond_threshold:
-            if self.jitter_requested:
-                self.jitter_applied = 1e-12 * np.trace(self.gram) / self.n
-                self.gram = self.gram + self.jitter_applied * np.eye(self.n)
-            else:
-                raise SingularDesignError(
-                    f"Gram condition number {hi / lo if lo > 0 else np.inf:.3e} exceeds "
-                    f"{self.cond_threshold:.1e}; offending rows: {self._offending_rows()}"
-                )
+        self.s, self.U = np.linalg.eigh(self.gram)
+        lo, hi = self.s[0], self.s[-1]
+        self.cond = hi / lo if lo > 0 else np.inf
+        self._singular = hi <= 0 or lo <= 0 or self.cond > cond_threshold
+        if self._singular and jitter:
+            self.jitter_applied = 1e-12 * np.trace(self.gram) / self.n
+            self.gram = self.gram + self.jitter_applied * np.eye(self.n)
+            self.s = self.s + self.jitter_applied
+            self._singular = False
 
     def _offending_rows(self) -> list[int]:
         # rows with the largest weight in the near-null eigenvector
-        w, v = np.linalg.eigh(self.gram)
-        null_dir = np.abs(v[:, 0])
+        null_dir = np.abs(self.U[:, 0])
         cutoff = 0.5 * null_dir.max()
         return [int(i) for i in np.nonzero(null_dir >= cutoff)[0]]
 
-    def factor(self, nlam: float = 0.0):
-        key = float(nlam)
-        if key not in self._factors:
-            if key == 0.0 or self.jitter_requested:
-                self._check_conditioning()
-            gram = self.gram if key == 0.0 else self.gram + key * np.eye(self.n)
-            self._factors[key] = cho_factor(gram, lower=True)
-        return self._factors[key]
+    def factor(self, nlam: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """(U, s + nlam): the eigenpairs of X X^T + nlam I."""
+        if nlam == 0.0 and self._singular:
+            raise SingularDesignError(
+                f"Gram condition number {self.cond:.3e} exceeds "
+                f"{self.cond_threshold:.1e}; offending rows: {self._offending_rows()}"
+            )
+        return self.U, self.s + nlam
 
     def solve(self, rhs: np.ndarray, nlam: float = 0.0) -> np.ndarray:
         """(X X^T + nlam I)^{-1} rhs."""
-        return cho_solve(self.factor(nlam), rhs)
+        U, shifted = self.factor(nlam)
+        coef = U.T @ rhs
+        return U @ (coef / (shifted[:, None] if coef.ndim == 2 else shifted))
 
     def apply_pinv_t(self, rhs: np.ndarray, nlam: float = 0.0) -> np.ndarray:
         """X^T (X X^T + nlam I)^{-1} rhs, the workhorse of every estimator."""

@@ -29,8 +29,11 @@ whose coefficients are traces of n x n products only:
     tr{K D K}            = tau^2 tr{R^-1 At R^-1 S_Xt(D)}
 
 These identities are unit-tested against dense p x p evaluation at tiny
-sizes.  The quadratic-in-tau structure is exact, so an ensemble sweep costs
-one factorisation per lam and O(1) arithmetic per tau.
+sizes.  Every lam reads one eigendecomposition At = U diag(s) U^T: with
+d = 1/(s + n*lam), R^-1 = U diag(d) U^T, so each trace above is a d-weighted
+contraction of n x n blocks fixed per design pair (U^T S_Xt(D) U, G U and
+U^T G^T A^-k G U), O(n^2) per lam.  The quadratic-in-tau structure is exact,
+so each tau then costs O(1) arithmetic.
 
 Monte Carlo
 -----------
@@ -179,29 +182,36 @@ class AnalyticRisk:
 
         self.solver_pre = GramSolver(X, jitter=jitter)
         self.solver_ft = GramSolver(Xt, jitter=jitter)
-
-        # n x n covariance-weighted blocks, one per (design, task) pair
-        self.SX = {t: (X * e) @ X.T for t, e in self._tasks()}
-        self.SXt = {t: (Xt * e) @ Xt.T for t, e in self._tasks()}
-        self.C = {t: (X * e) @ Xt.T for t, e in self._tasks()}
         self.tr_cov = {t: float(np.sum(e)) for t, e in self._tasks()}
 
         # lam-independent traces against the pretrain Gram
         self._w0, self._u0 = {}, {}
-        for t in ("pre", "ft"):
-            a1 = self.solver_pre.solve(self.SX[t])
+        for t, e in self._tasks():
+            a1 = self.solver_pre.solve((X * e) @ X.T)
             self._w0[t] = float(np.trace(a1))
             self._u0[t] = float(np.trace(self.solver_pre.solve(a1)))
 
-        if self.theta_c is not None:
-            # h = (I - P) theta_c, evaluated with matrix-vector work only
-            h = self.theta_c - X.T @ self.solver_pre.solve(X @ self.theta_c)
-            self._h = h
-            self._h_c0 = {t: float(h @ (e * h)) for t, e in self._tasks()}
-            self._h_cov = {t: Xt @ (e * h) for t, e in self._tasks()}  # Xt D h
-            self._h_g = Xt @ h
+        # fixed n x n blocks in the fine-tune eigenbasis (XtU = Xt^T U, p x n):
+        # M = U^T S_Xt(D) U, c_k = diag(U^T G^T A^-k C(D) U), Q_k = U^T G^T A^-k G U
+        XtU = Xt.T @ self.solver_ft.U
+        GU = X @ XtU
+        A1GU = self.solver_pre.solve(GU)
+        AGU = (A1GU, self.solver_pre.solve(A1GU))  # A^-k G U, k = 1, 2
+        self._Q = [GU.T @ a for a in AGU]
+        self._M, self._c = {}, {}
+        for t, e in self._tasks():
+            DXtU = e[:, None] * XtU
+            self._M[t] = XtU.T @ DXtU
+            CU = X @ DXtU
+            self._c[t] = [np.einsum("ij,ij->j", a, CU) for a in AGU]
 
-        self._lam_cache: dict[float, dict] = {}
+        if self.theta_c is not None:
+            # h = (I - P) theta_c, evaluated with matrix-vector work only;
+            # g = U^T Xt h and g_D = U^T Xt D h are its fine-tune projections
+            h = self.theta_c - X.T @ self.solver_pre.solve(X @ self.theta_c)
+            self._h_c0 = {t: float(h @ (e * h)) for t, e in self._tasks()}
+            self._g = XtU.T @ h
+            self._g_cov = {t: XtU.T @ (e * h) for t, e in self._tasks()}
 
     def _tasks(self):
         return (("pre", self.eigs_pre), ("ft", self.eigs_ft))
@@ -223,40 +233,33 @@ class AnalyticRisk:
             theta_c_norm=env.theta_c_norm, theta_c=theta_c, jitter=jitter,
         )
 
-    def _blocks(self, lam: float) -> dict:
-        key = float(lam)
-        if key in self._lam_cache:
-            return self._lam_cache[key]
-        n = self.n
-        solve = lambda B: self.solver_ft.solve(B, nlam=n * key)
-        V = solve(self.Xt @ self.X.T)  # R^-1 G^T
-        RiA = solve(self.solver_ft.gram)  # read after factoring: any jitter is in it
-        blk = {"V": V}
-        for t in ("pre", "ft"):
-            R1S = solve(self.SXt[t])
-            blk[f"t1_{t}"] = float(np.trace(R1S))
-            blk[f"t2_{t}"] = float(np.trace(solve(R1S)))
-            blk[f"t3_{t}"] = float(np.trace(RiA @ R1S))
-            CV = self.C[t] @ V
-            a1 = self.solver_pre.solve(CV)
-            blk[f"w1_{t}"] = float(np.trace(a1))
-            blk[f"u1_{t}"] = float(np.trace(self.solver_pre.solve(a1)))
-            VtSV = V.T @ self.SXt[t] @ V
-            a2 = self.solver_pre.solve(VtSV)
-            blk[f"w2_{t}"] = float(np.trace(a2))
-            blk[f"u2_{t}"] = float(np.trace(self.solver_pre.solve(a2)))
+    def _blocks(self, lam: float, t: str) -> dict:
+        """The lam-dependent traces of task t: d-weighted contractions, O(n^2)."""
+        _, shifted = self.solver_ft.factor(self.n * float(lam))
+        d = 1.0 / shifted
+        d2 = d * d
+        m = np.diagonal(self._M[t])
+        dMd = d[:, None] * self._M[t] * d  # U^T R^-1 S R^-1 U
+        (c1, c2), (Q1, Q2) = self._c[t], self._Q
+        blk = {
+            "t1": float(d @ m),
+            "t2": float(d2 @ m),
+            "t3": float((d2 * self.solver_ft.s) @ m),  # s holds any jitter
+            "w1": float(d @ c1),
+            "u1": float(d @ c2),
+            "w2": float(np.sum(dMd * Q1.T)),
+            "u2": float(np.sum(dMd * Q2.T)),
+        }
         if self.theta_c is not None:
-            q = solve(self._h_g)
-            for t in ("pre", "ft"):
-                blk[f"hb1_{t}"] = -2.0 * float(self._h_cov[t] @ q)
-                blk[f"hb2_{t}"] = float(q @ (self.SXt[t] @ q))
-        self._lam_cache[key] = blk
+            dg = d * self._g  # U^T R^-1 Xt h
+            blk["hb1"] = -2.0 * float(self._g_cov[t] @ dg)
+            blk["hb2"] = float(dg @ self._M[t] @ dg)
         return blk
 
     def term_quadratics(self, lam: float, task: str) -> dict[str, _Quad]:
         """Each risk term as an exact quadratic in tau, at fixed lam."""
         t = task
-        b = self._blocks(lam)
+        b = self._blocks(lam, t)
         w0, u0 = self._w0[t], self._u0[t]
         trc = self.tr_cov[t]
         quads = {}
@@ -264,27 +267,27 @@ class AnalyticRisk:
             scale = self.theta_c_norm**2 / self.eigs_pre.size
             quads["bias_thetac"] = _Quad(
                 scale * (trc - w0),
-                scale * (-2 * b[f"t1_{t}"] + 2 * b[f"w1_{t}"]),
-                scale * (b[f"t3_{t}"] - b[f"w2_{t}"]),
+                scale * (-2 * b["t1"] + 2 * b["w1"]),
+                scale * (b["t3"] - b["w2"]),
             )
         else:
-            quads["bias_thetac"] = _Quad(self._h_c0[t], b[f"hb1_{t}"], b[f"hb2_{t}"])
+            quads["bias_thetac"] = _Quad(self._h_c0[t], b["hb1"], b["hb2"])
         if task == "pre":
             quads["term_zeta1"] = _Quad(
-                self.zeta1 * (self.tr_cov["pre"] - w0), 0.0, self.zeta1 * b[f"w2_{t}"]
+                self.zeta1 * (self.tr_cov["pre"] - w0), 0.0, self.zeta1 * b["w2"]
             )
-            quads["term_zeta2"] = _Quad(0.0, 0.0, self.zeta2 * b[f"t3_{t}"])
+            quads["term_zeta2"] = _Quad(0.0, 0.0, self.zeta2 * b["t3"])
         else:
             quads["term_zeta1"] = _Quad(
-                self.zeta1 * w0, -2 * self.zeta1 * b[f"w1_{t}"], self.zeta1 * b[f"w2_{t}"]
+                self.zeta1 * w0, -2 * self.zeta1 * b["w1"], self.zeta1 * b["w2"]
             )
             quads["term_zeta2"] = _Quad(
-                self.zeta2 * trc, -2 * self.zeta2 * b[f"t1_{t}"], self.zeta2 * b[f"t3_{t}"]
+                self.zeta2 * trc, -2 * self.zeta2 * b["t1"], self.zeta2 * b["t3"]
             )
         quads["term_sigma"] = _Quad(
-            self.sigma2 * u0, -2 * self.sigma2 * b[f"u1_{t}"], self.sigma2 * b[f"u2_{t}"]
+            self.sigma2 * u0, -2 * self.sigma2 * b["u1"], self.sigma2 * b["u2"]
         )
-        quads["term_sigma_tilde"] = _Quad(0.0, 0.0, self.sigma2_tilde * b[f"t2_{t}"])
+        quads["term_sigma_tilde"] = _Quad(0.0, 0.0, self.sigma2_tilde * b["t2"])
         return quads
 
     def _task_risk_tau0(self, task: str) -> TaskRisk:
@@ -357,7 +360,7 @@ def mc_expected_risks(
     """Monte-Carlo mean of the plug-in risk over fresh parameter/noise draws,
     one report per kind, every kind on the same draws.
 
-    Designs stay fixed; Gram factorisations are built once, so each draw
+    Designs stay fixed; each Gram is eigendecomposed once, so each draw
     costs matrix-vector work only.  Draws are vectorised in batches, which
     does not change the stream for a fixed ``batch``.
     """
@@ -368,7 +371,6 @@ def mc_expected_risks(
     n = Xt.shape[0]
     sp = _solver(X, solver_pre, jitter)
     st = _solver(Xt, solver_ft, jitter)
-    sp.factor(0.0)
     # kind indices with tau = 0 (the pretrained weights), the rest grouped by lam
     pretrained, by_lam = [], {}
     for i, kind in enumerate(kinds):
@@ -377,8 +379,6 @@ def mc_expected_risks(
             pretrained.append(i)
         else:
             by_lam.setdefault(lam, []).append((i, tau))
-    for lam in by_lam:
-        st.factor(n * lam)
     p = X.shape[1]
     risks = [{t: [] for t in tasks} for _ in kinds]
 
@@ -437,8 +437,9 @@ def mc_expected_risk(X, Xt, env, kind: EstimatorKind, draws: int, rng,
 class FtResolvent:
     """Trace chains of the fine-tune resolvent against one weighted Gram.
 
-    Caches, per penalty level, the traces tr{R^-k S} for k = 1..3 and
-    tr{R^-k At S} for k = 2, 3, where R = At + n*lam*I and S = Xt D Xt^T.
+    The traces tr{R^-k S} for k = 1..3 and tr{R^-k At S} for k = 2, 3, where
+    R = At + n*lam*I and S = Xt D Xt^T, are d-weighted sums of diag(U^T S U),
+    with At = U diag(s) U^T taken once and d = 1/(s + n*lam): O(n) per lam.
     These feed the two-term risk shortcut and all its closed-form
     derivatives.
     """
@@ -446,26 +447,25 @@ class FtResolvent:
     def __init__(self, Xt: np.ndarray, eigs: np.ndarray, jitter: bool = False):
         self.n = Xt.shape[0]
         self.solver = GramSolver(Xt, jitter=jitter)
-        self.S = (Xt * np.asarray(eigs, dtype=float)) @ Xt.T
+        eigs = np.asarray(eigs, dtype=float)
+        XtU = Xt.T @ self.solver.U
+        self._m = eigs @ (XtU * XtU)  # diag(U^T S U)
         self.tr_cov = float(np.sum(eigs))
-        self._cache: dict[float, dict] = {}
 
     def traces(self, lam: float) -> dict[str, float]:
-        key = float(lam)
-        if key not in self._cache:
-            nlam = self.n * key
-            r1 = self.solver.solve(self.S, nlam=nlam)
-            r2 = self.solver.solve(r1, nlam=nlam)
-            r3 = self.solver.solve(r2, nlam=nlam)
-            ria = self.solver.solve(self.solver.gram, nlam=nlam)  # after factoring
-            self._cache[key] = {
-                "t1": float(np.trace(r1)),
-                "t2": float(np.trace(r2)),
-                "t3": float(np.trace(ria @ r1)),
-                "t4": float(np.trace(r3)),
-                "t5": float(np.trace(ria @ r2)),
-            }
-        return self._cache[key]
+        _, shifted = self.solver.factor(self.n * float(lam))
+        d = 1.0 / shifted
+        r1 = d * self._m
+        r2 = d * r1
+        r3 = d * r2
+        s = self.solver.s  # holds any jitter
+        return {
+            "t1": float(np.sum(r1)),
+            "t2": float(np.sum(r2)),
+            "t3": float(s @ r2),
+            "t4": float(np.sum(r3)),
+            "t5": float(s @ r3),
+        }
 
 
 def lemma_approx_risk(

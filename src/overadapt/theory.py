@@ -15,7 +15,6 @@ Rademacher coordinates have no closed law and keep the dense draw.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,22 +199,6 @@ class OrderingReport:
                 for s in self.seeds
             ],
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("seed,item,holds,ties,margin\n")
-            for s in self.seeds:
-                for item in sorted(s.holds):
-                    held = s.holds[item]
-                    fh.write(
-                        f"{s.seed},{item},"
-                        f"{'' if held is None else str(held).lower()},"
-                        f"{s.ties.get(item, 0)},{float(s.margins.get(item, np.nan))!r}\n"
-                    )
 
 
 def _chain(values: list[float]) -> tuple[bool | None, int, float]:

@@ -195,16 +195,21 @@ def test_jitter_independent_of_call_order():
     np.testing.assert_array_equal(got, after_zero.solve(rhs, nlam=nlam))
 
 
-def test_solver_caches_factorizations():
+def test_solver_eigendecomposes_once(monkeypatch):
+    # every penalty, a repeated one included, reads the construction-time eigh
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     rng = np.random.default_rng(8)
     Xt = rng.standard_normal((4, 10))
     solver = GramSolver(Xt)
     theta1 = wv(rng.standard_normal(10))
     Yt = rng.standard_normal(4)
-    finetune_ridge(theta1, Xt, Yt, 0.5, solver=solver)
-    finetune_ridge(theta1, Xt, Yt, 0.5, solver=solver)
-    finetune_ridge(theta1, Xt, Yt, 0.25, solver=solver)
-    assert set(solver._factors) == {4 * 0.5, 4 * 0.25}
+    for lam in (0.5, 0.5, 0.25, 0.0):
+        got = finetune_ridge(theta1, Xt, Yt, lam, solver=solver).weights
+        want = estimator_oracle("ridge_ft", np.eye(10), theta1.weights, Xt, Yt, lam=lam)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    assert calls == [(4, 4)]
 
 
 def test_solver_for_another_design_rejected():

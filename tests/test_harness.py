@@ -1,11 +1,21 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import overadapt
 from overadapt.cli import main as cli_main
-from overadapt.config import ConfigError, config_from_dict, load_config, save_config
+from overadapt.config import (
+    ConfigError,
+    ExperimentConfig,
+    config_from_dict,
+    load_config,
+    save_config,
+)
 from overadapt.estimators import EstimatorKind
 from overadapt.harness import (
     CSV_COLUMNS,
@@ -43,6 +53,13 @@ def test_minimal_preset_config(tmp_path):
     assert cfg.n == 40 and cfg.p == 2000
     assert cfg.gamma_ft == pytest.approx(0.025)
     assert cfg.replicates == 20
+
+
+def test_config_defaults_are_case_a():
+    default = ExperimentConfig().to_dict()
+    case_a = config_from_dict({"case": "a"}).to_dict()
+    assert (default.pop("case"), case_a.pop("case")) == (None, "a")
+    assert default == case_a
 
 
 def test_config_rejects_negative_zeta2():
@@ -396,6 +413,31 @@ def test_cli_verify_quick(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.read_text())["rates"]
     assert "item1" in capsys.readouterr().out
+
+
+def test_cli_verify_rejects_flags_it_cannot_honour(tmp_path, capsys):
+    base = ["verify", "--p", "400", "--n", "16", "--replicates", "2", "--trials", "10"]
+    for flags in (["--workers", "7"], ["--jitter"], ["--mc-draws", "5"], ["--format", "csv"]):
+        out = tmp_path / "v.csv"
+        assert cli_main([*base, "--out", str(out), *flags]) == 1
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+    out = tmp_path / "v.json"
+    assert cli_main([*base, "--out", str(out), "--format", "json", "--workers", "1"]) == 0
+    assert json.loads(out.read_text())["rates"]
+
+
+def test_cli_run_loads_no_scipy(tmp_path):
+    out = tmp_path / "a.csv"
+    code = ("import json, sys\n"
+            "from overadapt import cli\n"
+            f"rc = cli.main(['preset', 'a', '--replicates', '1', '--workers', '1', "
+            f"'--out', {str(out)!r}])\n"
+            "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(overadapt.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
 
 
 def test_cli_failed_seeds_reach_exit_code(tmp_path, capsys):

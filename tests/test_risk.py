@@ -194,6 +194,38 @@ def test_shared_support_trace_identity():
         assert t_pre["t2"] == pytest.approx(t_ft["t2"], rel=1e-10)
 
 
+def _dense_traces(gram, S, nlam):
+    """tr{R^-k S} (k = 1..3) and tr{R^-k At S} (k = 2, 3) by dense solves."""
+    R = gram + nlam * np.eye(len(gram))
+    r1 = np.linalg.solve(R, S)
+    r2 = np.linalg.solve(R, r1)
+    ria = np.linalg.solve(R, gram)
+    return {"t1": np.trace(r1), "t2": np.trace(r2), "t3": np.trace(ria @ r1),
+            "t4": np.trace(np.linalg.solve(R, r2)), "t5": np.trace(ria @ r2)}
+
+
+@pytest.mark.parametrize("duplicated", [False, True])
+def test_ft_resolvent_traces_match_dense_solves(duplicated):
+    rng = np.random.default_rng(12)
+    n, p = 6, 30
+    Xt = rng.standard_normal((n, p))
+    if duplicated:
+        Xt[1] = Xt[0]  # singular Gram: jitter rescues it
+    eigs = np.linspace(1.0, 0.1, p)
+    res = FtResolvent(Xt, eigs, jitter=duplicated)
+    assert (res.solver.jitter_applied > 0) == duplicated
+    S = (Xt * eigs) @ Xt.T
+    for lam in (0.0, 1e-7, 1e-3):
+        got, want = res.traces(lam), _dense_traces(res.solver.gram, S, n * lam)
+        for key in got:
+            if duplicated and lam == 0.0 and key == "t4":
+                # tr{R^-3 S} has condition number cond(R)^3 ~ 1e37 here: rounding
+                # of the null direction decides it for any solver
+                continue
+            assert got[key] == pytest.approx(want[key], rel=1e-6 if duplicated else 1e-10), \
+                (lam, key)
+
+
 # ------------------------------------------------------------- Monte Carlo
 
 def test_mc_matches_analytic_within_3se():
