@@ -71,7 +71,6 @@ class GramSolver:
         self.X = X
         self.n = X.shape[0]
         self.gram = X @ X.T
-        self.jitter_requested = jitter
         self.jitter_applied = 0.0
         self.cond_threshold = cond_threshold
         self.s, self.U = np.linalg.eigh(self.gram)
@@ -218,10 +217,6 @@ class EstimatorKind:
         if self.name == RIDGE:
             return self.lam, 1.0
         return self.lam, self.tau
-
-    @property
-    def label(self) -> str:
-        return self.name
 
     @classmethod
     def pretrained(cls):

@@ -34,6 +34,7 @@ from .presets import (
 from .risk import (
     TERM_KEYS,
     AnalyticRisk,
+    FtResolvent,
     RiskReport,
     lemma_approx_risk,
     mc_expected_risks,
@@ -183,15 +184,21 @@ def evaluate_seed(
     if fix_theta_c:
         # one shared draw held fixed across every replicate of the sweep
         theta_c, _, _ = sample_parameters(env, derive_rng(master_seed, "params", 0))
-    rows: list[ResultRow] = []
-    analytic = None
+    # one eigendecomposition per design: every method reads the same solvers
+    analytic = resolvent = None
     if "analytic" in methods:
         analytic = AnalyticRisk.from_env(X, Xt, env, theta_c=theta_c, jitter=jitter)
+        resolvent = analytic.resolvent
+    elif "lemma_approx" in methods:
+        resolvent = FtResolvent.from_env(Xt, env, jitter=jitter)
     mc = [None] * len(kinds)
     if "monte_carlo" in methods:
         mc = mc_expected_risks(X, Xt, env, kinds, mc_draws,
                                derive_rng(master_seed, "mc", seed_index),
-                               theta_c=theta_c, jitter=jitter)
+                               theta_c=theta_c, jitter=jitter,
+                               solver_pre=None if analytic is None else analytic.solver_pre,
+                               solver_ft=None if resolvent is None else resolvent.solver)
+    rows: list[ResultRow] = []
     for kind, mc_report in zip(kinds, mc):
         if analytic is not None:
             rows.extend(rows_from_report(analytic.report(kind), case, seed_index))
@@ -199,7 +206,7 @@ def evaluate_seed(
             rows.extend(rows_from_report(mc_report, case, seed_index))
         if "lemma_approx" in methods:
             rows.extend(rows_from_report(
-                lemma_approx_risk(Xt, env, kind, jitter=jitter), case, seed_index))
+                lemma_approx_risk(Xt, env, kind, evaluator=resolvent), case, seed_index))
     return rows
 
 
@@ -254,6 +261,18 @@ def _run_seeds(jobs: list[tuple], nworkers: int) -> tuple[list[ResultRow], list[
     return merged, failures
 
 
+def _run_config(env: TaskEnvironment, config: ExperimentConfig, kinds: list[EstimatorKind],
+                case: str, workers: int | None):
+    """Rows, failures and worker count of every replicate; builds each seed's job."""
+    jobs = [
+        (env, s, config.master_seed, kinds, config.methods, config.mc_draws,
+         case, config.fix_theta_c, config.jitter)
+        for s in range(config.replicates)
+    ]
+    nworkers = resolve_workers(workers if workers is not None else config.workers)
+    return (*_run_seeds(jobs, nworkers), nworkers)
+
+
 def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepResult:
     """Full factorial over (seed x estimator point x method).
 
@@ -263,14 +282,7 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepResu
     """
     env = config.environment()
     kinds = expand_estimator_points(config)
-    case = config.case or ""
-    jobs = [
-        (env, s, config.master_seed, kinds, config.methods, config.mc_draws,
-         case, config.fix_theta_c, config.jitter)
-        for s in range(config.replicates)
-    ]
-    nworkers = resolve_workers(workers if workers is not None else config.workers)
-    merged, failures = _run_seeds(jobs, nworkers)
+    merged, failures, nworkers = _run_config(env, config, kinds, config.case or "", workers)
     meta = {
         "replicates": config.replicates,
         "master_seed": config.master_seed,
@@ -344,13 +356,7 @@ def run_preset(
         kinds += [EstimatorKind.ensemble(lam, tau) for tau in cfg.tau_grid]
 
     env = cfg.environment()
-    jobs = [
-        (env, s, cfg.master_seed, kinds, cfg.methods, cfg.mc_draws,
-         case_id, cfg.fix_theta_c, cfg.jitter)
-        for s in range(cfg.replicates)
-    ]
-    nworkers = resolve_workers(workers if workers is not None else cfg.workers)
-    merged, failures = _run_seeds(jobs, nworkers)
+    merged, failures, nworkers = _run_config(env, cfg, kinds, case_id, workers)
     return PresetResult(
         case=case_id, env=env, rows=merged,
         tradeoff_lambda=lam_tradeoff, ft_lambda=lam_ft,

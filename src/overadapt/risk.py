@@ -8,8 +8,11 @@
 ``mc_expected_risks``        Monte-Carlo estimates of the same expectation on
                              draws shared by all estimators, the independent
                              numerical check (``mc_expected_risk``: one).
-``lemma_approx_risk``        the two-term (task-shift + label-noise)
-                             shortcut that keeps only the dominant pieces.
+``lemma_approx_risk``        the two-term (task-shift + fine-tune noise)
+                             shortcut: two of the exact evaluator's five
+                             term quadratics, term_zeta2 and
+                             term_sigma_tilde, read from the same
+                             eigendecomposition of the fine-tune Gram.
 
 Trace reduction
 ---------------
@@ -33,7 +36,8 @@ sizes.  Every lam reads one eigendecomposition At = U diag(s) U^T: with
 d = 1/(s + n*lam), R^-1 = U diag(d) U^T, so each trace above is a d-weighted
 contraction of n x n blocks fixed per design pair (U^T S_Xt(D) U, G U and
 U^T G^T A^-k G U), O(n^2) per lam.  The quadratic-in-tau structure is exact,
-so each tau then costs O(1) arithmetic.
+so each tau then costs O(1) arithmetic.  ``FtResolvent``, the fine-tune half,
+is shared with the two-term shortcut and the theory's optima and derivatives.
 
 Monte Carlo
 -----------
@@ -146,6 +150,73 @@ class _Quad:
     def __call__(self, tau: float) -> float:
         return self.a0 + tau * (self.a1 + tau * self.a2)
 
+    def __add__(self, other: "_Quad") -> "_Quad":
+        return _Quad(self.a0 + other.a0, self.a1 + other.a1, self.a2 + other.a2)
+
+
+class FtResolvent:
+    """The fine-tune half of the exact evaluator: one eigendecomposition of At.
+
+    Holds At = U diag(s) U^T, Xt^T U and, per task covariance D ("ft": ``eigs``,
+    "pre": ``eigs_pre``), M = U^T S U with S = Xt D Xt^T.  The traces t1-t3 =
+    tr{R^-k S} and t4, t5 = tr{R^-k At S} are d-weighted sums of diag(M), O(n)
+    per lam.  ``AnalyticRisk`` reads d, M and t1-t3 from it; the two-term
+    shortcut, two of its five term quadratics, and the theory read the same
+    traces.  t4 at lam = 0 on a jittered singular Gram has condition number
+    cond(R)^3 ~ 1e37, so it is nan there rather than decided by rounding.
+    """
+
+    def __init__(self, Xt: np.ndarray, eigs: np.ndarray, jitter: bool = False,
+                 eigs_pre: np.ndarray | None = None):
+        self.n = Xt.shape[0]
+        self.solver = GramSolver(Xt, jitter=jitter)
+        self.XtU = Xt.T @ self.solver.U
+        covs = {"ft": eigs} if eigs_pre is None else {"pre": eigs_pre, "ft": eigs}
+        covs = {t: np.asarray(e, dtype=float) for t, e in covs.items()}
+        self.tr_cov = {t: float(np.sum(e)) for t, e in covs.items()}
+        self.M = {t: self.XtU.T @ (e[:, None] * self.XtU) for t, e in covs.items()}
+        self._m = {t: np.diagonal(M) for t, M in self.M.items()}
+
+    @classmethod
+    def from_env(cls, Xt: np.ndarray, env: TaskEnvironment,
+                 jitter: bool = False) -> "FtResolvent":
+        eigs_pre, eigs_ft = env.eigenvalues()
+        return cls(Xt, eigs_ft, jitter=jitter, eigs_pre=eigs_pre)
+
+    def d(self, lam: float) -> np.ndarray:
+        """1/(s + n*lam), the eigenvalues of R^-1."""
+        _, shifted = self.solver.factor(self.n * float(lam))
+        return 1.0 / shifted
+
+    def traces(self, lam: float, task: str = "ft") -> dict[str, float]:
+        d = self.d(lam)
+        t = self.sums(d, task)
+        d3 = d * d * d
+        undefined = lam == 0.0 and self.solver.jitter_applied > 0
+        t["t4"] = float("nan") if undefined else float(d3 @ self._m[task])
+        t["t5"] = float((d3 * self.solver.s) @ self._m[task])
+        return t
+
+    def sums(self, d: np.ndarray, task: str) -> dict[str, float]:
+        """t1-t3 at the resolvent eigenvalues d (s holds any jitter)."""
+        d2, m = d * d, self._m[task]
+        return {"t1": float(d @ m), "t2": float(d2 @ m), "t3": float((d2 * self.solver.s) @ m)}
+
+
+def two_term_quadratics(t: dict[str, float], zeta2: float, sigma2_tilde: float,
+                        tr_cov: float | None = None) -> dict[str, _Quad]:
+    """term_zeta2 and term_sigma_tilde at one lam's traces ``t``, quadratics in tau.
+
+    With ``tr_cov`` the fine-tune task's, zeta2 (tr_cov - 2 tau t1 + tau^2 t3)
+    and sigma2_tilde tau^2 t2; without it the pretrain task's, tau^2 times
+    zeta2 t3 and sigma2_tilde t2.  Exact evaluator and shortcut both read it.
+    """
+    if tr_cov is None:
+        zeta = _Quad(0.0, 0.0, zeta2 * t["t3"])
+    else:
+        zeta = _Quad(zeta2 * tr_cov, -2 * zeta2 * t["t1"], zeta2 * t["t3"])
+    return {"term_zeta2": zeta, "term_sigma_tilde": _Quad(0.0, 0.0, sigma2_tilde * t["t2"])}
+
 
 class AnalyticRisk:
     """Exact conditional risk evaluator for one pair of designs.
@@ -178,11 +249,10 @@ class AnalyticRisk:
         self.sigma2, self.sigma2_tilde = sigma2, sigma2_tilde
         self.theta_c_norm = theta_c_norm
         self.theta_c = None if theta_c is None else np.asarray(theta_c, dtype=float)
-        self.n = Xt.shape[0]
 
         self.solver_pre = GramSolver(X, jitter=jitter)
-        self.solver_ft = GramSolver(Xt, jitter=jitter)
-        self.tr_cov = {t: float(np.sum(e)) for t, e in self._tasks()}
+        self.resolvent = FtResolvent(Xt, self.eigs_ft, jitter=jitter, eigs_pre=self.eigs_pre)
+        self.tr_cov = self.resolvent.tr_cov
 
         # lam-independent traces against the pretrain Gram
         self._w0, self._u0 = {}, {}
@@ -191,18 +261,17 @@ class AnalyticRisk:
             self._w0[t] = float(np.trace(a1))
             self._u0[t] = float(np.trace(self.solver_pre.solve(a1)))
 
-        # fixed n x n blocks in the fine-tune eigenbasis (XtU = Xt^T U, p x n):
-        # M = U^T S_Xt(D) U, c_k = diag(U^T G^T A^-k C(D) U), Q_k = U^T G^T A^-k G U
-        XtU = Xt.T @ self.solver_ft.U
+        # fixed n x n blocks in the fine-tune eigenbasis (XtU = Xt^T U, p x n;
+        # the resolvent holds M = U^T S_Xt(D) U):
+        # c_k = diag(U^T G^T A^-k C(D) U), Q_k = U^T G^T A^-k G U
+        XtU = self.resolvent.XtU
         GU = X @ XtU
         A1GU = self.solver_pre.solve(GU)
         AGU = (A1GU, self.solver_pre.solve(A1GU))  # A^-k G U, k = 1, 2
         self._Q = [GU.T @ a for a in AGU]
-        self._M, self._c = {}, {}
+        self._c = {}
         for t, e in self._tasks():
-            DXtU = e[:, None] * XtU
-            self._M[t] = XtU.T @ DXtU
-            CU = X @ DXtU
+            CU = X @ (e[:, None] * XtU)
             self._c[t] = [np.einsum("ij,ij->j", a, CU) for a in AGU]
 
         if self.theta_c is not None:
@@ -235,25 +304,21 @@ class AnalyticRisk:
 
     def _blocks(self, lam: float, t: str) -> dict:
         """The lam-dependent traces of task t: d-weighted contractions, O(n^2)."""
-        _, shifted = self.solver_ft.factor(self.n * float(lam))
-        d = 1.0 / shifted
-        d2 = d * d
-        m = np.diagonal(self._M[t])
-        dMd = d[:, None] * self._M[t] * d  # U^T R^-1 S R^-1 U
+        res = self.resolvent
+        d, M = res.d(lam), res.M[t]
+        dMd = d[:, None] * M * d  # U^T R^-1 S R^-1 U
         (c1, c2), (Q1, Q2) = self._c[t], self._Q
-        blk = {
-            "t1": float(d @ m),
-            "t2": float(d2 @ m),
-            "t3": float((d2 * self.solver_ft.s) @ m),  # s holds any jitter
-            "w1": float(d @ c1),
-            "u1": float(d @ c2),
-            "w2": float(np.sum(dMd * Q1.T)),
-            "u2": float(np.sum(dMd * Q2.T)),
-        }
+        blk = res.sums(d, t)
+        blk.update(
+            w1=float(d @ c1),
+            u1=float(d @ c2),
+            w2=float(np.sum(dMd * Q1.T)),
+            u2=float(np.sum(dMd * Q2.T)),
+        )
         if self.theta_c is not None:
             dg = d * self._g  # U^T R^-1 Xt h
             blk["hb1"] = -2.0 * float(self._g_cov[t] @ dg)
-            blk["hb2"] = float(dg @ self._M[t] @ dg)
+            blk["hb2"] = float(dg @ M @ dg)
         return blk
 
     def term_quadratics(self, lam: float, task: str) -> dict[str, _Quad]:
@@ -276,19 +341,16 @@ class AnalyticRisk:
             quads["term_zeta1"] = _Quad(
                 self.zeta1 * (self.tr_cov["pre"] - w0), 0.0, self.zeta1 * b["w2"]
             )
-            quads["term_zeta2"] = _Quad(0.0, 0.0, self.zeta2 * b["t3"])
         else:
             quads["term_zeta1"] = _Quad(
                 self.zeta1 * w0, -2 * self.zeta1 * b["w1"], self.zeta1 * b["w2"]
             )
-            quads["term_zeta2"] = _Quad(
-                self.zeta2 * trc, -2 * self.zeta2 * b["t1"], self.zeta2 * b["t3"]
-            )
         quads["term_sigma"] = _Quad(
             self.sigma2 * u0, -2 * self.sigma2 * b["u1"], self.sigma2 * b["u2"]
         )
-        quads["term_sigma_tilde"] = _Quad(0.0, 0.0, self.sigma2_tilde * b["t2"])
-        return quads
+        quads.update(two_term_quadratics(b, self.zeta2, self.sigma2_tilde,
+                                         trc if task == "ft" else None))
+        return {k: quads[k] for k in TERM_KEYS}
 
     def _task_risk_tau0(self, task: str) -> TaskRisk:
         # pretrained estimator: no fine-tune resolvent is ever touched
@@ -434,88 +496,31 @@ def mc_expected_risk(X, Xt, env, kind: EstimatorKind, draws: int, rng,
     return mc_expected_risks(X, Xt, env, [kind], draws, rng, **kwargs)[0]
 
 
-class FtResolvent:
-    """Trace chains of the fine-tune resolvent against one weighted Gram.
-
-    The traces tr{R^-k S} for k = 1..3 and tr{R^-k At S} for k = 2, 3, where
-    R = At + n*lam*I and S = Xt D Xt^T, are d-weighted sums of diag(U^T S U),
-    with At = U diag(s) U^T taken once and d = 1/(s + n*lam): O(n) per lam.
-    These feed the two-term risk shortcut and all its closed-form
-    derivatives.
-    """
-
-    def __init__(self, Xt: np.ndarray, eigs: np.ndarray, jitter: bool = False):
-        self.n = Xt.shape[0]
-        self.solver = GramSolver(Xt, jitter=jitter)
-        eigs = np.asarray(eigs, dtype=float)
-        XtU = Xt.T @ self.solver.U
-        self._m = eigs @ (XtU * XtU)  # diag(U^T S U)
-        self.tr_cov = float(np.sum(eigs))
-
-    def traces(self, lam: float) -> dict[str, float]:
-        _, shifted = self.solver.factor(self.n * float(lam))
-        d = 1.0 / shifted
-        r1 = d * self._m
-        r2 = d * r1
-        r3 = d * r2
-        s = self.solver.s  # holds any jitter
-        return {
-            "t1": float(np.sum(r1)),
-            "t2": float(np.sum(r2)),
-            "t3": float(s @ r2),
-            "t4": float(np.sum(r3)),
-            "t5": float(s @ r3),
-        }
-
-
 def lemma_approx_risk(
     Xt: np.ndarray,
     env: TaskEnvironment,
     kind: EstimatorKind,
     task: str = "both",
     jitter: bool = False,
+    evaluator: FtResolvent | None = None,
 ) -> RiskReport:
-    """Dominant-term shortcut: task-shift and fine-tune noise pieces only.
-
-    For the fine-tune task this keeps the zeta2 and sigma2_tilde terms; for
-    the pretrain task of the fine-tuned estimators it keeps the matching
-    pair through the fine-tune resolvent.  The pretrained estimator's
-    pretrain risk is lower-order and reported as 0 with a note.
+    """Dominant-term shortcut: the exact evaluator's term_zeta2 and
+    term_sigma_tilde only, read from ``evaluator`` (an ``FtResolvent``, for
+    instance ``AnalyticRisk.resolvent``) when given.  The pretrained
+    estimator's pretrain risk is lower-order and reported as 0 with a note.
     """
-    eigs_pre, eigs_ft = env.eigenvalues()
     lam, tau = kind.effective
-    z2, s2t = env.zeta2, env.sigma2_tilde
-    want_pre = task in ("pre", "both")
-    want_ft = task in ("ft", "both")
-
-    if kind.name == PRETRAINED:
-        pre = TaskRisk(value=0.0, terms={k: 0.0 for k in TERM_KEYS},
-                       note="negligible next to every fine-tuned estimator")
-        raw = {k: 0.0 for k in TERM_KEYS}
-        raw["term_zeta2"] = z2 * float(np.sum(eigs_ft))
-        value, terms = _finish_terms(raw)
-        ft = TaskRisk(value=value, terms=terms)
-        return RiskReport(method="lemma_approx", kind=kind,
-                          pre=pre if want_pre else None,
-                          ft=ft if want_ft else None)
-
-    res_ft = FtResolvent(Xt, eigs_ft, jitter=jitter)
-    res_pre = FtResolvent(Xt, eigs_pre, jitter=jitter)
-    tf = res_ft.traces(lam)
-    tp = res_pre.traces(lam)
-
-    def build(zeta2_part, sigma_part) -> TaskRisk:
-        raw = {k: 0.0 for k in TERM_KEYS}
-        raw["term_zeta2"] = zeta2_part
-        raw["term_sigma_tilde"] = sigma_part
-        value, terms = _finish_terms(raw)
-        return TaskRisk(value=value, terms=terms)
-
-    ft = build(
-        z2 * (res_ft.tr_cov - 2 * tau * tf["t1"] + tau**2 * tf["t3"]),
-        s2t * tau**2 * tf["t2"],
-    )
-    pre = build(z2 * tau**2 * tp["t3"], s2t * tau**2 * tp["t2"])
+    tasks = [t for t in ("pre", "ft") if task in (t, "both")]
+    if kind.name == PRETRAINED:  # tau = 0: only the fine-tune task-shift constant
+        tr_ft = float(np.sum(env.eigenvalues()[1]))
+        quads = {"pre": {}, "ft": {"term_zeta2": _Quad(env.zeta2 * tr_ft)}}
+    else:
+        res = evaluator or FtResolvent.from_env(Xt, env, jitter=jitter)
+        quads = {t: two_term_quadratics(res.traces(lam, t), env.zeta2, env.sigma2_tilde,
+                                        res.tr_cov[t] if t == "ft" else None)
+                 for t in tasks}
+    risks = {t: TaskRisk(*_finish_terms({k: q(tau) for k, q in quads[t].items()}),
+                         note=None if quads[t] else "negligible next to every fine-tuned estimator")
+             for t in tasks}
     return RiskReport(method="lemma_approx", kind=kind,
-                      pre=pre if want_pre else None,
-                      ft=ft if want_ft else None)
+                      pre=risks.get("pre"), ft=risks.get("ft"))

@@ -46,8 +46,7 @@ class TaskEnvironment:
 
     Variances: zeta1/zeta2 are the per-coordinate variances of the task
     offsets, sigma2/sigma2_tilde the label-noise variances.  coord_dist is
-    the law of the whitened design coordinates; sigma_x records its
-    subgaussian proxy (1 for both built-in laws).  xi is only used by the
+    the law of the whitened design coordinates.  xi is only used by the
     finite-n diagnostic checks.  n_pre, when set, gives the pretrain task a
     different sample count from the fine-tune task.
     """
@@ -61,7 +60,6 @@ class TaskEnvironment:
     sigma2_tilde: float
     theta_c_norm: float = 1.0
     coord_dist: str = "gaussian"
-    sigma_x: float = 1.0
     xi: float | None = None
     n_pre: int | None = None
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorKind
-from .risk import AnalyticRisk, FtResolvent
+from .risk import AnalyticRisk, FtResolvent, _Quad, two_term_quadratics
 from .spectra import SpectrumSpec, build_eigenvalues, effective_rank
 from .synth import TaskEnvironment, _coord_draws, derive_rng, sample_designs
 
@@ -36,9 +36,18 @@ def lambda_prime(env: TaskEnvironment) -> float:
     return env.sigma2_tilde / (env.n * env.zeta2)
 
 
-def _ft_traces(Xt, env, lam, cache: FtResolvent | None):
+def _two_term(Xt, env, lam, cache: FtResolvent | None, objective: str = "ft"):
+    """The two-term risk at lam as a quadratic in tau, and the traces it read.
+
+    "sum" adds the pretrain task's pair, read through the fine-tune
+    covariance as in the theorems' reduced form.
+    """
     res = cache or FtResolvent(Xt, build_eigenvalues(env.spectrum_ft))
-    return res, res.traces(lam)
+    t = res.traces(lam)
+    quads = [*two_term_quadratics(t, env.zeta2, env.sigma2_tilde, res.tr_cov["ft"]).values()]
+    if objective == "sum":
+        quads += two_term_quadratics(t, env.zeta2, env.sigma2_tilde).values()
+    return sum(quads, _Quad()), t
 
 
 def tau_prime(
@@ -52,10 +61,8 @@ def tau_prime(
     Ratio of the task-shift trace to the curvature traces; lies in [0, 1]
     whenever lam <= lambda_prime(env) and equals 1 exactly at that boundary.
     """
-    _, t = _ft_traces(Xt, env, lam, cache)
-    num = env.zeta2 * t["t1"]
-    den = env.zeta2 * t["t3"] + env.sigma2_tilde * t["t2"]
-    return num / den
+    q, _ = _two_term(Xt, env, lam, cache)
+    return -q.a1 / (2.0 * q.a2)
 
 
 def ft_risk_dlambda(
@@ -73,7 +80,7 @@ def ft_risk_dlambda(
     if lam < 0:
         raise ValueError("lam must be non-negative")
     n = env.n
-    _, t = _ft_traces(Xt, env, lam, cache)
+    _, t = _two_term(Xt, env, lam, cache)
     return 2.0 * n * (env.zeta2 * n * lam - env.sigma2_tilde) * t["t4"]
 
 
@@ -94,7 +101,7 @@ def sum_risk_dlambda(
     if lam < 0:
         raise ValueError("lam must be non-negative")
     n = env.n
-    _, t = _ft_traces(Xt, env, lam, cache)
+    _, t = _two_term(Xt, env, lam, cache)
     return 2.0 * n * (
         (env.zeta2 * n * lam - 2.0 * env.sigma2_tilde) * t["t4"] - env.zeta2 * t["t5"]
     )
@@ -117,10 +124,8 @@ def ensemble_risk_dtau(
     """
     if objective not in ("ft", "sum"):
         raise ValueError("objective must be 'ft' or 'sum'")
-    _, t = _ft_traces(Xt, env, lam, cache)
-    curvature = env.zeta2 * t["t3"] + env.sigma2_tilde * t["t2"]
-    factor = 2.0 if objective == "ft" else 4.0
-    return factor * tau * curvature - 2.0 * env.zeta2 * t["t1"]
+    q, _ = _two_term(Xt, env, lam, cache, objective)
+    return q.a1 + 2.0 * tau * q.a2
 
 
 def lemma_ft_risk(
@@ -131,9 +136,7 @@ def lemma_ft_risk(
     cache: FtResolvent | None = None,
 ) -> float:
     """Two-term fine-tune risk of the (lam, tau) estimator; f and g objectives."""
-    res, t = _ft_traces(Xt, env, lam, cache)
-    z2, s2t = env.zeta2, env.sigma2_tilde
-    return z2 * (res.tr_cov - 2 * tau * t["t1"] + tau**2 * t["t3"]) + tau**2 * s2t * t["t2"]
+    return _two_term(Xt, env, lam, cache)[0](tau)
 
 
 def lemma_sum_risk(
@@ -144,13 +147,7 @@ def lemma_sum_risk(
     cache: FtResolvent | None = None,
 ) -> float:
     """Two-term summed two-task risk of the (lam, tau) estimator; h and J objectives."""
-    res, t = _ft_traces(Xt, env, lam, cache)
-    z2, s2t = env.zeta2, env.sigma2_tilde
-    return (
-        z2 * (res.tr_cov - 2 * tau * t["t1"] + tau**2 * t["t3"])
-        + 2 * tau**2 * s2t * t["t2"]
-        + tau**2 * z2 * t["t3"]
-    )
+    return _two_term(Xt, env, lam, cache, "sum")[0](tau)
 
 
 @dataclass(frozen=True)
@@ -245,12 +242,10 @@ def verify_theorem_orderings(
     lambda_grid = sorted(set(float(v) for v in lambda_grid))
     tau_grid = sorted(set(float(v) for v in tau_grid))
 
-    eigs_ft = build_eigenvalues(env.spectrum_ft)
     outcomes = []
     for rep in range(seeds):
         X, Xt = sample_designs(env, master_seed, rep)
         ev = AnalyticRisk.from_env(X, Xt, env)
-        res = FtResolvent(Xt, eigs_ft)
 
         l_ft = lambda kind: ev.task_risk(kind, "ft").value
         l_sum = lambda kind: (ev.task_risk(kind, "pre").value
@@ -280,7 +275,7 @@ def verify_theorem_orderings(
             margins[item] = np.nan
 
         for lam in lambda_grid:
-            ts = tau_prime(Xt, env, lam, cache=res)
+            ts = tau_prime(Xt, env, lam, cache=ev.resolvent)
             tau_stars[repr(float(lam))] = ts
             # grid points at tau = 1 are evaluated anyway: there the ensemble
             # coincides with its ridge leg, which shows up as a recorded tie

@@ -21,6 +21,7 @@ from overadapt.harness import (
     CSV_COLUMNS,
     ResultRow,
     evaluate_seed,
+    expand_estimator_points,
     read_results,
     run_preset,
     run_sweep,
@@ -254,6 +255,28 @@ def test_sweep_factorial_row_count():
     points = 1 + 2 * 3          # pretrained + ensemble (lam x tau)
     assert len(result.rows) == 2 * points * 2 * 2  # seeds x points x methods x tasks
     assert result.failures == []
+
+
+@pytest.mark.parametrize("methods, eighs", [
+    (["analytic", "monte_carlo", "lemma_approx"], 2),
+    (["monte_carlo", "lemma_approx"], 2),
+    (["analytic", "lemma_approx"], 2),
+    (["lemma_approx"], 1),
+])
+def test_evaluate_seed_eigendecomposes_each_design_once(monkeypatch, methods, eighs):
+    # the benchmark's mc_crosscheck config: case a at p = 2000, four estimator kinds
+    cfg = config_from_dict({
+        "case": "a", "p": 2000, "estimators": ["pretrained", "ridgeless_ft", "ridge_ft",
+                                               "ensemble"],
+        "lambda_grid": [1e-4], "tau_grid": [0.5], "mc_draws": 2000})
+    env = cfg.environment()
+    kinds = expand_estimator_points(cfg)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    rows = evaluate_seed(env, 0, 0, kinds, methods, cfg.mc_draws, "a")
+    assert len(calls) == eighs
+    assert len(rows) == len(kinds) * len(methods) * 2
 
 
 # -------------------------------------------------------------------- presets

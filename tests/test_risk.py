@@ -3,7 +3,7 @@ import pytest
 
 from overadapt.config import config_from_dict
 from overadapt.estimators import EstimatorKind, GramSolver, SingularDesignError
-from overadapt.harness import run_sweep, write_results
+from overadapt.harness import evaluate_seed, run_sweep, write_results
 from overadapt.risk import (
     TERM_KEYS,
     AnalyticRisk,
@@ -220,7 +220,8 @@ def test_ft_resolvent_traces_match_dense_solves(duplicated):
         for key in got:
             if duplicated and lam == 0.0 and key == "t4":
                 # tr{R^-3 S} has condition number cond(R)^3 ~ 1e37 here: rounding
-                # of the null direction decides it for any solver
+                # of the null direction would decide it, so it is undefined
+                assert np.isnan(got[key])
                 continue
             assert got[key] == pytest.approx(want[key], rel=1e-6 if duplicated else 1e-10), \
                 (lam, key)
@@ -391,6 +392,25 @@ def test_lemma_ensemble_tau1_equals_ridge():
     ridge = lemma_approx_risk(Xt, env, EstimatorKind.ridge(lam))
     assert ens.l_ft == pytest.approx(ridge.l_ft, rel=1e-14)
     assert ens.l_pre == pytest.approx(ridge.l_pre, rel=1e-14)
+
+
+def test_lemma_rows_are_the_analytic_two_terms():
+    # a fine-tune support smaller than n makes the Gram singular, so jitter applies
+    env = desk_env(p=60, n=8, spectrum_ft=SpectrumSpec(1, 0.1, 60, 5))
+    kinds = ALL_KINDS + [EstimatorKind.ensemble(0.0, 0.7), EstimatorKind.ridge(1e-9)]
+    rows = evaluate_seed(env, 0, 3, kinds, ["analytic", "lemma_approx"], 0,
+                         fix_theta_c=True, jitter=True)
+    by_method = {}
+    for r in rows:
+        by_method.setdefault(r.method, []).append(r)
+    assert len(by_method["lemma_approx"]) == len(by_method["analytic"]) == 2 * len(kinds)
+    for exact, approx in zip(by_method["analytic"], by_method["lemma_approx"]):
+        assert (exact.estimator, exact.lam, exact.tau, exact.task) == \
+            (approx.estimator, approx.lam, approx.tau, approx.task)
+        for key in ("term_zeta2", "term_sigma_tilde"):
+            assert approx.terms[key] == pytest.approx(exact.terms[key], rel=1e-12, abs=0)
+        assert approx.value == pytest.approx(
+            exact.terms["term_zeta2"] + exact.terms["term_sigma_tilde"], rel=1e-12, abs=0)
 
 
 def test_lemma_within_band_of_analytic_on_bench_instance():

@@ -164,6 +164,16 @@ def test_verify_orderings_bench_run():
     assert report.to_dict() == again.to_dict()
 
 
+def test_verify_orderings_eigendecompose_each_design_once(monkeypatch):
+    # tau_prime reads the exact evaluator's fine-tune resolvent: one eigh per design
+    env = bench_env()
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    verify_theorem_orderings(env, seeds=3, master_seed=0)
+    assert len(calls) == 2 * 3
+
+
 def test_verify_orderings_tau_one_is_tie():
     env = bench_env()
     lam_star = lambda_prime(env)
