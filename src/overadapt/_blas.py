@@ -1,8 +1,9 @@
 """Thread count of the OpenBLAS library bundled with numpy.
 
-Every product here is n x n (n = 40 or 60) or p x 512, sizes at which an
-OpenBLAS thread pool costs more in spin-up and core contention than it
-saves, and pool workers multiply the threads.  The package therefore runs
+Every product here is n x n (n = 40 or 60), p x n, or Monte-Carlo batches
+of 512 draws in O(n) rows, sizes at which an OpenBLAS thread pool costs
+more in spin-up and core contention than it saves, and pool workers
+multiply the threads.  The package therefore runs
 its numerical work with one BLAS thread per process.  Its only BLAS is
 numpy's bundled OpenBLAS (the package does not import scipy), reached
 through the thread setters it exports, with no third-party dependency.

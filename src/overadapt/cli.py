@@ -195,6 +195,9 @@ def _cmd_risk(args) -> int:
         config = load_config(args.config)
     else:
         config = config_from_dict({"case": args.case or "a"})
+    if args.mc_draws is not None:
+        config.mc_draws = args.mc_draws
+        config.validate()
     env = config.environment()
     kind = {
         "pretrained": EstimatorKind.pretrained,
@@ -208,8 +211,7 @@ def _cmd_risk(args) -> int:
     elif args.method == "lemma_approx":
         report = lemma_approx_risk(Xt, env, kind, jitter=args.jitter)
     else:
-        draws = args.mc_draws or 2000
-        report = mc_expected_risk(X, Xt, env, kind, draws,
+        report = mc_expected_risk(X, Xt, env, kind, config.mc_draws,
                                   derive_rng(args.seed, "mc", 0), jitter=args.jitter)
     if args.out:
         rows = rows_from_report(report, config.case or "", 0)

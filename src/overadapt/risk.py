@@ -41,11 +41,22 @@ is shared with the two-term shortcut and the theory's optima and derivatives.
 
 Monte Carlo
 -----------
-Every estimator is theta_1 + tau * Xt^T R^{-1} (Yt - Xt theta_1), so all of
-them share one set of draws: per batch, theta_1 is solved once and the ridge
-step once per lam; the fine-tune noise is drawn only if some tau != 0.  A
-one-estimator call consumes the stream as it always has; in a shared call the
-tau = 0 rows read a stream that also holds the fine-tune noise.
+Every estimator is theta_1 + tau * Xt^T R^{-1} (Yt - Xt theta_1), so it lies
+in the row span of X and Xt.  Split the coordinates into blocks on which
+both spectra are constant; on block B (m_B coordinates) the span of the rows
+of X_B and Xt_B has an orthonormal basis Q_B of rank r_B <= n_pre + n.  The
+parameters are isotropic, so their coordinates in Q_B are i.i.d. normal, and
+their parts off the span enter the risk only through one 3 x 3 Gram per
+block, that of (theta_c's Gaussian, alpha1, alpha2), which is
+Wishart_3(m_B - r_B, diag(1, zeta1, zeta2)); theta_c's sphere norm is the
+in-span norm plus the Grams' [0, 0] entries.  A draw thus takes
+3 sum_B r_B + n_pre + n normals plus at most six numbers per block, at any
+p, with the exact law of the dense p-dimensional draw.  A fixed theta_c is
+one more spanning row; each block then draws only the offsets' off-span
+squared norms, zeta * chi2(m_B - r_B).  Every draw takes both noise
+vectors, so all estimator points share one stream: a call for several
+points gives each the numbers a call for that point alone gives.  Per batch
+theta_1 is solved once and the ridge step once per lam.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import PRETRAINED, EstimatorKind, GramSolver, _solver
-from .synth import TaskEnvironment
+from .synth import TaskEnvironment, _wishart_bartlett
 
 TERM_KEYS = ("bias_thetac", "term_zeta1", "term_zeta2", "term_sigma", "term_sigma_tilde")
 
@@ -405,6 +416,51 @@ def conditional_expected_risk(
     return ev.report(kind, task=task)
 
 
+class _RowSpace:
+    """The designs in an orthonormal basis of their row span, block by block.
+
+    A block is a run of coordinates on which both spectra are constant.  For
+    block B, C_B stacks the rows of X_B, Xt_B and (if given) a fixed
+    theta_c_B; a QR of C_B^T and an SVD of its triangle give C_B Q_B for an
+    orthonormal basis Q_B of the rows' span, whose rank r_B drops singular
+    values below ``max(C_B.shape) * eps`` of the largest.  Stacked over the
+    blocks, ``Xq`` and ``Xtq`` satisfy Xq Xq^T = X X^T, Xtq Xtq^T = Xt Xt^T and
+    Xtq Xq^T = Xt X^T, so the designs' own solvers serve the reduced
+    coordinates.  ``weights`` holds each reduced coordinate's spectrum value
+    per task; ``off`` the off-span dimension m_B - r_B and spectrum values of
+    every block with one.
+    """
+
+    def __init__(self, X: np.ndarray, Xt: np.ndarray, eigs: dict[str, np.ndarray],
+                 theta_c: np.ndarray | None = None):
+        C = np.vstack([X, Xt] if theta_c is None else [X, Xt, theta_c[None, :]])
+        e_pre, e_ft = eigs["pre"], eigs["ft"]
+        cuts = [int(c) + 1 for c in np.flatnonzero((np.diff(e_pre) != 0) | (np.diff(e_ft) != 0))]
+        coords, ranks, self.off = [], [], []
+        for lo, hi in zip([0, *cuts], [*cuts, e_pre.size]):
+            V, sv, _ = np.linalg.svd(np.linalg.qr(C[:, lo:hi].T, mode="r").T,
+                                     full_matrices=False)
+            r = int(np.sum(sv > sv[0] * max(C.shape[0], hi - lo) * np.finfo(float).eps))
+            coords.append(V[:, :r] * sv[:r])
+            ranks.append(r)
+            if hi - lo > r:
+                self.off.append((hi - lo - r, {t: float(e[lo]) for t, e in eigs.items()}))
+        CQ = np.hstack(coords)
+        n_pre = X.shape[0]
+        self.Xq, self.Xtq = CQ[:n_pre], CQ[n_pre:n_pre + Xt.shape[0]]
+        self.theta_c = None if theta_c is None else CQ[-1]
+        starts = [0, *cuts]
+        self.weights = {t: np.repeat(e[starts], ranks) for t, e in eigs.items()}
+
+
+def _off_span_gram(rng: np.random.Generator, dof: int, m: int) -> np.ndarray:
+    """m draws of Wishart_3(dof, I): Bartlett's factor, or G^T G when dof < 3."""
+    if dof >= 3:
+        return _wishart_bartlett(rng, 3, dof, (m,))
+    G = rng.standard_normal((m, dof, 3))
+    return np.swapaxes(G, 1, 2) @ G
+
+
 def mc_expected_risks(
     X: np.ndarray,
     Xt: np.ndarray,
@@ -422,17 +478,37 @@ def mc_expected_risks(
     """Monte-Carlo mean of the plug-in risk over fresh parameter/noise draws,
     one report per kind, every kind on the same draws.
 
-    Designs stay fixed; each Gram is eigendecomposed once, so each draw
-    costs matrix-vector work only.  Draws are vectorised in batches, which
-    does not change the stream for a fixed ``batch``.
+    Designs stay fixed; each Gram is eigendecomposed once and each block's
+    basis taken once, so a draw costs O(n) numbers and n x n work at any p
+    (see the module docstring).  Draws are vectorised in batches, which does
+    not change the stream for a fixed ``batch``.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    eigs = dict(zip(("pre", "ft"), env.eigenvalues()))
     tasks = [t for t in ("pre", "ft") if task in (t, "both")]
-    n = Xt.shape[0]
     sp = _solver(X, solver_pre, jitter)
     st = _solver(Xt, solver_ft, jitter)
+    eigs = dict(zip(("pre", "ft"), env.eigenvalues()))
+    space = _RowSpace(X, Xt, eigs, None if theta_c is None else np.asarray(theta_c, dtype=float))
+    risks = _mc_risk_draws(space, sp, st, env, kinds, draws, rng, tasks, batch)
+
+    def summarise(r) -> TaskRisk:
+        se = float(np.std(r, ddof=1) / np.sqrt(r.size)) if r.size > 1 else 0.0
+        return TaskRisk(value=float(np.mean(r)), se=se)
+
+    return [RiskReport(method="monte_carlo", kind=kind, draws=draws,
+                       pre=summarise(r["pre"]) if "pre" in r else None,
+                       ft=summarise(r["ft"]) if "ft" in r else None)
+            for kind, r in zip(kinds, risks)]
+
+
+def _mc_risk_draws(space: _RowSpace, sp: GramSolver, st: GramSolver, env: TaskEnvironment,
+                   kinds: list[EstimatorKind], draws: int, rng: np.random.Generator,
+                   tasks: list[str], batch: int) -> list[dict[str, np.ndarray]]:
+    """The plug-in risk of every kind on each of ``draws`` shared draws, per task."""
+    Xq, Xtq = space.Xq, space.Xtq
+    n_pre, n = Xq.shape[0], Xtq.shape[0]
+    rank = Xq.shape[1]
     # kind indices with tau = 0 (the pretrained weights), the rest grouped by lam
     pretrained, by_lam = [], {}
     for i, kind in enumerate(kinds):
@@ -441,53 +517,56 @@ def mc_expected_risks(
             pretrained.append(i)
         else:
             by_lam.setdefault(lam, []).append((i, tau))
-    p = X.shape[1]
     risks = [{t: [] for t in tasks} for _ in kinds]
+    zeta = {"pre": env.zeta1, "ft": env.zeta2}
+    offset = {"pre": 1, "ft": 2}  # index of the task's offset in each off-span Gram
+    sd = np.sqrt([1.0, env.zeta1, env.zeta2])
 
-    def add(i, hat, target):
+    def normals(rows, var):
+        return rng.standard_normal((rows, m)) * np.sqrt(var) if var > 0 else 0.0
+
+    def add(i, hat):
         for t in tasks:
             d = hat - target[t]
-            risks[i][t].append(np.sum(eigs[t][:, None] * d * d, axis=0))
+            risks[i][t].append(space.weights[t] @ (d * d) + perp[t])
 
     done = 0
     while done < draws:
         m = min(batch, draws - done)
         done += m
-        if theta_c is None:
-            tc = rng.standard_normal((p, m))
-            tc *= env.theta_c_norm / np.linalg.norm(tc, axis=0)
+        # in-span coordinates of both offsets (and below, of theta_c's Gaussian);
+        # the off-span parts enter only as their squared risk per task
+        alpha = {t: normals(rank, zeta[t]) for t in ("pre", "ft")}
+        perp = {t: np.zeros(m) for t in ("pre", "ft")}
+        if space.theta_c is None:
+            g = rng.standard_normal((rank, m))
+            grams = [(_off_span_gram(rng, dof, m) * sd[:, None] * sd, e) for dof, e in space.off]
+            norm2 = np.sum(g * g, axis=0)
+            for W, _ in grams:
+                norm2 += W[:, 0, 0]
+            s = env.theta_c_norm / np.sqrt(norm2)
+            tc = g * s
+            for W, e in grams:
+                for t, k in offset.items():
+                    perp[t] += e[t] * (s * s * W[:, 0, 0] + 2 * s * W[:, 0, k] + W[:, k, k])
         else:
-            tc = np.broadcast_to(np.asarray(theta_c, dtype=float)[:, None], (p, m))
-        a1 = rng.standard_normal((p, m)) * np.sqrt(env.zeta1) if env.zeta1 > 0 else 0.0
-        a2 = rng.standard_normal((p, m)) * np.sqrt(env.zeta2) if env.zeta2 > 0 else 0.0
-        target = {"pre": tc + a1, "ft": tc + a2}
-        del tc, a1, a2
-        Y = X @ target["pre"]
-        if env.sigma2 > 0:
-            Y = Y + rng.standard_normal(Y.shape) * np.sqrt(env.sigma2)
-        hat0 = X.T @ sp.solve(Y)
+            tc = np.broadcast_to(space.theta_c[:, None], (rank, m))
+            for dof, e in space.off:
+                chi2 = rng.chisquare(dof, (m, 2))
+                for t, k in offset.items():
+                    perp[t] += e[t] * zeta[t] * chi2[:, k - 1]
+        target = {t: tc + alpha[t] for t in ("pre", "ft")}
+        Y = Xq @ target["pre"] + normals(n_pre, env.sigma2)
+        Yt = Xtq @ target["ft"] + normals(n, env.sigma2_tilde)
+        hat0 = Xq.T @ sp.solve(Y)
         for i in pretrained:
-            add(i, hat0, target)
-        if by_lam:
-            Yt = Xt @ target["ft"]
-            if env.sigma2_tilde > 0:
-                Yt = Yt + rng.standard_normal(Yt.shape) * np.sqrt(env.sigma2_tilde)
-            resid = Yt - Xt @ hat0
-            for lam, points in by_lam.items():
-                step = Xt.T @ st.solve(resid, nlam=n * lam)
-                for i, tau in points:
-                    add(i, hat0 + tau * step, target)
-                del step  # one lam's step alive at a time keeps the peak memory flat
-
-    def summarise(chunks) -> TaskRisk:
-        r = np.concatenate(chunks)
-        se = float(np.std(r, ddof=1) / np.sqrt(r.size)) if r.size > 1 else 0.0
-        return TaskRisk(value=float(np.mean(r)), se=se)
-
-    return [RiskReport(method="monte_carlo", kind=kind, draws=draws,
-                       pre=summarise(r["pre"]) if "pre" in r else None,
-                       ft=summarise(r["ft"]) if "ft" in r else None)
-            for kind, r in zip(kinds, risks)]
+            add(i, hat0)
+        resid = Yt - Xtq @ hat0
+        for lam, points in by_lam.items():
+            step = Xtq.T @ st.solve(resid, nlam=n * lam)
+            for i, tau in points:
+                add(i, hat0 + tau * step)
+    return [{t: np.concatenate(chunks) for t, chunks in r.items()} for r in risks]
 
 
 def mc_expected_risk(X, Xt, env, kind: EstimatorKind, draws: int, rng,

@@ -144,6 +144,20 @@ def _coord_draws(rng: np.random.Generator, shape, coord_dist: str) -> np.ndarray
     raise ValueError(f"coord_dist must be one of {COORD_DISTS}")
 
 
+def _wishart_bartlett(rng: np.random.Generator, a: int, dof: int, size=()) -> np.ndarray:
+    """Draws of Wishart_a(dof, I) (dof >= a) as L L^T, Bartlett's factor L.
+
+    L is lower triangular with N(0, 1) entries below the diagonal and
+    L[i, i] = sqrt(chi2(dof - i)) for 0-based i.  ``size`` prepends batch
+    axes; all below-diagonal normals are drawn first, then all chi-squares.
+    """
+    size = tuple(size)
+    L = np.zeros((*size, a, a))
+    L[(..., *np.tril_indices(a, -1))] = rng.standard_normal((*size, a * (a - 1) // 2))
+    L[(..., *np.diag_indices(a))] = np.sqrt(rng.chisquare(dof - np.arange(a), (*size, a)))
+    return L @ np.swapaxes(L, -1, -2)
+
+
 def sample_design(
     spec: SpectrumSpec,
     n: int,

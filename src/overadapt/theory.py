@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorKind
-from .risk import AnalyticRisk, FtResolvent, _Quad, two_term_quadratics
+from .risk import AnalyticRisk, FtResolvent, _finish_terms, _Quad, two_term_quadratics
 from .spectra import SpectrumSpec, build_eigenvalues, effective_rank
-from .synth import TaskEnvironment, _coord_draws, derive_rng, sample_designs
+from .synth import TaskEnvironment, _coord_draws, _wishart_bartlett, derive_rng, sample_designs
 
 # A chain inequality counts as strict only if the gap beats this fraction of
 # the values' scale; anything smaller is recorded as a tie.
@@ -246,10 +246,19 @@ def verify_theorem_orderings(
     for rep in range(seeds):
         X, Xt = sample_designs(env, master_seed, rep)
         ev = AnalyticRisk.from_env(X, Xt, env)
+        quads: dict[tuple[float, str], dict[str, _Quad]] = {}
 
-        l_ft = lambda kind: ev.task_risk(kind, "ft").value
-        l_sum = lambda kind: (ev.task_risk(kind, "pre").value
-                              + ev.task_risk(kind, "ft").value)
+        def risk(kind, task):
+            # each (lam, task)'s term quadratics are built once and read at every tau
+            lam, tau = kind.effective
+            if tau == 0.0:
+                return ev._task_risk_tau0(task).value
+            if (lam, task) not in quads:
+                quads[lam, task] = ev.term_quadratics(lam, task)
+            return _finish_terms({k: q(tau) for k, q in quads[lam, task].items()})[0]
+
+        l_ft = lambda kind: risk(kind, "ft")
+        l_sum = lambda kind: risk(kind, "pre") + risk(kind, "ft")
         ft_pre = l_ft(EstimatorKind.pretrained())
         ft_ridgeless = l_ft(EstimatorKind.ridgeless())
         sum_ridgeless = l_sum(EstimatorKind.ridgeless())
@@ -321,18 +330,6 @@ def verify_theorem_orderings(
         seeds=tuple(outcomes),
         rates=rates,
     )
-
-
-def _wishart_bartlett(rng: np.random.Generator, a: int, dof: int) -> np.ndarray:
-    """One draw of Wishart_a(dof, I) (dof >= a) as L L^T, Bartlett's factor L.
-
-    L is lower triangular with N(0, 1) entries below the diagonal and
-    L[i, i] = sqrt(chi2(dof - i)) for 0-based i.
-    """
-    L = np.zeros((a, a))
-    L[np.tril_indices(a, -1)] = rng.standard_normal(a * (a - 1) // 2)
-    L[np.diag_indices(a)] = np.sqrt(rng.chisquare(dof - np.arange(a)))
-    return L @ L.T
 
 
 def _tail_gram_extremes(

@@ -1,8 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: dense p x p algebra, SVD
-pseudo-inverses and explicit KKT systems.  The package under test must
-agree with these at small sizes; none of this code is shared with it.
+pseudo-inverses, explicit KKT systems and p-dimensional parameter draws.
+The package under test must agree with these at small sizes, exactly or in
+law; none of this code is shared with it.  ``CountingRng`` counts the
+numbers a generator hands out.
 """
 
 from __future__ import annotations
@@ -45,41 +47,54 @@ def estimator_oracle(name, X, Y, Xt, Yt, lam=0.0, tau=1.0):
     return (1 - tau) * theta1 + tau * ft
 
 
-def mc_risk_oracle(X, Xt, env, kind, draws, rng, batch=512):
-    """Monte-Carlo risk of one estimator, one draw at a time through
-    ``estimator_oracle``.
+def mc_dense_risk_draws(X, Xt, env, kinds, draws, rng, theta_c=None):
+    """Per-draw plug-in risks from dense p-dimensional parameter draws.
 
-    Consumes ``rng`` batch by batch in the order the package promises for a
-    one-estimator call: theta_c, both offsets, the pretrain noise, then the
-    fine-tune noise only when tau != 0.  Returns {task: (mean, standard error)}.
+    Draws theta_c (uniform on its sphere, or the fixed vector), both offsets
+    and both noise vectors in full, forms every kind's weights through
+    ``estimator_oracle`` on those shared draws and weighs the errors with the
+    spectra.  Returns one {task: per-draw risks} per kind.
     """
     eigs = dict(zip(("pre", "ft"), env.eigenvalues()))
-    lam, tau = kind.effective
     n_pre, p = X.shape
     n = Xt.shape[0]
 
     def normals(shape, var):
         return rng.standard_normal(shape) * np.sqrt(var) if var > 0 else np.zeros(shape)
 
-    risks = {"pre": [], "ft": []}
-    done = 0
-    while done < draws:
-        m = min(batch, draws - done)
-        done += m
-        tc = rng.standard_normal((p, m))
+    if theta_c is None:
+        tc = rng.standard_normal((p, draws))
         tc *= env.theta_c_norm / np.linalg.norm(tc, axis=0)
-        target = {"pre": tc + normals((p, m), env.zeta1), "ft": tc + normals((p, m), env.zeta2)}
-        noise = normals((n_pre, m), env.sigma2)
-        noise_t = normals((n, m), env.sigma2_tilde) if tau != 0.0 else np.zeros((n, m))
-        for j in range(m):
-            Y = X @ target["pre"][:, j] + noise[:, j]
-            Yt = Xt @ target["ft"][:, j] + noise_t[:, j]
-            hat = estimator_oracle(kind.name, X, Y, Xt, Yt, lam=lam, tau=tau)
-            for task, r in risks.items():
-                d = hat - target[task][:, j]
-                r.append(float(np.sum(eigs[task] * d * d)))
-    return {task: (np.mean(r), np.std(r, ddof=1) / np.sqrt(len(r)))
-            for task, r in risks.items()}
+    else:
+        tc = np.repeat(np.asarray(theta_c, dtype=float)[:, None], draws, axis=1)
+    target = {"pre": tc + normals((p, draws), env.zeta1),
+              "ft": tc + normals((p, draws), env.zeta2)}
+    Y = X @ target["pre"] + normals((n_pre, draws), env.sigma2)
+    Yt = Xt @ target["ft"] + normals((n, draws), env.sigma2_tilde)
+    out = []
+    for kind in kinds:
+        lam, tau = kind.effective
+        hat = estimator_oracle(kind.name, X, Y, Xt, Yt, lam=lam, tau=tau)
+        out.append({task: np.sum(eigs[task][:, None] * (hat - target[task]) ** 2, axis=0)
+                    for task in ("pre", "ft")})
+    return out
+
+
+class CountingRng:
+    """Delegates to a Generator and counts every number it draws."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.count = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.count += np.size(out)
+            return out
+        return counted
 
 
 def dense_risk_terms(X, Xt, eigs_pre, eigs_ft, zeta1, zeta2, sigma2, sigma2_tilde,

@@ -429,6 +429,24 @@ def test_cli_risk_rejects_pool_flags(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_cli_risk_rejects_zero_mc_draws(tmp_path, capsys):
+    out = tmp_path / "risk.csv"
+    assert cli_main(["risk", "--estimator", "ridgeless_ft", "--case", "a",
+                     "--method", "monte_carlo", "--mc-draws", "0", "--out", str(out)]) == 1
+    assert "mc_draws" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_risk_takes_mc_draws_from_config_or_flag(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    save_config(small_config(mc_draws=300), cfg_path)
+    argv = ["risk", "--config", str(cfg_path), "--estimator", "ridge_ft",
+            "--lambda", "1e-3", "--method", "monte_carlo"]
+    for extra, draws in (([], 300), (["--mc-draws", "150"], 150)):
+        assert cli_main([*argv, *extra]) == 0
+        assert json.loads(capsys.readouterr().out)["draws"] == draws
+
+
 def test_cli_verify_quick(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code = cli_main(["verify", "--p", "400", "--n", "16", "--replicates", "4",

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from overadapt.config import config_from_dict
 from overadapt.estimators import EstimatorKind, GramSolver, SingularDesignError
 from overadapt.harness import evaluate_seed, run_sweep, write_results
+from overadapt.presets import preset_environment
 from overadapt.risk import (
     TERM_KEYS,
     AnalyticRisk,
     FtResolvent,
+    _mc_risk_draws,
+    _RowSpace,
     conditional_expected_risk,
     lemma_approx_risk,
     mc_expected_risk,
@@ -15,8 +19,14 @@ from overadapt.risk import (
     plugin_excess_risk,
 )
 from overadapt.spectra import SpectrumSpec, build_eigenvalues
-from overadapt.synth import TaskEnvironment, derive_rng, sample_design
-from oracles import dense_risk_terms, mc_risk_oracle, random_block_instance
+from overadapt.synth import (
+    TaskEnvironment,
+    derive_rng,
+    sample_design,
+    sample_designs,
+    sample_parameters,
+)
+from oracles import CountingRng, dense_risk_terms, mc_dense_risk_draws, random_block_instance
 
 ALL_KINDS = [
     EstimatorKind.pretrained(),
@@ -285,16 +295,129 @@ def test_mc_reproducible_and_validates_draws():
         mc_expected_risk(X, Xt, env, kind, 0, derive_rng(4, "mc", 0))
 
 
-def test_mc_single_kind_matches_per_draw_oracle():
-    # pins the stream of a one-estimator call, which `risk` and c03 rely on
-    env = desk_env(p=60, n=8)
+def small_dof_env(**overrides):
+    # n_pre + n = 7 stacked rows: the unit block (8 columns) keeps 1 off-span
+    # dimension, the shared tail (9 columns) 2, the pretrain-only block
+    # (4 columns, spanned by X's 4 rows) none
+    base = dict(n=3, n_pre=4,
+                spectrum_pre=SpectrumSpec(8, 0.3, 21, 21),
+                spectrum_ft=SpectrumSpec(8, 0.5, 21, 17),
+                zeta1=0.05, zeta2=0.1, sigma2=0.05, sigma2_tilde=0.1, theta_c_norm=1.0)
+    base.update(overrides)
+    return TaskEnvironment(**base)
+
+
+def one_block_env(**overrides):
+    # one flat spectrum, 30 coordinates and 5 design rows: the off-span part of
+    # every draw (25 dimensions) carries most of the risk and of its spread
+    flat = SpectrumSpec(1, 1.0, 30, 30)
+    base = dict(n=2, n_pre=3, spectrum_pre=flat, spectrum_ft=flat,
+                zeta1=1 / 30, zeta2=1 / 30, sigma2=0.01, sigma2_tilde=0.01, theta_c_norm=1.0)
+    base.update(overrides)
+    return TaskEnvironment(**base)
+
+
+def fixed_theta_c(env, seed=0):
+    return sample_parameters(env, derive_rng(seed, "params", 0))[0]
+
+
+def block_ranks(X, Xt, env, theta_c=None):
+    """Rank of each constant-spectrum block's stacked design columns."""
+    pre, ft = env.spectrum_pre, env.spectrum_ft
+    cuts = sorted({0, pre.k_star, ft.k_star, pre.p_tilde, ft.p_tilde, env.p})
+    rows = [X, Xt] if theta_c is None else [X, Xt, theta_c[None, :]]
+    C = np.vstack(rows)
+    return [np.linalg.matrix_rank(C[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+
+@pytest.mark.parametrize("seed", [19, 23])  # the design seeds the tests below use
+def test_small_dof_env_has_off_span_dof_0_1_2(seed):
+    env = small_dof_env()
+    X, Xt = draw_designs(env, seed=seed)
+    sizes = np.diff([0, 8, 17, 21])
+    assert list(sizes - block_ranks(X, Xt, env)) == [1, 2, 0]
+
+
+@pytest.mark.parametrize("name", ["bartlett", "fixed_theta_c", "small_dof", "one_block",
+                                  "one_block_fixed_theta_c"])
+def test_mc_reduced_law_matches_dense_draws(name):
+    # two-sample KS test of the per-draw risks of the row-space draw against
+    # dense p-dimensional draws; 10 comparisons per instance at p > 1e-3
+    env = {"small_dof": small_dof_env, "one_block": one_block_env,
+           "one_block_fixed_theta_c": one_block_env}.get(name, lambda: desk_env(p=60, n=8))()
     X, Xt = draw_designs(env, seed=19)
-    for kind in ALL_KINDS:
-        got = mc_expected_risk(X, Xt, env, kind, 600, derive_rng(7, "mc", 0))
-        want = mc_risk_oracle(X, Xt, env, kind, 600, derive_rng(7, "mc", 0))
+    theta_c = fixed_theta_c(env) if name.endswith("fixed_theta_c") else None
+    draws = 4000
+    space = _RowSpace(X, Xt, dict(zip(("pre", "ft"), env.eigenvalues())), theta_c)
+    reduced = _mc_risk_draws(space, GramSolver(X), GramSolver(Xt), env, ALL_KINDS, draws,
+                             derive_rng(7, "mc", 0), ["pre", "ft"], 512)
+    dense = mc_dense_risk_draws(X, Xt, env, ALL_KINDS, draws, derive_rng(8, "mc", 0),
+                                theta_c=theta_c)
+    for kind, got, want in zip(ALL_KINDS, reduced, dense):
         for task in ("pre", "ft"):
-            assert got.task(task).value == pytest.approx(want[task][0], rel=1e-9)
-            assert got.task(task).se == pytest.approx(want[task][1], rel=1e-7)
+            assert ks_2samp(got[task], want[task]).pvalue > 1e-3, (kind, task)
+    # the joint law across points and tasks, through paired differences
+    for stat in (lambda r: r[1]["ft"] - r[0]["ft"], lambda r: r[3]["pre"] - r[3]["ft"]):
+        assert ks_2samp(stat(reduced), stat(dense)).pvalue > 1e-3
+
+
+def _high_draw_case(name):
+    kinds = ALL_KINDS
+    theta_c = None
+    if name == "small_dof_and_unequal_n":
+        env = small_dof_env()
+    elif name == "zero_zeta1_zeta2_sigma2":
+        env = desk_env(p=60, n=6, zeta1=0.0, zeta2=0.0, sigma2=0.0)
+    elif name == "fixed_theta_c":
+        env = one_block_env()
+        theta_c = fixed_theta_c(env)
+    elif name == "rademacher":
+        env = desk_env(p=60, n=6, coord_dist="rademacher")
+    elif name == "p_tilde_below_n":
+        env = desk_env(p=60, n=6, spectrum_ft=SpectrumSpec(1, 1.0 / 6, 60, 4))
+        # the fine-tune Gram is singular: only penalised fine-tuning is defined
+        kinds = [EstimatorKind.pretrained(), EstimatorKind.ridge(0.05),
+                 EstimatorKind.ensemble(0.05, 0.4), EstimatorKind.ensemble(0.5, 0.7)]
+    else:
+        env = desk_env(p=60, n=6, n_pre=12)
+    return env, kinds, theta_c
+
+
+HIGH_DRAW_CASES = ["small_dof_and_unequal_n", "zero_zeta1_zeta2_sigma2", "fixed_theta_c",
+                   "rademacher", "p_tilde_below_n", "n_pre_above_n"]
+
+
+@pytest.mark.parametrize("name", HIGH_DRAW_CASES)
+def test_mc_matches_analytic_at_high_draw_counts(name):
+    # 48 points over the cases: each within 4 SE (a 3e-3 chance of any false
+    # alarm), at a standard error of at most 1% of the risk
+    env, kinds, theta_c = _high_draw_case(name)
+    X, Xt = draw_designs(env, seed=23)
+    ev = AnalyticRisk.from_env(X, Xt, env, theta_c=theta_c)
+    reports = mc_expected_risks(X, Xt, env, kinds, 40_000, derive_rng(23, "mc", 0),
+                                theta_c=theta_c)
+    for kind, mc in zip(kinds, reports):
+        for task in ("pre", "ft"):
+            exact = ev.task_risk(kind, task).value
+            got = mc.task(task)
+            assert abs(got.value - exact) <= 4 * got.se, (kind, task, got, exact)
+            assert got.se <= 0.01 * exact, (kind, task)
+
+
+@pytest.mark.parametrize("with_theta_c", [False, True])
+def test_mc_variates_per_draw_do_not_grow_with_p(with_theta_c):
+    per_draw = []
+    for full in (False, True):
+        env = preset_environment("a", full=full)
+        X, Xt = sample_designs(env, 0)
+        theta_c = fixed_theta_c(env) if with_theta_c else None
+        rng = CountingRng(derive_rng(0, "mc", 0))
+        mc_expected_risks(X, Xt, env, ALL_KINDS, 1024, rng, theta_c=theta_c)
+        ranks = block_ranks(X, Xt, env, theta_c)
+        assert rng.count % 1024 == 0
+        per_draw.append(rng.count // 1024)
+        assert per_draw[-1] <= 3 * sum(ranks) + X.shape[0] + Xt.shape[0] + 6 * len(ranks)
+    assert per_draw[0] == per_draw[1]  # p = 2000 and p = 10^4
 
 
 def _same_mc(shared, single):
@@ -316,13 +439,15 @@ def test_mc_shared_draws_equal_single_kind_calls():
 
 
 def test_mc_shared_draws_without_fine_tuning_keep_pretrained_stream():
-    # no kind with tau != 0: the fine-tune noise is never drawn
+    # every draw takes the fine-tune noise, so the tau = 0 points of a shared
+    # call read the numbers of a pretrained-only call
     env = desk_env()
     X, Xt = draw_designs(env, seed=18)
-    kinds = [EstimatorKind.pretrained(), EstimatorKind.ensemble(0.05, 0.0)]
+    kinds = [EstimatorKind.pretrained(), EstimatorKind.ensemble(0.05, 0.0),
+             EstimatorKind.ridge(0.05)]
     shared = mc_expected_risks(X, Xt, env, kinds, 700, derive_rng(6, "mc", 0))
     single = mc_expected_risk(X, Xt, env, kinds[0], 700, derive_rng(6, "mc", 0))
-    for got in shared:
+    for got in shared[:2]:
         _same_mc(got, single)
 
 
@@ -350,7 +475,7 @@ def test_sweep_mc_rows_equal_per_kind_calls():
         Xt = sample_design(env.spectrum_ft, env.n,
                            derive_rng(cfg.master_seed, "design_ft", seed), env.coord_dist)
         for r in rows:
-            if r.seed != seed or r.estimator == "pretrained" or r.tau == 0.0:
+            if r.seed != seed:
                 continue
             kind = EstimatorKind(r.estimator, lam=r.lam or 0.0,
                                  tau=1.0 if r.tau is None else r.tau)
@@ -358,8 +483,8 @@ def test_sweep_mc_rows_equal_per_kind_calls():
                                     derive_rng(cfg.master_seed, "mc", seed))
             assert (r.value, r.se) == (want.task(r.task).value, want.task(r.task).se)
             checked += 1
-    # ridgeless, two ridge levels and the tau = 0.5, 1 ensembles, both tasks
-    assert checked == cfg.replicates * (1 + 2 + 2 * 2) * 2
+    # pretrained, ridgeless, two ridge levels and six ensembles, both tasks
+    assert checked == cfg.replicates * (1 + 1 + 2 + 2 * 3) * 2
 
 
 def test_sweep_mc_bytes_equal_at_one_and_two_workers(tmp_path):

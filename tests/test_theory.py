@@ -8,11 +8,16 @@ from overadapt.estimators import EstimatorKind
 from overadapt.presets import theorem_check_env
 from overadapt.risk import AnalyticRisk, FtResolvent
 from overadapt.spectra import SpectrumSpec, build_eigenvalues, effective_rank
-from overadapt.synth import TaskEnvironment, _coord_draws, derive_rng, sample_design
+from overadapt.synth import (
+    TaskEnvironment,
+    _coord_draws,
+    _wishart_bartlett,
+    derive_rng,
+    sample_design,
+)
 from overadapt.theory import (
     EigenBandReport,
     _tail_gram_extremes,
-    _wishart_bartlett,
     eigen_band_check,
     ensemble_risk_dtau,
     ft_risk_dlambda,
@@ -23,6 +28,7 @@ from overadapt.theory import (
     tau_prime,
     verify_theorem_orderings,
 )
+from oracles import CountingRng
 
 
 def bench_env(p=600, n=24):
@@ -273,23 +279,6 @@ def dense_band_check(spec, n, trials, rng, band=(1 / 3, 3.0), b=1.0,
         trials=trials, inside=inside, rate=inside / trials if trials else 0.0,
         scale=scale, band=band, regime_ok=regime_ok, note=note,
     )
-
-
-class CountingRng:
-    """Delegates to a Generator and counts every number it draws."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.count = 0
-
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def counted(*args, **kwargs):
-            out = method(*args, **kwargs)
-            self.count += np.size(out)
-            return out
-        return counted
 
 
 def test_wishart_extremes_match_dense_draws():
