@@ -6,69 +6,51 @@ diagonal three-block covariances), the four closed-form estimators
 ensemble), and the machinery to measure their excess risks exactly, by
 Monte Carlo and by dominant-term shortcuts, together with an experiment
 harness, ordering verification and plotting.
+
+The public names below load their submodule on first access.  So
+``import overadapt`` loads no numpy, and the command-line entry point
+(``overadapt.cli``) can start numpy's BLAS single-threaded before numpy
+loads (see ``_blas``).
 """
 
-from .config import ConfigError, ExperimentConfig, config_from_dict, load_config, save_config
-from .estimators import (
-    EstimatorKind,
-    GramSolver,
-    SingularDesignError,
-    WeightVector,
-    ensemble,
-    finetune_ridge,
-    finetune_ridgeless,
-    pretrain_minnorm,
-)
-from .harness import (
-    PresetResult,
-    ResultRow,
-    SweepResult,
-    run_preset,
-    run_sweep,
-    write_results,
-)
-from .presets import preset_environment, theorem_check_env
-from .risk import (
-    AnalyticRisk,
-    FtResolvent,
-    RiskReport,
-    TaskRisk,
-    conditional_expected_risk,
-    lemma_approx_risk,
-    mc_expected_risk,
-    mc_expected_risks,
-    plugin_excess_risk,
-)
-from .spectra import (
-    SpectrumSpec,
-    UndefinedRankError,
-    build_eigenvalues,
-    critical_index,
-    effective_rank,
-)
-from .svgplot import MissingSeriesError, render_tradeoff_svg
-from .synth import (
-    Condition2Report,
-    SampledInstance,
-    TaskEnvironment,
-    check_condition2,
-    derive_rng,
-    gen_labels,
-    sample_design,
-    sample_designs,
-    sample_instance,
-    sample_parameters,
-)
-from .theory import (
-    EigenBandReport,
-    OrderingReport,
-    eigen_band_check,
-    ensemble_risk_dtau,
-    ft_risk_dlambda,
-    lambda_prime,
-    sum_risk_dlambda,
-    tau_prime,
-    verify_theorem_orderings,
-)
+import importlib
 
+_SUBMODULE_NAMES = {
+    "config": ("ConfigError", "ExperimentConfig", "config_from_dict", "load_config",
+               "save_config"),
+    "estimators": ("EstimatorKind", "GramSolver", "SingularDesignError", "WeightVector",
+                   "ensemble", "finetune_ridge", "finetune_ridgeless", "pretrain_minnorm"),
+    "harness": ("PresetResult", "ResultRow", "SweepResult", "run_preset", "run_sweep",
+                "write_results"),
+    "presets": ("preset_environment", "theorem_check_env"),
+    "risk": ("AnalyticRisk", "FtResolvent", "RiskReport", "TaskRisk",
+             "conditional_expected_risk", "lemma_approx_risk", "mc_expected_risk",
+             "mc_expected_risks", "plugin_excess_risk"),
+    "spectra": ("SpectrumSpec", "UndefinedRankError", "build_eigenvalues", "critical_index",
+                "effective_rank"),
+    "svgplot": ("MissingSeriesError", "render_tradeoff_svg"),
+    "synth": ("Condition2Report", "SampledInstance", "TaskEnvironment", "check_condition2",
+              "derive_rng", "gen_labels", "sample_design", "sample_designs",
+              "sample_instance", "sample_parameters"),
+    "theory": ("EigenBandReport", "OrderingReport", "eigen_band_check", "ensemble_risk_dtau",
+               "ft_risk_dlambda", "lambda_prime", "sum_risk_dlambda", "tau_prime",
+               "verify_theorem_orderings"),
+}
+_SUBMODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items()
+                 for name in names}
+
+__all__ = sorted(_SUBMODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -18,7 +18,10 @@ import argparse
 import json
 import sys
 
-from ._blas import single_threaded
+from ._blas import single_threaded, start_single_threaded
+
+start_single_threaded()  # before the imports below load numpy
+
 from .config import ConfigError, config_from_dict, load_config, save_config
 from .estimators import EstimatorKind, SingularDesignError
 from .harness import rows_from_report, run_preset, run_sweep, write_results
@@ -232,6 +235,8 @@ def main(argv=None) -> int:
         "risk": _cmd_risk,
     }
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ValueError(f"--workers must be a positive integer, got {args.workers}")
         with single_threaded():
             return handlers[args.command](args)
     except (ConfigError, ValueError) as exc:

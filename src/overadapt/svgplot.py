@@ -8,8 +8,8 @@ the fine-tune-only curve (x = ensemble weight, y = fine-tune risk).
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -94,7 +94,7 @@ def _svg_header(title):
         f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
         f'<rect width="100%" height="100%" fill="white"/>\n'
         f'<text x="{WIDTH / 2:.1f}" y="28" font-family="sans-serif" font-size="16" '
-        f'text-anchor="middle">{escape(title)}</text>\n'
+        f'text-anchor="middle">{html.escape(title, quote=False)}</text>\n'
     )
 
 
@@ -117,10 +117,11 @@ def _axes(xaxis, yaxis, xlabel, ylabel):
             f'text-anchor="end">{label}</text>')
     parts.append(
         f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 16}" font-family="sans-serif" '
-        f'font-size="13" text-anchor="middle">{escape(xlabel)}</text>')
+        f'font-size="13" text-anchor="middle">{html.escape(xlabel, quote=False)}</text>')
     parts.append(
         f'<text x="22" y="{(y0 + y1) / 2:.1f}" font-family="sans-serif" font-size="13" '
-        f'text-anchor="middle" transform="rotate(-90 22 {(y0 + y1) / 2:.1f})">{escape(ylabel)}</text>')
+        f'text-anchor="middle" transform="rotate(-90 22 {(y0 + y1) / 2:.1f})">'
+        f'{html.escape(ylabel, quote=False)}</text>')
     return "\n".join(parts) + "\n"
 
 
@@ -135,7 +136,7 @@ def _legend(entries):
         else:
             parts.append(f'<circle cx="{x + 11}" cy="{y - 4}" r="4" fill="{color}"/>')
         parts.append(f'<text x="{x + 28}" y="{y}" font-family="sans-serif" '
-                     f'font-size="12">{escape(label)}</text>')
+                     f'font-size="12">{html.escape(label, quote=False)}</text>')
     return "\n".join(parts) + "\n"
 
 

@@ -332,6 +332,28 @@ def test_svg_ft_curve_well_formed(tmp_path, rows_a):
     assert root.get("viewBox")
 
 
+def test_svg_escapes_text_as_xml_escape_did(tmp_path, rows_a, monkeypatch):
+    from types import SimpleNamespace
+    from xml.sax.saxutils import escape
+
+    import overadapt.svgplot as svgplot
+
+    label, title = 'ridge <&> "family"', "a & b <c> 'd'"
+    monkeypatch.setitem(svgplot.LABELS, "ridge_ft", label)
+    rows = [r for r in rows_a if r.estimator != "ensemble" or r.lam == 1e-4]
+
+    def render(name):
+        path = tmp_path / name
+        render_tradeoff_svg(rows, path, mode="tradeoff", ensemble_lambda=1e-4, title=title)
+        return path.read_bytes()
+
+    svg = render("html.svg")
+    monkeypatch.setattr(svgplot, "html", SimpleNamespace(escape=lambda s, quote: escape(s)))
+    assert svg == render("saxutils.svg")
+    texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert title in texts and label in texts
+
+
 def test_svg_single_point_curve(tmp_path):
     res = run_preset("a", overrides={"replicates": 1, "p": 300}, workers=1,
                      tau_grid=[0.5])
@@ -469,16 +491,32 @@ def test_cli_verify_rejects_flags_it_cannot_honour(tmp_path, capsys):
 
 
 def test_cli_run_loads_no_scipy(tmp_path):
+    # no scipy, and no XML or web stack for the plots; modules the interpreter's
+    # own start-up loads (site may load urllib.parse) are not the command's
     out = tmp_path / "a.csv"
     code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
             "from overadapt import cli\n"
             f"rc = cli.main(['preset', 'a', '--replicates', '1', '--workers', '1', "
-            f"'--out', {str(out)!r}])\n"
-            "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n")
+            f"'--out', {str(out)!r}, '--plot', {str(tmp_path / 'a')!r}])\n"
+            "print(json.dumps([rc, sorted(m for m in set(sys.modules) - before\n"
+            "    if m.split('.')[0] in ('scipy', 'xml', 'urllib', 'http'))]))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(overadapt.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300, check=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert (tmp_path / "a-tradeoff.svg").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
+    cfg_path = tmp_path / "cfg.json"
+    save_config(small_config(replicates=1), cfg_path)
+    for argv in (["preset", "b", "--replicates", "1"], ["sweep", "--config", str(cfg_path)]):
+        out = tmp_path / "rows.csv"
+        assert cli_main([*argv, "--out", str(out), "--workers", workers]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_failed_seeds_reach_exit_code(tmp_path, capsys):
