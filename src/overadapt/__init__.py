@@ -20,9 +20,8 @@ _SUBMODULE_NAMES = {
                "save_config"),
     "estimators": ("EstimatorKind", "GramSolver", "SingularDesignError", "WeightVector",
                    "ensemble", "finetune_ridge", "finetune_ridgeless", "pretrain_minnorm"),
-    "harness": ("PresetResult", "ResultRow", "SweepResult", "run_preset", "run_sweep",
-                "write_results"),
-    "presets": ("preset_environment", "theorem_check_env"),
+    "harness": ("ResultRow", "SweepResult", "run_preset", "run_sweep", "write_results"),
+    "presets": ("preset_environment", "preset_points", "theorem_check_env"),
     "risk": ("AnalyticRisk", "FtResolvent", "RiskReport", "TaskRisk",
              "conditional_expected_risk", "lemma_approx_risk", "mc_expected_risk",
              "mc_expected_risks", "plugin_excess_risk"),

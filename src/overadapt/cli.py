@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands:
-  preset <a|b|c|d>   run a built-in case and write its result rows
+  preset <a|b|c|d>   run a built-in case over its estimator points and write the rows
   sweep --config F   run a factorial sweep from a flat JSON config
   verify             ordering suite + tail-eigenvalue concentration check
   risk               evaluate one estimator point on one drawn instance
@@ -24,8 +24,8 @@ start_single_threaded()  # before the imports below load numpy
 
 from .config import ConfigError, config_from_dict, load_config, save_config
 from .estimators import EstimatorKind, SingularDesignError
-from .harness import rows_from_report, run_preset, run_sweep, write_results
-from .presets import CASES, theorem_check_env
+from .harness import rows_from_report, run_sweep, write_results
+from .presets import CASES, FT_ONLY_LAMBDA, preset_defaults, preset_points, theorem_check_env
 from .risk import conditional_expected_risk, lemma_approx_risk, mc_expected_risk
 from .spectra import SpectrumSpec
 from .synth import derive_rng, sample_designs
@@ -35,11 +35,13 @@ EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3
 
 
 def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="master seed (default: the config's master_seed)")
     parser.add_argument("--replicates", type=int, default=None)
     parser.add_argument("--mc-draws", type=int, default=None)
     parser.add_argument("--out", default=None, help="output path for result rows")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--format", choices=("csv", "json"), default=None,
+                        help="row format (default: the config's format)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: OVERADAPT_WORKERS or all cores)")
     parser.add_argument("--jitter", action="store_true",
@@ -62,18 +64,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--methods", nargs="+", default=None,
                           choices=("analytic", "monte_carlo", "lemma_approx"))
     p_preset.add_argument("--tau-grid", type=float, nargs="+", default=None)
-    p_preset.add_argument("--lambda", dest="lam", type=float, default=None,
-                          help="override the trade-off ridge level")
+    # nargs=1: the flag's value is a one-level lambda_grid, as for sweep
+    p_preset.add_argument("--lambda", dest="lambda_grid", type=float, nargs=1,
+                          metavar="LAMBDA", help="replace the ridge grid (the trade-off "
+                          "level) with one level")
     _add_common(p_preset)
 
     p_sweep = sub.add_parser("sweep", help="factorial sweep from a config file")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--save-config", default=None,
                          help="write the fully populated config back out")
-    p_sweep.add_argument("--lambda", dest="lam", type=float, default=None,
-                         help="replace the config's ridge grid with one level")
+    p_sweep.add_argument("--lambda", dest="lambda_grid", type=float, nargs=1,
+                         metavar="LAMBDA", help="replace the config's ridge grid with one level")
     _add_common(p_sweep)
-    p_sweep.set_defaults(seed=None)  # unset: the config's master_seed stands
 
     p_verify = sub.add_parser("verify", help="ordering and concentration suites")
     p_verify.add_argument("--p", type=int, default=2000)
@@ -81,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=200,
                           help="trials for the eigenvalue band check")
     _add_common(p_verify)
-    p_verify.set_defaults(format=None)  # it writes JSON; csv is rejected, not ignored
 
     p_risk = sub.add_parser("risk", help="single-point risk evaluation")
     p_risk.add_argument("--estimator", required=True,
@@ -99,62 +101,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_preset(args) -> int:
-    overrides = {"master_seed": args.seed}
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.mc_draws is not None:
-        overrides["mc_draws"] = args.mc_draws
-    if args.jitter:
-        overrides["jitter"] = True
-    result = run_preset(
-        args.case, overrides=overrides, full=args.full, workers=args.workers,
-        methods=args.methods, tau_grid=args.tau_grid, tradeoff_lambda=args.lam,
-    )
-    if result.meta["failures"]:
-        print(f"flagged failures: {result.meta['failures']}", file=sys.stderr)
-    out = args.out or f"preset_{args.case}.{args.format}"
-    write_results(result.rows, out, args.format)
-    print(f"wrote {len(result.rows)} rows to {out}")
-    if args.plot and result.rows:
+def _config(args, base: dict):
+    """The config ``base`` with the flags given; a flag left unset keeps its value."""
+    flags = {"master_seed": args.seed, "replicates": args.replicates,
+             "mc_draws": args.mc_draws, "format": args.format,
+             "jitter": args.jitter or None,
+             "lambda_grid": getattr(args, "lambda_grid", None),
+             "methods": getattr(args, "methods", None),
+             "tau_grid": getattr(args, "tau_grid", None)}
+    return config_from_dict({**base, **{k: v for k, v in flags.items() if v is not None}})
+
+
+def _run(args, config, kinds, name: str) -> int:
+    """Run ``config`` over ``kinds``, report failed seeds, write the rows (and plots)."""
+    result = run_sweep(config, workers=args.workers, kinds=kinds)
+    for seed, err in result.failures:
+        print(f"seed {seed} failed: {err}", file=sys.stderr)
+    out = args.out or config.out or f"{name}.{config.format}"
+    write_results(result.rows, out, config.format)
+    print(f"wrote {len(result.rows)} rows to {out} "
+          f"({result.workers} workers, {len(result.failures)} flagged)")
+    if getattr(args, "plot", None) and result.rows:
         from .svgplot import render_tradeoff_svg
 
-        tradeoff_rows = [r for r in result.rows
-                         if r.estimator != "ensemble" or r.lam == result.tradeoff_lambda]
-        render_tradeoff_svg(tradeoff_rows, f"{args.plot}-tradeoff.svg", mode="tradeoff",
-                            ensemble_lambda=result.tradeoff_lambda)
-        ft_rows = [r for r in result.rows
-                   if r.estimator != "ensemble" or r.lam == result.ft_lambda]
-        render_tradeoff_svg(ft_rows, f"{args.plot}-ft.svg", mode="ft_curve",
-                            ensemble_lambda=result.ft_lambda, ft_lambda=result.ft_lambda)
+        render_tradeoff_svg(result.rows, f"{args.plot}-tradeoff.svg", mode="tradeoff",
+                            ensemble_lambda=config.lambda_grid[0])
+        render_tradeoff_svg(result.rows, f"{args.plot}-ft.svg", mode="ft_curve",
+                            ensemble_lambda=FT_ONLY_LAMBDA, ft_lambda=FT_ONLY_LAMBDA)
         print(f"wrote {args.plot}-tradeoff.svg and {args.plot}-ft.svg")
-    return EXIT_NUMERICAL if result.meta["failures"] else EXIT_OK
+    return EXIT_NUMERICAL if result.failures else EXIT_OK
+
+
+def _cmd_preset(args) -> int:
+    config = _config(args, {"case": args.case, **preset_defaults(args.case, args.full)})
+    if args.plot and "analytic" not in config.methods:
+        raise ValueError("--plot draws the analytic rows; add analytic to --methods")
+    return _run(args, config, preset_points(config), f"preset_{args.case}")
 
 
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    if args.replicates is not None:
-        config.replicates = args.replicates
-    if args.mc_draws is not None:
-        config.mc_draws = args.mc_draws
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.jitter:
-        config.jitter = True
-    if args.lam is not None:
-        config.lambda_grid = [args.lam]
-    config.validate()
+    config = _config(args, load_config(args.config).to_dict())
     if args.save_config:
         save_config(config, args.save_config)
-    result = run_sweep(config, workers=args.workers)
-    for seed, err in result.failures:
-        print(f"seed {seed} failed: {err}", file=sys.stderr)
-    out = args.out or config.out or f"sweep.{args.format}"
-    fmt = args.format if args.out else (config.format or args.format)
-    write_results(result.rows, out, fmt)
-    print(f"wrote {len(result.rows)} rows to {out} "
-          f"({result.meta['workers']} workers, {len(result.failures)} flagged)")
-    return EXIT_NUMERICAL if result.failures else EXIT_OK
+    return _run(args, config, None, "sweep")
 
 
 def _cmd_verify(args) -> int:
@@ -168,15 +157,15 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"verify runs in one process and writes a JSON report "
                              f"of exact risks; {flag} does not apply")
     env = theorem_check_env(p=args.p, n=args.n)
-    seeds = args.replicates or 20
+    seeds, master_seed = args.replicates or 20, args.seed or 0
     lam_star = lambda_prime(env)
-    report = verify_theorem_orderings(env, seeds=seeds, master_seed=args.seed)
+    report = verify_theorem_orderings(env, seeds=seeds, master_seed=master_seed)
     print(f"lambda' = {lam_star!r}")
     for item in ("item1", "item2", "item3"):
         print(f"{item}: rate {report.rates[item]:.3f} over {seeds} seeds")
     spec = SpectrumSpec(k_star=1, gamma=1e-2, p=200 * args.n + 1, p_tilde=200 * args.n + 1)
     band = eigen_band_check(spec, n=args.n, trials=args.trials,
-                            rng=derive_rng(args.seed, "eigen", 0))
+                            rng=derive_rng(master_seed, "eigen", 0))
     print(f"eigen band: {band.inside}/{band.trials} inside "
           f"[{band.band[0]:.3g}, {band.band[1]:.3g}] x scale (regime_ok={band.regime_ok})")
     if args.out:
@@ -194,13 +183,8 @@ def _cmd_risk(args) -> int:
     for flag, value in (("--replicates", args.replicates), ("--workers", args.workers)):
         if value is not None:
             raise ValueError(f"risk evaluates one instance; {flag} does not apply")
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = config_from_dict({"case": args.case or "a"})
-    if args.mc_draws is not None:
-        config.mc_draws = args.mc_draws
-        config.validate()
+    config = _config(args, load_config(args.config).to_dict() if args.config
+                     else {"case": args.case or "a"})
     env = config.environment()
     kind = {
         "pretrained": EstimatorKind.pretrained,
@@ -208,17 +192,17 @@ def _cmd_risk(args) -> int:
         "ridge_ft": lambda: EstimatorKind.ridge(args.lam),
         "ensemble": lambda: EstimatorKind.ensemble(args.lam, args.tau),
     }[args.estimator]()
-    X, Xt = sample_designs(env, args.seed)
+    X, Xt = sample_designs(env, config.master_seed)
     if args.method == "analytic":
-        report = conditional_expected_risk(X, Xt, env, kind, jitter=args.jitter)
+        report = conditional_expected_risk(X, Xt, env, kind, jitter=config.jitter)
     elif args.method == "lemma_approx":
-        report = lemma_approx_risk(Xt, env, kind, jitter=args.jitter)
+        report = lemma_approx_risk(Xt, env, kind, jitter=config.jitter)
     else:
         report = mc_expected_risk(X, Xt, env, kind, config.mc_draws,
-                                  derive_rng(args.seed, "mc", 0), jitter=args.jitter)
+                                  derive_rng(config.master_seed, "mc", 0), jitter=config.jitter)
     if args.out:
         rows = rows_from_report(report, config.case or "", 0)
-        write_results(rows, args.out, args.format)
+        write_results(rows, args.out, config.format)
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -235,8 +219,10 @@ def main(argv=None) -> int:
         "risk": _cmd_risk,
     }
     try:
-        if args.workers is not None and args.workers < 1:
-            raise ValueError(f"--workers must be a positive integer, got {args.workers}")
+        for flag in ("workers", "replicates", "trials"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ValueError(f"--{flag} must be a positive integer, got {value}")
         with single_threaded():
             return handlers[args.command](args)
     except (ConfigError, ValueError) as exc:

@@ -2,8 +2,9 @@
 
 A config is a single flat JSON object (no nesting, no includes) so that
 save(load(f)) is lossless byte-for-byte modulo key order.  A file may carry
-just {"case": "a"}; preset defaults fill in everything else, and explicit
-keys override them.
+just {"case": "a"}: the case sets its size and tails
+(``presets.preset_defaults``), every other key keeps the default below,
+which is case a's, and explicit keys override both.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .presets import TRADEOFF_LAMBDA, preset_defaults
 from .spectra import SpectrumSpec
 from .synth import TaskEnvironment
 
@@ -48,7 +50,7 @@ class ExperimentConfig:
     n_pre: int | None = None
     master_seed: int = 0
     replicates: int = 20
-    lambda_grid: list[float] = field(default_factory=lambda: [1e-4])
+    lambda_grid: list[float] = field(default_factory=lambda: [TRADEOFF_LAMBDA])
     tau_grid: list[float] = field(default_factory=_default_tau_grid)
     mc_draws: int = 2000
     methods: list[str] = field(default_factory=lambda: ["analytic"])
@@ -146,10 +148,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     merged: dict = {}
     if raw.get("case") is not None:
-        from .presets import preset_defaults
-
-        case = raw["case"]
-        merged.update(preset_defaults(case))
+        merged.update(preset_defaults(raw["case"]))
     merged.update(_coerce_numbers(raw))
     try:
         return ExperimentConfig(**merged)

@@ -1,8 +1,12 @@
-"""Experiment execution: sweeps, preset runs, and result persistence.
+"""Experiment execution: one seed runner, its result type, and result persistence.
 
-Seeds fan out to a process pool; each seed derives its own random streams,
-so the merged output is independent of worker count and execution order.
-Rows are emitted in a fixed schema:
+``run_sweep`` is the one runner: it evaluates every replicate of a config at
+a list of estimator points, by default the factorial expansion of the
+config's grids.  A preset run (``run_preset``) is the same runner over the
+case's points (``presets.preset_points``).  Seeds fan out to a process pool;
+each seed derives its own random streams, so the merged output is
+independent of worker count and execution order.  Rows are emitted in a
+fixed schema:
 
     case,seed,estimator,lambda,tau,task,method,value,se,
     bias_thetac,term_zeta1,term_zeta2,term_sigma,term_sigma_tilde
@@ -20,17 +24,10 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ._blas import pin_single_thread
-from .config import ExperimentConfig
+from .config import ExperimentConfig, config_from_dict
 from .estimators import ENSEMBLE, PRETRAINED, RIDGE, RIDGELESS, EstimatorKind
-from .presets import (
-    FT_ONLY_LAMBDA,
-    RIDGE_FAMILY,
-    TRADEOFF_LAMBDA,
-    preset_defaults,
-)
+from .presets import preset_defaults, preset_points
 from .risk import (
     TERM_KEYS,
     AnalyticRisk,
@@ -221,23 +218,23 @@ def _sweep_worker(args) -> tuple[int, list[ResultRow] | None, str | None]:
         return seed_index, None, f"{type(exc).__name__}: {exc}"
 
 
-@dataclass
-class SweepResult:
-    rows: list[ResultRow]
-    failures: list[tuple[int, str]] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-
 def resolve_workers(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env_val = os.environ.get(WORKERS_ENV_VAR)
-    if env_val:
-        try:
-            return max(1, int(env_val))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    """The worker count: ``requested``, else ``OVERADAPT_WORKERS``, else every core.
+
+    Either source must name a positive integer; anything else is an error.
+    """
+    source, value = "workers", requested
+    if value is None:
+        source, value = WORKERS_ENV_VAR, os.environ.get(WORKERS_ENV_VAR)
+        if not value:
+            return os.cpu_count() or 1
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return count
 
 
 def _run_seeds(jobs: list[tuple], nworkers: int) -> tuple[list[ResultRow], list[tuple[int, str]]]:
@@ -261,107 +258,36 @@ def _run_seeds(jobs: list[tuple], nworkers: int) -> tuple[list[ResultRow], list[
     return merged, failures
 
 
-def _run_config(env: TaskEnvironment, config: ExperimentConfig, kinds: list[EstimatorKind],
-                case: str, workers: int | None):
-    """Rows, failures and worker count of every replicate; builds each seed's job."""
-    jobs = [
-        (env, s, config.master_seed, kinds, config.methods, config.mc_draws,
-         case, config.fix_theta_c, config.jitter)
-        for s in range(config.replicates)
-    ]
-    nworkers = resolve_workers(workers if workers is not None else config.workers)
-    return (*_run_seeds(jobs, nworkers), nworkers)
+@dataclass
+class SweepResult:
+    """The rows of a run, its failed seeds, its worker count and the config it ran."""
+
+    rows: list[ResultRow]
+    failures: list[tuple[int, str]]
+    workers: int
+    config: ExperimentConfig
 
 
-def run_sweep(config: ExperimentConfig, workers: int | None = None) -> SweepResult:
-    """Full factorial over (seed x estimator point x method).
+def run_sweep(config: ExperimentConfig, workers: int | None = None,
+              kinds: list[EstimatorKind] | None = None) -> SweepResult:
+    """Every replicate of ``config`` at every estimator point and method.
 
+    ``kinds`` defaults to the factorial expansion of the config's grids.
     Parallel over seeds; the merged row list is sorted by seed index and is
     byte-identical across worker counts.  Seeds that raise are recorded in
     ``failures`` and the sweep continues.
     """
     env = config.environment()
-    kinds = expand_estimator_points(config)
-    merged, failures, nworkers = _run_config(env, config, kinds, config.case or "", workers)
-    meta = {
-        "replicates": config.replicates,
-        "master_seed": config.master_seed,
-        "workers": nworkers,
-        "estimator_points": len(kinds),
-        "methods": list(config.methods),
-    }
-    return SweepResult(rows=merged, failures=failures, meta=meta)
+    kinds = expand_estimator_points(config) if kinds is None else kinds
+    nworkers = resolve_workers(workers if workers is not None else config.workers)
+    jobs = [(env, s, config.master_seed, kinds, config.methods, config.mc_draws,
+             config.case or "", config.fix_theta_c, config.jitter)
+            for s in range(config.replicates)]
+    return SweepResult(*_run_seeds(jobs, nworkers), nworkers, config)
 
 
-@dataclass
-class PresetResult:
-    case: str
-    env: TaskEnvironment
-    rows: list[ResultRow]
-    tradeoff_lambda: float
-    ft_lambda: float
-    ridge_family: tuple[float, ...]
-    replicates: int
-    meta: dict = field(default_factory=dict)
-
-    def mean_point(self, estimator: str, lam: float | None, tau: float | None,
-                   task: str, method: str = "analytic") -> float:
-        vals = [r.value for r in self.rows
-                if r.estimator == estimator and r.task == task and r.method == method
-                and (lam is None or (r.lam is not None and r.lam == lam))
-                and (tau is None or (r.tau is not None and r.tau == tau))]
-        if not vals:
-            raise ValueError(f"no rows for {estimator} lam={lam} tau={tau} {task}")
-        return float(np.mean(vals))
-
-
-def run_preset(
-    case_id: str,
-    overrides: dict | None = None,
-    full: bool = False,
-    workers: int | None = None,
-    methods: list[str] | None = None,
-    tau_grid: list[float] | None = None,
-    tradeoff_lambda: float | None = None,
-    ft_lambda: float | None = None,
-) -> PresetResult:
-    """Run one built-in case: trade-off curves plus the ft-only curve.
-
-    The trade-off run sweeps the ensemble weight at the near-optimal ridge
-    level and also evaluates the ridge family, the interpolating fine-tune
-    and the pretrained estimator.  The ft-only run repeats the weight sweep
-    at the deliberately small ridge level.  Risks are exact conditional
-    expectations unless other methods are requested.
-    """
-    from .config import config_from_dict
-
-    raw = preset_defaults(case_id, full=full)
-    raw.update(overrides or {})
-    if methods is not None:
-        raw["methods"] = list(methods)
-    if tau_grid is not None:
-        raw["tau_grid"] = list(tau_grid)
-    base = config_from_dict(raw)
-
-    lam_tradeoff = TRADEOFF_LAMBDA if tradeoff_lambda is None else float(tradeoff_lambda)
-    lam_ft = FT_ONLY_LAMBDA if ft_lambda is None else float(ft_lambda)
-    lam_grid = sorted({lam_tradeoff, lam_ft, *RIDGE_FAMILY})
-    cfg = config_from_dict({**base.to_dict(), "lambda_grid": lam_grid,
-                            "estimators": list(("pretrained", "ridgeless_ft",
-                                                "ridge_ft", "ensemble"))})
-    # ensembles only at the two designated levels; ridge family everywhere
-    kinds = [EstimatorKind.pretrained(), EstimatorKind.ridgeless()]
-    kinds += [EstimatorKind.ridge(lam) for lam in lam_grid]
-    for lam in dict.fromkeys((lam_tradeoff, lam_ft)):
-        kinds += [EstimatorKind.ensemble(lam, tau) for tau in cfg.tau_grid]
-
-    env = cfg.environment()
-    merged, failures, nworkers = _run_config(env, cfg, kinds, case_id, workers)
-    return PresetResult(
-        case=case_id, env=env, rows=merged,
-        tradeoff_lambda=lam_tradeoff, ft_lambda=lam_ft,
-        ridge_family=tuple(RIDGE_FAMILY), replicates=cfg.replicates,
-        meta={"failures": failures, "master_seed": cfg.master_seed,
-              "p": cfg.p, "workers": nworkers,
-              "replicates_note": "curve points are means over replicates"},
-    )
+def run_preset(case: str, overrides: dict | None = None, full: bool = False,
+               workers: int | None = None) -> SweepResult:
+    """One built-in case, with ``overrides`` on its config, over its preset points."""
+    config = config_from_dict({"case": case, **preset_defaults(case, full), **(overrides or {})})
+    return run_sweep(config, workers, preset_points(config))

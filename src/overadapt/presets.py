@@ -1,10 +1,17 @@
-"""Built-in simulation cases.
+"""Built-in simulation cases: the one table of what a case sets.
 
 Four case labels cover two sample sizes; the tails of the two covariances
 are tied to n (pretrain tail n^-1.5, fine-tune tail n^-1), so the labels'
 gamma values name whichever tail the original figure captioned.  Cases a/b
 share the n = 40 environment and c/d the n = 60 one; the label is kept on
-every output row so runs stay distinguishable.
+every output row so runs stay distinguishable.  A case sets only n, p, the
+fine-tune support and the two tails; every other key keeps its
+``ExperimentConfig`` default, which is case a's.
+
+A preset run is a sweep over ``preset_points``: the pretrained and
+interpolating estimators, the ridge family, and the ensemble weight sweep at
+each level of the config's ``lambda_grid`` (the trade-off level) and at the
+deliberately small ft-only level.
 
 Full-size runs use p = 10^4; the default trims the ambient dimension to
 p = 2000 to keep bench runs fast (nothing else changes).
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .estimators import EstimatorKind
 from .spectra import SpectrumSpec
 from .synth import TaskEnvironment
 
@@ -44,49 +52,39 @@ RIDGE_FAMILY = tuple(float(v) for v in np.logspace(-6, -2, 9))
 FT_SUPPORT_FACTOR = 2
 
 
-def preset_environment(case: str, full: bool = False, p: int | None = None) -> TaskEnvironment:
-    """The simulation environment for one case label."""
+def preset_defaults(case: str, full: bool = False) -> dict:
+    """The config keys one case sets (see config.ExperimentConfig for the rest)."""
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; known: {sorted(CASES)}")
     n, _ = CASES[case]
-    if p is None:
-        p = FULL_P if full else DESK_P
-    return TaskEnvironment(
-        n=n,
-        spectrum_pre=SpectrumSpec(k_star=1, gamma=float(n) ** -1.5, p=p, p_tilde=p),
-        spectrum_ft=SpectrumSpec(k_star=1, gamma=1.0 / n, p=p,
-                                 p_tilde=FT_SUPPORT_FACTOR * n),
-        zeta1=1e-4,
-        zeta2=1e-2,
-        sigma2=1e-2,
-        sigma2_tilde=1e-2,
-        theta_c_norm=1.0,
-        coord_dist="gaussian",
-        xi=0.5,
-    )
-
-
-def preset_defaults(case: str, full: bool = False) -> dict:
-    """Flat config dict for one case (see config.ExperimentConfig)."""
-    env = preset_environment(case, full=full)
     return {
-        "case": case,
-        "n": env.n,
-        "p": env.p,
-        "p_tilde": env.spectrum_ft.p_tilde,
-        "k_star": 1,
-        "gamma_pre": env.spectrum_pre.gamma,
-        "gamma_ft": env.spectrum_ft.gamma,
-        "zeta1": env.zeta1,
-        "zeta2": env.zeta2,
-        "sigma2": env.sigma2,
-        "sigma2_tilde": env.sigma2_tilde,
-        "theta_c_norm": 1.0,
-        "coord_dist": "gaussian",
-        "xi": 0.5,
-        "lambda_grid": [TRADEOFF_LAMBDA],
-        "replicates": 20,
+        "n": n,
+        "p": FULL_P if full else DESK_P,
+        "p_tilde": FT_SUPPORT_FACTOR * n,
+        "gamma_pre": float(n) ** -1.5,
+        "gamma_ft": 1.0 / n,
     }
+
+
+def preset_environment(case: str, full: bool = False) -> TaskEnvironment:
+    """The simulation environment for one case label."""
+    from .config import config_from_dict
+
+    return config_from_dict(preset_defaults(case, full)).environment()
+
+
+def preset_points(config) -> list[EstimatorKind]:
+    """A preset's estimator points, in row order.
+
+    The ridge family is evaluated at every level; the ensemble weight sweeps
+    run at the config's trade-off levels and then at the ft-only level.
+    """
+    levels = dict.fromkeys((*config.lambda_grid, FT_ONLY_LAMBDA))
+    kinds = [EstimatorKind.pretrained(), EstimatorKind.ridgeless()]
+    kinds += [EstimatorKind.ridge(lam) for lam in sorted({*levels, *RIDGE_FAMILY})]
+    for lam in levels:
+        kinds += [EstimatorKind.ensemble(lam, tau) for tau in config.tau_grid]
+    return kinds
 
 
 def theorem_check_env(p: int = DESK_P, n: int = 40) -> TaskEnvironment:

@@ -20,7 +20,13 @@ from overadapt.estimators import (
 )
 from overadapt.config import config_from_dict
 from overadapt.harness import run_preset, run_sweep, write_results
-from overadapt.presets import preset_environment, theorem_check_env
+from overadapt.presets import (
+    FT_ONLY_LAMBDA,
+    RIDGE_FAMILY,
+    TRADEOFF_LAMBDA,
+    preset_environment,
+    theorem_check_env,
+)
 from overadapt.risk import AnalyticRisk, FtResolvent, mc_expected_risk
 from overadapt.spectra import SpectrumSpec, build_eigenvalues, effective_rank
 from overadapt.synth import TaskEnvironment, derive_rng, sample_design, sample_instance
@@ -221,9 +227,9 @@ def test_c07_simulation_reproduction(preset_results):
             return {k: (float(np.mean(ft[k])), float(np.mean(pre[k]))) for k in ft}
 
         if case in ("a", "b"):
-            ens = mean_points("ensemble", lambda r: r.tau, lam=res.tradeoff_lambda)
+            ens = mean_points("ensemble", lambda r: r.tau, lam=TRADEOFF_LAMBDA)
             family = mean_points("ridge_ft", lambda r: r.lam)
-            family = {l: v for l, v in family.items() if l in res.ridge_family}
+            family = {l: v for l, v in family.items() if l in RIDGE_FAMILY}
             undominated = sum(
                 1 for f0, p0 in ens.values()
                 if not any(f1 < f0 and p1 < p0 for f1, p1 in family.values()))
@@ -231,9 +237,9 @@ def test_c07_simulation_reproduction(preset_results):
             pareto_ok &= frac >= 0.80
             pareto_notes.append(f"{case}:{undominated}/{len(ens)}")
 
-        ens_ft = mean_points("ensemble", lambda r: r.tau, lam=res.ft_lambda)
+        ens_ft = mean_points("ensemble", lambda r: r.tau, lam=FT_ONLY_LAMBDA)
         best_ens = min(v[0] for v in ens_ft.values())
-        ridge = mean_points("ridge_ft", lambda r: r.lam)[res.ft_lambda][0]
+        ridge = mean_points("ridge_ft", lambda r: r.lam)[FT_ONLY_LAMBDA][0]
         ridgeless = mean_points("ridgeless_ft", lambda r: 0)[0][0]
         pretrained = mean_points("pretrained", lambda r: 0)[0][0]
         strict = best_ens < ridge < ridgeless < pretrained

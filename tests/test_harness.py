@@ -27,6 +27,15 @@ from overadapt.harness import (
     run_sweep,
     write_results,
 )
+from overadapt.presets import (
+    CASES,
+    FT_ONLY_LAMBDA,
+    RIDGE_FAMILY,
+    TRADEOFF_LAMBDA,
+    preset_defaults,
+    preset_environment,
+    preset_points,
+)
 from overadapt.risk import conditional_expected_risk
 from overadapt.svgplot import MissingSeriesError, render_tradeoff_svg
 from overadapt.synth import derive_rng, sample_design
@@ -211,8 +220,12 @@ def test_workers_env_variable(monkeypatch, tmp_path):
     monkeypatch.setenv("OVERADAPT_WORKERS", "2")
     assert resolve_workers(None) == 2
     assert resolve_workers(5) == 5
-    monkeypatch.setenv("OVERADAPT_WORKERS", "junk")
-    assert resolve_workers(None) >= 1
+    for value in ("junk", "0", "-2", "1.5"):
+        monkeypatch.setenv("OVERADAPT_WORKERS", value)
+        with pytest.raises(ValueError, match="OVERADAPT_WORKERS"):
+            resolve_workers(None)
+    with pytest.raises(ValueError, match="workers"):
+        resolve_workers(0)
     # the setting also yields the same bytes as any explicit worker count
     cfg = small_config(replicates=3)
     monkeypatch.setenv("OVERADAPT_WORKERS", "2")
@@ -241,9 +254,9 @@ def test_fixed_theta_c_shared_across_replicates():
 
 
 def test_preset_lambda_override():
-    res = run_preset("a", overrides={"replicates": 1, "p": 300}, workers=1,
-                     tau_grid=[0.0, 1.0], tradeoff_lambda=3e-3)
-    assert res.tradeoff_lambda == 3e-3
+    res = run_preset("a", overrides={"replicates": 1, "p": 300, "tau_grid": [0.0, 1.0],
+                                     "lambda_grid": [3e-3]}, workers=1)
+    assert res.config.lambda_grid[0] == 3e-3
     assert any(r.estimator == "ensemble" and r.lam == 3e-3 for r in res.rows)
 
 
@@ -281,22 +294,55 @@ def test_evaluate_seed_eigendecomposes_each_design_once(monkeypatch, methods, ei
 
 # -------------------------------------------------------------------- presets
 
+def mean_point(rows, estimator, lam, tau, task, method="analytic"):
+    vals = [r.value for r in rows
+            if r.estimator == estimator and r.task == task and r.method == method
+            and (lam is None or (r.lam is not None and r.lam == lam))
+            and (tau is None or (r.tau is not None and r.tau == tau))]
+    if not vals:
+        raise ValueError(f"no rows for {estimator} lam={lam} tau={tau} {task}")
+    return float(np.mean(vals))
+
+
 def test_preset_endpoints_collapse():
-    res = run_preset("a", overrides={"replicates": 2, "p": 300}, workers=1,
-                     tau_grid=[0.0, 0.5, 1.0])
-    lam = res.tradeoff_lambda
+    res = run_preset("a", overrides={"replicates": 2, "p": 300, "tau_grid": [0.0, 0.5, 1.0]},
+                     workers=1)
+    lam = res.config.lambda_grid[0]
     for task in ("pre", "ft"):
-        tau0 = res.mean_point("ensemble", lam, 0.0, task)
-        pretrained = res.mean_point("pretrained", None, None, task)
+        tau0 = mean_point(res.rows, "ensemble", lam, 0.0, task)
+        pretrained = mean_point(res.rows, "pretrained", None, None, task)
         assert tau0 == pytest.approx(pretrained, rel=1e-12)
-        tau1 = res.mean_point("ensemble", lam, 1.0, task)
-        ridge = res.mean_point("ridge_ft", lam, None, task)
+        tau1 = mean_point(res.rows, "ensemble", lam, 1.0, task)
+        ridge = mean_point(res.rows, "ridge_ft", lam, None, task)
         assert tau1 == pytest.approx(ridge, rel=1e-12)
 
 
 def test_preset_unknown_case():
     with pytest.raises(ValueError):
         run_preset("z")
+
+
+def test_preset_points_order_on_the_case_defaults():
+    # the CSV bytes follow this order
+    kinds = preset_points(config_from_dict({"case": "a"}))
+    taus = [round(0.05 * i, 10) for i in range(21)]
+    assert TRADEOFF_LAMBDA == 1e-4 and FT_ONLY_LAMBDA == 1e-7
+    assert kinds == [
+        EstimatorKind.pretrained(), EstimatorKind.ridgeless(),
+        *(EstimatorKind.ridge(lam) for lam in sorted({1e-4, 1e-7, *RIDGE_FAMILY})),
+        *(EstimatorKind.ensemble(1e-4, tau) for tau in taus),
+        *(EstimatorKind.ensemble(1e-7, tau) for tau in taus),
+    ]
+    assert len(kinds) == 2 + 10 + 2 * 21
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_preset_environment_is_the_case_config_environment(case, full):
+    assert set(preset_defaults(case, full)) == {"n", "p", "p_tilde", "gamma_pre", "gamma_ft"}
+    env = preset_environment(case, full)
+    assert env == config_from_dict(preset_defaults(case, full)).environment()
+    assert env == config_from_dict({"case": case, "p": 10_000 if full else 2000}).environment()
 
 
 # ----------------------------------------------------------------------- svg
@@ -355,8 +401,7 @@ def test_svg_escapes_text_as_xml_escape_did(tmp_path, rows_a, monkeypatch):
 
 
 def test_svg_single_point_curve(tmp_path):
-    res = run_preset("a", overrides={"replicates": 1, "p": 300}, workers=1,
-                     tau_grid=[0.5])
+    res = run_preset("a", overrides={"replicates": 1, "p": 300, "tau_grid": [0.5]}, workers=1)
     path = tmp_path / "degenerate.svg"
     render_tradeoff_svg(res.rows, path, mode="tradeoff", ensemble_lambda=1e-4)
     assert ET.parse(path).getroot().get("viewBox")
@@ -549,7 +594,9 @@ def test_cli_preset_partial_failure_keeps_rows(tmp_path, monkeypatch, capsys):
     seeds = {line.split(",")[1] for line in out.read_text().splitlines()[1:]}
     assert seeds == {"0"}
     assert (tmp_path / "figs-ft.svg").exists()
-    assert "seed one is broken" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "seed 1 failed: ArithmeticError: seed one is broken\n"
+    assert captured.out.splitlines()[0] == f"wrote {2 * 54} rows to {out} (1 workers, 1 flagged)"
 
 
 def test_cli_sweep_seed_zero_overrides_config(tmp_path):
@@ -563,3 +610,80 @@ def test_cli_sweep_seed_zero_overrides_config(tmp_path):
                          "--workers", "1", *flags]) == 0
         outputs[name] = out.read_bytes()
     assert outputs["flag"] == outputs["config"] != outputs["kept"]
+
+
+def test_cli_format_flag_wins_over_config_and_names_the_default_file(tmp_path, monkeypatch,
+                                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    csv_cfg, json_cfg = tmp_path / "c.json", tmp_path / "cj.json"
+    save_config(small_config(replicates=1), csv_cfg)
+    save_config(small_config(replicates=1, format="json"), json_cfg)
+    rows = run_sweep(small_config(replicates=1), workers=1).rows
+    for argv, path in (
+            (["--config", str(csv_cfg), "--format", "json"], tmp_path / "sweep.json"),
+            (["--config", str(json_cfg)], tmp_path / "sweep.json"),
+            (["--config", str(json_cfg), "--out", "x.json"], tmp_path / "x.json")):
+        path.unlink(missing_ok=True)
+        assert cli_main(["sweep", *argv, "--workers", "1"]) == 0
+        assert read_results(path) == rows
+        assert capsys.readouterr().out == (f"wrote {len(rows)} rows to {path.name} "
+                                           "(1 workers, 0 flagged)\n")
+    assert cli_main(["sweep", "--config", str(json_cfg), "--format", "csv",
+                     "--workers", "1"]) == 0
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+    assert cli_main(["risk", "--config", str(json_cfg), "--estimator", "ridge_ft",
+                     "--lambda", "1e-3", "--out", "r.json"]) == 0
+    assert read_results(tmp_path / "r.json") == [r for r in rows
+                                                  if r.estimator == "ridge_ft"]
+
+
+@pytest.mark.parametrize("flags", [["--replicates", "0"], ["--trials", "0"],
+                                   ["--trials", "-3"]])
+def test_cli_verify_rejects_non_positive_counts(tmp_path, capsys, flags):
+    out = tmp_path / "v.json"
+    assert cli_main(["verify", "--p", "400", "--n", "16", "--replicates", "2", "--trials", "10",
+                     *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"{flags[0]} must be a positive integer" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_preset_plot_needs_analytic_rows(tmp_path, monkeypatch, capsys):
+    import overadapt.harness as harness
+
+    monkeypatch.setattr(harness, "evaluate_seed", lambda *args: pytest.fail("a seed ran"))
+    out = tmp_path / "rows.csv"
+    assert cli_main(["preset", "a", "--methods", "monte_carlo", "--plot", str(tmp_path / "f"),
+                     "--replicates", "1", "--workers", "1", "--out", str(out)]) == 1
+    assert "--plot" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["0", "junk"])
+def test_cli_rejects_bad_workers_variable(tmp_path, monkeypatch, capsys, value):
+    cfg_path = tmp_path / "cfg.json"
+    save_config(small_config(replicates=1), cfg_path)
+    monkeypatch.setenv("OVERADAPT_WORKERS", value)
+    for argv in (["preset", "b", "--replicates", "1"], ["sweep", "--config", str(cfg_path)]):
+        out = tmp_path / "rows.csv"
+        assert cli_main([*argv, "--out", str(out)]) == 1
+        assert "OVERADAPT_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_risk_takes_seed_and_jitter_from_config(tmp_path):
+    cfg = small_config(replicates=1, master_seed=5, estimators=["ensemble"],
+                       lambda_grid=[1e-3], tau_grid=[0.5])
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
+    out, swept = tmp_path / "risk.csv", tmp_path / "sweep.csv"
+    assert cli_main(["risk", "--config", str(cfg_path), "--estimator", "ensemble",
+                     "--lambda", "1e-3", "--tau", "0.5", "--out", str(out)]) == 0
+    write_results(run_sweep(cfg, workers=1).rows, swept, "csv")
+    assert out.read_bytes() == swept.read_bytes()
+    # a rank-5 fine-tune Gram at n = 10: singular unless the config asks for jitter
+    for jitter, code in ((False, 2), (True, 0)):
+        save_config(small_config(p_tilde=5, jitter=jitter), cfg_path)
+        assert cli_main(["risk", "--config", str(cfg_path), "--estimator",
+                         "ridgeless_ft"]) == code
+
