@@ -22,8 +22,7 @@ _SUBMODULE_NAMES = {
                    "ensemble", "finetune_ridge", "finetune_ridgeless", "pretrain_minnorm"),
     "harness": ("ResultRow", "SweepResult", "run_preset", "run_sweep", "write_results"),
     "presets": ("preset_environment", "preset_points", "theorem_check_env"),
-    "risk": ("AnalyticRisk", "FtResolvent", "RiskReport", "TaskRisk",
-             "conditional_expected_risk", "lemma_approx_risk", "mc_expected_risk",
+    "risk": ("AnalyticRisk", "FtResolvent", "RiskReport", "TaskRisk", "lemma_approx_risk",
              "mc_expected_risks", "plugin_excess_risk"),
     "spectra": ("SpectrumSpec", "UndefinedRankError", "build_eigenvalues", "critical_index",
                 "effective_rank"),

@@ -24,11 +24,10 @@ start_single_threaded()  # before the imports below load numpy
 
 from .config import ConfigError, config_from_dict, load_config, save_config
 from .estimators import EstimatorKind, SingularDesignError
-from .harness import rows_from_report, run_sweep, write_results
+from .harness import evaluate_seed, rows_from_report, run_sweep, write_results
 from .presets import CASES, FT_ONLY_LAMBDA, preset_defaults, preset_points, theorem_check_env
-from .risk import conditional_expected_risk, lemma_approx_risk, mc_expected_risk
 from .spectra import SpectrumSpec
-from .synth import derive_rng, sample_designs
+from .synth import derive_rng
 from .theory import eigen_band_check, lambda_prime, verify_theorem_orderings
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3
@@ -141,9 +140,10 @@ def _cmd_preset(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _config(args, load_config(args.config).to_dict())
-    if args.save_config:
+    code = _run(args, config, None, "sweep")
+    if args.save_config:  # once the run has resolved every setting
         save_config(config, args.save_config)
-    return _run(args, config, None, "sweep")
+    return code
 
 
 def _cmd_verify(args) -> int:
@@ -183,23 +183,16 @@ def _cmd_risk(args) -> int:
     for flag, value in (("--replicates", args.replicates), ("--workers", args.workers)):
         if value is not None:
             raise ValueError(f"risk evaluates one instance; {flag} does not apply")
-    config = _config(args, load_config(args.config).to_dict() if args.config
-                     else {"case": args.case or "a"})
-    env = config.environment()
+    base = load_config(args.config).to_dict() if args.config else {"case": args.case or "a"}
+    config = _config(args, {**base, "methods": [args.method]})
     kind = {
         "pretrained": EstimatorKind.pretrained,
         "ridgeless_ft": EstimatorKind.ridgeless,
         "ridge_ft": lambda: EstimatorKind.ridge(args.lam),
         "ensemble": lambda: EstimatorKind.ensemble(args.lam, args.tau),
     }[args.estimator]()
-    X, Xt = sample_designs(env, config.master_seed)
-    if args.method == "analytic":
-        report = conditional_expected_risk(X, Xt, env, kind, jitter=config.jitter)
-    elif args.method == "lemma_approx":
-        report = lemma_approx_risk(Xt, env, kind, jitter=config.jitter)
-    else:
-        report = mc_expected_risk(X, Xt, env, kind, config.mc_draws,
-                                  derive_rng(config.master_seed, "mc", 0), jitter=config.jitter)
+    # replicate 0 of a one-method sweep of the config at this one point
+    (report,) = evaluate_seed(config, 0, [kind])
     if args.out:
         rows = rows_from_report(report, config.case or "", 0)
         write_results(rows, args.out, config.format)
@@ -219,10 +212,11 @@ def main(argv=None) -> int:
         "risk": _cmd_risk,
     }
     try:
-        for flag in ("workers", "replicates", "trials"):
+        for flag, least in (("seed", 0), ("workers", 1), ("replicates", 1), ("trials", 1)):
             value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                raise ValueError(f"--{flag} must be a positive integer, got {value}")
+            if value is not None and value < least:
+                sign = "positive" if least else "non-negative"
+                raise ValueError(f"--{flag} must be a {sign} integer, got {value}")
         with single_threaded():
             return handlers[args.command](args)
     except (ConfigError, ValueError) as exc:

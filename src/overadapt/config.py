@@ -72,6 +72,9 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 fail(name, f"must be a positive integer, got {v!r}")
+        v = self.master_seed
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            fail("master_seed", f"must be a non-negative integer, got {v!r}")
         for name in ("zeta1", "zeta2", "sigma2", "sigma2_tilde", "theta_c_norm",
                      "gamma_pre", "gamma_ft"):
             v = getattr(self, name)

@@ -60,23 +60,21 @@ class GramSolver:
     (G + nlam*I)^-1 = U diag(1/(s + nlam)) U^T at any nlam, and a sweep over
     lam (or tau, which needs no new penalty at all) costs no new
     factorisation.  The Gram's condition number is checked against
-    ``cond_threshold`` on the same eigenvalues.  An ill-conditioned Gram
+    ``COND_THRESHOLD`` on the same eigenvalues.  An ill-conditioned Gram
     raises ``SingularDesignError`` at nlam = 0; with ``jitter=True`` a
     diagonal boost of 1e-12 * tr(G)/n is added to ``gram`` and ``s`` at
     construction instead, so every penalty sees it whatever the call order.
     """
 
-    def __init__(self, X: np.ndarray, jitter: bool = False,
-                 cond_threshold: float = COND_THRESHOLD):
+    def __init__(self, X: np.ndarray, jitter: bool = False):
         self.X = X
         self.n = X.shape[0]
         self.gram = X @ X.T
         self.jitter_applied = 0.0
-        self.cond_threshold = cond_threshold
         self.s, self.U = np.linalg.eigh(self.gram)
         lo, hi = self.s[0], self.s[-1]
         self.cond = hi / lo if lo > 0 else np.inf
-        self._singular = hi <= 0 or lo <= 0 or self.cond > cond_threshold
+        self._singular = hi <= 0 or lo <= 0 or self.cond > COND_THRESHOLD
         if self._singular and jitter:
             self.jitter_applied = 1e-12 * np.trace(self.gram) / self.n
             self.gram = self.gram + self.jitter_applied * np.eye(self.n)
@@ -94,7 +92,7 @@ class GramSolver:
         if nlam == 0.0 and self._singular:
             raise SingularDesignError(
                 f"Gram condition number {self.cond:.3e} exceeds "
-                f"{self.cond_threshold:.1e}; offending rows: {self._offending_rows()}"
+                f"{COND_THRESHOLD:.1e}; offending rows: {self._offending_rows()}"
             )
         return self.U, self.s + nlam
 

@@ -3,8 +3,9 @@
 ``run_sweep`` is the one runner: it evaluates every replicate of a config at
 a list of estimator points, by default the factorial expansion of the
 config's grids.  A preset run (``run_preset``) is the same runner over the
-case's points (``presets.preset_points``).  Seeds fan out to a process pool;
-each seed derives its own random streams, so the merged output is
+case's points (``presets.preset_points``).  Seeds fan out to a process pool,
+where ``evaluate_seed`` evaluates each (the ``risk`` command is its replicate
+0); each seed derives its own random streams, so the merged output is
 independent of worker count and execution order.  Rows are emitted in a
 fixed schema:
 
@@ -36,7 +37,7 @@ from .risk import (
     lemma_approx_risk,
     mc_expected_risks,
 )
-from .synth import TaskEnvironment, derive_rng, sample_designs, sample_parameters
+from .synth import derive_rng, sample_designs, sample_parameters
 
 WORKERS_ENV_VAR = "OVERADAPT_WORKERS"
 
@@ -164,23 +165,18 @@ def expand_estimator_points(config: ExperimentConfig) -> list[EstimatorKind]:
     return points
 
 
-def evaluate_seed(
-    env: TaskEnvironment,
-    seed_index: int,
-    master_seed: int,
-    kinds: list[EstimatorKind],
-    methods: list[str],
-    mc_draws: int,
-    case: str = "",
-    fix_theta_c: bool = False,
-    jitter: bool = False,
-) -> list[ResultRow]:
-    """All rows for one replicate; deterministic in (master_seed, seed_index)."""
-    X, Xt = sample_designs(env, master_seed, seed_index)
+def evaluate_seed(config: ExperimentConfig, seed_index: int,
+                  kinds: list[EstimatorKind]) -> list[RiskReport]:
+    """Every report of one replicate, in row order: per kind, one per method.
+
+    Deterministic in (master_seed, seed_index).
+    """
+    env, methods, jitter = config.environment(), config.methods, config.jitter
+    X, Xt = sample_designs(env, config.master_seed, seed_index)
     theta_c = None
-    if fix_theta_c:
+    if config.fix_theta_c:
         # one shared draw held fixed across every replicate of the sweep
-        theta_c, _, _ = sample_parameters(env, derive_rng(master_seed, "params", 0))
+        theta_c, _, _ = sample_parameters(env, derive_rng(config.master_seed, "params", 0))
     # one eigendecomposition per design: every method reads the same solvers
     analytic = resolvent = None
     if "analytic" in methods:
@@ -190,29 +186,27 @@ def evaluate_seed(
         resolvent = FtResolvent.from_env(Xt, env, jitter=jitter)
     mc = [None] * len(kinds)
     if "monte_carlo" in methods:
-        mc = mc_expected_risks(X, Xt, env, kinds, mc_draws,
-                               derive_rng(master_seed, "mc", seed_index),
+        mc = mc_expected_risks(X, Xt, env, kinds, config.mc_draws,
+                               derive_rng(config.master_seed, "mc", seed_index),
                                theta_c=theta_c, jitter=jitter,
                                solver_pre=None if analytic is None else analytic.solver_pre,
                                solver_ft=None if resolvent is None else resolvent.solver)
-    rows: list[ResultRow] = []
+    reports: list[RiskReport] = []
     for kind, mc_report in zip(kinds, mc):
         if analytic is not None:
-            rows.extend(rows_from_report(analytic.report(kind), case, seed_index))
+            reports.append(analytic.report(kind))
         if mc_report is not None:
-            rows.extend(rows_from_report(mc_report, case, seed_index))
+            reports.append(mc_report)
         if "lemma_approx" in methods:
-            rows.extend(rows_from_report(
-                lemma_approx_risk(Xt, env, kind, evaluator=resolvent), case, seed_index))
-    return rows
+            reports.append(lemma_approx_risk(Xt, env, kind, evaluator=resolvent))
+    return reports
 
 
 def _sweep_worker(args) -> tuple[int, list[ResultRow] | None, str | None]:
-    (env, seed_index, master_seed, kinds, methods, mc_draws, case,
-     fix_theta_c, jitter) = args
+    config, seed_index, kinds = args
     try:
-        rows = evaluate_seed(env, seed_index, master_seed, kinds, methods,
-                             mc_draws, case, fix_theta_c, jitter)
+        rows = [row for report in evaluate_seed(config, seed_index, kinds)
+                for row in rows_from_report(report, config.case or "", seed_index)]
         return seed_index, rows, None
     except Exception as exc:  # flagged, not fatal: the sweep continues
         return seed_index, None, f"{type(exc).__name__}: {exc}"
@@ -277,12 +271,9 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None,
     byte-identical across worker counts.  Seeds that raise are recorded in
     ``failures`` and the sweep continues.
     """
-    env = config.environment()
     kinds = expand_estimator_points(config) if kinds is None else kinds
     nworkers = resolve_workers(workers if workers is not None else config.workers)
-    jobs = [(env, s, config.master_seed, kinds, config.methods, config.mc_draws,
-             config.case or "", config.fix_theta_c, config.jitter)
-            for s in range(config.replicates)]
+    jobs = [(config, s, kinds) for s in range(config.replicates)]
     return SweepResult(*_run_seeds(jobs, nworkers), nworkers, config)
 
 

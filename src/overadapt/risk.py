@@ -2,12 +2,13 @@
 
 ``plugin_excess_risk``       spectrum-weighted squared error of one realised
                              weight vector.
-``conditional_expected_risk`` exact expectation over (theta_c, alpha1,
-                             alpha2, noise) with the two designs held fixed,
-                             via closed-form trace formulas.
+``AnalyticRisk``             exact expectation over (theta_c, alpha1, alpha2,
+                             noise) with the two designs held fixed, via
+                             closed-form trace formulas
+                             (``AnalyticRisk.from_env(...).report(kind)``).
 ``mc_expected_risks``        Monte-Carlo estimates of the same expectation on
                              draws shared by all estimators, the independent
-                             numerical check (``mc_expected_risk``: one).
+                             numerical check.
 ``lemma_approx_risk``        the two-term (task-shift + fine-tune noise)
                              shortcut: two of the exact evaluator's five
                              term quadratics, term_zeta2 and
@@ -397,25 +398,6 @@ class AnalyticRisk:
         return RiskReport(method="analytic", kind=kind, pre=pre, ft=ft)
 
 
-def conditional_expected_risk(
-    X: np.ndarray,
-    Xt: np.ndarray,
-    env: TaskEnvironment,
-    kind: EstimatorKind,
-    task: str = "both",
-    theta_c: np.ndarray | None = None,
-    jitter: bool = False,
-    evaluator: AnalyticRisk | None = None,
-) -> RiskReport:
-    """Exact expected excess risk conditional on the two designs.
-
-    The expectation runs over theta_c (uniform on its sphere unless a fixed
-    vector is supplied), the task offsets and both noise vectors.
-    """
-    ev = evaluator or AnalyticRisk.from_env(X, Xt, env, theta_c=theta_c, jitter=jitter)
-    return ev.report(kind, task=task)
-
-
 class _RowSpace:
     """The designs in an orthonormal basis of their row span, block by block.
 
@@ -471,7 +453,6 @@ def mc_expected_risks(
     task: str = "both",
     theta_c: np.ndarray | None = None,
     jitter: bool = False,
-    batch: int = _MC_BATCH,
     solver_pre: GramSolver | None = None,
     solver_ft: GramSolver | None = None,
 ) -> list[RiskReport]:
@@ -480,8 +461,8 @@ def mc_expected_risks(
 
     Designs stay fixed; each Gram is eigendecomposed once and each block's
     basis taken once, so a draw costs O(n) numbers and n x n work at any p
-    (see the module docstring).  Draws are vectorised in batches, which does
-    not change the stream for a fixed ``batch``.
+    (see the module docstring).  Draws are vectorised in batches of
+    ``_MC_BATCH``, which fixes the stream.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -490,7 +471,7 @@ def mc_expected_risks(
     st = _solver(Xt, solver_ft, jitter)
     eigs = dict(zip(("pre", "ft"), env.eigenvalues()))
     space = _RowSpace(X, Xt, eigs, None if theta_c is None else np.asarray(theta_c, dtype=float))
-    risks = _mc_risk_draws(space, sp, st, env, kinds, draws, rng, tasks, batch)
+    risks = _mc_risk_draws(space, sp, st, env, kinds, draws, rng, tasks)
 
     def summarise(r) -> TaskRisk:
         se = float(np.std(r, ddof=1) / np.sqrt(r.size)) if r.size > 1 else 0.0
@@ -504,7 +485,7 @@ def mc_expected_risks(
 
 def _mc_risk_draws(space: _RowSpace, sp: GramSolver, st: GramSolver, env: TaskEnvironment,
                    kinds: list[EstimatorKind], draws: int, rng: np.random.Generator,
-                   tasks: list[str], batch: int) -> list[dict[str, np.ndarray]]:
+                   tasks: list[str]) -> list[dict[str, np.ndarray]]:
     """The plug-in risk of every kind on each of ``draws`` shared draws, per task."""
     Xq, Xtq = space.Xq, space.Xtq
     n_pre, n = Xq.shape[0], Xtq.shape[0]
@@ -532,7 +513,7 @@ def _mc_risk_draws(space: _RowSpace, sp: GramSolver, st: GramSolver, env: TaskEn
 
     done = 0
     while done < draws:
-        m = min(batch, draws - done)
+        m = min(_MC_BATCH, draws - done)
         done += m
         # in-span coordinates of both offsets (and below, of theta_c's Gaussian);
         # the off-span parts enter only as their squared risk per task
@@ -567,12 +548,6 @@ def _mc_risk_draws(space: _RowSpace, sp: GramSolver, st: GramSolver, env: TaskEn
             for i, tau in points:
                 add(i, hat0 + tau * step)
     return [{t: np.concatenate(chunks) for t, chunks in r.items()} for r in risks]
-
-
-def mc_expected_risk(X, Xt, env, kind: EstimatorKind, draws: int, rng,
-                     **kwargs) -> RiskReport:
-    """``mc_expected_risks`` for one kind (same keyword arguments)."""
-    return mc_expected_risks(X, Xt, env, [kind], draws, rng, **kwargs)[0]
 
 
 def lemma_approx_risk(

@@ -27,7 +27,7 @@ from overadapt.presets import (
     preset_environment,
     theorem_check_env,
 )
-from overadapt.risk import AnalyticRisk, FtResolvent, mc_expected_risk
+from overadapt.risk import AnalyticRisk, FtResolvent, mc_expected_risks
 from overadapt.spectra import SpectrumSpec, build_eigenvalues, effective_rank
 from overadapt.synth import TaskEnvironment, derive_rng, sample_design, sample_instance
 from overadapt.theory import (
@@ -140,8 +140,8 @@ def test_c03_analytic_vs_monte_carlo():
                            derive_rng(MASTER_SEED, "design_ft", seed))
         exact = AnalyticRisk.from_env(X, Xt, env)
         for k, kind in enumerate(kinds):
-            mc = mc_expected_risk(X, Xt, env, kind, draws=2000,
-                                  rng=derive_rng(MASTER_SEED, "mc", 100 * seed + k))
+            mc = mc_expected_risks(X, Xt, env, [kind], draws=2000,
+                                   rng=derive_rng(MASTER_SEED, "mc", 100 * seed + k))[0]
             for task in ("pre", "ft"):
                 total += 1
                 gap = abs(mc.task(task).value - exact.task_risk(kind, task).value)

@@ -114,16 +114,15 @@ def test_public_names_resolve_on_access():
     assert _fresh(code) == [True, "AttributeError", True]
 
 
-class _ThreadProbeEnv:
-    """Stands in for a TaskEnvironment: evaluating a seed reports the BLAS threads."""
+class _ThreadProbeConfig:
+    """Stands in for an ExperimentConfig: evaluating a seed reports the BLAS threads."""
 
-    @property
-    def spectrum_pre(self):
+    def environment(self):
         raise RuntimeError(f"threads {thread_counts()}")
 
 
 def test_pool_workers_run_single_threaded():
-    jobs = [(_ThreadProbeEnv(), s, 0, [], [], 0, "", False, False) for s in range(2)]
+    jobs = [(_ThreadProbeConfig(), s, []) for s in range(2)]
     rows, failures = _run_seeds(jobs, nworkers=2)
     assert rows == []
     ones = [1] * len(thread_counts())

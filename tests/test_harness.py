@@ -36,7 +36,7 @@ from overadapt.presets import (
     preset_environment,
     preset_points,
 )
-from overadapt.risk import conditional_expected_risk
+from overadapt.risk import AnalyticRisk
 from overadapt.svgplot import MissingSeriesError, render_tradeoff_svg
 from overadapt.synth import derive_rng, sample_design
 
@@ -107,6 +107,9 @@ def test_config_validation_messages():
         small_config(methods=["magic"])
     with pytest.raises(ConfigError, match="format"):
         small_config(format="yaml")
+    for seed in (-1, True, 1.5):
+        with pytest.raises(ConfigError, match="master_seed"):
+            config_from_dict({"master_seed": seed})
 
 
 def test_config_bad_json(tmp_path):
@@ -162,7 +165,7 @@ def test_sweep_single_point_matches_direct_evaluation():
     env = cfg.environment()
     X = sample_design(env.spectrum_pre, env.n, derive_rng(0, "design_pre", 0))
     Xt = sample_design(env.spectrum_ft, env.n, derive_rng(0, "design_ft", 0))
-    direct = conditional_expected_risk(X, Xt, env, EstimatorKind.ridge(1e-3))
+    direct = AnalyticRisk.from_env(X, Xt, env).report(EstimatorKind.ridge(1e-3))
     got = {r.task: r.value for r in result.rows}
     assert got["pre"] == direct.l_pre
     assert got["ft"] == direct.l_ft
@@ -247,8 +250,7 @@ def test_fixed_theta_c_shared_across_replicates():
                           derive_rng(cfg.master_seed, "design_pre", seed))
         Xt = sample_design(env.spectrum_ft, env.n,
                            derive_rng(cfg.master_seed, "design_ft", seed))
-        direct = conditional_expected_risk(X, Xt, env, EstimatorKind.pretrained(),
-                                           theta_c=tc)
+        direct = AnalyticRisk.from_env(X, Xt, env, theta_c=tc).report(EstimatorKind.pretrained())
         got = {r.task: r.value for r in rows if r.seed == seed}
         assert got["pre"] == direct.l_pre
 
@@ -281,15 +283,15 @@ def test_evaluate_seed_eigendecomposes_each_design_once(monkeypatch, methods, ei
     cfg = config_from_dict({
         "case": "a", "p": 2000, "estimators": ["pretrained", "ridgeless_ft", "ridge_ft",
                                                "ensemble"],
-        "lambda_grid": [1e-4], "tau_grid": [0.5], "mc_draws": 2000})
-    env = cfg.environment()
+        "lambda_grid": [1e-4], "tau_grid": [0.5], "mc_draws": 2000, "methods": methods})
     kinds = expand_estimator_points(cfg)
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    rows = evaluate_seed(env, 0, 0, kinds, methods, cfg.mc_draws, "a")
+    reports = evaluate_seed(cfg, 0, kinds)
     assert len(calls) == eighs
-    assert len(rows) == len(kinds) * len(methods) * 2
+    assert len(reports) == len(kinds) * len(methods)
+    assert all(r.pre is not None and r.ft is not None for r in reports)
 
 
 # -------------------------------------------------------------------- presets
@@ -471,15 +473,22 @@ def test_cli_risk_json_and_numerical_failure(tmp_path, capsys):
                      str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_cli_risk_out_writes_the_sweep_rows(tmp_path, capsys, fmt):
+@pytest.mark.parametrize("fmt, method, overrides", [
+    pytest.param("csv", "analytic", {}, id="csv"),
+    pytest.param("json", "analytic", {}, id="json"),
+    pytest.param("csv", "monte_carlo", {"mc_draws": 300}, id="monte_carlo"),
+    pytest.param("csv", "lemma_approx", {}, id="lemma_approx"),
+    pytest.param("csv", "analytic", {"fix_theta_c": True, "jitter": True},
+                 id="fix_theta_c-jitter"),
+])
+def test_cli_risk_out_writes_the_sweep_rows(tmp_path, capsys, fmt, method, overrides):
     cfg = small_config(replicates=1, master_seed=3, estimators=["ensemble"],
-                       lambda_grid=[1e-3], tau_grid=[0.5])
+                       lambda_grid=[1e-3], tau_grid=[0.5], methods=[method], **overrides)
     cfg_path = tmp_path / "cfg.json"
     save_config(cfg, cfg_path)
     out = tmp_path / f"risk.{fmt}"
     assert cli_main(["risk", "--config", str(cfg_path), "--estimator", "ensemble",
-                     "--lambda", "1e-3", "--tau", "0.5", "--seed", "3",
+                     "--lambda", "1e-3", "--tau", "0.5", "--seed", "3", "--method", method,
                      "--format", fmt, "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"wrote 2 rows to {out}\n"
     swept = tmp_path / f"sweep.{fmt}"
@@ -582,10 +591,10 @@ def test_cli_preset_partial_failure_keeps_rows(tmp_path, monkeypatch, capsys):
 
     evaluate = harness.evaluate_seed
 
-    def fail_seed_one(env, seed_index, *args):
+    def fail_seed_one(config, seed_index, *args):
         if seed_index == 1:
             raise ArithmeticError("seed one is broken")
-        return evaluate(env, seed_index, *args)
+        return evaluate(config, seed_index, *args)
 
     monkeypatch.setattr(harness, "evaluate_seed", fail_seed_one)
     out = tmp_path / "rows.csv"
@@ -664,11 +673,34 @@ def test_cli_rejects_bad_workers_variable(tmp_path, monkeypatch, capsys, value):
     cfg_path = tmp_path / "cfg.json"
     save_config(small_config(replicates=1), cfg_path)
     monkeypatch.setenv("OVERADAPT_WORKERS", value)
-    for argv in (["preset", "b", "--replicates", "1"], ["sweep", "--config", str(cfg_path)]):
+    saved = tmp_path / "saved.json"
+    for argv in (["preset", "b", "--replicates", "1"],
+                 ["sweep", "--config", str(cfg_path), "--save-config", str(saved)]):
         out = tmp_path / "rows.csv"
         assert cli_main([*argv, "--out", str(out)]) == 1
         assert "OVERADAPT_WORKERS" in capsys.readouterr().err
         assert not out.exists()
+    assert not saved.exists()
+
+
+def test_cli_rejects_a_negative_seed_before_any_seed_runs(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    save_config(small_config(replicates=1), cfg_path)
+    out, saved = tmp_path / "out.csv", tmp_path / "saved.json"
+    for argv in (["preset", "a", "--replicates", "1", "--workers", "1"],
+                 ["sweep", "--config", str(cfg_path), "--save-config", str(saved)],
+                 ["verify", "--p", "400", "--n", "16", "--replicates", "2", "--trials", "10"],
+                 ["risk", "--estimator", "ridgeless_ft", "--case", "a"]):
+        assert cli_main([*argv, "--seed", "-1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "--seed must be a non-negative integer, got -1" in captured.err
+        assert "failed" not in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    # the same seed from a config file is a validation error too
+    cfg_path.write_text(json.dumps({**small_config(replicates=1).to_dict(), "master_seed": -1}))
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_risk_takes_seed_and_jitter_from_config(tmp_path):

@@ -4,7 +4,7 @@ from scipy.stats import ks_2samp
 
 from overadapt.config import config_from_dict
 from overadapt.estimators import EstimatorKind, GramSolver, SingularDesignError
-from overadapt.harness import evaluate_seed, run_sweep, write_results
+from overadapt.harness import evaluate_seed, rows_from_report, run_sweep, write_results
 from overadapt.presets import preset_environment
 from overadapt.risk import (
     TERM_KEYS,
@@ -12,9 +12,7 @@ from overadapt.risk import (
     FtResolvent,
     _mc_risk_draws,
     _RowSpace,
-    conditional_expected_risk,
     lemma_approx_risk,
-    mc_expected_risk,
     mc_expected_risks,
     plugin_excess_risk,
 )
@@ -141,8 +139,7 @@ def test_zero_variance_row_space_theta_c_gives_zero():
     X, Xt = draw_designs(env, seed=2)
     tc = X.T @ np.ones(env.n)
     tc *= env.theta_c_norm / np.linalg.norm(tc)
-    report = conditional_expected_risk(X, Xt, env, EstimatorKind.pretrained(),
-                                       theta_c=tc)
+    report = AnalyticRisk.from_env(X, Xt, env, theta_c=tc).report(EstimatorKind.pretrained())
     assert report.l_pre <= 1e-12
 
 
@@ -156,7 +153,7 @@ def test_pretrained_ft_task_shift_term_frozen_value():
         zeta1=1e-4, zeta2=1e-2, sigma2=1e-2, sigma2_tilde=1e-2,
     )
     X, Xt = draw_designs(env, seed=3)
-    report = conditional_expected_risk(X, Xt, env, EstimatorKind.pretrained())
+    report = AnalyticRisk.from_env(X, Xt, env).report(EstimatorKind.pretrained())
     assert report.ft.terms["term_zeta2"] == pytest.approx(0.019750, rel=1e-12)
 
 
@@ -244,8 +241,8 @@ def test_mc_matches_analytic_within_3se():
     X, Xt = draw_designs(env, seed=7)
     ev = AnalyticRisk.from_env(X, Xt, env)
     for i, kind in enumerate(ALL_KINDS):
-        mc = mc_expected_risk(X, Xt, env, kind, draws=4000,
-                              rng=derive_rng(100 + i, "mc", 0))
+        mc = mc_expected_risks(X, Xt, env, [kind], draws=4000,
+                               rng=derive_rng(100 + i, "mc", 0))[0]
         exact = ev.report(kind)
         for task in ("pre", "ft"):
             gap = abs(mc.task(task).value - exact.task(task).value)
@@ -255,9 +252,9 @@ def test_mc_matches_analytic_within_3se():
 def test_mc_noise_only_environment():
     env = desk_env(zeta1=0.0, zeta2=0.0, sigma2=0.0, theta_c_norm=0.0)
     X, Xt = draw_designs(env, seed=8)
-    mc = mc_expected_risk(X, Xt, env, EstimatorKind.ridgeless(), draws=4000,
-                          rng=derive_rng(9, "mc", 0))
-    exact = conditional_expected_risk(X, Xt, env, EstimatorKind.ridgeless())
+    mc = mc_expected_risks(X, Xt, env, [EstimatorKind.ridgeless()], draws=4000,
+                           rng=derive_rng(9, "mc", 0))[0]
+    exact = AnalyticRisk.from_env(X, Xt, env).report(EstimatorKind.ridgeless())
     assert exact.ft.value == pytest.approx(exact.ft.terms["term_sigma_tilde"])
     assert abs(mc.l_ft - exact.l_ft) <= 3 * mc.ft.se
 
@@ -266,10 +263,10 @@ def test_mc_se_scales_with_draws():
     env = desk_env()
     X, Xt = draw_designs(env, seed=9)
     kind = EstimatorKind.ridge(1e-3)
-    se_small = mc_expected_risk(X, Xt, env, kind, draws=100,
-                                rng=derive_rng(1, "mc", 0)).ft.se
-    se_big = mc_expected_risk(X, Xt, env, kind, draws=10_000,
-                              rng=derive_rng(2, "mc", 0)).ft.se
+    se_small = mc_expected_risks(X, Xt, env, [kind], draws=100,
+                                 rng=derive_rng(1, "mc", 0))[0].ft.se
+    se_big = mc_expected_risks(X, Xt, env, [kind], draws=10_000,
+                               rng=derive_rng(2, "mc", 0))[0].ft.se
     ratio = se_small / se_big
     assert 10.0 / 1.3 <= ratio <= 10.0 * 1.3
 
@@ -278,8 +275,8 @@ def test_mc_exact_zero_when_deterministic():
     env = desk_env(zeta1=0.0, zeta2=0.0, sigma2=0.0, sigma2_tilde=0.0,
                    theta_c_norm=0.0)
     X, Xt = draw_designs(env, seed=10)
-    mc = mc_expected_risk(X, Xt, env, EstimatorKind.ridge(1e-3), draws=50,
-                          rng=derive_rng(3, "mc", 0))
+    mc = mc_expected_risks(X, Xt, env, [EstimatorKind.ridge(1e-3)], draws=50,
+                           rng=derive_rng(3, "mc", 0))[0]
     assert mc.l_pre == 0.0 and mc.l_ft == 0.0
     assert mc.pre.se == 0.0
 
@@ -288,11 +285,11 @@ def test_mc_reproducible_and_validates_draws():
     env = desk_env()
     X, Xt = draw_designs(env, seed=11)
     kind = EstimatorKind.ensemble(1e-3, 0.5)
-    a = mc_expected_risk(X, Xt, env, kind, 500, derive_rng(4, "mc", 0))
-    b = mc_expected_risk(X, Xt, env, kind, 500, derive_rng(4, "mc", 0))
+    a = mc_expected_risks(X, Xt, env, [kind], 500, derive_rng(4, "mc", 0))[0]
+    b = mc_expected_risks(X, Xt, env, [kind], 500, derive_rng(4, "mc", 0))[0]
     assert a.l_ft == b.l_ft and a.l_pre == b.l_pre
     with pytest.raises(ValueError):
-        mc_expected_risk(X, Xt, env, kind, 0, derive_rng(4, "mc", 0))
+        mc_expected_risks(X, Xt, env, [kind], 0, derive_rng(4, "mc", 0))
 
 
 def small_dof_env(**overrides):
@@ -350,7 +347,7 @@ def test_mc_reduced_law_matches_dense_draws(name):
     draws = 4000
     space = _RowSpace(X, Xt, dict(zip(("pre", "ft"), env.eigenvalues())), theta_c)
     reduced = _mc_risk_draws(space, GramSolver(X), GramSolver(Xt), env, ALL_KINDS, draws,
-                             derive_rng(7, "mc", 0), ["pre", "ft"], 512)
+                             derive_rng(7, "mc", 0), ["pre", "ft"])
     dense = mc_dense_risk_draws(X, Xt, env, ALL_KINDS, draws, derive_rng(8, "mc", 0),
                                 theta_c=theta_c)
     for kind, got, want in zip(ALL_KINDS, reduced, dense):
@@ -435,7 +432,7 @@ def test_mc_shared_draws_equal_single_kind_calls():
     shared = mc_expected_risks(X, Xt, env, kinds, 1100, derive_rng(5, "mc", 0))
     assert [r.kind for r in shared] == kinds
     for kind, got in zip(kinds, shared):
-        _same_mc(got, mc_expected_risk(X, Xt, env, kind, 1100, derive_rng(5, "mc", 0)))
+        _same_mc(got, mc_expected_risks(X, Xt, env, [kind], 1100, derive_rng(5, "mc", 0))[0])
 
 
 def test_mc_shared_draws_without_fine_tuning_keep_pretrained_stream():
@@ -446,7 +443,7 @@ def test_mc_shared_draws_without_fine_tuning_keep_pretrained_stream():
     kinds = [EstimatorKind.pretrained(), EstimatorKind.ensemble(0.05, 0.0),
              EstimatorKind.ridge(0.05)]
     shared = mc_expected_risks(X, Xt, env, kinds, 700, derive_rng(6, "mc", 0))
-    single = mc_expected_risk(X, Xt, env, kinds[0], 700, derive_rng(6, "mc", 0))
+    single = mc_expected_risks(X, Xt, env, [kinds[0]], 700, derive_rng(6, "mc", 0))[0]
     for got in shared[:2]:
         _same_mc(got, single)
 
@@ -479,8 +476,8 @@ def test_sweep_mc_rows_equal_per_kind_calls():
                 continue
             kind = EstimatorKind(r.estimator, lam=r.lam or 0.0,
                                  tau=1.0 if r.tau is None else r.tau)
-            want = mc_expected_risk(X, Xt, env, kind, cfg.mc_draws,
-                                    derive_rng(cfg.master_seed, "mc", seed))
+            want = mc_expected_risks(X, Xt, env, [kind], cfg.mc_draws,
+                                     derive_rng(cfg.master_seed, "mc", seed))[0]
             assert (r.value, r.se) == (want.task(r.task).value, want.task(r.task).se)
             checked += 1
     # pretrained, ridgeless, two ridge levels and six ensembles, both tasks
@@ -521,10 +518,13 @@ def test_lemma_ensemble_tau1_equals_ridge():
 
 def test_lemma_rows_are_the_analytic_two_terms():
     # a fine-tune support smaller than n makes the Gram singular, so jitter applies
-    env = desk_env(p=60, n=8, spectrum_ft=SpectrumSpec(1, 0.1, 60, 5))
+    cfg = config_from_dict({"n": 8, "p": 60, "p_tilde": 5, "gamma_pre": 8.0**-1.5,
+                            "gamma_ft": 0.1, "master_seed": 3, "fix_theta_c": True,
+                            "jitter": True, "methods": ["analytic", "lemma_approx"]})
+    assert cfg.environment() == desk_env(p=60, n=8, spectrum_ft=SpectrumSpec(1, 0.1, 60, 5))
     kinds = ALL_KINDS + [EstimatorKind.ensemble(0.0, 0.7), EstimatorKind.ridge(1e-9)]
-    rows = evaluate_seed(env, 0, 3, kinds, ["analytic", "lemma_approx"], 0,
-                         fix_theta_c=True, jitter=True)
+    rows = [row for report in evaluate_seed(cfg, 0, kinds)
+            for row in rows_from_report(report, "", 0)]
     by_method = {}
     for r in rows:
         by_method.setdefault(r.method, []).append(r)
@@ -543,7 +543,7 @@ def test_lemma_within_band_of_analytic_on_bench_instance():
     X, Xt = draw_designs(env, seed=14)
     lam = 1e-3
     approx = lemma_approx_risk(Xt, env, EstimatorKind.ridge(lam))
-    exact = conditional_expected_risk(X, Xt, env, EstimatorKind.ridge(lam))
+    exact = AnalyticRisk.from_env(X, Xt, env).report(EstimatorKind.ridge(lam))
     ratio = approx.l_ft / exact.l_ft
     assert 0.8 <= ratio <= 1.25
 
@@ -554,17 +554,16 @@ def test_singular_ft_gram_raises_at_lambda_zero():
     env = desk_env(spectrum_ft=SpectrumSpec(1, 0.0, 400, 1))
     X, Xt = draw_designs(env, seed=15)
     with pytest.raises(SingularDesignError):
-        conditional_expected_risk(X, Xt, env, EstimatorKind.ridgeless())
+        AnalyticRisk.from_env(X, Xt, env).report(EstimatorKind.ridgeless())
     # the pretrained estimator never touches the fine-tune resolvent
-    report = conditional_expected_risk(X, Xt, env, EstimatorKind.pretrained())
+    report = AnalyticRisk.from_env(X, Xt, env).report(EstimatorKind.pretrained())
     assert np.isfinite(report.l_ft)
 
 
 def test_report_task_accessor_and_dict():
     env = desk_env()
     X, Xt = draw_designs(env, seed=16)
-    report = conditional_expected_risk(X, Xt, env, EstimatorKind.ridge(1e-3),
-                                       task="ft")
+    report = AnalyticRisk.from_env(X, Xt, env).report(EstimatorKind.ridge(1e-3), task="ft")
     assert report.pre is None
     assert report.task("ft").value == report.l_ft
     with pytest.raises(ValueError):
@@ -579,5 +578,5 @@ def test_mc_risk_rejects_solver_for_another_design():
     Xt, Xt_other = (sample_design(env.spectrum_ft, env.n, derive_rng(s, "design_ft", 0))
                     for s in (0, 1))
     with pytest.raises(ValueError, match="different design"):
-        mc_expected_risk(X, Xt, env, EstimatorKind.ridge(0.05), 10, derive_rng(0, "mc", 0),
-                         solver_ft=GramSolver(Xt_other))
+        mc_expected_risks(X, Xt, env, [EstimatorKind.ridge(0.05)], 10, derive_rng(0, "mc", 0),
+                          solver_ft=GramSolver(Xt_other))
