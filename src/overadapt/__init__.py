@@ -1,11 +1,11 @@
 """Numerical laboratory for over-parameterized pretrain/fine-tune regression.
 
 Builds the two-task linear model (shared parameter plus task offsets,
-diagonal three-block covariances), the four closed-form estimators
-(pretrained min-norm, interpolating fine-tune, ridge fine-tune, weight
-ensemble), and the machinery to measure their excess risks exactly, by
-Monte Carlo and by dominant-term shortcuts, together with an experiment
-harness, ordering verification and plotting.
+diagonal three-block covariances) and measures the excess risks of four
+closed-form estimators (pretrained min-norm, interpolating fine-tune, ridge
+fine-tune, weight ensemble) through n x n Gram algebra: exactly, by Monte
+Carlo and by dominant-term shortcuts, together with an experiment harness,
+ordering verification and plotting.
 
 The public names below load their submodule on first access.  So
 ``import overadapt`` loads no numpy, and the command-line entry point
@@ -18,18 +18,15 @@ import importlib
 _SUBMODULE_NAMES = {
     "config": ("ConfigError", "ExperimentConfig", "config_from_dict", "load_config",
                "save_config"),
-    "estimators": ("EstimatorKind", "GramSolver", "SingularDesignError", "WeightVector",
-                   "ensemble", "finetune_ridge", "finetune_ridgeless", "pretrain_minnorm"),
+    "estimators": ("EstimatorKind", "GramSolver", "SingularDesignError"),
     "harness": ("ResultRow", "SweepResult", "run_preset", "run_sweep", "write_results"),
     "presets": ("preset_environment", "preset_points", "theorem_check_env"),
     "risk": ("AnalyticRisk", "FtResolvent", "RiskReport", "TaskRisk", "lemma_approx_risk",
-             "mc_expected_risks", "plugin_excess_risk"),
-    "spectra": ("SpectrumSpec", "UndefinedRankError", "build_eigenvalues", "critical_index",
-                "effective_rank"),
+             "mc_expected_risks"),
+    "spectra": ("SpectrumSpec", "UndefinedRankError", "build_eigenvalues", "effective_rank"),
     "svgplot": ("MissingSeriesError", "render_tradeoff_svg"),
-    "synth": ("Condition2Report", "SampledInstance", "TaskEnvironment", "check_condition2",
-              "derive_rng", "gen_labels", "sample_design", "sample_designs",
-              "sample_instance", "sample_parameters"),
+    "synth": ("Condition2Report", "TaskEnvironment", "check_condition2", "derive_rng",
+              "sample_design", "sample_designs", "sample_theta_c"),
     "theory": ("EigenBandReport", "OrderingReport", "eigen_band_check", "ensemble_risk_dtau",
                "ft_risk_dlambda", "lambda_prime", "sum_risk_dlambda", "tau_prime",
                "verify_theorem_orderings"),

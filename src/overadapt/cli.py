@@ -5,7 +5,8 @@ Subcommands:
   sweep --config F   run a factorial sweep from a flat JSON config
   verify             ordering suite + tail-eigenvalue concentration check
   risk               evaluate one estimator point on one drawn instance
-                     (the report as JSON on stdout, or its rows with --out)
+                     (its rows to --out or the config's out, else the
+                     report as JSON on stdout)
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure
 (ill-conditioned Gram without --jitter, or any failed seed of a preset or
@@ -193,10 +194,11 @@ def _cmd_risk(args) -> int:
     }[args.estimator]()
     # replicate 0 of a one-method sweep of the config at this one point
     (report,) = evaluate_seed(config, 0, [kind])
-    if args.out:
+    out = args.out or config.out
+    if out:
         rows = rows_from_report(report, config.case or "", 0)
-        write_results(rows, args.out, config.format)
-        print(f"wrote {len(rows)} rows to {args.out}")
+        write_results(rows, out, config.format)
+        print(f"wrote {len(rows)} rows to {out}")
     else:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK

@@ -1,16 +1,18 @@
-"""Closed-form weight vectors computed through n x n Gram algebra.
+"""Estimator kinds and the n x n Gram solver behind every estimator.
 
-Four estimators: the min-norm pretrain solution, fine-tuning that
-interpolates the new labels while staying closest to the pretrained
-weights, its ridge-penalised version (penalty ``n*lam`` added to the Gram
-diagonal), and the convex combination of pretrained and fine-tuned weights.
-The p x p projector is never formed; every solve goes through one
-eigendecomposition of the n x n Gram per design, read at every penalty level.
+Four estimators: the min-norm pretrain interpolant
+theta1 = X^T (X X^T)^-1 Y, fine-tuning that interpolates the new labels
+while staying closest to theta1, its ridge-penalised version
+theta1 + Xt^T (Xt Xt^T + n*lam*I)^-1 (Yt - Xt theta1), and the weight
+ensemble (1 - tau) theta1 + tau theta_ft.  ``EstimatorKind`` names one by
+its (lam, tau); the ``risk`` module evaluates them.  The p x p projector is
+never formed; every solve goes through one eigendecomposition of the n x n
+Gram per design (``GramSolver``), read at every penalty level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,33 +26,6 @@ ENSEMBLE = "ensemble"
 
 class SingularDesignError(ArithmeticError):
     """Gram matrix too ill-conditioned to invert at the requested penalty."""
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """A p-dimensional estimator with provenance.
-
-    ``lam`` is meaningful for ridge and ensemble provenances, ``tau`` only
-    for ensembles.  ``jitter`` records any diagonal boost that was applied
-    to rescue a near-singular Gram.
-    """
-
-    weights: np.ndarray
-    provenance: str
-    lam: float | None = None
-    tau: float | None = None
-    jitter: float = 0.0
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weight vector contains non-finite entries")
-
-    def to_csv(self, path) -> None:
-        """Dump as (index,value) rows for audit."""
-        with open(path, "w") as fh:
-            fh.write("index,value\n")
-            for i, v in enumerate(self.weights):
-                fh.write(f"{i},{float(v)!r}\n")
 
 
 class GramSolver:
@@ -102,10 +77,6 @@ class GramSolver:
         coef = U.T @ rhs
         return U @ (coef / (shifted[:, None] if coef.ndim == 2 else shifted))
 
-    def apply_pinv_t(self, rhs: np.ndarray, nlam: float = 0.0) -> np.ndarray:
-        """X^T (X X^T + nlam I)^{-1} rhs, the workhorse of every estimator."""
-        return self.X.T @ self.solve(rhs, nlam)
-
 
 def _solver(X: np.ndarray, solver: GramSolver | None, jitter: bool) -> GramSolver:
     if solver is not None:
@@ -114,71 +85,6 @@ def _solver(X: np.ndarray, solver: GramSolver | None, jitter: bool) -> GramSolve
             raise ValueError("solver was built for a different design")
         return solver
     return GramSolver(X, jitter=jitter)
-
-
-def pretrain_minnorm(
-    X: np.ndarray,
-    Y: np.ndarray,
-    solver: GramSolver | None = None,
-    jitter: bool = False,
-) -> WeightVector:
-    """Smallest-norm weights interpolating the pretrain labels."""
-    s = _solver(X, solver, jitter)
-    w = s.apply_pinv_t(Y)
-    return WeightVector(weights=w, provenance=PRETRAINED, jitter=s.jitter_applied)
-
-
-def finetune_ridgeless(
-    theta1: WeightVector,
-    Xt: np.ndarray,
-    Yt: np.ndarray,
-    solver: GramSolver | None = None,
-    jitter: bool = False,
-) -> WeightVector:
-    """Interpolant of the fine-tune labels closest to the pretrained weights."""
-    s = _solver(Xt, solver, jitter)
-    residual = Yt - Xt @ theta1.weights
-    w = theta1.weights + s.apply_pinv_t(residual)
-    return WeightVector(weights=w, provenance=RIDGELESS, lam=0.0,
-                        jitter=s.jitter_applied)
-
-
-def finetune_ridge(
-    theta1: WeightVector,
-    Xt: np.ndarray,
-    Yt: np.ndarray,
-    lam: float,
-    solver: GramSolver | None = None,
-    jitter: bool = False,
-) -> WeightVector:
-    """Fine-tune with an l2 pull toward the pretrained weights.
-
-    Solves theta1 + Xt^T (Xt Xt^T + n*lam*I)^{-1} (Yt - Xt theta1); lam -> 0
-    recovers the interpolating solution, lam -> inf returns theta1.
-    """
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
-    s = _solver(Xt, solver, jitter)
-    n = Xt.shape[0]
-    residual = Yt - Xt @ theta1.weights
-    w = theta1.weights + s.apply_pinv_t(residual, nlam=n * lam)
-    return WeightVector(weights=w, provenance=RIDGE, lam=lam, jitter=s.jitter_applied)
-
-
-def ensemble(
-    theta1: WeightVector,
-    theta_ft: WeightVector,
-    tau: float,
-    allow_extrapolation: bool = False,
-) -> WeightVector:
-    """(1 - tau) * theta1 + tau * theta_ft."""
-    if theta1.weights.shape != theta_ft.weights.shape:
-        raise ValueError("weight vectors have mismatched dimensions")
-    if not allow_extrapolation and not (0.0 <= tau <= 1.0):
-        raise ValueError(f"tau={tau} outside [0, 1] (set allow_extrapolation to override)")
-    w = (1.0 - tau) * theta1.weights + tau * theta_ft.weights
-    return WeightVector(weights=w, provenance=ENSEMBLE,
-                        lam=theta_ft.lam, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -231,25 +137,3 @@ class EstimatorKind:
     @classmethod
     def ensemble(cls, lam: float, tau: float):
         return cls(ENSEMBLE, lam=lam, tau=tau)
-
-
-def compute_estimator(
-    kind: EstimatorKind,
-    X: np.ndarray,
-    Y: np.ndarray,
-    Xt: np.ndarray,
-    Yt: np.ndarray,
-    solver_pre: GramSolver | None = None,
-    solver_ft: GramSolver | None = None,
-    jitter: bool = False,
-) -> WeightVector:
-    """Evaluate any estimator kind on one instance."""
-    theta1 = pretrain_minnorm(X, Y, solver=solver_pre, jitter=jitter)
-    if kind.name == PRETRAINED:
-        return theta1
-    if kind.name == RIDGELESS:
-        return finetune_ridgeless(theta1, Xt, Yt, solver=solver_ft, jitter=jitter)
-    ft = finetune_ridge(theta1, Xt, Yt, kind.lam, solver=solver_ft, jitter=jitter)
-    if kind.name == RIDGE:
-        return ft
-    return ensemble(theta1, ft, kind.tau)

@@ -37,7 +37,7 @@ from .risk import (
     lemma_approx_risk,
     mc_expected_risks,
 )
-from .synth import derive_rng, sample_designs, sample_parameters
+from .synth import derive_rng, sample_designs, sample_theta_c
 
 WORKERS_ENV_VAR = "OVERADAPT_WORKERS"
 
@@ -73,17 +73,6 @@ class ResultRow:
             d[k] = self.terms.get(k)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResultRow":
-        terms = {k: d[k] for k in TERM_KEYS if d.get(k) is not None}
-        return cls(
-            case=d["case"], seed=int(d["seed"]), estimator=d["estimator"],
-            lam=d["lambda"], tau=d["tau"], task=d["task"], method=d["method"],
-            value=float(d["value"]),
-            se=None if d.get("se") is None else float(d["se"]),
-            terms=terms,
-        )
-
 
 CSV_COLUMNS = ("case", "seed", "estimator", "lambda", "tau", "task", "method",
                "value", "se", *TERM_KEYS)
@@ -115,13 +104,6 @@ def write_results(rows, path, format: str = "csv") -> None:
             raise ValueError(f"unknown format {format!r}")
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
-
-
-def read_results(path) -> list[ResultRow]:
-    """Inverse of write_results for the JSON format."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    return [ResultRow.from_dict(d) for d in raw]
 
 
 def _row_params(kind: EstimatorKind) -> tuple[float | None, float | None]:
@@ -176,7 +158,7 @@ def evaluate_seed(config: ExperimentConfig, seed_index: int,
     theta_c = None
     if config.fix_theta_c:
         # one shared draw held fixed across every replicate of the sweep
-        theta_c, _, _ = sample_parameters(env, derive_rng(config.master_seed, "params", 0))
+        theta_c = sample_theta_c(env, derive_rng(config.master_seed, "params", 0))
     # one eigendecomposition per design: every method reads the same solvers
     analytic = resolvent = None
     if "analytic" in methods:

@@ -1,7 +1,5 @@
 """Excess risks of the four estimators, three ways.
 
-``plugin_excess_risk``       spectrum-weighted squared error of one realised
-                             weight vector.
 ``AnalyticRisk``             exact expectation over (theta_c, alpha1, alpha2,
                              noise) with the two designs held fixed, via
                              closed-form trace formulas
@@ -92,7 +90,7 @@ class TaskRisk:
 class RiskReport:
     """Risks of one estimator on both tasks under one evaluation method."""
 
-    method: str  # plugin | monte_carlo | analytic | lemma_approx
+    method: str  # monte_carlo | analytic | lemma_approx
     kind: EstimatorKind
     pre: TaskRisk | None
     ft: TaskRisk | None
@@ -128,16 +126,6 @@ class RiskReport:
             if tr.se is not None:
                 d[f"se_{name}"] = tr.se
         return d
-
-
-def plugin_excess_risk(theta_hat, theta_true: np.ndarray, eigs: np.ndarray) -> float:
-    """Sum_i eigs_i (theta_hat_i - theta_true_i)^2."""
-    w = theta_hat.weights if hasattr(theta_hat, "weights") else np.asarray(theta_hat)
-    theta_true = np.asarray(theta_true)
-    if w.shape != theta_true.shape or w.shape[0] != np.asarray(eigs).shape[0]:
-        raise ValueError("dimension mismatch between weights, target and spectrum")
-    diff = w - theta_true
-    return float(np.sum(np.asarray(eigs) * diff * diff))
 
 
 def _finish_terms(raw: dict[str, float]) -> tuple[float, dict[str, float]]:

@@ -57,15 +57,6 @@ class SpectrumSpec:
             "p_tilde": self.p_tilde,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpectrumSpec":
-        return cls(
-            k_star=int(d["k_star"]),
-            gamma=float(d["gamma"]),
-            p=int(d["p"]),
-            p_tilde=int(d["p_tilde"]),
-        )
-
 
 def build_eigenvalues(spec: SpectrumSpec) -> np.ndarray:
     """Materialise the spectrum as a length-p non-increasing vector."""
@@ -91,25 +82,3 @@ def effective_rank(eigs: np.ndarray, k: int) -> float:
             f"effective rank undefined at k={k}: eigenvalue {k + 1} is zero"
         )
     return float(np.sum(eigs[k:]) / pivot)
-
-
-def critical_index(eigs: np.ndarray, b: float, n: int) -> int | None:
-    """Smallest k with r_k >= b*n, or None if no such k exists.
-
-    Only indices with a strictly positive pivot eigenvalue are searched;
-    ties (r_k exactly b*n) satisfy the threshold.
-    """
-    if b <= 0:
-        raise ValueError(f"b must be positive, got {b}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    eigs = np.asarray(eigs, dtype=float)
-    # suffix sums once, then scan: r_k = tail[k] / eigs[k]
-    tail = np.cumsum(eigs[::-1])[::-1]
-    threshold = b * n
-    for k in range(eigs.size):
-        if eigs[k] <= 0.0:
-            break
-        if tail[k] >= threshold * eigs[k]:
-            return k
-    return None

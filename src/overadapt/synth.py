@@ -1,15 +1,16 @@
 """Population model and finite-sample draws for the two-task regression setup.
 
-Generates the shared parameter theta_c, the task offsets alpha1/alpha2, the
-designs X (pretrain) and X_tilde (fine-tune), and the noisy labels.  All
-randomness flows through streams derived from (master_seed, purpose,
+Generates the designs X (pretrain) and X_tilde (fine-tune), and the shared
+parameter theta_c that a ``fix_theta_c`` run holds fixed; the risk
+evaluators average over the rest of the model (exactly, or by Monte Carlo).
+All randomness flows through streams derived from (master_seed, purpose,
 replicate) so that parallel replicates are order-independent and every draw
 is bit-reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,48 +94,6 @@ class TaskEnvironment:
         return build_eigenvalues(self.spectrum_pre), build_eigenvalues(self.spectrum_ft)
 
 
-@dataclass(frozen=True)
-class SampledInstance:
-    """One realised draw of parameters, designs and labels."""
-
-    theta_c: np.ndarray
-    alpha1: np.ndarray
-    alpha2: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    X_tilde: np.ndarray
-    Y_tilde: np.ndarray
-    seed: int
-    replicate: int = 0
-
-    @property
-    def theta(self) -> np.ndarray:
-        """Label-generating parameter of the pretrain task."""
-        return self.theta_c + self.alpha1
-
-    @property
-    def theta_tilde(self) -> np.ndarray:
-        """Label-generating parameter of the fine-tune task."""
-        return self.theta_c + self.alpha2
-
-    def save(self, path) -> None:
-        np.savez_compressed(
-            path,
-            theta_c=self.theta_c, alpha1=self.alpha1, alpha2=self.alpha2,
-            X=self.X, Y=self.Y, X_tilde=self.X_tilde, Y_tilde=self.Y_tilde,
-            seed=np.int64(self.seed), replicate=np.int64(self.replicate),
-        )
-
-    @classmethod
-    def load(cls, path) -> "SampledInstance":
-        with np.load(path) as z:
-            return cls(
-                theta_c=z["theta_c"], alpha1=z["alpha1"], alpha2=z["alpha2"],
-                X=z["X"], Y=z["Y"], X_tilde=z["X_tilde"], Y_tilde=z["Y_tilde"],
-                seed=int(z["seed"]), replicate=int(z["replicate"]),
-            )
-
-
 def _coord_draws(rng: np.random.Generator, shape, coord_dist: str) -> np.ndarray:
     """i.i.d. zero-mean unit-variance coordinates."""
     if coord_dist == "gaussian":
@@ -189,73 +148,17 @@ def sample_designs(
     return X, X_tilde
 
 
-def sample_parameters(
-    env: TaskEnvironment, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw (theta_c, alpha1, alpha2), mutually independent.
+def sample_theta_c(env: TaskEnvironment, rng: np.random.Generator) -> np.ndarray:
+    """Draw theta_c uniform on the sphere of radius env.theta_c_norm.
 
-    theta_c is uniform on the sphere of radius env.theta_c_norm; the alphas
-    are mean-zero gaussian with isotropic per-coordinate variances zeta1 and
-    zeta2.  Zero variances give exact zero vectors.
+    ``fix_theta_c`` runs hold one such draw fixed across every replicate.
     """
-    p = env.p
-    theta_c = rng.standard_normal(p)
+    theta_c = rng.standard_normal(env.p)
     norm = np.linalg.norm(theta_c)
     if norm == 0.0:  # probability-zero draw; resample deterministically
-        theta_c = np.ones(p)
-        norm = np.sqrt(p)
-    theta_c = theta_c * (env.theta_c_norm / norm)
-    alpha1 = rng.standard_normal(p) * np.sqrt(env.zeta1) if env.zeta1 > 0 else np.zeros(p)
-    alpha2 = rng.standard_normal(p) * np.sqrt(env.zeta2) if env.zeta2 > 0 else np.zeros(p)
-    return theta_c, alpha1, alpha2
-
-
-def gen_labels(
-    X: np.ndarray,
-    theta: np.ndarray,
-    noise_var: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """y_i = x_i . theta + eps_i with gaussian noise of variance noise_var."""
-    if noise_var < 0:
-        raise ValueError(f"noise variance must be non-negative, got {noise_var}")
-    clean = X @ theta
-    if noise_var == 0.0:
-        return clean
-    return clean + rng.standard_normal(X.shape[0]) * np.sqrt(noise_var)
-
-
-def sample_instance(
-    env: TaskEnvironment,
-    master_seed: int,
-    replicate: int = 0,
-    theta_c: np.ndarray | None = None,
-) -> SampledInstance:
-    """Draw a full instance from per-purpose streams.
-
-    Passing ``theta_c`` pins the shared parameter (it is still checked
-    against env.theta_c_norm); otherwise it is resampled per replicate.
-    """
-    rng_params = derive_rng(master_seed, "params", replicate)
-    tc, alpha1, alpha2 = sample_parameters(env, rng_params)
-    if theta_c is not None:
-        theta_c = np.asarray(theta_c, dtype=float)
-        norm = np.linalg.norm(theta_c)
-        if env.theta_c_norm > 0 and abs(norm - env.theta_c_norm) > 1e-12 * env.theta_c_norm:
-            raise ValueError(
-                f"fixed theta_c has norm {norm}, expected {env.theta_c_norm}"
-            )
-        tc = theta_c
-    X, X_tilde = sample_designs(env, master_seed, replicate)
-    Y = gen_labels(X, tc + alpha1, env.sigma2, derive_rng(master_seed, "noise_pre", replicate))
-    Y_tilde = gen_labels(
-        X_tilde, tc + alpha2, env.sigma2_tilde, derive_rng(master_seed, "noise_ft", replicate)
-    )
-    return SampledInstance(
-        theta_c=tc, alpha1=alpha1, alpha2=alpha2,
-        X=X, Y=Y, X_tilde=X_tilde, Y_tilde=Y_tilde,
-        seed=int(master_seed), replicate=int(replicate),
-    )
+        theta_c = np.ones(env.p)
+        norm = np.sqrt(env.p)
+    return theta_c * (env.theta_c_norm / norm)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,6 @@ def ft_risk_dlambda(
 
 
 def sum_risk_dlambda(
-    X: np.ndarray | None,
     Xt: np.ndarray,
     env: TaskEnvironment,
     lam: float,
@@ -93,10 +92,9 @@ def sum_risk_dlambda(
 ) -> float:
     """d/d(lam) of the two-term summed (pretrain + fine-tune) ridge risk.
 
-    The reduced form involves only fine-tune-side traces, so X is accepted
-    for signature symmetry but unused.  Strictly negative for
-    lam < 2*lambda_prime; at exactly 2*lambda_prime only the curvature term
-    survives, keeping the derivative <= 0.
+    The reduced form involves only fine-tune-side traces.  Strictly
+    negative for lam < 2*lambda_prime; at exactly 2*lambda_prime only the
+    curvature term survives, keeping the derivative <= 0.
     """
     if lam < 0:
         raise ValueError("lam must be non-negative")

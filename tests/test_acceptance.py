@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from overadapt._blas import single_threaded
-from overadapt.estimators import (
-    EstimatorKind,
-    finetune_ridge,
-    finetune_ridgeless,
-    pretrain_minnorm,
-)
+from overadapt.estimators import EstimatorKind, GramSolver
 from overadapt.config import config_from_dict
 from overadapt.harness import run_preset, run_sweep, write_results
 from overadapt.presets import (
@@ -29,7 +24,13 @@ from overadapt.presets import (
 )
 from overadapt.risk import AnalyticRisk, FtResolvent, mc_expected_risks
 from overadapt.spectra import SpectrumSpec, build_eigenvalues, effective_rank
-from overadapt.synth import TaskEnvironment, derive_rng, sample_design, sample_instance
+from overadapt.synth import (
+    TaskEnvironment,
+    derive_rng,
+    sample_design,
+    sample_designs,
+    sample_theta_c,
+)
 from overadapt.theory import (
     eigen_band_check,
     ensemble_risk_dtau,
@@ -82,14 +83,18 @@ def test_c01_tiny_scale_oracle_equivalence():
         Yt = rng.standard_normal(n)
         lam = float(rng.uniform(0.01, 1.0))
         tau = float(rng.uniform(0.0, 1.0))
-        theta1 = pretrain_minnorm(X, Y)
+        # the estimator maps of the Monte-Carlo evaluator: theta1, then one
+        # fine-tune step per penalty, the ensemble a point along the step
+        st = GramSolver(Xt)
+        theta1 = X.T @ GramSolver(X).solve(Y)
+        resid = Yt - Xt @ theta1
+        step = Xt.T @ st.solve(resid, nlam=n * lam)
         estimates = {
-            "pretrained": theta1.weights,
-            "ridgeless_ft": finetune_ridgeless(theta1, Xt, Yt).weights,
-            "ridge_ft": finetune_ridge(theta1, Xt, Yt, lam).weights,
+            "pretrained": theta1,
+            "ridgeless_ft": theta1 + Xt.T @ st.solve(resid),
+            "ridge_ft": theta1 + step,
+            "ensemble": theta1 + tau * step,
         }
-        estimates["ensemble"] = ((1 - tau) * estimates["pretrained"]
-                                 + tau * estimates["ridge_ft"])
         for name, got in estimates.items():
             want = estimator_oracle(name, X, Y, Xt, Yt, lam=lam, tau=tau)
             worst = max(worst, np.linalg.norm(got - want)
@@ -103,20 +108,30 @@ def test_c01_tiny_scale_oracle_equivalence():
 def test_c02_interpolation_and_ridge_limits():
     env = desk_instance_env()
     worst_interp = worst_small = worst_large = 0.0
+    n = env.n
     for seed in range(20):
-        inst = sample_instance(env, MASTER_SEED, replicate=seed)
-        theta1 = pretrain_minnorm(inst.X, inst.Y)
-        theta2 = finetune_ridgeless(theta1, inst.X_tilde, inst.Y_tilde)
-        resid = np.max(np.abs(inst.X_tilde @ theta2.weights - inst.Y_tilde))
-        worst_interp = max(worst_interp, resid / np.max(np.abs(inst.Y_tilde)))
-        tiny = finetune_ridge(theta1, inst.X_tilde, inst.Y_tilde, 1e-12)
+        # one instance per replicate: designs, theta_c and both offsets from
+        # the params stream, each task's label noise from its own stream
+        X, Xt = sample_designs(env, MASTER_SEED, seed)
+        params = derive_rng(MASTER_SEED, "params", seed)
+        theta_c = sample_theta_c(env, params)
+        alpha1 = params.standard_normal(env.p) * np.sqrt(env.zeta1)
+        alpha2 = params.standard_normal(env.p) * np.sqrt(env.zeta2)
+        noise_pre = derive_rng(MASTER_SEED, "noise_pre", seed).standard_normal(X.shape[0])
+        noise_ft = derive_rng(MASTER_SEED, "noise_ft", seed).standard_normal(n)
+        Y = X @ (theta_c + alpha1) + noise_pre * np.sqrt(env.sigma2)
+        Yt = Xt @ (theta_c + alpha2) + noise_ft * np.sqrt(env.sigma2_tilde)
+        st = GramSolver(Xt)
+        theta1 = X.T @ GramSolver(X).solve(Y)
+        resid = Yt - Xt @ theta1
+        theta2 = theta1 + Xt.T @ st.solve(resid)
+        worst_interp = max(worst_interp, np.max(np.abs(Xt @ theta2 - Yt)) / np.max(np.abs(Yt)))
+        tiny = theta1 + Xt.T @ st.solve(resid, nlam=n * 1e-12)
         worst_small = max(worst_small,
-                          np.linalg.norm(tiny.weights - theta2.weights)
-                          / np.linalg.norm(theta2.weights))
-        huge = finetune_ridge(theta1, inst.X_tilde, inst.Y_tilde, 1e12)
+                          np.linalg.norm(tiny - theta2) / np.linalg.norm(theta2))
+        huge = theta1 + Xt.T @ st.solve(resid, nlam=n * 1e12)
         worst_large = max(worst_large,
-                          np.linalg.norm(huge.weights - theta1.weights)
-                          / np.linalg.norm(theta1.weights))
+                          np.linalg.norm(huge - theta1) / np.linalg.norm(theta1))
     ok = worst_interp <= 1e-8 and worst_small <= 1e-6 and worst_large <= 1e-6
     report(2, ok,
            f"20/20 instances: interpolation {worst_interp:.2e}, "
@@ -277,7 +292,7 @@ def test_c08_stationarity_identities(ordering_env):
         for deriv, func in (
             (ft_risk_dlambda(Xt, env, lam, cache=res),
              lambda l: lemma_ft_risk(Xt, env, l, 1.0, cache=res)),
-            (sum_risk_dlambda(None, Xt, env, lam, cache=res),
+            (sum_risk_dlambda(Xt, env, lam, cache=res),
              lambda l: lemma_sum_risk(Xt, env, l, 1.0, cache=res)),
         ):
             fd = (func(lam + h_lam) - func(lam - h_lam)) / (2 * h_lam)

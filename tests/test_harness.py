@@ -22,7 +22,6 @@ from overadapt.harness import (
     ResultRow,
     evaluate_seed,
     expand_estimator_points,
-    read_results,
     run_preset,
     run_sweep,
     write_results,
@@ -38,7 +37,7 @@ from overadapt.presets import (
 )
 from overadapt.risk import AnalyticRisk
 from overadapt.svgplot import MissingSeriesError, render_tradeoff_svg
-from overadapt.synth import derive_rng, sample_design
+from overadapt.synth import derive_rng, sample_design, sample_theta_c
 
 
 def small_config(**overrides):
@@ -149,7 +148,8 @@ def test_json_results_round_trip(tmp_path):
     rows = run_sweep(cfg, workers=1).rows
     path = tmp_path / "rows.json"
     write_results(rows, path, "json")
-    assert read_results(path) == rows
+    with open(path) as fh:
+        assert json.load(fh) == [r.to_dict() for r in rows]
 
 
 def test_write_results_io_error(tmp_path):
@@ -242,9 +242,7 @@ def test_fixed_theta_c_shared_across_replicates():
                        methods=["analytic"], estimators=["pretrained"])
     rows = run_sweep(cfg, workers=1).rows
     env = cfg.environment()
-    from overadapt.synth import sample_parameters
-
-    tc = sample_parameters(env, derive_rng(cfg.master_seed, "params", 0))[0]
+    tc = sample_theta_c(env, derive_rng(cfg.master_seed, "params", 0))
     for seed in (0, 1):
         X = sample_design(env.spectrum_pre, env.n,
                           derive_rng(cfg.master_seed, "design_pre", seed))
@@ -496,6 +494,22 @@ def test_cli_risk_out_writes_the_sweep_rows(tmp_path, capsys, fmt, method, overr
     assert out.read_bytes() == swept.read_bytes()
 
 
+def test_cli_risk_writes_to_the_config_out_key(tmp_path, monkeypatch, capsys):
+    # as for preset and sweep: --out wins, else the config's out key
+    monkeypatch.chdir(tmp_path)
+    cfg = small_config(replicates=1, estimators=["ridgeless_ft"], out="cfg_rows.csv")
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
+    argv = ["risk", "--config", str(cfg_path), "--estimator", "ridgeless_ft"]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == "wrote 2 rows to cfg_rows.csv\n"
+    write_results(run_sweep(cfg, workers=1).rows, tmp_path / "sweep.csv")
+    assert (tmp_path / "cfg_rows.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+    assert cli_main([*argv, "--out", "flag.csv"]) == 0
+    assert capsys.readouterr().out == "wrote 2 rows to flag.csv\n"
+    assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+
+
 def test_cli_risk_rejects_pool_flags(tmp_path, capsys):
     for flags in (["--replicates", "2"], ["--workers", "1"]):
         out = tmp_path / "risk.csv"
@@ -634,7 +648,8 @@ def test_cli_format_flag_wins_over_config_and_names_the_default_file(tmp_path, m
             (["--config", str(json_cfg), "--out", "x.json"], tmp_path / "x.json")):
         path.unlink(missing_ok=True)
         assert cli_main(["sweep", *argv, "--workers", "1"]) == 0
-        assert read_results(path) == rows
+        with open(path) as fh:
+            assert json.load(fh) == [r.to_dict() for r in rows]
         assert capsys.readouterr().out == (f"wrote {len(rows)} rows to {path.name} "
                                            "(1 workers, 0 flagged)\n")
     assert cli_main(["sweep", "--config", str(json_cfg), "--format", "csv",
@@ -642,8 +657,8 @@ def test_cli_format_flag_wins_over_config_and_names_the_default_file(tmp_path, m
     assert (tmp_path / "sweep.csv").read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
     assert cli_main(["risk", "--config", str(json_cfg), "--estimator", "ridge_ft",
                      "--lambda", "1e-3", "--out", "r.json"]) == 0
-    assert read_results(tmp_path / "r.json") == [r for r in rows
-                                                  if r.estimator == "ridge_ft"]
+    with open(tmp_path / "r.json") as fh:
+        assert json.load(fh) == [r.to_dict() for r in rows if r.estimator == "ridge_ft"]
 
 
 @pytest.mark.parametrize("flags", [["--replicates", "0"], ["--trials", "0"],

@@ -14,7 +14,6 @@ from overadapt.risk import (
     _RowSpace,
     lemma_approx_risk,
     mc_expected_risks,
-    plugin_excess_risk,
 )
 from overadapt.spectra import SpectrumSpec, build_eigenvalues
 from overadapt.synth import (
@@ -22,7 +21,7 @@ from overadapt.synth import (
     derive_rng,
     sample_design,
     sample_designs,
-    sample_parameters,
+    sample_theta_c,
 )
 from oracles import CountingRng, dense_risk_terms, mc_dense_risk_draws, random_block_instance
 
@@ -52,30 +51,6 @@ def draw_designs(env, seed=0):
     Xt = sample_design(env.spectrum_ft, env.n,
                        derive_rng(seed, "design_ft", 0), env.coord_dist)
     return X, Xt
-
-
-# ------------------------------------------------------------------ plug-in
-
-def test_plugin_zero_at_truth():
-    theta = np.array([1.0, 2.0, 3.0])
-    assert plugin_excess_risk(theta, theta, np.ones(3)) == 0.0
-
-
-def test_plugin_unit_direction():
-    diff = np.zeros(4)
-    diff[0] = 1.0
-    assert plugin_excess_risk(diff, np.zeros(4), np.ones(4)) == pytest.approx(1.0)
-
-
-def test_plugin_block_spectrum_all_ones_error():
-    eigs = build_eigenvalues(SpectrumSpec(1, 0.025, 10_000, 40))
-    value = plugin_excess_risk(np.ones(10_000), np.zeros(10_000), eigs)
-    assert value == pytest.approx(1.975, rel=1e-12)
-
-
-def test_plugin_dimension_mismatch():
-    with pytest.raises(ValueError):
-        plugin_excess_risk(np.ones(3), np.ones(4), np.ones(3))
 
 
 # ------------------------------------------------- analytic vs dense oracle
@@ -315,7 +290,7 @@ def one_block_env(**overrides):
 
 
 def fixed_theta_c(env, seed=0):
-    return sample_parameters(env, derive_rng(seed, "params", 0))[0]
+    return sample_theta_c(env, derive_rng(seed, "params", 0))
 
 
 def block_ranks(X, Xt, env, theta_c=None):

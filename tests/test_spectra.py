@@ -5,7 +5,6 @@ from overadapt.spectra import (
     SpectrumSpec,
     UndefinedRankError,
     build_eigenvalues,
-    critical_index,
     effective_rank,
 )
 
@@ -98,53 +97,6 @@ def test_effective_rank_zero_pivot_errors():
         effective_rank(eigs, 4)
 
 
-def test_critical_index_case_b_pretrain():
-    eigs = np.concatenate([[1.0], np.full(9999, 0.004)])
-    # r_0 = 40.996 >= 40
-    assert critical_index(eigs, b=1.0, n=40) == 0
-
-
-def test_critical_index_needs_second_level():
-    eigs = np.concatenate([[1.0], np.full(9999, 0.0022)])
-    # r_0 = 22.9978 < 60 but r_1 = 9999 >= 60
-    assert critical_index(eigs, b=1.0, n=60) == 1
-
-
-def test_critical_index_none_when_n_exceeds_p():
-    p = 25
-    assert critical_index(np.ones(p), b=1.0, n=p + 1) is None
-
-
-def test_critical_index_tie_counts():
-    # r_0 of the flat spectrum equals p exactly; a tie satisfies the infimum
-    p = 30
-    assert critical_index(np.ones(p), b=1.0, n=p) == 0
-
-
-def test_critical_index_skips_zero_tail():
-    eigs = np.array([1.0, 0.5, 0.0, 0.0, 0.0])
-    assert critical_index(eigs, b=1.0, n=3) is None
-
-
-def test_critical_index_rejects_bad_args():
-    with pytest.raises(ValueError):
-        critical_index(np.ones(5), b=0.0, n=3)
-    with pytest.raises(ValueError):
-        critical_index(np.ones(5), b=1.0, n=0)
-
-
-def test_critical_index_monotone_in_gamma():
-    n, p = 40, 2000
-    previous = None
-    for gamma in (0.9, 0.5, 0.1, 0.02, 0.004, 0.0005):
-        spec = SpectrumSpec(k_star=1, gamma=gamma, p=p, p_tilde=p)
-        k = critical_index(build_eigenvalues(spec), b=1.0, n=n)
-        k = p if k is None else k
-        if previous is not None:
-            assert k >= previous  # larger gamma reaches the threshold sooner
-        previous = k
-
-
 def test_trace_matches_built_vector():
     for spec in (
         SpectrumSpec(1, 0.025, 500, 80),
@@ -156,4 +108,4 @@ def test_trace_matches_built_vector():
 
 def test_spec_dict_round_trip():
     spec = SpectrumSpec(2, 0.125, 100, 60)
-    assert SpectrumSpec.from_dict(spec.to_dict()) == spec
+    assert SpectrumSpec(**spec.to_dict()) == spec

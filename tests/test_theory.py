@@ -118,8 +118,8 @@ def test_sum_derivative_signs():
     env = bench_env()
     Xt = draw_ft(env, 4)
     lam_star = lambda_prime(env)
-    assert sum_risk_dlambda(None, Xt, env, lam_star) < 0.0
-    assert sum_risk_dlambda(None, Xt, env, 2 * lam_star) <= 0.0
+    assert sum_risk_dlambda(Xt, env, lam_star) < 0.0
+    assert sum_risk_dlambda(Xt, env, 2 * lam_star) <= 0.0
 
 
 def test_derivatives_match_finite_differences():
@@ -131,7 +131,7 @@ def test_derivatives_match_finite_differences():
     fd_f = central_diff(lambda l: lemma_ft_risk(Xt, env, l, 1.0, cache=res), lam0, h)
     assert ft_risk_dlambda(Xt, env, lam0, cache=res) == pytest.approx(fd_f, rel=1e-4)
     fd_h = central_diff(lambda l: lemma_sum_risk(Xt, env, l, 1.0, cache=res), lam0, h)
-    assert sum_risk_dlambda(None, Xt, env, lam0, cache=res) == pytest.approx(
+    assert sum_risk_dlambda(Xt, env, lam0, cache=res) == pytest.approx(
         fd_h, rel=1e-4)
     fd_g = central_diff(lambda t: lemma_ft_risk(Xt, env, lam0, t, cache=res),
                         tau0, 1e-6)
