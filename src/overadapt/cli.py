@@ -25,11 +25,9 @@ start_single_threaded()  # before the imports below load numpy
 
 from .config import ConfigError, config_from_dict, load_config, save_config
 from .estimators import EstimatorKind, SingularDesignError
-from .harness import evaluate_seed, rows_from_report, run_sweep, write_results
 from .presets import CASES, FT_ONLY_LAMBDA, preset_defaults, preset_points, theorem_check_env
 from .spectra import SpectrumSpec
 from .synth import derive_rng
-from .theory import eigen_band_check, lambda_prime, verify_theorem_orderings
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3
 
@@ -114,6 +112,8 @@ def _config(args, base: dict):
 
 def _run(args, config, kinds, name: str) -> int:
     """Run ``config`` over ``kinds``, report failed seeds, write the rows (and plots)."""
+    from .harness import run_sweep, write_results
+
     result = run_sweep(config, workers=args.workers, kinds=kinds)
     for seed, err in result.failures:
         print(f"seed {seed} failed: {err}", file=sys.stderr)
@@ -157,6 +157,8 @@ def _cmd_verify(args) -> int:
         if given:
             raise ValueError(f"verify runs in one process and writes a JSON report "
                              f"of exact risks; {flag} does not apply")
+    from .theory import eigen_band_check, lambda_prime, verify_theorem_orderings
+
     env = theorem_check_env(p=args.p, n=args.n)
     seeds, master_seed = args.replicates or 20, args.seed or 0
     lam_star = lambda_prime(env)
@@ -184,6 +186,8 @@ def _cmd_risk(args) -> int:
     for flag, value in (("--replicates", args.replicates), ("--workers", args.workers)):
         if value is not None:
             raise ValueError(f"risk evaluates one instance; {flag} does not apply")
+    from .harness import evaluate_seed, rows_from_report, write_results
+
     base = load_config(args.config).to_dict() if args.config else {"case": args.case or "a"}
     config = _config(args, {**base, "methods": [args.method]})
     kind = {

@@ -78,8 +78,9 @@ class ExperimentConfig:
         for name in ("zeta1", "zeta2", "sigma2", "sigma2_tilde", "theta_c_norm",
                      "gamma_pre", "gamma_ft"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
-                fail(name, f"must be a non-negative number, got {v!r}")
+            # a chained comparison is False for NaN, which ``v < 0`` lets through
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v < np.inf:
+                fail(name, f"must be a finite non-negative number, got {v!r}")
         for name in ("gamma_pre", "gamma_ft"):
             if getattr(self, name) > 1:
                 fail(name, "tail eigenvalue above 1 breaks the non-increasing order")
@@ -111,8 +112,8 @@ class ExperimentConfig:
             if not isinstance(grid, (list, tuple)) or not grid:
                 fail(name, "must be a non-empty list of numbers")
             for v in grid:
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
-                    fail(name, f"entries must be non-negative numbers, got {v!r}")
+                if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v < np.inf:
+                    fail(name, f"entries must be finite non-negative numbers, got {v!r}")
             setattr(self, name, sorted({float(v) for v in grid}))
         for v in self.tau_grid:
             if v > 1.0:

@@ -106,8 +106,8 @@ class EstimatorKind:
     def __post_init__(self):
         if self.name not in self.KINDS:
             raise ValueError(f"unknown estimator kind {self.name!r}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be non-negative, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:  # False for NaN too
+            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
         if self.name == ENSEMBLE and not (0.0 <= self.tau <= 1.0):
             raise ValueError(f"tau={self.tau} outside [0, 1]")
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from ._blas import pin_single_thread
@@ -221,6 +220,8 @@ def _run_seeds(jobs: list[tuple], nworkers: int) -> tuple[list[ResultRow], list[
     if nworkers == 1 or len(jobs) == 1:
         outputs = list(map(_sweep_worker, jobs))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=nworkers,
                                  initializer=pin_single_thread) as pool:
             outputs = list(pool.map(_sweep_worker, jobs))

@@ -31,12 +31,17 @@ whose coefficients are traces of n x n products only:
     tr{K D K}            = tau^2 tr{R^-1 At R^-1 S_Xt(D)}
 
 These identities are unit-tested against dense p x p evaluation at tiny
-sizes.  Every lam reads one eigendecomposition At = U diag(s) U^T: with
-d = 1/(s + n*lam), R^-1 = U diag(d) U^T, so each trace above is a d-weighted
-contraction of n x n blocks fixed per design pair (U^T S_Xt(D) U, G U and
-U^T G^T A^-k G U), O(n^2) per lam.  The quadratic-in-tau structure is exact,
-so each tau then costs O(1) arithmetic.  ``FtResolvent``, the fine-tune half,
-is shared with the two-term shortcut and the theory's optima and derivatives.
+sizes.  The covariances are constant on a few runs of coordinates (three
+for every config), so S_X(D), S_Xt(D), C(D) and G are spectrum-weighted sums
+of one Gram per run of the stacked rows [X; Xt] (``_run_grams``): one pass
+over the design columns per design pair, and no p x n array.  Every lam
+reads one eigendecomposition At = U diag(s) U^T: with d = 1/(s + n*lam),
+R^-1 = U diag(d) U^T, so each trace above is a d-weighted contraction of
+n x n blocks fixed per design pair (U^T S_Xt(D) U, G U and U^T G^T A^-k G U),
+O(n^2) per lam.  The quadratic-in-tau structure is exact, so each tau then
+costs O(1) arithmetic, and the evaluator keeps each lam's quadratics.
+``FtResolvent``, the fine-tune half, is shared with the two-term shortcut and
+the theory's optima and derivatives.
 
 Monte Carlo
 -----------
@@ -157,24 +162,24 @@ class _Quad:
 class FtResolvent:
     """The fine-tune half of the exact evaluator: one eigendecomposition of At.
 
-    Holds At = U diag(s) U^T, Xt^T U and, per task covariance D ("ft": ``eigs``,
-    "pre": ``eigs_pre``), M = U^T S U with S = Xt D Xt^T.  The traces t1-t3 =
-    tr{R^-k S} and t4, t5 = tr{R^-k At S} are d-weighted sums of diag(M), O(n)
-    per lam.  ``AnalyticRisk`` reads d, M and t1-t3 from it; the two-term
-    shortcut, two of its five term quadratics, and the theory read the same
-    traces.  t4 at lam = 0 on a jittered singular Gram has condition number
+    Holds At = U diag(s) U^T and, per task covariance D ("ft": ``eigs``, "pre":
+    ``eigs_pre``), M = U^T S U with S = Xt D Xt^T (``grams`` if given).  The
+    traces t1-t3 = tr{R^-k S} and t4, t5 = tr{R^-k At S} are d-weighted sums of
+    diag(M), O(n) per lam.  ``AnalyticRisk`` reads d, M and t1-t3 from it; the
+    two-term shortcut, two of its five term quadratics, and the theory read the
+    same traces.  t4 at lam = 0 on a jittered singular Gram has condition number
     cond(R)^3 ~ 1e37, so it is nan there rather than decided by rounding.
     """
 
     def __init__(self, Xt: np.ndarray, eigs: np.ndarray, jitter: bool = False,
-                 eigs_pre: np.ndarray | None = None):
+                 eigs_pre: np.ndarray | None = None, grams: dict | None = None):
         self.n = Xt.shape[0]
         self.solver = GramSolver(Xt, jitter=jitter)
-        self.XtU = Xt.T @ self.solver.U
         covs = {"ft": eigs} if eigs_pre is None else {"pre": eigs_pre, "ft": eigs}
         covs = {t: np.asarray(e, dtype=float) for t, e in covs.items()}
         self.tr_cov = {t: float(np.sum(e)) for t, e in covs.items()}
-        self.M = {t: self.XtU.T @ (e[:, None] * self.XtU) for t, e in covs.items()}
+        S = grams or _run_grams([Xt], covs)[0]
+        self.M = {t: self.solver.U.T @ S[t] @ self.solver.U for t in covs}
         self._m = {t: np.diagonal(M) for t, M in self.M.items()}
 
     @classmethod
@@ -242,7 +247,6 @@ class AnalyticRisk:
         theta_c: np.ndarray | None = None,
         jitter: bool = False,
     ):
-        self.X, self.Xt = X, Xt
         self.eigs_pre = np.asarray(eigs_pre, dtype=float)
         self.eigs_ft = np.asarray(eigs_ft, dtype=float)
         self.zeta1, self.zeta2 = zeta1, zeta2
@@ -251,39 +255,39 @@ class AnalyticRisk:
         self.theta_c = None if theta_c is None else np.asarray(theta_c, dtype=float)
 
         self.solver_pre = GramSolver(X, jitter=jitter)
-        self.resolvent = FtResolvent(Xt, self.eigs_ft, jitter=jitter, eigs_pre=self.eigs_pre)
+        # S[t] = C D_t C^T and G = C C^T for the stacked rows C = [X; Xt(; theta_c)]
+        rows = [X, Xt] if self.theta_c is None else [X, Xt, self.theta_c[None, :]]
+        S, G = _run_grams(rows, {"pre": self.eigs_pre, "ft": self.eigs_ft})
+        x, xt = slice(0, X.shape[0]), slice(X.shape[0], X.shape[0] + Xt.shape[0])
+        self.resolvent = FtResolvent(Xt, self.eigs_ft, jitter=jitter, eigs_pre=self.eigs_pre,
+                                     grams={t: s[xt, xt] for t, s in S.items()})
         self.tr_cov = self.resolvent.tr_cov
+        self._quads = {}  # (lam, task) -> term quadratics
 
         # lam-independent traces against the pretrain Gram
         self._w0, self._u0 = {}, {}
-        for t, e in self._tasks():
-            a1 = self.solver_pre.solve((X * e) @ X.T)
+        for t, s in S.items():
+            a1 = self.solver_pre.solve(s[x, x])
             self._w0[t] = float(np.trace(a1))
             self._u0[t] = float(np.trace(self.solver_pre.solve(a1)))
 
-        # fixed n x n blocks in the fine-tune eigenbasis (XtU = Xt^T U, p x n;
-        # the resolvent holds M = U^T S_Xt(D) U):
-        # c_k = diag(U^T G^T A^-k C(D) U), Q_k = U^T G^T A^-k G U
-        XtU = self.resolvent.XtU
-        GU = X @ XtU
+        # fixed n x n blocks in the fine-tune eigenbasis (the resolvent holds
+        # M = U^T S_Xt(D) U): c_k = diag(U^T G^T A^-k C(D) U), Q_k = U^T G^T A^-k G U
+        U = self.resolvent.solver.U
+        GU = G[x, xt] @ U
         A1GU = self.solver_pre.solve(GU)
         AGU = (A1GU, self.solver_pre.solve(A1GU))  # A^-k G U, k = 1, 2
         self._Q = [GU.T @ a for a in AGU]
-        self._c = {}
-        for t, e in self._tasks():
-            CU = X @ (e[:, None] * XtU)
-            self._c[t] = [np.einsum("ij,ij->j", a, CU) for a in AGU]
+        self._c = {t: [np.einsum("ij,ij->j", a, s[x, xt] @ U) for a in AGU]
+                   for t, s in S.items()}
 
         if self.theta_c is not None:
-            # h = (I - P) theta_c, evaluated with matrix-vector work only;
-            # g = U^T Xt h and g_D = U^T Xt D h are its fine-tune projections
-            h = self.theta_c - X.T @ self.solver_pre.solve(X @ self.theta_c)
-            self._h_c0 = {t: float(h @ (e * h)) for t, e in self._tasks()}
-            self._g = XtU.T @ h
-            self._g_cov = {t: XtU.T @ (e * h) for t, e in self._tasks()}
-
-    def _tasks(self):
-        return (("pre", self.eigs_pre), ("ft", self.eigs_ft))
+            # h = (I - P) theta_c = C^T v with v = (-A^-1 X theta_c, 0, 1), so
+            # h^T D h, g = U^T Xt h and g_D = U^T Xt D h are Gram contractions
+            v = np.r_[-self.solver_pre.solve(G[x, -1]), np.zeros(Xt.shape[0]), 1.0]
+            self._h_c0 = {t: float(v @ s @ v) for t, s in S.items()}
+            self._g = U.T @ (G[xt] @ v)
+            self._g_cov = {t: U.T @ (s[xt] @ v) for t, s in S.items()}
 
     @classmethod
     def from_env(
@@ -321,63 +325,49 @@ class AnalyticRisk:
             blk["hb2"] = float(dg @ M @ dg)
         return blk
 
-    def term_quadratics(self, lam: float, task: str) -> dict[str, _Quad]:
-        """Each risk term as an exact quadratic in tau, at fixed lam."""
-        t = task
-        b = self._blocks(lam, t)
-        w0, u0 = self._w0[t], self._u0[t]
-        trc = self.tr_cov[t]
-        quads = {}
-        if self.theta_c is None:
-            scale = self.theta_c_norm**2 / self.eigs_pre.size
-            quads["bias_thetac"] = _Quad(
-                scale * (trc - w0),
-                scale * (-2 * b["t1"] + 2 * b["w1"]),
-                scale * (b["t3"] - b["w2"]),
-            )
-        else:
-            quads["bias_thetac"] = _Quad(self._h_c0[t], b["hb1"], b["hb2"])
-        if task == "pre":
-            quads["term_zeta1"] = _Quad(
-                self.zeta1 * (self.tr_cov["pre"] - w0), 0.0, self.zeta1 * b["w2"]
-            )
-        else:
-            quads["term_zeta1"] = _Quad(
-                self.zeta1 * w0, -2 * self.zeta1 * b["w1"], self.zeta1 * b["w2"]
-            )
-        quads["term_sigma"] = _Quad(
-            self.sigma2 * u0, -2 * self.sigma2 * b["u1"], self.sigma2 * b["u2"]
-        )
-        quads.update(two_term_quadratics(b, self.zeta2, self.sigma2_tilde,
-                                         trc if task == "ft" else None))
-        return {k: quads[k] for k in TERM_KEYS}
-
-    def _task_risk_tau0(self, task: str) -> TaskRisk:
-        # pretrained estimator: no fine-tune resolvent is ever touched
-        t = task
-        w0, u0 = self._w0[t], self._u0[t]
-        trc = self.tr_cov[t]
-        if self.theta_c is None:
-            bias = self.theta_c_norm**2 / self.eigs_pre.size * (trc - w0)
-        else:
-            bias = self._h_c0[t]
-        raw = {
-            "bias_thetac": bias,
-            "term_zeta1": self.zeta1 * (self.tr_cov["pre"] - w0) if task == "pre"
+    def _constants(self, t: str) -> dict[str, float]:
+        """Each term at tau = 0 (the pretrained estimator), with no fine-tune resolvent."""
+        w0, trc = self._w0[t], self.tr_cov[t]
+        return {
+            "bias_thetac": self._h_c0[t] if self.theta_c is not None
+            else self.theta_c_norm**2 / self.eigs_pre.size * (trc - w0),
+            "term_zeta1": self.zeta1 * (self.tr_cov["pre"] - w0) if t == "pre"
             else self.zeta1 * w0,
-            "term_zeta2": 0.0 if task == "pre" else self.zeta2 * trc,
-            "term_sigma": self.sigma2 * u0,
+            "term_zeta2": 0.0 if t == "pre" else self.zeta2 * trc,
+            "term_sigma": self.sigma2 * self._u0[t],
             "term_sigma_tilde": 0.0,
         }
-        value, terms = _finish_terms(raw)
-        return TaskRisk(value=value, terms=terms)
+
+    def term_quadratics(self, lam: float, task: str) -> dict[str, _Quad]:
+        """Each risk term as an exact quadratic in tau, at fixed lam; built once per (lam, task)."""
+        t = task
+        if (lam, t) in self._quads:
+            return self._quads[lam, t]
+        b, c = self._blocks(lam, t), self._constants(t)
+        if self.theta_c is None:
+            scale = self.theta_c_norm**2 / self.eigs_pre.size
+            bias = (scale * (-2 * b["t1"] + 2 * b["w1"]), scale * (b["t3"] - b["w2"]))
+        else:
+            bias = (b["hb1"], b["hb2"])
+        quads = {
+            "bias_thetac": _Quad(c["bias_thetac"], *bias),
+            "term_zeta1": _Quad(c["term_zeta1"], 0.0 if t == "pre" else -2 * self.zeta1 * b["w1"],
+                                self.zeta1 * b["w2"]),
+            "term_sigma": _Quad(c["term_sigma"], -2 * self.sigma2 * b["u1"],
+                                self.sigma2 * b["u2"]),
+            **two_term_quadratics(b, self.zeta2, self.sigma2_tilde,
+                                  self.tr_cov[t] if t == "ft" else None),
+        }
+        self._quads[lam, t] = {k: quads[k] for k in TERM_KEYS}
+        return self._quads[lam, t]
 
     def task_risk(self, kind: EstimatorKind, task: str) -> TaskRisk:
         lam, tau = kind.effective
         if tau == 0.0:
-            return self._task_risk_tau0(task)
-        quads = self.term_quadratics(lam, task)
-        value, terms = _finish_terms({k: q(tau) for k, q in quads.items()})
+            raw = self._constants(task)
+        else:
+            raw = {k: q(tau) for k, q in self.term_quadratics(lam, task).items()}
+        value, terms = _finish_terms(raw)
         return TaskRisk(value=value, terms=terms)
 
     def report(self, kind: EstimatorKind, task: str = "both") -> RiskReport:
@@ -386,28 +376,60 @@ class AnalyticRisk:
         return RiskReport(method="analytic", kind=kind, pre=pre, ft=ft)
 
 
+def _runs(eigs: dict[str, np.ndarray]) -> list[tuple[int, int]]:
+    """The [lo, hi) coordinate runs on which every spectrum in ``eigs`` is constant."""
+    steps = np.any([np.diff(e) != 0 for e in eigs.values()], axis=0)
+    cuts = [int(c) + 1 for c in np.flatnonzero(steps)]
+    return list(zip([0, *cuts], [*cuts, steps.size + 1]))
+
+
+def _run_grams(rows: list[np.ndarray], eigs: dict[str, np.ndarray]
+               ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """C D C^T per task in ``eigs``, and C C^T, for the stacked rows C = [rows[0]; ...].
+
+    Each D is constant on every run of ``_runs``, so C D C^T is the
+    spectrum-weighted sum of one Gram C_r C_r^T per run: one pass over the
+    columns, and no p x n array.  Products with a block that is zero on a run
+    (a design past its support) are skipped.
+    """
+    edges = np.cumsum([0, *(r.shape[0] for r in rows)])
+    blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    G = np.zeros((edges[-1], edges[-1]))
+    S = {t: np.zeros_like(G) for t in eigs}
+    for lo, hi in _runs(eigs):
+        gram = np.zeros_like(G)
+        live = [(b, r[:, lo:hi]) for b, r in zip(blocks, rows) if r[:, lo:hi].any()]
+        for i, (bi, ri) in enumerate(live):
+            for bj, rj in live[i:]:
+                gram[bi, bj] = ri @ rj.T
+                gram[bj, bi] = gram[bi, bj].T
+        G += gram
+        for t, e in eigs.items():
+            S[t] += e[lo] * gram
+    return S, G
+
+
 class _RowSpace:
     """The designs in an orthonormal basis of their row span, block by block.
 
-    A block is a run of coordinates on which both spectra are constant.  For
-    block B, C_B stacks the rows of X_B, Xt_B and (if given) a fixed
-    theta_c_B; a QR of C_B^T and an SVD of its triangle give C_B Q_B for an
-    orthonormal basis Q_B of the rows' span, whose rank r_B drops singular
-    values below ``max(C_B.shape) * eps`` of the largest.  Stacked over the
-    blocks, ``Xq`` and ``Xtq`` satisfy Xq Xq^T = X X^T, Xtq Xtq^T = Xt Xt^T and
-    Xtq Xq^T = Xt X^T, so the designs' own solvers serve the reduced
-    coordinates.  ``weights`` holds each reduced coordinate's spectrum value
-    per task; ``off`` the off-span dimension m_B - r_B and spectrum values of
-    every block with one.
+    A block is a run of coordinates on which both spectra are constant
+    (``_runs``).  For block B, C_B stacks the rows of X_B, Xt_B and (if given)
+    a fixed theta_c_B; a QR of C_B^T and an SVD of its triangle give C_B Q_B
+    for an orthonormal basis Q_B of the rows' span, whose rank r_B drops
+    singular values below ``max(C_B.shape) * eps`` of the largest.  Stacked
+    over the blocks, ``Xq`` and ``Xtq`` satisfy Xq Xq^T = X X^T, Xtq Xtq^T =
+    Xt Xt^T and Xtq Xq^T = Xt X^T, so the designs' own solvers serve the
+    reduced coordinates.  ``weights`` holds each reduced coordinate's spectrum
+    value per task; ``off`` the off-span dimension m_B - r_B and spectrum
+    values of every block with one.
     """
 
     def __init__(self, X: np.ndarray, Xt: np.ndarray, eigs: dict[str, np.ndarray],
                  theta_c: np.ndarray | None = None):
         C = np.vstack([X, Xt] if theta_c is None else [X, Xt, theta_c[None, :]])
-        e_pre, e_ft = eigs["pre"], eigs["ft"]
-        cuts = [int(c) + 1 for c in np.flatnonzero((np.diff(e_pre) != 0) | (np.diff(e_ft) != 0))]
+        runs = _runs(eigs)
         coords, ranks, self.off = [], [], []
-        for lo, hi in zip([0, *cuts], [*cuts, e_pre.size]):
+        for lo, hi in runs:
             V, sv, _ = np.linalg.svd(np.linalg.qr(C[:, lo:hi].T, mode="r").T,
                                      full_matrices=False)
             r = int(np.sum(sv > sv[0] * max(C.shape[0], hi - lo) * np.finfo(float).eps))
@@ -419,7 +441,7 @@ class _RowSpace:
         n_pre = X.shape[0]
         self.Xq, self.Xtq = CQ[:n_pre], CQ[n_pre:n_pre + Xt.shape[0]]
         self.theta_c = None if theta_c is None else CQ[-1]
-        starts = [0, *cuts]
+        starts = [lo for lo, _ in runs]
         self.weights = {t: np.repeat(e[starts], ranks) for t, e in eigs.items()}
 
 

@@ -130,11 +130,9 @@ def sample_design(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    eigs = build_eigenvalues(spec)
-    scale = np.sqrt(eigs[: spec.p_tilde])
-    X = np.zeros((n, spec.p))
-    X[:, : spec.p_tilde] = _coord_draws(rng, (n, spec.p_tilde), coord_dist) * scale
-    return X
+    X = _coord_draws(rng, (n, spec.p_tilde), coord_dist)
+    X *= np.sqrt(build_eigenvalues(spec)[: spec.p_tilde])
+    return X if spec.p_tilde == spec.p else np.pad(X, ((0, 0), (0, spec.p - spec.p_tilde)))
 
 
 def sample_designs(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorKind
-from .risk import AnalyticRisk, FtResolvent, _finish_terms, _Quad, two_term_quadratics
+from .risk import AnalyticRisk, FtResolvent, _Quad, two_term_quadratics
 from .spectra import SpectrumSpec, build_eigenvalues, effective_rank
 from .synth import TaskEnvironment, _coord_draws, _wishart_bartlett, derive_rng, sample_designs
 
@@ -244,19 +244,9 @@ def verify_theorem_orderings(
     for rep in range(seeds):
         X, Xt = sample_designs(env, master_seed, rep)
         ev = AnalyticRisk.from_env(X, Xt, env)
-        quads: dict[tuple[float, str], dict[str, _Quad]] = {}
-
-        def risk(kind, task):
-            # each (lam, task)'s term quadratics are built once and read at every tau
-            lam, tau = kind.effective
-            if tau == 0.0:
-                return ev._task_risk_tau0(task).value
-            if (lam, task) not in quads:
-                quads[lam, task] = ev.term_quadratics(lam, task)
-            return _finish_terms({k: q(tau) for k, q in quads[lam, task].items()})[0]
-
-        l_ft = lambda kind: risk(kind, "ft")
-        l_sum = lambda kind: risk(kind, "pre") + risk(kind, "ft")
+        # the evaluator builds each (lam, task)'s term quadratics once
+        l_ft = lambda kind: ev.task_risk(kind, "ft").value
+        l_sum = lambda kind: ev.task_risk(kind, "pre").value + ev.task_risk(kind, "ft").value
         ft_pre = l_ft(EstimatorKind.pretrained())
         ft_ridgeless = l_ft(EstimatorKind.ridgeless())
         sum_ridgeless = l_sum(EstimatorKind.ridgeless())

@@ -104,7 +104,8 @@ def dense_risk_terms(X, Xt, eigs_pre, eigs_ft, zeta1, zeta2, sigma2, sigma2_tild
     Builds the error coefficient operator of every randomness source
     explicitly and evaluates the covariance-weighted quadratic forms.
     """
-    n, p = X.shape
+    p = X.shape[1]
+    n = Xt.shape[0]  # the ridge penalty scales with the fine-tune sample count
     A = X @ X.T
     R = Xt @ Xt.T + n * lam * np.eye(n)
     P = X.T @ np.linalg.solve(A, X)

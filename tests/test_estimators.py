@@ -118,6 +118,13 @@ def test_ridge_rejects_negative_lambda():
         EstimatorKind.ensemble(-1e-12, 0.5)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_kinds_reject_a_non_finite_lambda(lam):
+    for make in (EstimatorKind.ridge, lambda v: EstimatorKind.ensemble(v, 0.5)):
+        with pytest.raises(ValueError, match="finite"):
+            make(lam)
+
+
 def test_ridge_shrinkage_monotone_in_lambda():
     rng = np.random.default_rng(5)
     theta1 = rng.standard_normal(20)

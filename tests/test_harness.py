@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import overadapt
+from overadapt import harness
 from overadapt.cli import main as cli_main
 from overadapt.config import (
     ConfigError,
@@ -290,6 +291,20 @@ def test_evaluate_seed_eigendecomposes_each_design_once(monkeypatch, methods, ei
     assert len(calls) == eighs
     assert len(reports) == len(kinds) * len(methods)
     assert all(r.pre is not None and r.ft is not None for r in reports)
+
+
+def test_preset_seed_builds_each_lambda_and_task_once(monkeypatch):
+    # the evaluator keeps each (lam, task)'s term quadratics for every tau
+    config = config_from_dict({"case": "a", **preset_defaults("a"), "replicates": 1})
+    kinds = preset_points(config)
+    calls = []
+    blocks = AnalyticRisk._blocks
+    monkeypatch.setattr(AnalyticRisk, "_blocks",
+                        lambda self, lam, t: calls.append((lam, t)) or blocks(self, lam, t))
+    evaluate_seed(config, 0, kinds)
+    lams = {kind.effective[0] for kind in kinds if kind.effective[1] != 0.0}
+    assert sorted(calls) == sorted((lam, t) for lam in lams for t in ("pre", "ft"))
+    assert len(calls) == 22
 
 
 # -------------------------------------------------------------------- presets
@@ -576,6 +591,24 @@ def test_cli_run_loads_no_scipy(tmp_path):
     assert (tmp_path / "a-tradeoff.svg").exists()
 
 
+@pytest.mark.parametrize("argv, absent", [
+    (["verify", "--p", "400", "--n", "16", "--replicates", "2", "--trials", "10"],
+     ["overadapt.harness", "concurrent.futures.process", "multiprocessing"]),
+    (["preset", "a", "--replicates", "1", "--workers", "1"], ["overadapt.theory"]),
+])
+def test_cli_command_loads_only_what_it_runs(tmp_path, argv, absent):
+    # verify runs no seed pool and no harness; a preset runs no theory
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    code = ("import json, sys\n"
+            "from overadapt import cli\n"
+            f"rc = cli.main({argv!r})\n"
+            f"print(json.dumps([rc, [m for m in {absent!r} if m in sys.modules]]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(overadapt.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
+
 @pytest.mark.parametrize("workers", ["0", "-4"])
 def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     cfg_path = tmp_path / "cfg.json"
@@ -734,3 +767,35 @@ def test_cli_risk_takes_seed_and_jitter_from_config(tmp_path):
         assert cli_main(["risk", "--config", str(cfg_path), "--estimator",
                          "ridgeless_ft"]) == code
 
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_non_finite_numbers_before_any_seed_runs(tmp_path, monkeypatch, capsys,
+                                                             value):
+    monkeypatch.setattr(harness, "evaluate_seed", lambda *args: pytest.fail("a seed ran"))
+    out = tmp_path / "out.csv"
+    cfg_path = tmp_path / "cfg.json"
+    # json writes NaN and Infinity tokens, and json.load reads them back
+    cfg_path.write_text(json.dumps({"case": "a", "zeta2": float(value)}))
+    for argv, named in ((["preset", "a", "--lambda", value, "--workers", "1"], "lambda_grid"),
+                        (["preset", "a", "--tau-grid", "0.5", value, "--workers", "1"],
+                         "tau_grid"),
+                        (["sweep", "--config", str(cfg_path), "--workers", "1"], "zeta2"),
+                        (["risk", "--estimator", "ridge_ft", "--lambda", value], "lam"),
+                        (["risk", "--estimator", "ensemble", "--lambda", value], "lam"),
+                        (["risk", "--config", str(cfg_path), "--estimator", "pretrained"],
+                         "zeta2")):
+        assert cli_main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert named in captured.err and "finite" in captured.err
+        assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_non_finite_numbers(value):
+    for key in ("zeta1", "zeta2", "sigma2", "sigma2_tilde", "theta_c_norm",
+                "gamma_pre", "gamma_ft", "xi"):
+        with pytest.raises(ConfigError, match=key):
+            small_config(**{key: value})
+    for key in ("lambda_grid", "tau_grid"):
+        with pytest.raises(ConfigError, match=key):
+            small_config(**{key: [0.5, value]})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from overadapt.spectra import SpectrumSpec
+from overadapt.spectra import SpectrumSpec, build_eigenvalues
 from overadapt.synth import (
     Condition2Thresholds,
     TaskEnvironment,
@@ -46,6 +46,16 @@ def test_design_zero_block_columns():
     X = sample_design(spec, 4, derive_rng(0, "design_ft", 0))
     assert np.all(X[:, 1:] == 0.0)
     assert np.any(X[:, 0] != 0.0)
+
+
+@pytest.mark.parametrize("p_tilde", [7, 12])
+def test_design_is_the_scaled_draw_padded_with_zeros(p_tilde):
+    spec = SpectrumSpec(2, 0.3, 12, p_tilde)
+    X = sample_design(spec, 5, derive_rng(4, "design_ft", 0))
+    Z = derive_rng(4, "design_ft", 0).standard_normal((5, p_tilde))
+    want = np.zeros((5, 12))
+    want[:, :p_tilde] = Z * np.sqrt(build_eigenvalues(spec)[:p_tilde])
+    assert np.array_equal(X, want)
 
 
 def test_design_identity_coordinate_variance():
