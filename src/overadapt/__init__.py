@@ -21,8 +21,8 @@ _SUBMODULE_NAMES = {
     "estimators": ("EstimatorKind", "GramSolver", "SingularDesignError"),
     "harness": ("ResultRow", "SweepResult", "run_preset", "run_sweep", "write_results"),
     "presets": ("preset_environment", "preset_points", "theorem_check_env"),
-    "risk": ("AnalyticRisk", "FtResolvent", "RiskReport", "TaskRisk", "lemma_approx_risk",
-             "mc_expected_risks"),
+    "risk": ("AnalyticRisk", "DesignPair", "FtResolvent", "RiskReport", "TaskRisk",
+             "lemma_approx_risk", "mc_expected_risks"),
     "spectra": ("SpectrumSpec", "UndefinedRankError", "build_eigenvalues", "effective_rank"),
     "svgplot": ("MissingSeriesError", "render_tradeoff_svg"),
     "synth": ("Condition2Report", "TaskEnvironment", "check_condition2", "derive_rng",

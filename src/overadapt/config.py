@@ -91,8 +91,14 @@ class ExperimentConfig:
             fail("coord_dist", f"must be gaussian or rademacher, got {self.coord_dist!r}")
         if self.xi is not None and not (0.0 < self.xi < 1.0):
             fail("xi", f"must lie in (0, 1) or be null, got {self.xi!r}")
-        if self.n_pre is not None and (not isinstance(self.n_pre, int) or self.n_pre < 1):
-            fail("n_pre", f"must be a positive integer or null, got {self.n_pre!r}")
+        # bool is an int subclass, so JSON true would pass as 1
+        for name in ("n_pre", "workers"):
+            v = getattr(self, name)
+            if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
+                fail(name, f"must be a positive integer or null, got {v!r}")
+        for name in ("jitter", "fix_theta_c"):
+            if not isinstance(getattr(self, name), bool):
+                fail(name, f"must be true or false, got {getattr(self, name)!r}")
         if self.format not in FORMATS:
             fail("format", f"must be one of {FORMATS}, got {self.format!r}")
         for m in self.methods:
@@ -105,8 +111,6 @@ class ExperimentConfig:
             fail("methods", "at least one method is required")
         if not self.estimators:
             fail("estimators", "at least one estimator is required")
-        if self.workers is not None and (not isinstance(self.workers, int) or self.workers < 1):
-            fail("workers", f"must be a positive integer or null, got {self.workers!r}")
         for name in ("lambda_grid", "tau_grid"):
             grid = getattr(self, name)
             if not isinstance(grid, (list, tuple)) or not grid:

@@ -7,7 +7,9 @@ theta1 + Xt^T (Xt Xt^T + n*lam*I)^-1 (Yt - Xt theta1), and the weight
 ensemble (1 - tau) theta1 + tau theta_ft.  ``EstimatorKind`` names one by
 its (lam, tau); the ``risk`` module evaluates them.  The p x p projector is
 never formed; every solve goes through one eigendecomposition of the n x n
-Gram per design (``GramSolver``), read at every penalty level.
+Gram per design (``GramSolver``), read at every penalty level.  The solvers
+take the Grams, not the designs: ``risk.DesignPair`` forms both from one
+pass over the design columns.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ class SingularDesignError(ArithmeticError):
 
 
 class GramSolver:
-    """One eigendecomposition of a design's Gram, read at every penalty.
+    """One eigendecomposition of a design's n x n Gram, read at every penalty.
 
-    G = X X^T = U diag(s) U^T is decomposed once, at construction, so
+    The Gram G = X X^T = U diag(s) U^T is decomposed once, at construction, so
     (G + nlam*I)^-1 = U diag(1/(s + nlam)) U^T at any nlam, and a sweep over
     lam (or tau, which needs no new penalty at all) costs no new
     factorisation.  The Gram's condition number is checked against
@@ -41,10 +43,9 @@ class GramSolver:
     construction instead, so every penalty sees it whatever the call order.
     """
 
-    def __init__(self, X: np.ndarray, jitter: bool = False):
-        self.X = X
-        self.n = X.shape[0]
-        self.gram = X @ X.T
+    def __init__(self, gram: np.ndarray, jitter: bool = False):
+        self.n = gram.shape[0]
+        self.gram = gram
         self.jitter_applied = 0.0
         self.s, self.U = np.linalg.eigh(self.gram)
         lo, hi = self.s[0], self.s[-1]
@@ -76,15 +77,6 @@ class GramSolver:
         U, shifted = self.factor(nlam)
         coef = U.T @ rhs
         return U @ (coef / (shifted[:, None] if coef.ndim == 2 else shifted))
-
-
-def _solver(X: np.ndarray, solver: GramSolver | None, jitter: bool) -> GramSolver:
-    if solver is not None:
-        # identity, not shape: a same-shape solver for another design gives wrong weights
-        if solver.X is not X:
-            raise ValueError("solver was built for a different design")
-        return solver
-    return GramSolver(X, jitter=jitter)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .presets import preset_defaults, preset_points
 from .risk import (
     TERM_KEYS,
     AnalyticRisk,
-    FtResolvent,
+    DesignPair,
     RiskReport,
     lemma_approx_risk,
     mc_expected_risks,
@@ -152,26 +152,19 @@ def evaluate_seed(config: ExperimentConfig, seed_index: int,
 
     Deterministic in (master_seed, seed_index).
     """
-    env, methods, jitter = config.environment(), config.methods, config.jitter
+    env, methods = config.environment(), config.methods
     X, Xt = sample_designs(env, config.master_seed, seed_index)
     theta_c = None
     if config.fix_theta_c:
         # one shared draw held fixed across every replicate of the sweep
         theta_c = sample_theta_c(env, derive_rng(config.master_seed, "params", 0))
-    # one eigendecomposition per design: every method reads the same solvers
-    analytic = resolvent = None
-    if "analytic" in methods:
-        analytic = AnalyticRisk.from_env(X, Xt, env, theta_c=theta_c, jitter=jitter)
-        resolvent = analytic.resolvent
-    elif "lemma_approx" in methods:
-        resolvent = FtResolvent.from_env(Xt, env, jitter=jitter)
+    # one reduction of the designs: every method reads the pair's Grams and solvers
+    pair = DesignPair.from_env(X, Xt, env, theta_c=theta_c, jitter=config.jitter)
+    analytic = AnalyticRisk.from_env(pair, env) if "analytic" in methods else None
     mc = [None] * len(kinds)
     if "monte_carlo" in methods:
-        mc = mc_expected_risks(X, Xt, env, kinds, config.mc_draws,
-                               derive_rng(config.master_seed, "mc", seed_index),
-                               theta_c=theta_c, jitter=jitter,
-                               solver_pre=None if analytic is None else analytic.solver_pre,
-                               solver_ft=None if resolvent is None else resolvent.solver)
+        mc = mc_expected_risks(pair, env, kinds, config.mc_draws,
+                               derive_rng(config.master_seed, "mc", seed_index))
     reports: list[RiskReport] = []
     for kind, mc_report in zip(kinds, mc):
         if analytic is not None:
@@ -179,7 +172,7 @@ def evaluate_seed(config: ExperimentConfig, seed_index: int,
         if mc_report is not None:
             reports.append(mc_report)
         if "lemma_approx" in methods:
-            reports.append(lemma_approx_risk(Xt, env, kind, evaluator=resolvent))
+            reports.append(lemma_approx_risk(pair, env, kind))
     return reports
 
 

@@ -1,9 +1,12 @@
 """Excess risks of the four estimators, three ways.
 
+``DesignPair``               one seed's designs reduced once, to one Gram of
+                             their stacked rows per spectrum run; every
+                             method below reads the pair.
 ``AnalyticRisk``             exact expectation over (theta_c, alpha1, alpha2,
                              noise) with the two designs held fixed, via
                              closed-form trace formulas
-                             (``AnalyticRisk.from_env(...).report(kind)``).
+                             (``AnalyticRisk.from_env(pair, env).report(kind)``).
 ``mc_expected_risks``        Monte-Carlo estimates of the same expectation on
                              draws shared by all estimators, the independent
                              numerical check.
@@ -33,8 +36,9 @@ whose coefficients are traces of n x n products only:
 These identities are unit-tested against dense p x p evaluation at tiny
 sizes.  The covariances are constant on a few runs of coordinates (three
 for every config), so S_X(D), S_Xt(D), C(D) and G are spectrum-weighted sums
-of one Gram per run of the stacked rows [X; Xt] (``_run_grams``): one pass
-over the design columns per design pair, and no p x n array.  Every lam
+of one Gram per run of the stacked rows [X; Xt] (``DesignPair``): one pass
+over the design columns per design pair, and no p x n array.  A and At,
+and so both solvers, are diagonal blocks of the summed Gram.  Every lam
 reads one eigendecomposition At = U diag(s) U^T: with d = 1/(s + n*lam),
 R^-1 = U diag(d) U^T, so each trace above is a d-weighted contraction of
 n x n blocks fixed per design pair (U^T S_Xt(D) U, G U and U^T G^T A^-k G U),
@@ -47,11 +51,15 @@ Monte Carlo
 -----------
 Every estimator is theta_1 + tau * Xt^T R^{-1} (Yt - Xt theta_1), so it lies
 in the row span of X and Xt.  Split the coordinates into blocks on which
-both spectra are constant; on block B (m_B coordinates) the span of the rows
-of X_B and Xt_B has an orthonormal basis Q_B of rank r_B <= n_pre + n.  The
-parameters are isotropic, so their coordinates in Q_B are i.i.d. normal, and
-their parts off the span enter the risk only through one 3 x 3 Gram per
-block, that of (theta_c's Gaussian, alpha1, alpha2), which is
+both spectra are constant (the pair's runs).  On block B (m_B coordinates)
+the rows of C_B = [X_B; Xt_B] span a space of rank r_B <= n_pre + n with an
+orthonormal basis Q_B, and the designs enter the draw only through C_B Q_B.
+Any F_B with F_B F_B^T = C_B C_B^T is C_B Q_B for some such basis, so one
+SVD of the block's Gram, which the pair already holds, gives the
+coordinates; no QR over the design columns is taken.  The parameters are
+isotropic within a block, so their coordinates in any such basis are i.i.d.
+normal, and their parts off the span enter the risk only through one 3 x 3
+Gram per block, that of (theta_c's Gaussian, alpha1, alpha2), which is
 Wishart_3(m_B - r_B, diag(1, zeta1, zeta2)); theta_c's sphere norm is the
 in-span norm plus the Grams' [0, 0] entries.  A draw thus takes
 3 sum_B r_B + n_pre + n normals plus at most six numbers per block, at any
@@ -66,10 +74,11 @@ theta_1 is solved once and the ridge step once per lam.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .estimators import PRETRAINED, EstimatorKind, GramSolver, _solver
+from .estimators import PRETRAINED, EstimatorKind, GramSolver
 from .synth import TaskEnvironment, _wishart_bartlett
 
 TERM_KEYS = ("bias_thetac", "term_zeta1", "term_zeta2", "term_sigma", "term_sigma_tilde")
@@ -159,34 +168,115 @@ class _Quad:
         return _Quad(self.a0 + other.a0, self.a1 + other.a1, self.a2 + other.a2)
 
 
+def _runs(eigs: dict[str, np.ndarray]) -> list[tuple[int, int]]:
+    """The [lo, hi) coordinate runs on which every spectrum in ``eigs`` is constant."""
+    steps = np.any([np.diff(e) != 0 for e in eigs.values()], axis=0)
+    cuts = [int(c) + 1 for c in np.flatnonzero(steps)]
+    return list(zip([0, *cuts], [*cuts, steps.size + 1]))
+
+
+class DesignPair:
+    """One seed's two designs, reduced once: one Gram per spectrum run.
+
+    A run is a stretch of coordinates on which both spectra are constant
+    (``_runs``).  One pass over the design columns forms, per run r, the Gram
+    C_r C_r^T of the stacked rows C = [X; Xt] (a fixed ``theta_c`` is one
+    more row), skipping products with a design that is zero on the run.  The
+    pair keeps those Grams, each run's spectrum value per task (``values``)
+    and size, ``tr_cov``, ``p`` and ``jitter``; nothing below reads X or Xt
+    again:
+
+    * ``S[t]`` = C D_t C^T and ``G`` = C C^T, spectrum-weighted sums;
+    * ``solver_pre`` and ``solver_ft``, from G's diagonal blocks,
+      eigendecomposed on first use;
+    * ``resolvent``, the fine-tune ``FtResolvent`` every method shares;
+    * ``row_space()``, Monte Carlo's coordinates (see the module docstring).
+    """
+
+    def __init__(self, X: np.ndarray, Xt: np.ndarray, eigs_pre: np.ndarray,
+                 eigs_ft: np.ndarray, theta_c: np.ndarray | None = None,
+                 jitter: bool = False):
+        eigs = {"pre": np.asarray(eigs_pre, dtype=float), "ft": np.asarray(eigs_ft, dtype=float)}
+        rows = [X, Xt] if theta_c is None else [X, Xt, np.asarray(theta_c, dtype=float)[None, :]]
+        self.n_pre, self.n, self.p = X.shape[0], Xt.shape[0], X.shape[1]
+        self.x, self.xt = slice(0, self.n_pre), slice(self.n_pre, self.n_pre + self.n)
+        self.fixed_theta_c = theta_c is not None
+        self.jitter = jitter
+        self.tr_cov = {t: float(np.sum(e)) for t, e in eigs.items()}
+        runs = _runs(eigs)
+        self.sizes = [hi - lo for lo, hi in runs]
+        self.values = {t: e[[lo for lo, _ in runs]] for t, e in eigs.items()}
+        edges = np.cumsum([0, *(r.shape[0] for r in rows)])
+        blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        self.grams = []
+        for lo, hi in runs:
+            gram = np.zeros((edges[-1], edges[-1]))
+            live = [(b, r[:, lo:hi]) for b, r in zip(blocks, rows) if r[:, lo:hi].any()]
+            for i, (bi, ri) in enumerate(live):
+                for bj, rj in live[i:]:
+                    gram[bi, bj] = ri @ rj.T
+                    gram[bj, bi] = gram[bi, bj].T
+            self.grams.append(gram)
+        self.G = sum(self.grams)
+        self.S = {t: sum(v * g for v, g in zip(vals, self.grams))
+                  for t, vals in self.values.items()}
+
+    @classmethod
+    def from_env(cls, X: np.ndarray, Xt: np.ndarray, env: TaskEnvironment,
+                 theta_c: np.ndarray | None = None, jitter: bool = False) -> "DesignPair":
+        return cls(X, Xt, *env.eigenvalues(), theta_c=theta_c, jitter=jitter)
+
+    @cached_property
+    def solver_pre(self) -> GramSolver:
+        return GramSolver(self.G[self.x, self.x], jitter=self.jitter)
+
+    @cached_property
+    def solver_ft(self) -> GramSolver:
+        return GramSolver(self.G[self.xt, self.xt], jitter=self.jitter)
+
+    @cached_property
+    def resolvent(self) -> "FtResolvent":
+        return FtResolvent(self)
+
+    def row_space(self) -> list[np.ndarray]:
+        """Monte Carlo's coordinates: per run, F_r with F_r F_r^T = C_r C_r^T.
+
+        One SVD of the run's Gram, restricted to the rows that are live on the
+        run, gives F_r = U sqrt(s) on the rank that keeps the singular values
+        above s[0] * max(rows, m_r) * eps.
+        """
+        coords = []
+        for gram, m in zip(self.grams, self.sizes):
+            live = np.flatnonzero(np.diagonal(gram))
+            F = np.zeros((gram.shape[0], 0))
+            if live.size:
+                U, s, _ = np.linalg.svd(gram[np.ix_(live, live)])
+                rank = int(np.sum(s > s[0] * max(gram.shape[0], m) * np.finfo(float).eps))
+                F = np.zeros((gram.shape[0], rank))
+                F[live] = U[:, :rank] * np.sqrt(s[:rank])
+            coords.append(F)
+        return coords
+
+
 class FtResolvent:
     """The fine-tune half of the exact evaluator: one eigendecomposition of At.
 
-    Holds At = U diag(s) U^T and, per task covariance D ("ft": ``eigs``, "pre":
-    ``eigs_pre``), M = U^T S U with S = Xt D Xt^T (``grams`` if given).  The
-    traces t1-t3 = tr{R^-k S} and t4, t5 = tr{R^-k At S} are d-weighted sums of
-    diag(M), O(n) per lam.  ``AnalyticRisk`` reads d, M and t1-t3 from it; the
-    two-term shortcut, two of its five term quadratics, and the theory read the
-    same traces.  t4 at lam = 0 on a jittered singular Gram has condition number
-    cond(R)^3 ~ 1e37, so it is nan there rather than decided by rounding.
+    Holds the pair's At = U diag(s) U^T and, per task covariance D, M = U^T S U
+    with S = Xt D Xt^T.  The traces t1-t3 = tr{R^-k S} and t4, t5 =
+    tr{R^-k At S} are d-weighted sums of diag(M), O(n) per lam.
+    ``AnalyticRisk`` reads d, M and t1-t3 from it; the two-term shortcut, two
+    of its five term quadratics, and the theory read the same traces.  t4 at
+    lam = 0 on a jittered singular Gram has condition number cond(R)^3 ~ 1e37,
+    so it is nan there rather than decided by rounding.
     """
 
-    def __init__(self, Xt: np.ndarray, eigs: np.ndarray, jitter: bool = False,
-                 eigs_pre: np.ndarray | None = None, grams: dict | None = None):
-        self.n = Xt.shape[0]
-        self.solver = GramSolver(Xt, jitter=jitter)
-        covs = {"ft": eigs} if eigs_pre is None else {"pre": eigs_pre, "ft": eigs}
-        covs = {t: np.asarray(e, dtype=float) for t, e in covs.items()}
-        self.tr_cov = {t: float(np.sum(e)) for t, e in covs.items()}
-        S = grams or _run_grams([Xt], covs)[0]
-        self.M = {t: self.solver.U.T @ S[t] @ self.solver.U for t in covs}
+    def __init__(self, pair: DesignPair):
+        self.n = pair.n
+        self.solver = pair.solver_ft
+        self.tr_cov = pair.tr_cov
+        U, xt = self.solver.U, pair.xt
+        self.M = {t: U.T @ S[xt, xt] @ U for t, S in pair.S.items()}
         self._m = {t: np.diagonal(M) for t, M in self.M.items()}
-
-    @classmethod
-    def from_env(cls, Xt: np.ndarray, env: TaskEnvironment,
-                 jitter: bool = False) -> "FtResolvent":
-        eigs_pre, eigs_ft = env.eigenvalues()
-        return cls(Xt, eigs_ft, jitter=jitter, eigs_pre=eigs_pre)
 
     def d(self, lam: float) -> np.ndarray:
         """1/(s + n*lam), the eigenvalues of R^-1."""
@@ -224,87 +314,61 @@ def two_term_quadratics(t: dict[str, float], zeta2: float, sigma2_tilde: float,
 
 
 class AnalyticRisk:
-    """Exact conditional risk evaluator for one pair of designs.
+    """Exact conditional risk evaluator for one ``DesignPair``.
 
-    Accepts explicit eigenvalue vectors so irregular spectra can be fed in
-    directly; ``from_env`` builds them from the block specs.  With
-    ``theta_c=None`` the shared-parameter quadratic form is averaged over
-    the uniform sphere of radius ``theta_c_norm`` (value
-    norm^2/p * trace); passing a vector evaluates it at that fixed point.
+    A pair without a fixed theta_c averages the shared-parameter quadratic
+    form over the uniform sphere of radius ``theta_c_norm`` (value
+    norm^2/p * trace); a pair with one evaluates it at that fixed point.
     """
 
     def __init__(
         self,
-        X: np.ndarray,
-        Xt: np.ndarray,
-        eigs_pre: np.ndarray,
-        eigs_ft: np.ndarray,
+        pair: DesignPair,
         zeta1: float,
         zeta2: float,
         sigma2: float,
         sigma2_tilde: float,
         theta_c_norm: float = 1.0,
-        theta_c: np.ndarray | None = None,
-        jitter: bool = False,
     ):
-        self.eigs_pre = np.asarray(eigs_pre, dtype=float)
-        self.eigs_ft = np.asarray(eigs_ft, dtype=float)
         self.zeta1, self.zeta2 = zeta1, zeta2
         self.sigma2, self.sigma2_tilde = sigma2, sigma2_tilde
         self.theta_c_norm = theta_c_norm
-        self.theta_c = None if theta_c is None else np.asarray(theta_c, dtype=float)
-
-        self.solver_pre = GramSolver(X, jitter=jitter)
+        self.p, self.fixed_theta_c = pair.p, pair.fixed_theta_c
+        self.resolvent = pair.resolvent
+        self.tr_cov = pair.tr_cov
         # S[t] = C D_t C^T and G = C C^T for the stacked rows C = [X; Xt(; theta_c)]
-        rows = [X, Xt] if self.theta_c is None else [X, Xt, self.theta_c[None, :]]
-        S, G = _run_grams(rows, {"pre": self.eigs_pre, "ft": self.eigs_ft})
-        x, xt = slice(0, X.shape[0]), slice(X.shape[0], X.shape[0] + Xt.shape[0])
-        self.resolvent = FtResolvent(Xt, self.eigs_ft, jitter=jitter, eigs_pre=self.eigs_pre,
-                                     grams={t: s[xt, xt] for t, s in S.items()})
-        self.tr_cov = self.resolvent.tr_cov
+        S, G, x, xt, sp = pair.S, pair.G, pair.x, pair.xt, pair.solver_pre
         self._quads = {}  # (lam, task) -> term quadratics
 
         # lam-independent traces against the pretrain Gram
         self._w0, self._u0 = {}, {}
         for t, s in S.items():
-            a1 = self.solver_pre.solve(s[x, x])
+            a1 = sp.solve(s[x, x])
             self._w0[t] = float(np.trace(a1))
-            self._u0[t] = float(np.trace(self.solver_pre.solve(a1)))
+            self._u0[t] = float(np.trace(sp.solve(a1)))
 
         # fixed n x n blocks in the fine-tune eigenbasis (the resolvent holds
         # M = U^T S_Xt(D) U): c_k = diag(U^T G^T A^-k C(D) U), Q_k = U^T G^T A^-k G U
         U = self.resolvent.solver.U
         GU = G[x, xt] @ U
-        A1GU = self.solver_pre.solve(GU)
-        AGU = (A1GU, self.solver_pre.solve(A1GU))  # A^-k G U, k = 1, 2
+        A1GU = sp.solve(GU)
+        AGU = (A1GU, sp.solve(A1GU))  # A^-k G U, k = 1, 2
         self._Q = [GU.T @ a for a in AGU]
         self._c = {t: [np.einsum("ij,ij->j", a, s[x, xt] @ U) for a in AGU]
                    for t, s in S.items()}
 
-        if self.theta_c is not None:
+        if self.fixed_theta_c:
             # h = (I - P) theta_c = C^T v with v = (-A^-1 X theta_c, 0, 1), so
             # h^T D h, g = U^T Xt h and g_D = U^T Xt D h are Gram contractions
-            v = np.r_[-self.solver_pre.solve(G[x, -1]), np.zeros(Xt.shape[0]), 1.0]
+            v = np.r_[-sp.solve(G[x, -1]), np.zeros(pair.n), 1.0]
             self._h_c0 = {t: float(v @ s @ v) for t, s in S.items()}
             self._g = U.T @ (G[xt] @ v)
             self._g_cov = {t: U.T @ (s[xt] @ v) for t, s in S.items()}
 
     @classmethod
-    def from_env(
-        cls,
-        X: np.ndarray,
-        Xt: np.ndarray,
-        env: TaskEnvironment,
-        theta_c: np.ndarray | None = None,
-        jitter: bool = False,
-    ) -> "AnalyticRisk":
-        eigs_pre, eigs_ft = env.eigenvalues()
-        return cls(
-            X, Xt, eigs_pre, eigs_ft,
-            zeta1=env.zeta1, zeta2=env.zeta2,
-            sigma2=env.sigma2, sigma2_tilde=env.sigma2_tilde,
-            theta_c_norm=env.theta_c_norm, theta_c=theta_c, jitter=jitter,
-        )
+    def from_env(cls, pair: DesignPair, env: TaskEnvironment) -> "AnalyticRisk":
+        return cls(pair, zeta1=env.zeta1, zeta2=env.zeta2, sigma2=env.sigma2,
+                   sigma2_tilde=env.sigma2_tilde, theta_c_norm=env.theta_c_norm)
 
     def _blocks(self, lam: float, t: str) -> dict:
         """The lam-dependent traces of task t: d-weighted contractions, O(n^2)."""
@@ -319,7 +383,7 @@ class AnalyticRisk:
             w2=float(np.sum(dMd * Q1.T)),
             u2=float(np.sum(dMd * Q2.T)),
         )
-        if self.theta_c is not None:
+        if self.fixed_theta_c:
             dg = d * self._g  # U^T R^-1 Xt h
             blk["hb1"] = -2.0 * float(self._g_cov[t] @ dg)
             blk["hb2"] = float(dg @ M @ dg)
@@ -329,8 +393,8 @@ class AnalyticRisk:
         """Each term at tau = 0 (the pretrained estimator), with no fine-tune resolvent."""
         w0, trc = self._w0[t], self.tr_cov[t]
         return {
-            "bias_thetac": self._h_c0[t] if self.theta_c is not None
-            else self.theta_c_norm**2 / self.eigs_pre.size * (trc - w0),
+            "bias_thetac": self._h_c0[t] if self.fixed_theta_c
+            else self.theta_c_norm**2 / self.p * (trc - w0),
             "term_zeta1": self.zeta1 * (self.tr_cov["pre"] - w0) if t == "pre"
             else self.zeta1 * w0,
             "term_zeta2": 0.0 if t == "pre" else self.zeta2 * trc,
@@ -344,8 +408,8 @@ class AnalyticRisk:
         if (lam, t) in self._quads:
             return self._quads[lam, t]
         b, c = self._blocks(lam, t), self._constants(t)
-        if self.theta_c is None:
-            scale = self.theta_c_norm**2 / self.eigs_pre.size
+        if not self.fixed_theta_c:
+            scale = self.theta_c_norm**2 / self.p
             bias = (scale * (-2 * b["t1"] + 2 * b["w1"]), scale * (b["t3"] - b["w2"]))
         else:
             bias = (b["hb1"], b["hb2"])
@@ -376,75 +440,6 @@ class AnalyticRisk:
         return RiskReport(method="analytic", kind=kind, pre=pre, ft=ft)
 
 
-def _runs(eigs: dict[str, np.ndarray]) -> list[tuple[int, int]]:
-    """The [lo, hi) coordinate runs on which every spectrum in ``eigs`` is constant."""
-    steps = np.any([np.diff(e) != 0 for e in eigs.values()], axis=0)
-    cuts = [int(c) + 1 for c in np.flatnonzero(steps)]
-    return list(zip([0, *cuts], [*cuts, steps.size + 1]))
-
-
-def _run_grams(rows: list[np.ndarray], eigs: dict[str, np.ndarray]
-               ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """C D C^T per task in ``eigs``, and C C^T, for the stacked rows C = [rows[0]; ...].
-
-    Each D is constant on every run of ``_runs``, so C D C^T is the
-    spectrum-weighted sum of one Gram C_r C_r^T per run: one pass over the
-    columns, and no p x n array.  Products with a block that is zero on a run
-    (a design past its support) are skipped.
-    """
-    edges = np.cumsum([0, *(r.shape[0] for r in rows)])
-    blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    G = np.zeros((edges[-1], edges[-1]))
-    S = {t: np.zeros_like(G) for t in eigs}
-    for lo, hi in _runs(eigs):
-        gram = np.zeros_like(G)
-        live = [(b, r[:, lo:hi]) for b, r in zip(blocks, rows) if r[:, lo:hi].any()]
-        for i, (bi, ri) in enumerate(live):
-            for bj, rj in live[i:]:
-                gram[bi, bj] = ri @ rj.T
-                gram[bj, bi] = gram[bi, bj].T
-        G += gram
-        for t, e in eigs.items():
-            S[t] += e[lo] * gram
-    return S, G
-
-
-class _RowSpace:
-    """The designs in an orthonormal basis of their row span, block by block.
-
-    A block is a run of coordinates on which both spectra are constant
-    (``_runs``).  For block B, C_B stacks the rows of X_B, Xt_B and (if given)
-    a fixed theta_c_B; a QR of C_B^T and an SVD of its triangle give C_B Q_B
-    for an orthonormal basis Q_B of the rows' span, whose rank r_B drops
-    singular values below ``max(C_B.shape) * eps`` of the largest.  Stacked
-    over the blocks, ``Xq`` and ``Xtq`` satisfy Xq Xq^T = X X^T, Xtq Xtq^T =
-    Xt Xt^T and Xtq Xq^T = Xt X^T, so the designs' own solvers serve the
-    reduced coordinates.  ``weights`` holds each reduced coordinate's spectrum
-    value per task; ``off`` the off-span dimension m_B - r_B and spectrum
-    values of every block with one.
-    """
-
-    def __init__(self, X: np.ndarray, Xt: np.ndarray, eigs: dict[str, np.ndarray],
-                 theta_c: np.ndarray | None = None):
-        C = np.vstack([X, Xt] if theta_c is None else [X, Xt, theta_c[None, :]])
-        runs = _runs(eigs)
-        coords, ranks, self.off = [], [], []
-        for lo, hi in runs:
-            V, sv, _ = np.linalg.svd(np.linalg.qr(C[:, lo:hi].T, mode="r").T,
-                                     full_matrices=False)
-            r = int(np.sum(sv > sv[0] * max(C.shape[0], hi - lo) * np.finfo(float).eps))
-            coords.append(V[:, :r] * sv[:r])
-            ranks.append(r)
-            if hi - lo > r:
-                self.off.append((hi - lo - r, {t: float(e[lo]) for t, e in eigs.items()}))
-        CQ = np.hstack(coords)
-        n_pre = X.shape[0]
-        self.Xq, self.Xtq = CQ[:n_pre], CQ[n_pre:n_pre + Xt.shape[0]]
-        self.theta_c = None if theta_c is None else CQ[-1]
-        starts = [lo for lo, _ in runs]
-        self.weights = {t: np.repeat(e[starts], ranks) for t, e in eigs.items()}
-
-
 def _off_span_gram(rng: np.random.Generator, dof: int, m: int) -> np.ndarray:
     """m draws of Wishart_3(dof, I): Bartlett's factor, or G^T G when dof < 3."""
     if dof >= 3:
@@ -454,34 +449,25 @@ def _off_span_gram(rng: np.random.Generator, dof: int, m: int) -> np.ndarray:
 
 
 def mc_expected_risks(
-    X: np.ndarray,
-    Xt: np.ndarray,
+    pair: DesignPair,
     env: TaskEnvironment,
     kinds: list[EstimatorKind],
     draws: int,
     rng: np.random.Generator,
     task: str = "both",
-    theta_c: np.ndarray | None = None,
-    jitter: bool = False,
-    solver_pre: GramSolver | None = None,
-    solver_ft: GramSolver | None = None,
 ) -> list[RiskReport]:
     """Monte-Carlo mean of the plug-in risk over fresh parameter/noise draws,
     one report per kind, every kind on the same draws.
 
-    Designs stay fixed; each Gram is eigendecomposed once and each block's
-    basis taken once, so a draw costs O(n) numbers and n x n work at any p
-    (see the module docstring).  Draws are vectorised in batches of
-    ``_MC_BATCH``, which fixes the stream.
+    The pair's designs (and fixed theta_c, if it has one) stay fixed; its
+    solvers and one row-space reduction serve every draw, so a draw costs
+    O(n) numbers and n x n work at any p (see the module docstring).  Draws
+    are vectorised in batches of ``_MC_BATCH``, which fixes the stream.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     tasks = [t for t in ("pre", "ft") if task in (t, "both")]
-    sp = _solver(X, solver_pre, jitter)
-    st = _solver(Xt, solver_ft, jitter)
-    eigs = dict(zip(("pre", "ft"), env.eigenvalues()))
-    space = _RowSpace(X, Xt, eigs, None if theta_c is None else np.asarray(theta_c, dtype=float))
-    risks = _mc_risk_draws(space, sp, st, env, kinds, draws, rng, tasks)
+    risks = _mc_risk_draws(pair, env, kinds, draws, rng, tasks)
 
     def summarise(r) -> TaskRisk:
         se = float(np.std(r, ddof=1) / np.sqrt(r.size)) if r.size > 1 else 0.0
@@ -493,13 +479,20 @@ def mc_expected_risks(
             for kind, r in zip(kinds, risks)]
 
 
-def _mc_risk_draws(space: _RowSpace, sp: GramSolver, st: GramSolver, env: TaskEnvironment,
-                   kinds: list[EstimatorKind], draws: int, rng: np.random.Generator,
+def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[EstimatorKind],
+                   draws: int, rng: np.random.Generator,
                    tasks: list[str]) -> list[dict[str, np.ndarray]]:
     """The plug-in risk of every kind on each of ``draws`` shared draws, per task."""
-    Xq, Xtq = space.Xq, space.Xtq
-    n_pre, n = Xq.shape[0], Xtq.shape[0]
-    rank = Xq.shape[1]
+    coords = pair.row_space()
+    ranks = [F.shape[1] for F in coords]
+    # each coordinate's spectrum value per task, and every run's off-span dimension
+    weights = {t: np.repeat(v, ranks) for t, v in pair.values.items()}
+    off = [(m - r, {t: float(v[i]) for t, v in pair.values.items()})
+           for i, (m, r) in enumerate(zip(pair.sizes, ranks)) if m > r]
+    F = np.hstack(coords)
+    n_pre, n, rank = pair.n_pre, pair.n, F.shape[1]
+    Xq, Xtq = F[pair.x], F[pair.xt]
+    sp, st = pair.solver_pre, pair.solver_ft
     # kind indices with tau = 0 (the pretrained weights), the rest grouped by lam
     pretrained, by_lam = [], {}
     for i, kind in enumerate(kinds):
@@ -519,7 +512,7 @@ def _mc_risk_draws(space: _RowSpace, sp: GramSolver, st: GramSolver, env: TaskEn
     def add(i, hat):
         for t in tasks:
             d = hat - target[t]
-            risks[i][t].append(space.weights[t] @ (d * d) + perp[t])
+            risks[i][t].append(weights[t] @ (d * d) + perp[t])
 
     done = 0
     while done < draws:
@@ -529,9 +522,9 @@ def _mc_risk_draws(space: _RowSpace, sp: GramSolver, st: GramSolver, env: TaskEn
         # the off-span parts enter only as their squared risk per task
         alpha = {t: normals(rank, zeta[t]) for t in ("pre", "ft")}
         perp = {t: np.zeros(m) for t in ("pre", "ft")}
-        if space.theta_c is None:
+        if not pair.fixed_theta_c:
             g = rng.standard_normal((rank, m))
-            grams = [(_off_span_gram(rng, dof, m) * sd[:, None] * sd, e) for dof, e in space.off]
+            grams = [(_off_span_gram(rng, dof, m) * sd[:, None] * sd, e) for dof, e in off]
             norm2 = np.sum(g * g, axis=0)
             for W, _ in grams:
                 norm2 += W[:, 0, 0]
@@ -541,8 +534,8 @@ def _mc_risk_draws(space: _RowSpace, sp: GramSolver, st: GramSolver, env: TaskEn
                 for t, k in offset.items():
                     perp[t] += e[t] * (s * s * W[:, 0, 0] + 2 * s * W[:, 0, k] + W[:, k, k])
         else:
-            tc = np.broadcast_to(space.theta_c[:, None], (rank, m))
-            for dof, e in space.off:
+            tc = np.broadcast_to(F[-1][:, None], (rank, m))
+            for dof, e in off:
                 chi2 = rng.chisquare(dof, (m, 2))
                 for t, k in offset.items():
                     perp[t] += e[t] * zeta[t] * chi2[:, k - 1]
@@ -561,25 +554,22 @@ def _mc_risk_draws(space: _RowSpace, sp: GramSolver, st: GramSolver, env: TaskEn
 
 
 def lemma_approx_risk(
-    Xt: np.ndarray,
+    pair: DesignPair,
     env: TaskEnvironment,
     kind: EstimatorKind,
     task: str = "both",
-    jitter: bool = False,
-    evaluator: FtResolvent | None = None,
 ) -> RiskReport:
     """Dominant-term shortcut: the exact evaluator's term_zeta2 and
-    term_sigma_tilde only, read from ``evaluator`` (an ``FtResolvent``, for
-    instance ``AnalyticRisk.resolvent``) when given.  The pretrained
-    estimator's pretrain risk is lower-order and reported as 0 with a note.
+    term_sigma_tilde only, read from the pair's shared ``FtResolvent``.  The
+    pretrained estimator's pretrain risk is lower-order and reported as 0
+    with a note.
     """
     lam, tau = kind.effective
     tasks = [t for t in ("pre", "ft") if task in (t, "both")]
     if kind.name == PRETRAINED:  # tau = 0: only the fine-tune task-shift constant
-        tr_ft = float(np.sum(env.eigenvalues()[1]))
-        quads = {"pre": {}, "ft": {"term_zeta2": _Quad(env.zeta2 * tr_ft)}}
+        quads = {"pre": {}, "ft": {"term_zeta2": _Quad(env.zeta2 * pair.tr_cov["ft"])}}
     else:
-        res = evaluator or FtResolvent.from_env(Xt, env, jitter=jitter)
+        res = pair.resolvent
         quads = {t: two_term_quadratics(res.traces(lam, t), env.zeta2, env.sigma2_tilde,
                                         res.tr_cov[t] if t == "ft" else None)
                  for t in tasks}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorKind
-from .risk import AnalyticRisk, FtResolvent, _Quad, two_term_quadratics
+from .risk import AnalyticRisk, DesignPair, _Quad, two_term_quadratics
 from .spectra import SpectrumSpec, build_eigenvalues, effective_rank
 from .synth import TaskEnvironment, _coord_draws, _wishart_bartlett, derive_rng, sample_designs
 
@@ -36,13 +36,14 @@ def lambda_prime(env: TaskEnvironment) -> float:
     return env.sigma2_tilde / (env.n * env.zeta2)
 
 
-def _two_term(Xt, env, lam, cache: FtResolvent | None, objective: str = "ft"):
+def _two_term(pair: DesignPair, env: TaskEnvironment, lam: float, objective: str = "ft"):
     """The two-term risk at lam as a quadratic in tau, and the traces it read.
 
-    "sum" adds the pretrain task's pair, read through the fine-tune
-    covariance as in the theorems' reduced form.
+    The traces are the pair's shared fine-tune resolvent's.  "sum" adds the
+    pretrain task's pair, read through the fine-tune covariance as in the
+    theorems' reduced form.
     """
-    res = cache or FtResolvent(Xt, build_eigenvalues(env.spectrum_ft))
+    res = pair.resolvent
     t = res.traces(lam)
     quads = [*two_term_quadratics(t, env.zeta2, env.sigma2_tilde, res.tr_cov["ft"]).values()]
     if objective == "sum":
@@ -50,27 +51,17 @@ def _two_term(Xt, env, lam, cache: FtResolvent | None, objective: str = "ft"):
     return sum(quads, _Quad()), t
 
 
-def tau_prime(
-    Xt: np.ndarray,
-    env: TaskEnvironment,
-    lam: float,
-    cache: FtResolvent | None = None,
-) -> float:
+def tau_prime(pair: DesignPair, env: TaskEnvironment, lam: float) -> float:
     """Risk-optimal ensemble weight at ridge level lam.
 
     Ratio of the task-shift trace to the curvature traces; lies in [0, 1]
     whenever lam <= lambda_prime(env) and equals 1 exactly at that boundary.
     """
-    q, _ = _two_term(Xt, env, lam, cache)
+    q, _ = _two_term(pair, env, lam)
     return -q.a1 / (2.0 * q.a2)
 
 
-def ft_risk_dlambda(
-    Xt: np.ndarray,
-    env: TaskEnvironment,
-    lam: float,
-    cache: FtResolvent | None = None,
-) -> float:
+def ft_risk_dlambda(pair: DesignPair, env: TaskEnvironment, lam: float) -> float:
     """d/d(lam) of the two-term fine-tune risk of the ridge estimator.
 
     Equals 2n (zeta2*n*lam - sigma2_tilde) tr{R^-3 S}; its sign is the sign
@@ -80,16 +71,11 @@ def ft_risk_dlambda(
     if lam < 0:
         raise ValueError("lam must be non-negative")
     n = env.n
-    _, t = _two_term(Xt, env, lam, cache)
+    _, t = _two_term(pair, env, lam)
     return 2.0 * n * (env.zeta2 * n * lam - env.sigma2_tilde) * t["t4"]
 
 
-def sum_risk_dlambda(
-    Xt: np.ndarray,
-    env: TaskEnvironment,
-    lam: float,
-    cache: FtResolvent | None = None,
-) -> float:
+def sum_risk_dlambda(pair: DesignPair, env: TaskEnvironment, lam: float) -> float:
     """d/d(lam) of the two-term summed (pretrain + fine-tune) ridge risk.
 
     The reduced form involves only fine-tune-side traces.  Strictly
@@ -99,19 +85,18 @@ def sum_risk_dlambda(
     if lam < 0:
         raise ValueError("lam must be non-negative")
     n = env.n
-    _, t = _two_term(Xt, env, lam, cache)
+    _, t = _two_term(pair, env, lam)
     return 2.0 * n * (
         (env.zeta2 * n * lam - 2.0 * env.sigma2_tilde) * t["t4"] - env.zeta2 * t["t5"]
     )
 
 
 def ensemble_risk_dtau(
-    Xt: np.ndarray,
+    pair: DesignPair,
     env: TaskEnvironment,
     lam: float,
     tau: float,
     objective: str = "ft",
-    cache: FtResolvent | None = None,
 ) -> float:
     """d/d(tau) of the two-term ensemble risk.
 
@@ -122,30 +107,18 @@ def ensemble_risk_dtau(
     """
     if objective not in ("ft", "sum"):
         raise ValueError("objective must be 'ft' or 'sum'")
-    q, _ = _two_term(Xt, env, lam, cache, objective)
+    q, _ = _two_term(pair, env, lam, objective)
     return q.a1 + 2.0 * tau * q.a2
 
 
-def lemma_ft_risk(
-    Xt: np.ndarray,
-    env: TaskEnvironment,
-    lam: float,
-    tau: float = 1.0,
-    cache: FtResolvent | None = None,
-) -> float:
+def lemma_ft_risk(pair: DesignPair, env: TaskEnvironment, lam: float, tau: float = 1.0) -> float:
     """Two-term fine-tune risk of the (lam, tau) estimator; f and g objectives."""
-    return _two_term(Xt, env, lam, cache)[0](tau)
+    return _two_term(pair, env, lam)[0](tau)
 
 
-def lemma_sum_risk(
-    Xt: np.ndarray,
-    env: TaskEnvironment,
-    lam: float,
-    tau: float = 1.0,
-    cache: FtResolvent | None = None,
-) -> float:
+def lemma_sum_risk(pair: DesignPair, env: TaskEnvironment, lam: float, tau: float = 1.0) -> float:
     """Two-term summed two-task risk of the (lam, tau) estimator; h and J objectives."""
-    return _two_term(Xt, env, lam, cache, "sum")[0](tau)
+    return _two_term(pair, env, lam, "sum")[0](tau)
 
 
 @dataclass(frozen=True)
@@ -242,8 +215,8 @@ def verify_theorem_orderings(
 
     outcomes = []
     for rep in range(seeds):
-        X, Xt = sample_designs(env, master_seed, rep)
-        ev = AnalyticRisk.from_env(X, Xt, env)
+        pair = DesignPair.from_env(*sample_designs(env, master_seed, rep), env)
+        ev = AnalyticRisk.from_env(pair, env)
         # the evaluator builds each (lam, task)'s term quadratics once
         l_ft = lambda kind: ev.task_risk(kind, "ft").value
         l_sum = lambda kind: ev.task_risk(kind, "pre").value + ev.task_risk(kind, "ft").value
@@ -272,7 +245,7 @@ def verify_theorem_orderings(
             margins[item] = np.nan
 
         for lam in lambda_grid:
-            ts = tau_prime(Xt, env, lam, cache=ev.resolvent)
+            ts = tau_prime(pair, env, lam)
             tau_stars[repr(float(lam))] = ts
             # grid points at tau = 1 are evaluated anyway: there the ensemble
             # coincides with its ridge leg, which shows up as a recorded tie

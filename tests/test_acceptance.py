@@ -22,7 +22,7 @@ from overadapt.presets import (
     preset_environment,
     theorem_check_env,
 )
-from overadapt.risk import AnalyticRisk, FtResolvent, mc_expected_risks
+from overadapt.risk import AnalyticRisk, DesignPair, mc_expected_risks
 from overadapt.spectra import SpectrumSpec, build_eigenvalues, effective_rank
 from overadapt.synth import (
     TaskEnvironment,
@@ -85,8 +85,8 @@ def test_c01_tiny_scale_oracle_equivalence():
         tau = float(rng.uniform(0.0, 1.0))
         # the estimator maps of the Monte-Carlo evaluator: theta1, then one
         # fine-tune step per penalty, the ensemble a point along the step
-        st = GramSolver(Xt)
-        theta1 = X.T @ GramSolver(X).solve(Y)
+        st = GramSolver(Xt @ Xt.T)
+        theta1 = X.T @ GramSolver(X @ X.T).solve(Y)
         resid = Yt - Xt @ theta1
         step = Xt.T @ st.solve(resid, nlam=n * lam)
         estimates = {
@@ -121,8 +121,8 @@ def test_c02_interpolation_and_ridge_limits():
         noise_ft = derive_rng(MASTER_SEED, "noise_ft", seed).standard_normal(n)
         Y = X @ (theta_c + alpha1) + noise_pre * np.sqrt(env.sigma2)
         Yt = Xt @ (theta_c + alpha2) + noise_ft * np.sqrt(env.sigma2_tilde)
-        st = GramSolver(Xt)
-        theta1 = X.T @ GramSolver(X).solve(Y)
+        st = GramSolver(Xt @ Xt.T)
+        theta1 = X.T @ GramSolver(X @ X.T).solve(Y)
         resid = Yt - Xt @ theta1
         theta2 = theta1 + Xt.T @ st.solve(resid)
         worst_interp = max(worst_interp, np.max(np.abs(Xt @ theta2 - Yt)) / np.max(np.abs(Yt)))
@@ -153,9 +153,10 @@ def test_c03_analytic_vs_monte_carlo():
                           derive_rng(MASTER_SEED, "design_pre", seed))
         Xt = sample_design(env.spectrum_ft, env.n,
                            derive_rng(MASTER_SEED, "design_ft", seed))
-        exact = AnalyticRisk.from_env(X, Xt, env)
+        pair = DesignPair.from_env(X, Xt, env)
+        exact = AnalyticRisk.from_env(pair, env)
         for k, kind in enumerate(kinds):
-            mc = mc_expected_risks(X, Xt, env, [kind], draws=2000,
+            mc = mc_expected_risks(pair, env, [kind], draws=2000,
                                    rng=derive_rng(MASTER_SEED, "mc", 100 * seed + k))[0]
             for task in ("pre", "ft"):
                 total += 1
@@ -196,10 +197,10 @@ def test_c05_ensemble_beats_ridge_and_stationarity(ordering_env):
                           derive_rng(MASTER_SEED, "design_pre", seed))
         Xt = sample_design(env.spectrum_ft, env.n,
                            derive_rng(MASTER_SEED, "design_ft", seed))
-        ev = AnalyticRisk.from_env(X, Xt, env)
-        res = FtResolvent(Xt, build_eigenvalues(env.spectrum_ft))
+        pair = DesignPair.from_env(X, Xt, env)
+        ev = AnalyticRisk.from_env(pair, env)
         for lam in (0.0, lam_star / 2):
-            ts = tau_prime(Xt, env, lam, cache=res)
+            ts = tau_prime(pair, env, lam)
             quads = ev.term_quadratics(lam, "ft")
             vals = np.array([sum(q(t) for q in quads.values()) for t in taus])
             worst = max(worst, abs(taus[int(np.argmin(vals))] - ts))
@@ -269,39 +270,37 @@ def test_c07_simulation_reproduction(preset_results):
 def test_c08_stationarity_identities(ordering_env):
     env = ordering_env
     lam_star = lambda_prime(env)
-    eigs_ft = build_eigenvalues(env.spectrum_ft)
     worst_tp = worst_f = worst_g = worst_j = worst_fd = 0.0
     for seed in range(5):
-        Xt = sample_design(env.spectrum_ft, env.n,
-                           derive_rng(MASTER_SEED, "design_ft", seed))
-        res = FtResolvent(Xt, eigs_ft)
-        worst_tp = max(worst_tp, abs(tau_prime(Xt, env, lam_star, cache=res) - 1.0))
+        pair = DesignPair.from_env(*sample_designs(env, MASTER_SEED, seed), env)
+        res = pair.resolvent
+        worst_tp = max(worst_tp, abs(tau_prime(pair, env, lam_star) - 1.0))
         t = res.traces(lam_star)
         f_scale = 2 * env.n * (env.zeta2 * env.n * lam_star + env.sigma2_tilde) * t["t4"]
         worst_f = max(worst_f,
-                      abs(ft_risk_dlambda(Xt, env, lam_star, cache=res)) / f_scale)
+                      abs(ft_risk_dlambda(pair, env, lam_star)) / f_scale)
         lam = lam_star / 3
-        ts = tau_prime(Xt, env, lam, cache=res)
+        ts = tau_prime(pair, env, lam)
         g_scale = 2 * env.zeta2 * res.traces(lam)["t1"]
         worst_g = max(worst_g, abs(
-            ensemble_risk_dtau(Xt, env, lam, ts, "ft", cache=res)) / g_scale)
+            ensemble_risk_dtau(pair, env, lam, ts, "ft")) / g_scale)
         worst_j = max(worst_j, abs(
-            ensemble_risk_dtau(Xt, env, lam, ts / 2, "sum", cache=res)) / g_scale)
+            ensemble_risk_dtau(pair, env, lam, ts / 2, "sum")) / g_scale)
         # central differences of the reduced risks
         h_lam = 1e-5 * lam
         for deriv, func in (
-            (ft_risk_dlambda(Xt, env, lam, cache=res),
-             lambda l: lemma_ft_risk(Xt, env, l, 1.0, cache=res)),
-            (sum_risk_dlambda(Xt, env, lam, cache=res),
-             lambda l: lemma_sum_risk(Xt, env, l, 1.0, cache=res)),
+            (ft_risk_dlambda(pair, env, lam),
+             lambda l: lemma_ft_risk(pair, env, l, 1.0)),
+            (sum_risk_dlambda(pair, env, lam),
+             lambda l: lemma_sum_risk(pair, env, l, 1.0)),
         ):
             fd = (func(lam + h_lam) - func(lam - h_lam)) / (2 * h_lam)
             worst_fd = max(worst_fd, abs(deriv - fd) / abs(deriv))
         for deriv, func in (
-            (ensemble_risk_dtau(Xt, env, lam, 0.4, "ft", cache=res),
-             lambda u: lemma_ft_risk(Xt, env, lam, u, cache=res)),
-            (ensemble_risk_dtau(Xt, env, lam, 0.4, "sum", cache=res),
-             lambda u: lemma_sum_risk(Xt, env, lam, u, cache=res)),
+            (ensemble_risk_dtau(pair, env, lam, 0.4, "ft"),
+             lambda u: lemma_ft_risk(pair, env, lam, u)),
+            (ensemble_risk_dtau(pair, env, lam, 0.4, "sum"),
+             lambda u: lemma_sum_risk(pair, env, lam, u)),
         ):
             fd = (func(0.4 + 1e-6) - func(0.4 - 1e-6)) / 2e-6
             worst_fd = max(worst_fd, abs(deriv - fd) / abs(deriv))

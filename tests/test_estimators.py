@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from overadapt.estimators import EstimatorKind, GramSolver, SingularDesignError, _solver
-from overadapt.risk import AnalyticRisk, mc_expected_risks
+from overadapt.estimators import EstimatorKind, GramSolver, SingularDesignError
+from overadapt.risk import AnalyticRisk, DesignPair, mc_expected_risks
 from overadapt.spectra import SpectrumSpec
 from overadapt.synth import TaskEnvironment, derive_rng, sample_designs
 from oracles import constrained_lstsq_oracle, estimator_oracle, minnorm_oracle
@@ -10,12 +10,12 @@ from oracles import constrained_lstsq_oracle, estimator_oracle, minnorm_oracle
 
 def minnorm(X, Y, solver=None):
     """X^T (X X^T)^-1 Y, the pretrained weights as the risk evaluators form them."""
-    return X.T @ (solver or GramSolver(X)).solve(Y)
+    return X.T @ (solver or GramSolver(X @ X.T)).solve(Y)
 
 
 def finetune(theta1, Xt, Yt, lam=0.0, solver=None):
     """theta1 + Xt^T (Xt Xt^T + n*lam*I)^-1 (Yt - Xt theta1), the fine-tune step."""
-    solver = solver or GramSolver(Xt)
+    solver = solver or GramSolver(Xt @ Xt.T)
     return theta1 + Xt.T @ solver.solve(Yt - Xt @ theta1, nlam=Xt.shape[0] * lam)
 
 
@@ -102,7 +102,7 @@ def test_ridge_limits():
     theta1 = rng.standard_normal(12)
     Xt = rng.standard_normal((4, 12))
     Yt = rng.standard_normal(4)
-    solver = GramSolver(Xt)
+    solver = GramSolver(Xt @ Xt.T)
     ridgeless = finetune(theta1, Xt, Yt, solver=solver)
     tiny = finetune(theta1, Xt, Yt, lam=0.0, solver=solver)
     assert np.allclose(tiny, ridgeless, atol=1e-10)
@@ -130,7 +130,7 @@ def test_ridge_shrinkage_monotone_in_lambda():
     theta1 = rng.standard_normal(20)
     Xt = rng.standard_normal((5, 20))
     Yt = rng.standard_normal(5)
-    solver = GramSolver(Xt)
+    solver = GramSolver(Xt @ Xt.T)
     dists = [np.linalg.norm(finetune(theta1, Xt, Yt, lam, solver=solver) - theta1)
              for lam in np.logspace(-8, 4, 25)]
     assert np.all(np.diff(dists) <= 1e-12)
@@ -152,12 +152,12 @@ def test_ensemble_endpoints_exact():
     # tau = 0 is the pretrained estimator and tau = 1 the ridge, exactly, in
     # both evaluators (Monte Carlo on shared draws)
     env = small_env()
-    X, Xt = sample_designs(env, 3)
+    pair = DesignPair.from_env(*sample_designs(env, 3), env)
     lam = 0.05
     kinds = [EstimatorKind.ensemble(lam, 0.0), EstimatorKind.pretrained(),
              EstimatorKind.ensemble(lam, 1.0), EstimatorKind.ridge(lam)]
-    mc = mc_expected_risks(X, Xt, env, kinds, 300, derive_rng(3, "mc", 0))
-    analytic = AnalyticRisk.from_env(X, Xt, env)
+    mc = mc_expected_risks(pair, env, kinds, 300, derive_rng(3, "mc", 0))
+    analytic = AnalyticRisk.from_env(pair, env)
     for reports in (mc, [analytic.report(kind) for kind in kinds]):
         for task in ("pre", "ft"):
             assert reports[0].task(task).value == reports[1].task(task).value
@@ -175,9 +175,9 @@ def test_ensemble_collinearity_across_tau():
     # the ensemble moves along the line from theta1 to the ridge weights, so
     # on one shared draw its plug-in risk is an exact quadratic in tau
     env = small_env()
-    X, Xt = sample_designs(env, 7)
+    pair = DesignPair.from_env(*sample_designs(env, 7), env)
     taus = (0.0, 0.1, 0.25, 0.5, 0.6, 0.9, 1.0)
-    reports = mc_expected_risks(X, Xt, env, [EstimatorKind.ensemble(0.05, t) for t in taus],
+    reports = mc_expected_risks(pair, env, [EstimatorKind.ensemble(0.05, t) for t in taus],
                                 1, derive_rng(7, "mc", 0))
     for task in ("pre", "ft"):
         r = {t: rep.task(task).value for t, rep in zip(taus, reports)}
@@ -199,7 +199,7 @@ def test_singular_design_names_rows():
 
 def test_jitter_rescues_singular_gram():
     X = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
-    solver = GramSolver(X, jitter=True)
+    solver = GramSolver(X @ X.T, jitter=True)
     theta = minnorm(X, np.array([1.0, 1.0, 2.0]), solver=solver)
     assert solver.jitter_applied > 0
     assert np.all(np.isfinite(theta))
@@ -211,8 +211,8 @@ def test_jitter_independent_of_call_order():
     Xt[1] = Xt[0]  # duplicated row: singular Gram
     rhs = rng.standard_normal(5)
     nlam = 1e-9
-    direct = GramSolver(Xt, jitter=True)
-    after_zero = GramSolver(Xt, jitter=True)
+    direct = GramSolver(Xt @ Xt.T, jitter=True)
+    after_zero = GramSolver(Xt @ Xt.T, jitter=True)
     after_zero.factor(0.0)
     got = direct.solve(rhs, nlam=nlam)
     assert direct.jitter_applied == after_zero.jitter_applied > 0
@@ -227,7 +227,7 @@ def test_solver_eigendecomposes_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     rng = np.random.default_rng(8)
     Xt = rng.standard_normal((4, 10))
-    solver = GramSolver(Xt)
+    solver = GramSolver(Xt @ Xt.T)
     theta1 = rng.standard_normal(10)
     Yt = rng.standard_normal(4)
     for lam in (0.5, 0.5, 0.25, 0.0):
@@ -235,18 +235,6 @@ def test_solver_eigendecomposes_once(monkeypatch):
         want = estimator_oracle("ridge_ft", np.eye(10), theta1, Xt, Yt, lam=lam)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
     assert calls == [(4, 4)]
-
-
-def test_solver_for_another_design_rejected():
-    rng = np.random.default_rng(9)
-    X, X_other = rng.standard_normal((2, 4, 10))
-    solver = GramSolver(X)
-    assert _solver(X, solver, jitter=False) is solver
-    with pytest.raises(ValueError, match="different design"):
-        _solver(X_other, solver, jitter=False)
-    # a copy of the design is another array: identity, not equality, decides
-    with pytest.raises(ValueError, match="different design"):
-        _solver(X.copy(), solver, jitter=False)
 
 
 # ------------------------------------------------------------- estimator kinds

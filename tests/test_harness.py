@@ -36,7 +36,7 @@ from overadapt.presets import (
     preset_environment,
     preset_points,
 )
-from overadapt.risk import AnalyticRisk
+from overadapt.risk import AnalyticRisk, DesignPair
 from overadapt.svgplot import MissingSeriesError, render_tradeoff_svg
 from overadapt.synth import derive_rng, sample_design, sample_theta_c
 
@@ -110,6 +110,11 @@ def test_config_validation_messages():
     for seed in (-1, True, 1.5):
         with pytest.raises(ConfigError, match="master_seed"):
             config_from_dict({"master_seed": seed})
+    # JSON values of the wrong type: a string flag is truthy, and true is an int
+    for key, value in (("fix_theta_c", "false"), ("jitter", "no"), ("n_pre", True),
+                       ("workers", True)):
+        with pytest.raises(ConfigError, match=key):
+            small_config(**{key: value})
 
 
 def test_config_bad_json(tmp_path):
@@ -166,7 +171,8 @@ def test_sweep_single_point_matches_direct_evaluation():
     env = cfg.environment()
     X = sample_design(env.spectrum_pre, env.n, derive_rng(0, "design_pre", 0))
     Xt = sample_design(env.spectrum_ft, env.n, derive_rng(0, "design_ft", 0))
-    direct = AnalyticRisk.from_env(X, Xt, env).report(EstimatorKind.ridge(1e-3))
+    direct = AnalyticRisk.from_env(DesignPair.from_env(X, Xt, env), env).report(
+        EstimatorKind.ridge(1e-3))
     got = {r.task: r.value for r in result.rows}
     assert got["pre"] == direct.l_pre
     assert got["ft"] == direct.l_ft
@@ -249,7 +255,8 @@ def test_fixed_theta_c_shared_across_replicates():
                           derive_rng(cfg.master_seed, "design_pre", seed))
         Xt = sample_design(env.spectrum_ft, env.n,
                            derive_rng(cfg.master_seed, "design_ft", seed))
-        direct = AnalyticRisk.from_env(X, Xt, env, theta_c=tc).report(EstimatorKind.pretrained())
+        pair = DesignPair.from_env(X, Xt, env, theta_c=tc)
+        direct = AnalyticRisk.from_env(pair, env).report(EstimatorKind.pretrained())
         got = {r.task: r.value for r in rows if r.seed == seed}
         assert got["pre"] == direct.l_pre
 
@@ -271,6 +278,14 @@ def test_sweep_factorial_row_count():
     assert result.failures == []
 
 
+def mc_crosscheck_config(**overrides):
+    """The benchmark's mc_crosscheck config: case a at p = 2000, four estimator kinds."""
+    return config_from_dict({
+        "case": "a", "p": 2000, "estimators": ["pretrained", "ridgeless_ft", "ridge_ft",
+                                               "ensemble"],
+        "lambda_grid": [1e-4], "tau_grid": [0.5], "mc_draws": 2000, **overrides})
+
+
 @pytest.mark.parametrize("methods, eighs", [
     (["analytic", "monte_carlo", "lemma_approx"], 2),
     (["monte_carlo", "lemma_approx"], 2),
@@ -278,11 +293,7 @@ def test_sweep_factorial_row_count():
     (["lemma_approx"], 1),
 ])
 def test_evaluate_seed_eigendecomposes_each_design_once(monkeypatch, methods, eighs):
-    # the benchmark's mc_crosscheck config: case a at p = 2000, four estimator kinds
-    cfg = config_from_dict({
-        "case": "a", "p": 2000, "estimators": ["pretrained", "ridgeless_ft", "ridge_ft",
-                                               "ensemble"],
-        "lambda_grid": [1e-4], "tau_grid": [0.5], "mc_draws": 2000, "methods": methods})
+    cfg = mc_crosscheck_config(methods=methods)
     kinds = expand_estimator_points(cfg)
     calls = []
     eigh = np.linalg.eigh
@@ -291,6 +302,20 @@ def test_evaluate_seed_eigendecomposes_each_design_once(monkeypatch, methods, ei
     assert len(calls) == eighs
     assert len(reports) == len(kinds) * len(methods)
     assert all(r.pre is not None and r.ft is not None for r in reports)
+
+
+@pytest.mark.parametrize("fix_theta_c", [False, True])
+def test_evaluate_seed_reduces_the_designs_without_a_qr(monkeypatch, fix_theta_c):
+    # Monte Carlo's row-space coordinates come from the pair's per-run Grams
+    cfg = mc_crosscheck_config(methods=["analytic", "monte_carlo", "lemma_approx"],
+                               fix_theta_c=fix_theta_c)
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape)
+                        or qr(a, *args, **kw))
+    reports = evaluate_seed(cfg, 0, expand_estimator_points(cfg))
+    assert calls == []
+    assert {r.method for r in reports} == {"analytic", "monte_carlo", "lemma_approx"}
 
 
 def test_preset_seed_builds_each_lambda_and_task_once(monkeypatch):
@@ -467,6 +492,11 @@ def test_cli_sweep_and_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"zeta2": -1}')
     assert cli_main(["sweep", "--config", str(bad)]) == 1
+    # rejected before any seed runs, rather than failing every seed
+    bad.write_text('{"n_pre": true}')
+    rows = tmp_path / "rows.csv"
+    assert cli_main(["sweep", "--config", str(bad), "--out", str(rows)]) == 1
+    assert not rows.exists()
     missing_dir = tmp_path / "nope" / "out.csv"
     assert cli_main(["sweep", "--config", str(cfg_path), "--out",
                      str(missing_dir), "--workers", "1"]) == 3

@@ -1,4 +1,5 @@
-"""Property tests: the n x n evaluator against the dense p x p oracles.
+"""Property tests: the design pair's reduction and the n x n evaluator
+against the dense p x p oracles.
 
 Hypothesis draws the shape of an instance (sample counts, fine-tune support,
 spectrum runs, coordinate law, variances, a fixed theta_c) and a seed; numpy
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from overadapt.estimators import EstimatorKind
-from overadapt.risk import TERM_KEYS, AnalyticRisk, _run_grams
+from overadapt.risk import TERM_KEYS, AnalyticRisk, DesignPair
 
 from oracles import dense_risk_terms
 
@@ -32,28 +33,75 @@ def run_lengths(draw, least=1):
         lambda v: sum(v) >= least))
 
 
-@given(seed=st.integers(0, 2**32 - 1), counts=st.lists(st.integers(1, 5), min_size=1,
-                                                        max_size=3),
-       lengths_pre=run_lengths(), lengths_ft=run_lengths(), zero_runs=st.integers(0, 3))
+def _design(rng, rows, eigs, coord_dist):
+    """Rows of i.i.d. Gaussian or Rademacher coordinates scaled by sqrt(eigs)."""
+    if coord_dist == "gaussian":
+        Z = rng.standard_normal((rows, eigs.size))
+    else:
+        Z = rng.integers(0, 2, (rows, eigs.size)) * 2.0 - 1.0
+    return Z * np.sqrt(eigs)
+
+
+def _stack(X, Xt, theta_c):
+    return np.vstack([X, Xt] if theta_c is None else [X, Xt, theta_c[None, :]])
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_pre=st.integers(1, 5), n=st.integers(1, 5),
+       fixed_theta_c=st.booleans(), lengths_pre=run_lengths(), lengths_ft=run_lengths(),
+       zero_runs=st.integers(0, 3))
 @PROPERTY
-def test_run_grams_equal_the_dense_weighted_products(seed, counts, lengths_pre, lengths_ft,
-                                                     zero_runs):
+def test_pair_grams_equal_the_dense_weighted_products(seed, n_pre, n, fixed_theta_c,
+                                                      lengths_pre, lengths_ft, zero_runs):
     rng = np.random.default_rng(seed)
     p = max(sum(lengths_pre), sum(lengths_ft))
     eigs = {"pre": _piecewise(rng, [*lengths_pre[:-1], p - sum(lengths_pre[:-1])]),
             "ft": _piecewise(rng, [*lengths_ft[:-1], p - sum(lengths_ft[:-1])])}
-    cut = max(p - zero_runs, 0)
-    eigs["ft"][cut:] = 0.0  # a support that ends before p
-    rows = [rng.standard_normal((m, p)) * np.sqrt(eigs["pre"]) for m in counts]
-    rows[-1][:, cut:] = 0.0  # a block that is zero past the support
-    S, G = _run_grams(rows, eigs)
-    C = np.vstack(rows)
+    eigs["ft"][max(p - zero_runs, 0):] = 0.0  # a support that ends before p
+    X = rng.standard_normal((n_pre, p)) * np.sqrt(eigs["pre"])
+    Xt = rng.standard_normal((n, p)) * np.sqrt(eigs["ft"])  # zero past its support
+    theta_c = rng.standard_normal(p) if fixed_theta_c else None
+    pair = DesignPair(X, Xt, eigs["pre"], eigs["ft"], theta_c=theta_c)
+    C = _stack(X, Xt, theta_c)
     for t, e in [*eigs.items(), ("total", np.ones(p))]:
-        got = G if t == "total" else S[t]
+        got = pair.G if t == "total" else pair.S[t]
         want = (C * e) @ C.T
         # |sum_k a_k b_k e_k| <= sqrt(D_i D_j): the scale of each entry's rounding
         scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
         assert np.all(np.abs(got - want) <= 1e-12 * scale), t
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), n_pre=st.integers(1, 6),
+       support=st.sampled_from(["below", "equal", "above"]),
+       lengths=run_lengths(least=1), coord_dist=st.sampled_from(["gaussian", "rademacher"]),
+       zero_pre=st.sets(st.integers(0, 7)), fixed_theta_c=st.booleans())
+@PROPERTY
+def test_row_space_coordinates_reproduce_each_run_gram(seed, n, n_pre, support, lengths,
+                                                       coord_dist, zero_pre, fixed_theta_c):
+    # runs of one to four coordinates are smaller than the n_pre + n stacked rows
+    rng = np.random.default_rng(seed)
+    p_tilde = {"below": n - 1, "equal": n, "above": n + 3}[support]
+    p = max(sum(lengths), p_tilde + 2)
+    cuts = [*lengths[:-1], p - sum(lengths[:-1])]
+    eigs_pre = _piecewise(rng, cuts)
+    eigs_ft = _piecewise(rng, cuts)
+    for k in zero_pre & set(range(len(cuts))):  # zero pretrain variance on some runs
+        eigs_pre[sum(cuts[:k]):sum(cuts[:k + 1])] = 0.0
+    eigs_ft[p_tilde:] = 0.0
+
+    X, Xt = _design(rng, n_pre, eigs_pre, coord_dist), _design(rng, n, eigs_ft, coord_dist)
+    theta_c = rng.standard_normal(p) if fixed_theta_c else None
+    pair = DesignPair(X, Xt, eigs_pre, eigs_ft, theta_c=theta_c)
+    C = _stack(X, Xt, theta_c)
+    edges = np.cumsum([0, *pair.sizes])
+    assert edges[-1] == p
+    for F, lo, hi in zip(pair.row_space(), edges, edges[1:]):
+        for t, e in (("pre", eigs_pre), ("ft", eigs_ft)):
+            assert np.all(e[lo:hi] == e[lo]), t  # both spectra are constant on a run
+        want = C[:, lo:hi] @ C[:, lo:hi].T
+        assert np.max(np.abs(F @ F.T - want), initial=0.0) <= 1e-12 * np.max(np.abs(want)), \
+            (lo, hi)
+        # so the run's off-span dimension, hi - lo minus the rank, is right too
+        assert F.shape[1] == np.linalg.matrix_rank(C[:, lo:hi]), (lo, hi)
 
 
 def _kind(lam, tau):
@@ -80,14 +128,7 @@ def test_analytic_terms_match_the_dense_oracle(seed, n, n_pre, support, lengths,
     eigs_ft = _piecewise(rng, [*lengths[:-1], p - sum(lengths[:-1])])
     eigs_ft[p_tilde:] = 0.0
 
-    def design(rows, eigs):
-        if coord_dist == "gaussian":
-            Z = rng.standard_normal((rows, p))
-        else:
-            Z = rng.integers(0, 2, (rows, p)) * 2.0 - 1.0
-        return Z * np.sqrt(eigs)
-
-    X, Xt = design(n_pre, eigs_pre), design(n, eigs_ft)
+    X, Xt = _design(rng, n_pre, eigs_pre, coord_dist), _design(rng, n, eigs_ft, coord_dist)
     if support != "above":
         lam = lam or 1e-3  # a rank-deficient or square fine-tune Gram needs a penalty
     # the oracle's dense inverses and the evaluator's eigenbases agree to rel 1e-9
@@ -98,8 +139,8 @@ def test_analytic_terms_match_the_dense_oracle(seed, n, n_pre, support, lengths,
     if fixed_theta_c:
         theta_c = rng.standard_normal(p)
         theta_c *= 1.3 / np.linalg.norm(theta_c)
-    ev = AnalyticRisk(X, Xt, eigs_pre, eigs_ft, *variances, theta_c_norm=1.3,
-                      theta_c=theta_c)
+    ev = AnalyticRisk(DesignPair(X, Xt, eigs_pre, eigs_ft, theta_c=theta_c), *variances,
+                      theta_c_norm=1.3)
     kind = _kind(lam, tau)
     for task in ("pre", "ft"):
         got = ev.task_risk(kind, task).terms

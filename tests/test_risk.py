@@ -3,15 +3,14 @@ import pytest
 from scipy.stats import ks_2samp
 
 from overadapt.config import config_from_dict
-from overadapt.estimators import EstimatorKind, GramSolver, SingularDesignError
+from overadapt.estimators import EstimatorKind, SingularDesignError
 from overadapt.harness import evaluate_seed, rows_from_report, run_sweep, write_results
 from overadapt.presets import preset_environment
 from overadapt.risk import (
     TERM_KEYS,
     AnalyticRisk,
-    FtResolvent,
+    DesignPair,
     _mc_risk_draws,
-    _RowSpace,
     lemma_approx_risk,
     mc_expected_risks,
 )
@@ -53,6 +52,10 @@ def draw_designs(env, seed=0):
     return X, Xt
 
 
+def draw_pair(env, seed=0, theta_c=None):
+    return DesignPair.from_env(*draw_designs(env, seed), env, theta_c=theta_c)
+
+
 # ------------------------------------------------- analytic vs dense oracle
 
 def test_analytic_terms_match_dense_oracle():
@@ -60,7 +63,7 @@ def test_analytic_terms_match_dense_oracle():
     for trial in range(4):
         X, Xt, eigs_pre, eigs_ft = random_block_instance(
             rng, n=5, p=11, p_tilde=7, k_star=2)
-        ev = AnalyticRisk(X, Xt, eigs_pre, eigs_ft,
+        ev = AnalyticRisk(DesignPair(X, Xt, eigs_pre, eigs_ft),
                           zeta1=0.3, zeta2=0.7, sigma2=0.2, sigma2_tilde=0.4,
                           theta_c_norm=1.3)
         for lam, tau in [(0.0, 1.0), (0.01, 1.0), (0.05, 0.35), (0.2, 0.8),
@@ -83,8 +86,8 @@ def test_analytic_fixed_theta_c_matches_dense_oracle():
     X, Xt, eigs_pre, eigs_ft = random_block_instance(rng, n=4, p=9, p_tilde=6)
     tc = rng.standard_normal(9)
     tc *= 1.3 / np.linalg.norm(tc)
-    ev = AnalyticRisk(X, Xt, eigs_pre, eigs_ft, 0.3, 0.7, 0.2, 0.4,
-                      theta_c_norm=1.3, theta_c=tc)
+    ev = AnalyticRisk(DesignPair(X, Xt, eigs_pre, eigs_ft, theta_c=tc), 0.3, 0.7, 0.2, 0.4,
+                      theta_c_norm=1.3)
     for lam, tau in [(0.0, 1.0), (0.03, 0.6), (0.5, 1.0), (0.0, 0.0)]:
         kind = EstimatorKind.ensemble(lam, tau) if 0 < tau < 1 else (
             EstimatorKind.pretrained() if tau == 0 else (
@@ -100,8 +103,7 @@ def test_analytic_fixed_theta_c_matches_dense_oracle():
 
 def test_analytic_additivity_and_nonnegative_terms():
     env = desk_env()
-    X, Xt = draw_designs(env, seed=1)
-    ev = AnalyticRisk.from_env(X, Xt, env)
+    ev = AnalyticRisk.from_env(draw_pair(env, seed=1), env)
     for kind in ALL_KINDS:
         report = ev.report(kind)
         for tr in (report.pre, report.ft):
@@ -114,7 +116,8 @@ def test_zero_variance_row_space_theta_c_gives_zero():
     X, Xt = draw_designs(env, seed=2)
     tc = X.T @ np.ones(env.n)
     tc *= env.theta_c_norm / np.linalg.norm(tc)
-    report = AnalyticRisk.from_env(X, Xt, env, theta_c=tc).report(EstimatorKind.pretrained())
+    pair = DesignPair.from_env(X, Xt, env, theta_c=tc)
+    report = AnalyticRisk.from_env(pair, env).report(EstimatorKind.pretrained())
     assert report.l_pre <= 1e-12
 
 
@@ -127,15 +130,13 @@ def test_pretrained_ft_task_shift_term_frozen_value():
         spectrum_ft=SpectrumSpec(1, 0.025, 200, 40),
         zeta1=1e-4, zeta2=1e-2, sigma2=1e-2, sigma2_tilde=1e-2,
     )
-    X, Xt = draw_designs(env, seed=3)
-    report = AnalyticRisk.from_env(X, Xt, env).report(EstimatorKind.pretrained())
+    report = AnalyticRisk.from_env(draw_pair(env, seed=3), env).report(EstimatorKind.pretrained())
     assert report.ft.terms["term_zeta2"] == pytest.approx(0.019750, rel=1e-12)
 
 
 def test_tau_quadraticity_of_ensemble_ft_risk():
     env = desk_env()
-    X, Xt = draw_designs(env, seed=4)
-    ev = AnalyticRisk.from_env(X, Xt, env)
+    ev = AnalyticRisk.from_env(draw_pair(env, seed=4), env)
     lam = 1e-3
     vals = {t: ev.task_risk(EstimatorKind.ensemble(lam, t), "ft").value
             for t in (0.0, 0.25, 0.5, 1.0)}
@@ -148,8 +149,7 @@ def test_tau_quadraticity_of_ensemble_ft_risk():
 
 def test_ridge_risk_continuous_to_ridgeless():
     env = desk_env()
-    X, Xt = draw_designs(env, seed=5)
-    ev = AnalyticRisk.from_env(X, Xt, env)
+    ev = AnalyticRisk.from_env(draw_pair(env, seed=5), env)
     tiny = ev.report(EstimatorKind.ridge(1e-12))
     zero = ev.report(EstimatorKind.ridgeless())
     assert tiny.l_ft == pytest.approx(zero.l_ft, rel=1e-6)
@@ -166,12 +166,9 @@ def test_shared_support_trace_identity():
         spectrum_pre=SpectrumSpec(1, gamma, p, p),
         spectrum_ft=SpectrumSpec(1, gamma, p, 2 * n),
     )
-    _, Xt = draw_designs(env, seed=6)
-    eigs_pre, eigs_ft = env.eigenvalues()
-    res_pre = FtResolvent(Xt, eigs_pre)
-    res_ft = FtResolvent(Xt, eigs_ft)
+    res = draw_pair(env, seed=6).resolvent
     for lam in (0.0, 1e-3, 0.1):
-        t_pre, t_ft = res_pre.traces(lam), res_ft.traces(lam)
+        t_pre, t_ft = res.traces(lam, "pre"), res.traces(lam, "ft")
         assert t_pre["t1"] == pytest.approx(t_ft["t1"], rel=1e-10)
         assert t_pre["t2"] == pytest.approx(t_ft["t2"], rel=1e-10)
 
@@ -194,7 +191,7 @@ def test_ft_resolvent_traces_match_dense_solves(duplicated):
     if duplicated:
         Xt[1] = Xt[0]  # singular Gram: jitter rescues it
     eigs = np.linspace(1.0, 0.1, p)
-    res = FtResolvent(Xt, eigs, jitter=duplicated)
+    res = DesignPair(rng.standard_normal((n, p)), Xt, eigs, eigs, jitter=duplicated).resolvent
     assert (res.solver.jitter_applied > 0) == duplicated
     S = (Xt * eigs) @ Xt.T
     for lam in (0.0, 1e-7, 1e-3):
@@ -213,10 +210,10 @@ def test_ft_resolvent_traces_match_dense_solves(duplicated):
 
 def test_mc_matches_analytic_within_3se():
     env = desk_env()
-    X, Xt = draw_designs(env, seed=7)
-    ev = AnalyticRisk.from_env(X, Xt, env)
+    pair = draw_pair(env, seed=7)
+    ev = AnalyticRisk.from_env(pair, env)
     for i, kind in enumerate(ALL_KINDS):
-        mc = mc_expected_risks(X, Xt, env, [kind], draws=4000,
+        mc = mc_expected_risks(pair, env, [kind], draws=4000,
                                rng=derive_rng(100 + i, "mc", 0))[0]
         exact = ev.report(kind)
         for task in ("pre", "ft"):
@@ -226,21 +223,21 @@ def test_mc_matches_analytic_within_3se():
 
 def test_mc_noise_only_environment():
     env = desk_env(zeta1=0.0, zeta2=0.0, sigma2=0.0, theta_c_norm=0.0)
-    X, Xt = draw_designs(env, seed=8)
-    mc = mc_expected_risks(X, Xt, env, [EstimatorKind.ridgeless()], draws=4000,
+    pair = draw_pair(env, seed=8)
+    mc = mc_expected_risks(pair, env, [EstimatorKind.ridgeless()], draws=4000,
                            rng=derive_rng(9, "mc", 0))[0]
-    exact = AnalyticRisk.from_env(X, Xt, env).report(EstimatorKind.ridgeless())
+    exact = AnalyticRisk.from_env(pair, env).report(EstimatorKind.ridgeless())
     assert exact.ft.value == pytest.approx(exact.ft.terms["term_sigma_tilde"])
     assert abs(mc.l_ft - exact.l_ft) <= 3 * mc.ft.se
 
 
 def test_mc_se_scales_with_draws():
     env = desk_env()
-    X, Xt = draw_designs(env, seed=9)
+    pair = draw_pair(env, seed=9)
     kind = EstimatorKind.ridge(1e-3)
-    se_small = mc_expected_risks(X, Xt, env, [kind], draws=100,
+    se_small = mc_expected_risks(pair, env, [kind], draws=100,
                                  rng=derive_rng(1, "mc", 0))[0].ft.se
-    se_big = mc_expected_risks(X, Xt, env, [kind], draws=10_000,
+    se_big = mc_expected_risks(pair, env, [kind], draws=10_000,
                                rng=derive_rng(2, "mc", 0))[0].ft.se
     ratio = se_small / se_big
     assert 10.0 / 1.3 <= ratio <= 10.0 * 1.3
@@ -249,8 +246,7 @@ def test_mc_se_scales_with_draws():
 def test_mc_exact_zero_when_deterministic():
     env = desk_env(zeta1=0.0, zeta2=0.0, sigma2=0.0, sigma2_tilde=0.0,
                    theta_c_norm=0.0)
-    X, Xt = draw_designs(env, seed=10)
-    mc = mc_expected_risks(X, Xt, env, [EstimatorKind.ridge(1e-3)], draws=50,
+    mc = mc_expected_risks(draw_pair(env, seed=10), env, [EstimatorKind.ridge(1e-3)], draws=50,
                            rng=derive_rng(3, "mc", 0))[0]
     assert mc.l_pre == 0.0 and mc.l_ft == 0.0
     assert mc.pre.se == 0.0
@@ -258,13 +254,13 @@ def test_mc_exact_zero_when_deterministic():
 
 def test_mc_reproducible_and_validates_draws():
     env = desk_env()
-    X, Xt = draw_designs(env, seed=11)
+    pair = draw_pair(env, seed=11)
     kind = EstimatorKind.ensemble(1e-3, 0.5)
-    a = mc_expected_risks(X, Xt, env, [kind], 500, derive_rng(4, "mc", 0))[0]
-    b = mc_expected_risks(X, Xt, env, [kind], 500, derive_rng(4, "mc", 0))[0]
+    a = mc_expected_risks(pair, env, [kind], 500, derive_rng(4, "mc", 0))[0]
+    b = mc_expected_risks(pair, env, [kind], 500, derive_rng(4, "mc", 0))[0]
     assert a.l_ft == b.l_ft and a.l_pre == b.l_pre
     with pytest.raises(ValueError):
-        mc_expected_risks(X, Xt, env, [kind], 0, derive_rng(4, "mc", 0))
+        mc_expected_risks(pair, env, [kind], 0, derive_rng(4, "mc", 0))
 
 
 def small_dof_env(**overrides):
@@ -320,9 +316,8 @@ def test_mc_reduced_law_matches_dense_draws(name):
     X, Xt = draw_designs(env, seed=19)
     theta_c = fixed_theta_c(env) if name.endswith("fixed_theta_c") else None
     draws = 4000
-    space = _RowSpace(X, Xt, dict(zip(("pre", "ft"), env.eigenvalues())), theta_c)
-    reduced = _mc_risk_draws(space, GramSolver(X), GramSolver(Xt), env, ALL_KINDS, draws,
-                             derive_rng(7, "mc", 0), ["pre", "ft"])
+    reduced = _mc_risk_draws(DesignPair.from_env(X, Xt, env, theta_c=theta_c), env, ALL_KINDS,
+                             draws, derive_rng(7, "mc", 0), ["pre", "ft"])
     dense = mc_dense_risk_draws(X, Xt, env, ALL_KINDS, draws, derive_rng(8, "mc", 0),
                                 theta_c=theta_c)
     for kind, got, want in zip(ALL_KINDS, reduced, dense):
@@ -364,10 +359,9 @@ def test_mc_matches_analytic_at_high_draw_counts(name):
     # 48 points over the cases: each within 4 SE (a 3e-3 chance of any false
     # alarm), at a standard error of at most 1% of the risk
     env, kinds, theta_c = _high_draw_case(name)
-    X, Xt = draw_designs(env, seed=23)
-    ev = AnalyticRisk.from_env(X, Xt, env, theta_c=theta_c)
-    reports = mc_expected_risks(X, Xt, env, kinds, 40_000, derive_rng(23, "mc", 0),
-                                theta_c=theta_c)
+    pair = draw_pair(env, seed=23, theta_c=theta_c)
+    ev = AnalyticRisk.from_env(pair, env)
+    reports = mc_expected_risks(pair, env, kinds, 40_000, derive_rng(23, "mc", 0))
     for kind, mc in zip(kinds, reports):
         for task in ("pre", "ft"):
             exact = ev.task_risk(kind, task).value
@@ -384,7 +378,8 @@ def test_mc_variates_per_draw_do_not_grow_with_p(with_theta_c):
         X, Xt = sample_designs(env, 0)
         theta_c = fixed_theta_c(env) if with_theta_c else None
         rng = CountingRng(derive_rng(0, "mc", 0))
-        mc_expected_risks(X, Xt, env, ALL_KINDS, 1024, rng, theta_c=theta_c)
+        mc_expected_risks(DesignPair.from_env(X, Xt, env, theta_c=theta_c), env, ALL_KINDS,
+                          1024, rng)
         ranks = block_ranks(X, Xt, env, theta_c)
         assert rng.count % 1024 == 0
         per_draw.append(rng.count // 1024)
@@ -400,25 +395,25 @@ def _same_mc(shared, single):
 
 def test_mc_shared_draws_equal_single_kind_calls():
     env = desk_env()
-    X, Xt = draw_designs(env, seed=17)
+    pair = draw_pair(env, seed=17)
     kinds = [EstimatorKind.ridgeless(), EstimatorKind.ridge(0.05),
              EstimatorKind.ridge(0.2), EstimatorKind.ensemble(0.05, 0.4)]
     # 1100 draws: two full batches and a partial one
-    shared = mc_expected_risks(X, Xt, env, kinds, 1100, derive_rng(5, "mc", 0))
+    shared = mc_expected_risks(pair, env, kinds, 1100, derive_rng(5, "mc", 0))
     assert [r.kind for r in shared] == kinds
     for kind, got in zip(kinds, shared):
-        _same_mc(got, mc_expected_risks(X, Xt, env, [kind], 1100, derive_rng(5, "mc", 0))[0])
+        _same_mc(got, mc_expected_risks(pair, env, [kind], 1100, derive_rng(5, "mc", 0))[0])
 
 
 def test_mc_shared_draws_without_fine_tuning_keep_pretrained_stream():
     # every draw takes the fine-tune noise, so the tau = 0 points of a shared
     # call read the numbers of a pretrained-only call
     env = desk_env()
-    X, Xt = draw_designs(env, seed=18)
+    pair = draw_pair(env, seed=18)
     kinds = [EstimatorKind.pretrained(), EstimatorKind.ensemble(0.05, 0.0),
              EstimatorKind.ridge(0.05)]
-    shared = mc_expected_risks(X, Xt, env, kinds, 700, derive_rng(6, "mc", 0))
-    single = mc_expected_risks(X, Xt, env, [kinds[0]], 700, derive_rng(6, "mc", 0))[0]
+    shared = mc_expected_risks(pair, env, kinds, 700, derive_rng(6, "mc", 0))
+    single = mc_expected_risks(pair, env, [kinds[0]], 700, derive_rng(6, "mc", 0))[0]
     for got in shared[:2]:
         _same_mc(got, single)
 
@@ -446,12 +441,13 @@ def test_sweep_mc_rows_equal_per_kind_calls():
                           derive_rng(cfg.master_seed, "design_pre", seed), env.coord_dist)
         Xt = sample_design(env.spectrum_ft, env.n,
                            derive_rng(cfg.master_seed, "design_ft", seed), env.coord_dist)
+        pair = DesignPair.from_env(X, Xt, env)
         for r in rows:
             if r.seed != seed:
                 continue
             kind = EstimatorKind(r.estimator, lam=r.lam or 0.0,
                                  tau=1.0 if r.tau is None else r.tau)
-            want = mc_expected_risks(X, Xt, env, [kind], cfg.mc_draws,
+            want = mc_expected_risks(pair, env, [kind], cfg.mc_draws,
                                      derive_rng(cfg.master_seed, "mc", seed))[0]
             assert (r.value, r.se) == (want.task(r.task).value, want.task(r.task).se)
             checked += 1
@@ -473,8 +469,7 @@ def test_sweep_mc_bytes_equal_at_one_and_two_workers(tmp_path):
 
 def test_lemma_pretrained_is_pure_task_shift():
     env = desk_env()
-    _, Xt = draw_designs(env, seed=12)
-    report = lemma_approx_risk(Xt, env, EstimatorKind.pretrained())
+    report = lemma_approx_risk(draw_pair(env, seed=12), env, EstimatorKind.pretrained())
     eigs_ft = build_eigenvalues(env.spectrum_ft)
     assert report.l_ft == pytest.approx(env.zeta2 * eigs_ft.sum(), rel=1e-12)
     assert report.pre.value == 0.0
@@ -483,10 +478,10 @@ def test_lemma_pretrained_is_pure_task_shift():
 
 def test_lemma_ensemble_tau1_equals_ridge():
     env = desk_env()
-    _, Xt = draw_designs(env, seed=13)
+    pair = draw_pair(env, seed=13)
     lam = 1e-3
-    ens = lemma_approx_risk(Xt, env, EstimatorKind.ensemble(lam, 1.0))
-    ridge = lemma_approx_risk(Xt, env, EstimatorKind.ridge(lam))
+    ens = lemma_approx_risk(pair, env, EstimatorKind.ensemble(lam, 1.0))
+    ridge = lemma_approx_risk(pair, env, EstimatorKind.ridge(lam))
     assert ens.l_ft == pytest.approx(ridge.l_ft, rel=1e-14)
     assert ens.l_pre == pytest.approx(ridge.l_pre, rel=1e-14)
 
@@ -515,10 +510,10 @@ def test_lemma_rows_are_the_analytic_two_terms():
 
 def test_lemma_within_band_of_analytic_on_bench_instance():
     env = desk_env(p=2000, n=40)
-    X, Xt = draw_designs(env, seed=14)
+    pair = draw_pair(env, seed=14)
     lam = 1e-3
-    approx = lemma_approx_risk(Xt, env, EstimatorKind.ridge(lam))
-    exact = AnalyticRisk.from_env(X, Xt, env).report(EstimatorKind.ridge(lam))
+    approx = lemma_approx_risk(pair, env, EstimatorKind.ridge(lam))
+    exact = AnalyticRisk.from_env(pair, env).report(EstimatorKind.ridge(lam))
     ratio = approx.l_ft / exact.l_ft
     assert 0.8 <= ratio <= 1.25
 
@@ -527,18 +522,18 @@ def test_lemma_within_band_of_analytic_on_bench_instance():
 
 def test_singular_ft_gram_raises_at_lambda_zero():
     env = desk_env(spectrum_ft=SpectrumSpec(1, 0.0, 400, 1))
-    X, Xt = draw_designs(env, seed=15)
+    ev = AnalyticRisk.from_env(draw_pair(env, seed=15), env)
     with pytest.raises(SingularDesignError):
-        AnalyticRisk.from_env(X, Xt, env).report(EstimatorKind.ridgeless())
+        ev.report(EstimatorKind.ridgeless())
     # the pretrained estimator never touches the fine-tune resolvent
-    report = AnalyticRisk.from_env(X, Xt, env).report(EstimatorKind.pretrained())
+    report = ev.report(EstimatorKind.pretrained())
     assert np.isfinite(report.l_ft)
 
 
 def test_report_task_accessor_and_dict():
     env = desk_env()
-    X, Xt = draw_designs(env, seed=16)
-    report = AnalyticRisk.from_env(X, Xt, env).report(EstimatorKind.ridge(1e-3), task="ft")
+    report = AnalyticRisk.from_env(draw_pair(env, seed=16), env).report(
+        EstimatorKind.ridge(1e-3), task="ft")
     assert report.pre is None
     assert report.task("ft").value == report.l_ft
     with pytest.raises(ValueError):
@@ -546,12 +541,3 @@ def test_report_task_accessor_and_dict():
     d = report.to_dict()
     assert d["method"] == "analytic" and "l_ft" in d and "l_pre" not in d
 
-
-def test_mc_risk_rejects_solver_for_another_design():
-    env = desk_env()
-    X = sample_design(env.spectrum_pre, env.pretrain_samples, derive_rng(0, "design_pre", 0))
-    Xt, Xt_other = (sample_design(env.spectrum_ft, env.n, derive_rng(s, "design_ft", 0))
-                    for s in (0, 1))
-    with pytest.raises(ValueError, match="different design"):
-        mc_expected_risks(X, Xt, env, [EstimatorKind.ridge(0.05)], 10, derive_rng(0, "mc", 0),
-                          solver_ft=GramSolver(Xt_other))

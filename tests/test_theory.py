@@ -6,14 +6,14 @@ from scipy.stats import ks_2samp
 
 from overadapt.estimators import EstimatorKind
 from overadapt.presets import theorem_check_env
-from overadapt.risk import AnalyticRisk, FtResolvent
+from overadapt.risk import AnalyticRisk, DesignPair
 from overadapt.spectra import SpectrumSpec, build_eigenvalues, effective_rank
 from overadapt.synth import (
     TaskEnvironment,
     _coord_draws,
     _wishart_bartlett,
     derive_rng,
-    sample_design,
+    sample_designs,
 )
 from overadapt.theory import (
     EigenBandReport,
@@ -35,9 +35,8 @@ def bench_env(p=600, n=24):
     return theorem_check_env(p=p, n=n)
 
 
-def draw_ft(env, seed=0):
-    return sample_design(env.spectrum_ft, env.n,
-                         derive_rng(seed, "design_ft", 0), env.coord_dist)
+def draw_pair(env, seed=0):
+    return DesignPair.from_env(*sample_designs(env, seed), env)
 
 
 def central_diff(f, x, h):
@@ -68,17 +67,15 @@ def test_tau_prime_is_one_at_lambda_prime():
     env = bench_env()
     lam_star = lambda_prime(env)
     for seed in range(5):
-        Xt = draw_ft(env, seed)
-        assert abs(tau_prime(Xt, env, lam_star) - 1.0) <= 1e-10
+        assert abs(tau_prime(draw_pair(env, seed), env, lam_star) - 1.0) <= 1e-10
 
 
 def test_tau_prime_interior_and_grid_argmin():
     env = bench_env(p=2000, n=40)
-    X = sample_design(env.spectrum_pre, env.n, derive_rng(1, "design_pre", 0))
-    Xt = draw_ft(env, 1)
-    ts = tau_prime(Xt, env, 0.0)
+    pair = draw_pair(env, 1)
+    ts = tau_prime(pair, env, 0.0)
     assert 0.0 < ts < 1.0
-    ev = AnalyticRisk.from_env(X, Xt, env)
+    ev = AnalyticRisk.from_env(pair, env)
     taus = np.round(np.arange(0.0, 1.0001, 1e-3), 9)
     quads = ev.term_quadratics(0.0, "ft")
     vals = np.array([sum(q(t) for q in quads.values()) for t in taus])
@@ -87,14 +84,14 @@ def test_tau_prime_interior_and_grid_argmin():
 
 def test_tau_prime_decreases_with_noise():
     env = bench_env()
-    Xt = draw_ft(env, 2)
+    pair = draw_pair(env, 2)
     values = []
     for s2t in (1e-3, 1e-2, 1e-1, 1.0):
         noisy = TaskEnvironment(
             n=env.n, spectrum_pre=env.spectrum_pre, spectrum_ft=env.spectrum_ft,
             zeta1=env.zeta1, zeta2=env.zeta2, sigma2=env.sigma2, sigma2_tilde=s2t,
             theta_c_norm=env.theta_c_norm, xi=env.xi)
-        values.append(tau_prime(Xt, noisy, 0.0))
+        values.append(tau_prime(pair, noisy, 0.0))
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -102,60 +99,60 @@ def test_tau_prime_decreases_with_noise():
 
 def test_ft_derivative_sign_and_zero():
     env = bench_env()
-    Xt = draw_ft(env, 3)
+    pair = draw_pair(env, 3)
     lam_star = lambda_prime(env)
-    res = FtResolvent(Xt, build_eigenvalues(env.spectrum_ft))
+    res = pair.resolvent
     t = res.traces(lam_star)
     scale = 2 * env.n * (env.zeta2 * env.n * lam_star + env.sigma2_tilde) * t["t4"]
-    assert abs(ft_risk_dlambda(Xt, env, lam_star, cache=res)) <= 1e-12 * scale
-    assert ft_risk_dlambda(Xt, env, lam_star / 2, cache=res) < 0.0
-    assert ft_risk_dlambda(Xt, env, 2 * lam_star, cache=res) > 0.0
+    assert abs(ft_risk_dlambda(pair, env, lam_star)) <= 1e-12 * scale
+    assert ft_risk_dlambda(pair, env, lam_star / 2) < 0.0
+    assert ft_risk_dlambda(pair, env, 2 * lam_star) > 0.0
     with pytest.raises(ValueError):
-        ft_risk_dlambda(Xt, env, -1e-9)
+        ft_risk_dlambda(pair, env, -1e-9)
 
 
 def test_sum_derivative_signs():
     env = bench_env()
-    Xt = draw_ft(env, 4)
+    pair = draw_pair(env, 4)
     lam_star = lambda_prime(env)
-    assert sum_risk_dlambda(Xt, env, lam_star) < 0.0
-    assert sum_risk_dlambda(Xt, env, 2 * lam_star) <= 0.0
+    assert sum_risk_dlambda(pair, env, lam_star) < 0.0
+    assert sum_risk_dlambda(pair, env, 2 * lam_star) <= 0.0
 
 
 def test_derivatives_match_finite_differences():
     env = bench_env()
-    Xt = draw_ft(env, 5)
-    res = FtResolvent(Xt, build_eigenvalues(env.spectrum_ft))
+    pair = draw_pair(env, 5)
+    res = pair.resolvent
     lam0, tau0 = 0.01, 0.45
     h = 1e-5 * lam0
-    fd_f = central_diff(lambda l: lemma_ft_risk(Xt, env, l, 1.0, cache=res), lam0, h)
-    assert ft_risk_dlambda(Xt, env, lam0, cache=res) == pytest.approx(fd_f, rel=1e-4)
-    fd_h = central_diff(lambda l: lemma_sum_risk(Xt, env, l, 1.0, cache=res), lam0, h)
-    assert sum_risk_dlambda(Xt, env, lam0, cache=res) == pytest.approx(
+    fd_f = central_diff(lambda l: lemma_ft_risk(pair, env, l, 1.0), lam0, h)
+    assert ft_risk_dlambda(pair, env, lam0) == pytest.approx(fd_f, rel=1e-4)
+    fd_h = central_diff(lambda l: lemma_sum_risk(pair, env, l, 1.0), lam0, h)
+    assert sum_risk_dlambda(pair, env, lam0) == pytest.approx(
         fd_h, rel=1e-4)
-    fd_g = central_diff(lambda t: lemma_ft_risk(Xt, env, lam0, t, cache=res),
+    fd_g = central_diff(lambda t: lemma_ft_risk(pair, env, lam0, t),
                         tau0, 1e-6)
-    assert ensemble_risk_dtau(Xt, env, lam0, tau0, "ft", cache=res) == pytest.approx(
+    assert ensemble_risk_dtau(pair, env, lam0, tau0, "ft") == pytest.approx(
         fd_g, rel=1e-4)
-    fd_j = central_diff(lambda t: lemma_sum_risk(Xt, env, lam0, t, cache=res),
+    fd_j = central_diff(lambda t: lemma_sum_risk(pair, env, lam0, t),
                         tau0, 1e-6)
-    assert ensemble_risk_dtau(Xt, env, lam0, tau0, "sum", cache=res) == pytest.approx(
+    assert ensemble_risk_dtau(pair, env, lam0, tau0, "sum") == pytest.approx(
         fd_j, rel=1e-4)
 
 
 def test_dtau_stationary_points():
     env = bench_env()
-    Xt = draw_ft(env, 6)
-    res = FtResolvent(Xt, build_eigenvalues(env.spectrum_ft))
+    pair = draw_pair(env, 6)
+    res = pair.resolvent
     lam = 0.005
-    ts = tau_prime(Xt, env, lam, cache=res)
+    ts = tau_prime(pair, env, lam)
     scale = 2 * env.zeta2 * res.traces(lam)["t1"]
-    assert abs(ensemble_risk_dtau(Xt, env, lam, ts, "ft", cache=res)) <= 1e-10 * scale
-    assert abs(ensemble_risk_dtau(Xt, env, lam, ts / 2, "sum", cache=res)) <= 1e-10 * scale
+    assert abs(ensemble_risk_dtau(pair, env, lam, ts, "ft")) <= 1e-10 * scale
+    assert abs(ensemble_risk_dtau(pair, env, lam, ts / 2, "sum")) <= 1e-10 * scale
     # below the optimal ridge level the weight-1 slope is strictly positive
-    assert ensemble_risk_dtau(Xt, env, lam, 1.0, "ft", cache=res) > 0.0
+    assert ensemble_risk_dtau(pair, env, lam, 1.0, "ft") > 0.0
     with pytest.raises(ValueError):
-        ensemble_risk_dtau(Xt, env, lam, 0.5, "nope", cache=res)
+        ensemble_risk_dtau(pair, env, lam, 0.5, "nope")
 
 
 # ------------------------------------------------------------- ordering suite
@@ -205,10 +202,7 @@ def test_ridge_at_optimum_beats_interpolation_per_instance():
     lam_star = lambda_prime(env)
     strict = 0
     for seed in range(10):
-        X = sample_design(env.spectrum_pre, env.n,
-                          derive_rng(seed, "design_pre", 0))
-        Xt = draw_ft(env, seed)
-        ev = AnalyticRisk.from_env(X, Xt, env)
+        ev = AnalyticRisk.from_env(draw_pair(env, seed), env)
         ridge = ev.task_risk(EstimatorKind.ridge(lam_star), "ft").value
         ridgeless = ev.task_risk(EstimatorKind.ridgeless(), "ft").value
         assert ridge <= ridgeless
