@@ -2,8 +2,8 @@
 
 Every product here is n x n (n = 40 or 60), p x n, or Monte-Carlo batches
 of 512 draws in O(n) rows, sizes at which an OpenBLAS thread pool costs
-more in spin-up and core contention than it saves, and pool workers
-multiply the threads.  The package therefore runs
+more in spin-up and core contention than it saves, and a sweep's worker
+processes multiply the threads.  The package therefore runs
 its numerical work with one BLAS thread per process.  Its only BLAS is
 numpy's bundled OpenBLAS (the package does not import scipy), reached
 through the thread setters it exports, with no third-party dependency.
@@ -15,7 +15,7 @@ thread (``start_single_threaded``), before numpy loads.  Otherwise OpenBLAS
 starts a helper thread per extra core when numpy is imported.  The commands
 pin the count to 1, so that thread never does useful work; yet it spins on a
 core for a while after it starts, and OpenBLAS stops and restarts it around
-every fork of the process pool.  On 2 cores with the other core busy,
+every fork of a sweep's worker processes.  On 2 cores with the other core busy,
 ``import numpy`` takes 75 ms with that helper thread and 38 ms without it.
 Library imports leave the environment alone, so library callers keep their
 own BLAS threads.  This module imports no numpy, so that the entry point
@@ -72,7 +72,7 @@ def thread_counts() -> list[int]:
 
 
 def pin_single_thread() -> None:
-    """Set every loaded library to one thread; the process-pool initializer."""
+    """Set every loaded library to one thread; run first in every forked sweep worker."""
     for lib in loaded_openblas():
         lib.set(1)
 

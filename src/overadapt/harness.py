@@ -3,11 +3,13 @@
 ``run_sweep`` is the one runner: it evaluates every replicate of a config at
 a list of estimator points, by default the factorial expansion of the
 config's grids.  A preset run (``run_preset``) is the same runner over the
-case's points (``presets.preset_points``).  Seeds fan out to a process pool,
-where ``evaluate_seed`` evaluates each (the ``risk`` command is its replicate
-0); each seed derives its own random streams, so the merged output is
-independent of worker count and execution order.  Rows are emitted in a
-fixed schema:
+case's points (``presets.preset_points``).  ``evaluate_seed`` evaluates each
+seed (the ``risk`` command is its replicate 0).  On Linux, seeds fan out to
+forked processes: with k = min(workers, replicates), child i evaluates every
+k-th seed from seed i and pipes its outputs back as one pickle.  Elsewhere,
+and at one worker or one replicate, they run in the calling process.  Each
+seed derives its own random streams, so the merged output is independent of
+worker count and execution order.  Rows are emitted in a fixed schema:
 
     case,seed,estimator,lambda,tau,task,method,value,se,
     bias_thetac,term_zeta1,term_zeta2,term_sigma,term_sigma_tilde
@@ -22,6 +24,9 @@ from __future__ import annotations
 import csv
 import json
 import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field
 
 from ._blas import pin_single_thread
@@ -39,6 +44,10 @@ from .risk import (
 from .synth import derive_rng, sample_designs, sample_theta_c
 
 WORKERS_ENV_VAR = "OVERADAPT_WORKERS"
+
+# CPython's own multiprocessing defaults to spawn on macOS, where fork is
+# unsafe once system frameworks have started threads; only Linux forks here.
+_CAN_FORK = sys.platform == "linux"
 
 TASKS = ("pre", "ft")
 
@@ -205,19 +214,20 @@ def resolve_workers(requested: int | None) -> int:
     return count
 
 
+def _processes(nworkers: int, njobs: int) -> int:
+    """How many processes evaluate ``njobs`` seeds; 1 means the calling process."""
+    return min(nworkers, njobs) if _CAN_FORK else 1
+
+
 def _run_seeds(jobs: list[tuple], nworkers: int) -> tuple[list[ResultRow], list[tuple[int, str]]]:
     """Evaluate every job; rows and failures come back in job (seed) order.
 
-    Pool workers run with one BLAS thread each (see ``_blas``).
+    With more than one process (``_processes``), the jobs fan out to forked
+    children, each with one BLAS thread (see ``_blas``); otherwise they run
+    here, at the caller's BLAS threads.
     """
-    if nworkers == 1 or len(jobs) == 1:
-        outputs = list(map(_sweep_worker, jobs))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=nworkers,
-                                 initializer=pin_single_thread) as pool:
-            outputs = list(pool.map(_sweep_worker, jobs))
+    k = _processes(nworkers, len(jobs))
+    outputs = list(map(_sweep_worker, jobs)) if k == 1 else _fork_join(jobs, k)
     merged: list[ResultRow] = []
     failures: list[tuple[int, str]] = []
     for seed, rows, err in outputs:
@@ -228,9 +238,78 @@ def _run_seeds(jobs: list[tuple], nworkers: int) -> tuple[list[ResultRow], list[
     return merged, failures
 
 
+def _fork_join(jobs: list[tuple], k: int) -> list[tuple]:
+    """``_sweep_worker`` over ``jobs`` in k forked children, outputs in job order.
+
+    Child i evaluates ``jobs[i::k]`` and writes all its outputs to its own pipe
+    at once, after its last job: while the parent drains another child's
+    pipe, a child blocked on its own full pipe has no job left to run.  A
+    child that dies, or leaves output that does not unpickle, fails each of
+    its jobs.  Every child is reaped before this returns or raises: one not
+    yet reaped is killed.  The package starts no threads, and OpenBLAS stops
+    its own around a fork.
+    """
+    outputs: list = [None] * len(jobs)
+    running: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    sys.stdout.flush()  # so that no child inherits buffered output to write again
+    sys.stderr.flush()
+    try:
+        for i in range(k):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(jobs[i::k], write_end)
+            running[pid] = read_end
+            os.close(write_end)  # else the parent holds it open and EOF never comes
+        for i, pid in enumerate(list(running)):
+            with open(running[pid], "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(running.pop(pid))
+            outputs[i::k] = _child_outputs(jobs[i::k], data, status)
+    finally:
+        for pid, read_end in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+    return outputs
+
+
+def _child(jobs: list[tuple], write_end: int) -> None:
+    """The body of a forked child: it never returns into the caller's frames."""
+    code = 1
+    try:
+        pin_single_thread()
+        data = pickle.dumps(list(map(_sweep_worker, jobs)), pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as fh:
+            fh.write(data)
+        code = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
+def _child_outputs(jobs: list[tuple], data: bytes, status: int) -> list[tuple]:
+    """A child's outputs; if it died or left no readable output, a failure per job."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        try:
+            return pickle.loads(data)
+        except Exception as exc:  # the child's output, truncated or malformed
+            reason = f"worker left unreadable output: {type(exc).__name__}: {exc}"
+    elif code < 0:
+        reason = f"worker killed by signal {-code}"
+    else:
+        reason = f"worker exited with code {code}"
+    return [(seed, None, reason) for _, seed, _ in jobs]
+
+
 @dataclass
 class SweepResult:
-    """The rows of a run, its failed seeds, its worker count and the config it ran."""
+    """The rows of a run, its failed seeds, the processes that ran them and its config."""
 
     rows: list[ResultRow]
     failures: list[tuple[int, str]]
@@ -243,14 +322,15 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None,
     """Every replicate of ``config`` at every estimator point and method.
 
     ``kinds`` defaults to the factorial expansion of the config's grids.
-    Parallel over seeds; the merged row list is sorted by seed index and is
-    byte-identical across worker counts.  Seeds that raise are recorded in
+    Parallel over seeds (up to ``workers`` processes, see ``_run_seeds``); the
+    merged row list is sorted by seed index and is byte-identical across
+    worker counts.  Seeds that raise are recorded in
     ``failures`` and the sweep continues.
     """
     kinds = expand_estimator_points(config) if kinds is None else kinds
     nworkers = resolve_workers(workers if workers is not None else config.workers)
     jobs = [(config, s, kinds) for s in range(config.replicates)]
-    return SweepResult(*_run_seeds(jobs, nworkers), nworkers, config)
+    return SweepResult(*_run_seeds(jobs, nworkers), _processes(nworkers, len(jobs)), config)
 
 
 def run_preset(case: str, overrides: dict | None = None, full: bool = False,

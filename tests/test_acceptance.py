@@ -50,7 +50,7 @@ MASTER_SEED = 0
 @pytest.fixture(scope="module", autouse=True)
 def _one_blas_thread():
     """Run this module's in-process linear algebra on one BLAS thread, as the
-    CLI and the pool workers do; the caller's counts come back afterwards."""
+    CLI and the forked sweep workers do; the caller's counts come back afterwards."""
     with single_threaded():
         yield
 

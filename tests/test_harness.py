@@ -1,7 +1,10 @@
 import json
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -203,6 +206,81 @@ def test_sweep_flags_failing_seeds_and_continues():
     assert result.rows == []
     assert len(result.failures) == 3
     assert all("Singular" in msg for _, msg in result.failures)
+
+
+forks = pytest.mark.skipif(not harness._CAN_FORK, reason="seeds fan out by fork on Linux only")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def patch_seed(monkeypatch, seed, action):
+    """Have ``evaluate_seed`` call ``action`` (in whichever process runs it) at ``seed``."""
+    evaluate = harness.evaluate_seed
+
+    def patched(config, seed_index, *args):
+        if seed_index == seed:
+            action()
+        return evaluate(config, seed_index, *args)
+
+    monkeypatch.setattr(harness, "evaluate_seed", patched)
+
+
+@forks
+@pytest.mark.parametrize("die, reason", [
+    (lambda: os._exit(9), "worker exited with code 9"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "worker killed by signal 9"),
+])
+def test_dead_worker_flags_its_seeds_and_keeps_the_others(tmp_path, monkeypatch, capsys,
+                                                          die, reason):
+    # the child that runs seeds 1 and 3 dies at seed 1; the other's rows stand
+    cfg = small_config(replicates=4)
+    kept = [r for r in run_sweep(cfg, workers=1).rows if r.seed in (0, 2)]
+    patch_seed(monkeypatch, 1, die)
+    result = run_sweep(cfg, workers=2)
+    assert result.failures == [(1, reason), (3, reason)]
+    assert result.rows == kept
+    assert_no_child_left()
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "rows.csv"
+    save_config(cfg, cfg_path)
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--workers", "2"]) == 2
+    assert {line.split(",")[1] for line in out.read_text().splitlines()[1:]} == {"0", "2"}
+    assert f"seed 1 failed: {reason}\n" in capsys.readouterr().err
+    assert_no_child_left()
+
+
+@forks
+def test_unreadable_worker_output_flags_its_seeds(monkeypatch):
+    dumps = pickle.dumps
+    monkeypatch.setattr(pickle, "dumps", lambda obj, protocol: dumps(obj, protocol)[:-1])
+    result = run_sweep(small_config(replicates=3), workers=2)
+    assert result.rows == []
+    assert [seed for seed, _ in result.failures] == [0, 1, 2]
+    assert all(reason.startswith("worker left unreadable output: UnpicklingError")
+               for _, reason in result.failures)
+    assert_no_child_left()
+
+
+@forks
+def test_no_worker_outlives_an_interrupted_sweep(monkeypatch):
+    cfg = small_config(replicates=2)
+    run_sweep(cfg, workers=2)
+    assert_no_child_left()
+
+    def interrupt(data):
+        raise KeyboardInterrupt
+
+    # seed 1's child is still running when reading seed 0's output raises
+    patch_seed(monkeypatch, 1, lambda: time.sleep(60))
+    monkeypatch.setattr(pickle, "loads", interrupt)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(cfg, workers=2)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
 
 
 def test_sweep_paired_methods_agree_within_3se():
@@ -625,9 +703,14 @@ def test_cli_run_loads_no_scipy(tmp_path):
     (["verify", "--p", "400", "--n", "16", "--replicates", "2", "--trials", "10"],
      ["overadapt.harness", "concurrent.futures.process", "multiprocessing"]),
     (["preset", "a", "--replicates", "1", "--workers", "1"], ["overadapt.theory"]),
+    (["preset", "a", "--replicates", "2", "--workers", "2"],
+     ["concurrent.futures.process", "multiprocessing"]),
+    (["sweep", "--config", "cfg.json", "--workers", "2"],
+     ["concurrent.futures.process", "multiprocessing"]),
 ])
 def test_cli_command_loads_only_what_it_runs(tmp_path, argv, absent):
-    # verify runs no seed pool and no harness; a preset runs no theory
+    # verify runs no harness and a preset no theory; seeds fan out by a bare fork
+    save_config(small_config(replicates=2), tmp_path / "cfg.json")
     argv = [*argv, "--out", str(tmp_path / "out")]
     code = ("import json, sys\n"
             "from overadapt import cli\n"
@@ -661,6 +744,17 @@ def test_cli_failed_seeds_reach_exit_code(tmp_path, capsys):
     assert "seed 1 failed" in capsys.readouterr().err
     assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
                      "--workers", "1", "--jitter"]) == 0
+
+
+def test_cli_reports_the_processes_that_ran(tmp_path, capsys):
+    # --workers 8 on 2 replicates forks 2 children (1 process where seeds run in-process)
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "rows.csv"
+    save_config(small_config(replicates=2), cfg_path)
+    used = 2 if harness._CAN_FORK else 1
+    assert run_sweep(load_config(cfg_path), workers=8).workers == used
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--workers", "8"]) == 0
+    assert capsys.readouterr().out == f"wrote 24 rows to {out} ({used} workers, 0 flagged)\n"
 
 
 def test_cli_preset_partial_failure_keeps_rows(tmp_path, monkeypatch, capsys):
