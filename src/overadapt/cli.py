@@ -86,8 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_risk = sub.add_parser("risk", help="single-point risk evaluation")
     p_risk.add_argument("--estimator", required=True,
                         choices=("pretrained", "ridgeless_ft", "ridge_ft", "ensemble"))
-    p_risk.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p_risk.add_argument("--tau", type=float, default=1.0)
+    p_risk.add_argument("--lambda", dest="lam", type=float, default=None,
+                        help="ridge level of ridge_ft and ensemble (default 0)")
+    p_risk.add_argument("--tau", type=float, default=None,
+                        help="ensemble weight of ensemble (default 1)")
     p_risk.add_argument("--method", choices=("analytic", "monte_carlo", "lemma_approx"),
                         default="analytic")
     p_risk.add_argument("--case", choices=sorted(CASES), default=None,
@@ -186,6 +188,13 @@ def _cmd_risk(args) -> int:
     for flag, value in (("--replicates", args.replicates), ("--workers", args.workers)):
         if value is not None:
             raise ValueError(f"risk evaluates one instance; {flag} does not apply")
+    for flag, value, takes in (("--lambda", args.lam, ("ridge_ft", "ensemble")),
+                               ("--tau", args.tau, ("ensemble",))):
+        if value is not None and args.estimator not in takes:
+            raise ValueError(f"{flag} applies only to {' and '.join(takes)}, "
+                             f"not to {args.estimator}")
+    lam = 0.0 if args.lam is None else args.lam
+    tau = 1.0 if args.tau is None else args.tau
     from .harness import evaluate_seed, rows_from_report, write_results
 
     base = load_config(args.config).to_dict() if args.config else {"case": args.case or "a"}
@@ -193,8 +202,8 @@ def _cmd_risk(args) -> int:
     kind = {
         "pretrained": EstimatorKind.pretrained,
         "ridgeless_ft": EstimatorKind.ridgeless,
-        "ridge_ft": lambda: EstimatorKind.ridge(args.lam),
-        "ensemble": lambda: EstimatorKind.ensemble(args.lam, args.tau),
+        "ridge_ft": lambda: EstimatorKind.ridge(lam),
+        "ensemble": lambda: EstimatorKind.ensemble(lam, tau),
     }[args.estimator]()
     # replicate 0 of a one-method sweep of the config at this one point
     (report,) = evaluate_seed(config, 0, [kind])

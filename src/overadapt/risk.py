@@ -12,40 +12,41 @@
                              numerical check.
 ``lemma_approx_risk``        the two-term (task-shift + fine-tune noise)
                              shortcut: two of the exact evaluator's five
-                             term quadratics, term_zeta2 and
-                             term_sigma_tilde, read from the same
-                             eigendecomposition of the fine-tune Gram.
+                             ``Term``s, term_zeta2 and term_sigma_tilde.
 
 Trace reduction
 ---------------
-Write A = X X^T, At = Xt Xt^T, R = At + n*lam*I, G = X Xt^T, and for a
+Write A = X X^T, At = Xt Xt^T = U diag(s) U^T, G = X Xt^T, and for a
 diagonal covariance D let S_X(D) = X D X^T, S_Xt(D) = Xt D Xt^T and
-C(D) = X D Xt^T (all n x n).  With P = X^T A^{-1} X, K = tau * Xt^T R^{-1} Xt
-and W = X (I - K), each conditional expectation below is a quadratic in tau
-whose coefficients are traces of n x n products only:
+C(D) = X D Xt^T (all n x n).  Every fine-tuned estimator is
+theta_1 + tau Xt^T U diag(d) U^T (Yt - Xt theta_1), with resolvent weights
+d = 1/(s + n*lam) on the fine-tune eigenbasis, so each risk term on each
+task is exactly a ``Term`` (c, b, H) fixed per design pair:
 
-    tr{D (I-K)^2}        = tr D - 2 tau tr{R^-1 S_Xt(D)}
-                                 + tau^2 tr{R^-1 At R^-1 S_Xt(D)}
-    tr{A^-1 W D W^T}     = tr{A^-1 S_X(D)} - 2 tau tr{A^-1 C(D) V}
-                                 + tau^2 tr{A^-1 V^T S_Xt(D) V},  V = R^-1 G^T
-    tr{A^-2 W D W^T}     = same with A^-2
-    tr{D (I-K) P (I-K)}  = tr{A^-1 W D W^T}
-    tr{D [I-(I-K)P][I-(I-K)P]^T} = tr D - 2 tr{D (I-K) P} + tr{A^-1 W D W^T}
-    tr{K D K}            = tau^2 tr{R^-1 At R^-1 S_Xt(D)}
+    c + tau b.d + tau^2 d^T H d.
 
-These identities are unit-tested against dense p x p evaluation at tiny
-sizes.  The covariances are constant on a few runs of coordinates (three
-for every config), so S_X(D), S_Xt(D), C(D) and G are spectrum-weighted sums
-of one Gram per run of the stacked rows [X; Xt] (``DesignPair``): one pass
-over the design columns per design pair, and no p x n array.  A and At,
-and so both solvers, are diagonal blocks of the summed Gram.  Every lam
-reads one eigendecomposition At = U diag(s) U^T: with d = 1/(s + n*lam),
-R^-1 = U diag(d) U^T, so each trace above is a d-weighted contraction of
-n x n blocks fixed per design pair (U^T S_Xt(D) U, G U and U^T G^T A^-k G U),
-O(n^2) per lam.  The quadratic-in-tau structure is exact, so each tau then
-costs O(1) arithmetic, and the evaluator keeps each lam's quadratics.
-``FtResolvent``, the fine-tune half, is shared with the two-term shortcut and
-the theory's optima and derivatives.
+With M = U^T S_Xt(D) U, m = diag(M), c_k = diag(U^T G^T A^-k C(D) U),
+Q_k = U^T G^T A^-k G U, w0 = tr{A^-1 S_X(D)}, u0 = tr{A^-2 S_X(D)},
+r2 = theta_c_norm^2/p and o the elementwise product:
+
+    bias_thetac       r2 (tr D - w0),   2 r2 (c_1 - m),   r2 (diag(s m) - M o Q_1^T)
+    term_zeta1        pre zeta1 (tr D - w0), 0;  ft zeta1 w0, -2 zeta1 c_1;  zeta1 M o Q_1^T
+    term_sigma        sigma2 u0,        -2 sigma2 c_2,    sigma2 M o Q_2^T
+    term_zeta2        ft zeta2 tr D, -2 zeta2 m;  pre 0, 0;  zeta2 diag(s m)
+    term_sigma_tilde  0,                0,                sigma2_tilde diag(m)
+
+A fixed theta_c replaces the bias term's sphere average by its value: with
+h = (I - X^T A^-1 X) theta_c and g = U^T Xt h, it is
+(h^T D h, -2 (U^T Xt D h) o g, (g g^T) o M).  The terms are pinned to dense
+p x p evaluation in the tests.  The covariances are constant on a few runs
+of coordinates (three for every config), so S_X(D), S_Xt(D), C(D) and G are
+spectrum-weighted sums of one Gram per run of the stacked rows [X; Xt]
+(``DesignPair``): one pass over the design columns per design pair, and no
+p x n array.  A and At, and so both solvers, are diagonal blocks of the
+summed Gram.  A diagonal H is kept as its diagonal, so the two-term
+shortcut (term_zeta2 and term_sigma_tilde, built by ``FtResolvent``) costs
+O(n) per point; the exact evaluator costs O(n^2) per lam, keeps each lam's
+quadratics, and then O(1) per tau.
 
 Monte Carlo
 -----------
@@ -168,6 +169,23 @@ class _Quad:
         return _Quad(self.a0 + other.a0, self.a1 + other.a1, self.a2 + other.a2)
 
 
+@dataclass(frozen=True, eq=False)
+class Term:
+    """One risk term on one task: c + tau b.d + tau^2 d^T H d at resolvent weights d.
+
+    A diagonal H is held as its diagonal vector.
+    """
+
+    c: float
+    b: np.ndarray
+    H: np.ndarray
+
+    def at(self, d: np.ndarray) -> _Quad:
+        """The term at one lam's weights d, as a quadratic in tau."""
+        Hd = self.H * d if self.H.ndim == 1 else self.H @ d
+        return _Quad(self.c, self.b @ d, d @ Hd)
+
+
 def _runs(eigs: dict[str, np.ndarray]) -> list[tuple[int, int]]:
     """The [lo, hi) coordinate runs on which every spectrum in ``eigs`` is constant."""
     steps = np.any([np.diff(e) != 0 for e in eigs.values()], axis=0)
@@ -262,10 +280,11 @@ class FtResolvent:
     """The fine-tune half of the exact evaluator: one eigendecomposition of At.
 
     Holds the pair's At = U diag(s) U^T and, per task covariance D, M = U^T S U
-    with S = Xt D Xt^T.  The traces t1-t3 = tr{R^-k S} and t4, t5 =
-    tr{R^-k At S} are d-weighted sums of diag(M), O(n) per lam.
-    ``AnalyticRisk`` reads d, M and t1-t3 from it; the two-term shortcut, two
-    of its five term quadratics, and the theory read the same traces.  t4 at
+    with S = Xt D Xt^T.  ``d(lam)`` gives the resolvent weights every ``Term``
+    is read at.  ``two_terms`` builds the two ``Term``s that depend on M only
+    through m = diag(M), term_zeta2 and term_sigma_tilde, which ``AnalyticRisk``,
+    the two-term shortcut and the theory share.  ``traces`` gives
+    t1-t3 = tr{R^-k S} and t4, t5 = tr{R^-k At S}, d-weighted sums of m; t4 at
     lam = 0 on a jittered singular Gram has condition number cond(R)^3 ~ 1e37,
     so it is nan there rather than decided by rounding.
     """
@@ -284,38 +303,28 @@ class FtResolvent:
         return 1.0 / shifted
 
     def traces(self, lam: float, task: str = "ft") -> dict[str, float]:
-        d = self.d(lam)
-        t = self.sums(d, task)
-        d3 = d * d * d
+        d, m, s = self.d(lam), self._m[task], self.solver.s
+        d2 = d * d
+        d3 = d2 * d
         undefined = lam == 0.0 and self.solver.jitter_applied > 0
-        t["t4"] = float("nan") if undefined else float(d3 @ self._m[task])
-        t["t5"] = float((d3 * self.solver.s) @ self._m[task])
-        return t
+        return {"t1": float(d @ m), "t2": float(d2 @ m), "t3": float((d2 * s) @ m),
+                "t4": float("nan") if undefined else float(d3 @ m), "t5": float((d3 * s) @ m)}
 
-    def sums(self, d: np.ndarray, task: str) -> dict[str, float]:
-        """t1-t3 at the resolvent eigenvalues d (s holds any jitter)."""
-        d2, m = d * d, self._m[task]
-        return {"t1": float(d @ m), "t2": float(d2 @ m), "t3": float((d2 * self.solver.s) @ m)}
-
-
-def two_term_quadratics(t: dict[str, float], zeta2: float, sigma2_tilde: float,
-                        tr_cov: float | None = None) -> dict[str, _Quad]:
-    """term_zeta2 and term_sigma_tilde at one lam's traces ``t``, quadratics in tau.
-
-    With ``tr_cov`` the fine-tune task's, zeta2 (tr_cov - 2 tau t1 + tau^2 t3)
-    and sigma2_tilde tau^2 t2; without it the pretrain task's, tau^2 times
-    zeta2 t3 and sigma2_tilde t2.  Exact evaluator and shortcut both read it.
-    """
-    if tr_cov is None:
-        zeta = _Quad(0.0, 0.0, zeta2 * t["t3"])
-    else:
-        zeta = _Quad(zeta2 * tr_cov, -2 * zeta2 * t["t1"], zeta2 * t["t3"])
-    return {"term_zeta2": zeta, "term_sigma_tilde": _Quad(0.0, 0.0, sigma2_tilde * t["t2"])}
+    def two_terms(self, zeta2: float, sigma2_tilde: float, task: str) -> dict[str, Term]:
+        """term_zeta2 and term_sigma_tilde on ``task`` (s holds any jitter)."""
+        m = self._m[task]
+        zero = np.zeros_like(m)
+        c, b = (zeta2 * self.tr_cov["ft"], -2 * zeta2 * m) if task == "ft" else (0.0, zero)
+        return {"term_zeta2": Term(c, b, zeta2 * self.solver.s * m),
+                "term_sigma_tilde": Term(0.0, zero, sigma2_tilde * m)}
 
 
 class AnalyticRisk:
     """Exact conditional risk evaluator for one ``DesignPair``.
 
+    Builds the five ``Term``s of each task once (``terms[task][key]``; see the
+    module docstring) and reads them at each lam's resolvent weights, keeping
+    each (lam, task)'s quadratics for every tau; at tau = 0 a term is its c.
     A pair without a fixed theta_c averages the shared-parameter quadratic
     form over the uniform sphere of radius ``theta_c_norm`` (value
     norm^2/p * trace); a pair with one evaluates it at that fixed point.
@@ -330,105 +339,56 @@ class AnalyticRisk:
         sigma2_tilde: float,
         theta_c_norm: float = 1.0,
     ):
-        self.zeta1, self.zeta2 = zeta1, zeta2
-        self.sigma2, self.sigma2_tilde = sigma2, sigma2_tilde
-        self.theta_c_norm = theta_c_norm
-        self.p, self.fixed_theta_c = pair.p, pair.fixed_theta_c
-        self.resolvent = pair.resolvent
-        self.tr_cov = pair.tr_cov
+        self.resolvent = res = pair.resolvent
+        self._quads = {}  # (lam, task) -> term quadratics
         # S[t] = C D_t C^T and G = C C^T for the stacked rows C = [X; Xt(; theta_c)]
         S, G, x, xt, sp = pair.S, pair.G, pair.x, pair.xt, pair.solver_pre
-        self._quads = {}  # (lam, task) -> term quadratics
-
-        # lam-independent traces against the pretrain Gram
-        self._w0, self._u0 = {}, {}
-        for t, s in S.items():
-            a1 = sp.solve(s[x, x])
-            self._w0[t] = float(np.trace(a1))
-            self._u0[t] = float(np.trace(sp.solve(a1)))
-
-        # fixed n x n blocks in the fine-tune eigenbasis (the resolvent holds
-        # M = U^T S_Xt(D) U): c_k = diag(U^T G^T A^-k C(D) U), Q_k = U^T G^T A^-k G U
-        U = self.resolvent.solver.U
+        U, s = res.solver.U, res.solver.s
         GU = G[x, xt] @ U
         A1GU = sp.solve(GU)
         AGU = (A1GU, sp.solve(A1GU))  # A^-k G U, k = 1, 2
-        self._Q = [GU.T @ a for a in AGU]
-        self._c = {t: [np.einsum("ij,ij->j", a, s[x, xt] @ U) for a in AGU]
-                   for t, s in S.items()}
-
-        if self.fixed_theta_c:
+        Q1, Q2 = (GU.T @ a for a in AGU)
+        if pair.fixed_theta_c:
             # h = (I - P) theta_c = C^T v with v = (-A^-1 X theta_c, 0, 1), so
-            # h^T D h, g = U^T Xt h and g_D = U^T Xt D h are Gram contractions
+            # h^T D h, g = U^T Xt h and U^T Xt D h are Gram contractions
             v = np.r_[-sp.solve(G[x, -1]), np.zeros(pair.n), 1.0]
-            self._h_c0 = {t: float(v @ s @ v) for t, s in S.items()}
-            self._g = U.T @ (G[xt] @ v)
-            self._g_cov = {t: U.T @ (s[xt] @ v) for t, s in S.items()}
+            g = U.T @ (G[xt] @ v)
+        r2 = theta_c_norm**2 / pair.p
+        self.terms = {}
+        for t, St in S.items():
+            a1 = sp.solve(St[x, x])
+            w0, u0 = float(np.trace(a1)), float(np.trace(sp.solve(a1)))
+            c1, c2 = (np.einsum("ij,ij->j", a, St[x, xt] @ U) for a in AGU)
+            M, trc = res.M[t], pair.tr_cov[t]
+            m = np.diagonal(M)
+            MQ1 = M * Q1.T
+            if pair.fixed_theta_c:
+                bias = Term(float(v @ St @ v), -2 * (U.T @ (St[xt] @ v)) * g, np.outer(g, g) * M)
+            else:
+                bias = Term(r2 * (trc - w0), 2 * r2 * (c1 - m), r2 * (np.diag(s * m) - MQ1))
+            zeta1_term = (Term(zeta1 * (trc - w0), np.zeros_like(m), zeta1 * MQ1) if t == "pre"
+                          else Term(zeta1 * w0, -2 * zeta1 * c1, zeta1 * MQ1))
+            terms = {"bias_thetac": bias, "term_zeta1": zeta1_term,
+                     "term_sigma": Term(sigma2 * u0, -2 * sigma2 * c2, sigma2 * (M * Q2.T)),
+                     **res.two_terms(zeta2, sigma2_tilde, t)}
+            self.terms[t] = {k: terms[k] for k in TERM_KEYS}
 
     @classmethod
     def from_env(cls, pair: DesignPair, env: TaskEnvironment) -> "AnalyticRisk":
         return cls(pair, zeta1=env.zeta1, zeta2=env.zeta2, sigma2=env.sigma2,
                    sigma2_tilde=env.sigma2_tilde, theta_c_norm=env.theta_c_norm)
 
-    def _blocks(self, lam: float, t: str) -> dict:
-        """The lam-dependent traces of task t: d-weighted contractions, O(n^2)."""
-        res = self.resolvent
-        d, M = res.d(lam), res.M[t]
-        dMd = d[:, None] * M * d  # U^T R^-1 S R^-1 U
-        (c1, c2), (Q1, Q2) = self._c[t], self._Q
-        blk = res.sums(d, t)
-        blk.update(
-            w1=float(d @ c1),
-            u1=float(d @ c2),
-            w2=float(np.sum(dMd * Q1.T)),
-            u2=float(np.sum(dMd * Q2.T)),
-        )
-        if self.fixed_theta_c:
-            dg = d * self._g  # U^T R^-1 Xt h
-            blk["hb1"] = -2.0 * float(self._g_cov[t] @ dg)
-            blk["hb2"] = float(dg @ M @ dg)
-        return blk
-
-    def _constants(self, t: str) -> dict[str, float]:
-        """Each term at tau = 0 (the pretrained estimator), with no fine-tune resolvent."""
-        w0, trc = self._w0[t], self.tr_cov[t]
-        return {
-            "bias_thetac": self._h_c0[t] if self.fixed_theta_c
-            else self.theta_c_norm**2 / self.p * (trc - w0),
-            "term_zeta1": self.zeta1 * (self.tr_cov["pre"] - w0) if t == "pre"
-            else self.zeta1 * w0,
-            "term_zeta2": 0.0 if t == "pre" else self.zeta2 * trc,
-            "term_sigma": self.sigma2 * self._u0[t],
-            "term_sigma_tilde": 0.0,
-        }
-
     def term_quadratics(self, lam: float, task: str) -> dict[str, _Quad]:
         """Each risk term as an exact quadratic in tau, at fixed lam; built once per (lam, task)."""
-        t = task
-        if (lam, t) in self._quads:
-            return self._quads[lam, t]
-        b, c = self._blocks(lam, t), self._constants(t)
-        if not self.fixed_theta_c:
-            scale = self.theta_c_norm**2 / self.p
-            bias = (scale * (-2 * b["t1"] + 2 * b["w1"]), scale * (b["t3"] - b["w2"]))
-        else:
-            bias = (b["hb1"], b["hb2"])
-        quads = {
-            "bias_thetac": _Quad(c["bias_thetac"], *bias),
-            "term_zeta1": _Quad(c["term_zeta1"], 0.0 if t == "pre" else -2 * self.zeta1 * b["w1"],
-                                self.zeta1 * b["w2"]),
-            "term_sigma": _Quad(c["term_sigma"], -2 * self.sigma2 * b["u1"],
-                                self.sigma2 * b["u2"]),
-            **two_term_quadratics(b, self.zeta2, self.sigma2_tilde,
-                                  self.tr_cov[t] if t == "ft" else None),
-        }
-        self._quads[lam, t] = {k: quads[k] for k in TERM_KEYS}
-        return self._quads[lam, t]
+        if (lam, task) not in self._quads:
+            d = self.resolvent.d(lam)
+            self._quads[lam, task] = {k: term.at(d) for k, term in self.terms[task].items()}
+        return self._quads[lam, task]
 
     def task_risk(self, kind: EstimatorKind, task: str) -> TaskRisk:
         lam, tau = kind.effective
         if tau == 0.0:
-            raw = self._constants(task)
+            raw = {k: term.c for k, term in self.terms[task].items()}
         else:
             raw = {k: q(tau) for k, q in self.term_quadratics(lam, task).items()}
         value, terms = _finish_terms(raw)
@@ -560,9 +520,9 @@ def lemma_approx_risk(
     task: str = "both",
 ) -> RiskReport:
     """Dominant-term shortcut: the exact evaluator's term_zeta2 and
-    term_sigma_tilde only, read from the pair's shared ``FtResolvent``.  The
-    pretrained estimator's pretrain risk is lower-order and reported as 0
-    with a note.
+    term_sigma_tilde only, the pair's shared ``FtResolvent.two_terms`` read at
+    one lam's weights.  The pretrained estimator's pretrain risk is
+    lower-order and reported as 0 with a note.
     """
     lam, tau = kind.effective
     tasks = [t for t in ("pre", "ft") if task in (t, "both")]
@@ -570,8 +530,9 @@ def lemma_approx_risk(
         quads = {"pre": {}, "ft": {"term_zeta2": _Quad(env.zeta2 * pair.tr_cov["ft"])}}
     else:
         res = pair.resolvent
-        quads = {t: two_term_quadratics(res.traces(lam, t), env.zeta2, env.sigma2_tilde,
-                                        res.tr_cov[t] if t == "ft" else None)
+        d = res.d(lam)
+        quads = {t: {k: term.at(d) for k, term
+                     in res.two_terms(env.zeta2, env.sigma2_tilde, t).items()}
                  for t in tasks}
     risks = {t: TaskRisk(*_finish_terms({k: q(tau) for k, q in quads[t].items()}),
                          note=None if quads[t] else "negligible next to every fine-tuned estimator")

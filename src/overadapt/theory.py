@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorKind
-from .risk import AnalyticRisk, DesignPair, _Quad, two_term_quadratics
+from .risk import AnalyticRisk, DesignPair, _Quad
 from .spectra import SpectrumSpec, build_eigenvalues, effective_rank
 from .synth import TaskEnvironment, _coord_draws, _wishart_bartlett, derive_rng, sample_designs
 
@@ -37,18 +37,18 @@ def lambda_prime(env: TaskEnvironment) -> float:
 
 
 def _two_term(pair: DesignPair, env: TaskEnvironment, lam: float, objective: str = "ft"):
-    """The two-term risk at lam as a quadratic in tau, and the traces it read.
+    """The two-term risk at lam as a quadratic in tau.
 
-    The traces are the pair's shared fine-tune resolvent's.  "sum" adds the
-    pretrain task's pair, read through the fine-tune covariance as in the
-    theorems' reduced form.
+    The fine-tune task's term_zeta2 and term_sigma_tilde at the pair's shared
+    resolvent weights.  "sum" adds the pretrain task's pair, read through the
+    fine-tune covariance as in the theorems' reduced form: the same tau^2
+    coefficient once more.
     """
     res = pair.resolvent
-    t = res.traces(lam)
-    quads = [*two_term_quadratics(t, env.zeta2, env.sigma2_tilde, res.tr_cov["ft"]).values()]
-    if objective == "sum":
-        quads += two_term_quadratics(t, env.zeta2, env.sigma2_tilde).values()
-    return sum(quads, _Quad()), t
+    d = res.d(lam)
+    terms = res.two_terms(env.zeta2, env.sigma2_tilde, "ft").values()
+    q = sum((term.at(d) for term in terms), _Quad())
+    return q + _Quad(0.0, 0.0, q.a2) if objective == "sum" else q
 
 
 def tau_prime(pair: DesignPair, env: TaskEnvironment, lam: float) -> float:
@@ -57,7 +57,7 @@ def tau_prime(pair: DesignPair, env: TaskEnvironment, lam: float) -> float:
     Ratio of the task-shift trace to the curvature traces; lies in [0, 1]
     whenever lam <= lambda_prime(env) and equals 1 exactly at that boundary.
     """
-    q, _ = _two_term(pair, env, lam)
+    q = _two_term(pair, env, lam)
     return -q.a1 / (2.0 * q.a2)
 
 
@@ -71,7 +71,7 @@ def ft_risk_dlambda(pair: DesignPair, env: TaskEnvironment, lam: float) -> float
     if lam < 0:
         raise ValueError("lam must be non-negative")
     n = env.n
-    _, t = _two_term(pair, env, lam)
+    t = pair.resolvent.traces(lam)
     return 2.0 * n * (env.zeta2 * n * lam - env.sigma2_tilde) * t["t4"]
 
 
@@ -85,7 +85,7 @@ def sum_risk_dlambda(pair: DesignPair, env: TaskEnvironment, lam: float) -> floa
     if lam < 0:
         raise ValueError("lam must be non-negative")
     n = env.n
-    _, t = _two_term(pair, env, lam)
+    t = pair.resolvent.traces(lam)
     return 2.0 * n * (
         (env.zeta2 * n * lam - 2.0 * env.sigma2_tilde) * t["t4"] - env.zeta2 * t["t5"]
     )
@@ -107,18 +107,18 @@ def ensemble_risk_dtau(
     """
     if objective not in ("ft", "sum"):
         raise ValueError("objective must be 'ft' or 'sum'")
-    q, _ = _two_term(pair, env, lam, objective)
+    q = _two_term(pair, env, lam, objective)
     return q.a1 + 2.0 * tau * q.a2
 
 
 def lemma_ft_risk(pair: DesignPair, env: TaskEnvironment, lam: float, tau: float = 1.0) -> float:
     """Two-term fine-tune risk of the (lam, tau) estimator; f and g objectives."""
-    return _two_term(pair, env, lam)[0](tau)
+    return _two_term(pair, env, lam)(tau)
 
 
 def lemma_sum_risk(pair: DesignPair, env: TaskEnvironment, lam: float, tau: float = 1.0) -> float:
     """Two-term summed two-task risk of the (lam, tau) estimator; h and J objectives."""
-    return _two_term(pair, env, lam, "sum")[0](tau)
+    return _two_term(pair, env, lam, "sum")(tau)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from overadapt.presets import (
     preset_environment,
     preset_points,
 )
-from overadapt.risk import AnalyticRisk, DesignPair
+from overadapt.risk import AnalyticRisk, DesignPair, FtResolvent
 from overadapt.svgplot import MissingSeriesError, render_tradeoff_svg
 from overadapt.synth import derive_rng, sample_design, sample_theta_c
 
@@ -397,16 +397,17 @@ def test_evaluate_seed_reduces_the_designs_without_a_qr(monkeypatch, fix_theta_c
 
 
 def test_preset_seed_builds_each_lambda_and_task_once(monkeypatch):
-    # the evaluator keeps each (lam, task)'s term quadratics for every tau
+    # the evaluator reads each (lam, task)'s resolvent weights once and keeps
+    # its term quadratics for every tau
     config = config_from_dict({"case": "a", **preset_defaults("a"), "replicates": 1})
     kinds = preset_points(config)
     calls = []
-    blocks = AnalyticRisk._blocks
-    monkeypatch.setattr(AnalyticRisk, "_blocks",
-                        lambda self, lam, t: calls.append((lam, t)) or blocks(self, lam, t))
+    weights = FtResolvent.d
+    monkeypatch.setattr(FtResolvent, "d",
+                        lambda self, lam: calls.append(lam) or weights(self, lam))
     evaluate_seed(config, 0, kinds)
     lams = {kind.effective[0] for kind in kinds if kind.effective[1] != 0.0}
-    assert sorted(calls) == sorted((lam, t) for lam in lams for t in ("pre", "ft"))
+    assert sorted(calls) == sorted(lam for lam in lams for t in ("pre", "ft"))
     assert len(calls) == 22
 
 
@@ -640,6 +641,24 @@ def test_cli_risk_rejects_pool_flags(tmp_path, capsys):
                          "--out", str(out), *flags]) == 1
         assert flags[0] in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator, flags", [
+    ("pretrained", ["--lambda", "0.1"]),
+    ("ridgeless_ft", ["--lambda", "0.1"]),
+    ("pretrained", ["--tau", "0.3"]),
+    ("ridgeless_ft", ["--tau", "0.3"]),
+    ("ridge_ft", ["--lambda", "1e-4", "--tau", "0.3"]),
+])
+def test_cli_risk_rejects_a_parameter_its_estimator_lacks(tmp_path, monkeypatch, capsys,
+                                                          estimator, flags):
+    monkeypatch.setattr(harness, "evaluate_seed", lambda *args: pytest.fail("a seed ran"))
+    out = tmp_path / "risk.csv"
+    assert cli_main(["risk", "--estimator", estimator, "--case", "a", "--out", str(out),
+                     *flags]) == 1
+    captured = capsys.readouterr()
+    assert flags[-2] in captured.err and estimator in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_cli_risk_rejects_zero_mc_draws(tmp_path, capsys):

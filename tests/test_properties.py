@@ -7,13 +7,15 @@ draws the numbers.  Examples are derandomised, so every run checks the same
 instances.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from overadapt.estimators import EstimatorKind
-from overadapt.risk import TERM_KEYS, AnalyticRisk, DesignPair
+from overadapt.risk import TERM_KEYS, AnalyticRisk, DesignPair, lemma_approx_risk
 
 from oracles import dense_risk_terms
 
@@ -139,13 +141,19 @@ def test_analytic_terms_match_the_dense_oracle(seed, n, n_pre, support, lengths,
     if fixed_theta_c:
         theta_c = rng.standard_normal(p)
         theta_c *= 1.3 / np.linalg.norm(theta_c)
-    ev = AnalyticRisk(DesignPair(X, Xt, eigs_pre, eigs_ft, theta_c=theta_c), *variances,
-                      theta_c_norm=1.3)
+    pair = DesignPair(X, Xt, eigs_pre, eigs_ft, theta_c=theta_c)
+    ev = AnalyticRisk(pair, *variances, theta_c_norm=1.3)
     kind = _kind(lam, tau)
+    # the two-term shortcut reads only the fine-tune shift and noise variances
+    lemma = lemma_approx_risk(pair, SimpleNamespace(zeta2=variances[1],
+                                                    sigma2_tilde=variances[3]), kind)
+    two = ("term_zeta2", "term_sigma_tilde")
     for task in ("pre", "ft"):
         got = ev.task_risk(kind, task).terms
         # at tau = 0 the terms do not depend on lam, which keeps the oracle's R invertible
         want = dense_risk_terms(X, Xt, eigs_pre, eigs_ft, *variances, lam, tau, task,
                                 theta_c=theta_c, theta_c_norm=1.3)
+        assert {k: lemma.task(task).terms[k] for k in two} == pytest.approx(
+            {k: want[k] for k in two}, rel=1e-9, abs=1e-12), task
         for key in TERM_KEYS:
             assert got[key] == pytest.approx(want[key], rel=1e-9, abs=1e-12), (task, key)
