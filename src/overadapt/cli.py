@@ -199,6 +199,10 @@ def _cmd_risk(args) -> int:
 
     base = load_config(args.config).to_dict() if args.config else {"case": args.case or "a"}
     config = _config(args, {**base, "methods": [args.method]})
+    out = args.out or config.out
+    if args.format and not out:
+        raise ValueError("risk prints its report as JSON without --out or a config out; "
+                         "--format does not apply")
     kind = {
         "pretrained": EstimatorKind.pretrained,
         "ridgeless_ft": EstimatorKind.ridgeless,
@@ -207,7 +211,6 @@ def _cmd_risk(args) -> int:
     }[args.estimator]()
     # replicate 0 of a one-method sweep of the config at this one point
     (report,) = evaluate_seed(config, 0, [kind])
-    out = args.out or config.out
     if out:
         rows = rows_from_report(report, config.case or "", 0)
         write_results(rows, out, config.format)
@@ -227,7 +230,8 @@ def main(argv=None) -> int:
         "risk": _cmd_risk,
     }
     try:
-        for flag, least in (("seed", 0), ("workers", 1), ("replicates", 1), ("trials", 1)):
+        for flag, least in (("seed", 0), ("workers", 1), ("replicates", 1), ("trials", 1),
+                            ("n", 1)):
             value = getattr(args, flag, None)
             if value is not None and value < least:
                 sign = "positive" if least else "non-negative"

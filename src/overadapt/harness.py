@@ -125,9 +125,7 @@ def rows_from_report(report: RiskReport, case: str, seed: int) -> list[ResultRow
     lam, tau = _row_params(report.kind)
     rows = []
     for task in TASKS:
-        tr = report.pre if task == "pre" else report.ft
-        if tr is None:
-            continue
+        tr = report.task(task)
         rows.append(ResultRow(
             case=case, seed=seed, estimator=report.kind.name,
             lam=lam, tau=tau, task=task, method=report.method,
@@ -170,6 +168,7 @@ def evaluate_seed(config: ExperimentConfig, seed_index: int,
     # one reduction of the designs: every method reads the pair's Grams and solvers
     pair = DesignPair.from_env(X, Xt, env, theta_c=theta_c, jitter=config.jitter)
     analytic = AnalyticRisk.from_env(pair, env) if "analytic" in methods else None
+    lemma = lemma_approx_risk(pair, env) if "lemma_approx" in methods else None
     mc = [None] * len(kinds)
     if "monte_carlo" in methods:
         mc = mc_expected_risks(pair, env, kinds, config.mc_draws,
@@ -180,8 +179,8 @@ def evaluate_seed(config: ExperimentConfig, seed_index: int,
             reports.append(analytic.report(kind))
         if mc_report is not None:
             reports.append(mc_report)
-        if "lemma_approx" in methods:
-            reports.append(lemma_approx_risk(pair, env, kind))
+        if lemma is not None:
+            reports.append(lemma.report(kind))
     return reports
 
 

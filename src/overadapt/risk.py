@@ -3,16 +3,21 @@
 ``DesignPair``               one seed's designs reduced once, to one Gram of
                              their stacked rows per spectrum run; every
                              method below reads the pair.
-``AnalyticRisk``             exact expectation over (theta_c, alpha1, alpha2,
-                             noise) with the two designs held fixed, via
-                             closed-form trace formulas
+``TermRisk``                 reads per-task ``Term``s at each lam's resolvent
+                             weights, one memo per (lam, task); its
+                             ``report(kind)`` covers both tasks.
+``AnalyticRisk``             the ``TermRisk`` of the exact expectation over
+                             (theta_c, alpha1, alpha2, noise) with the two
+                             designs held fixed: five closed-form Terms
                              (``AnalyticRisk.from_env(pair, env).report(kind)``).
 ``mc_expected_risks``        Monte-Carlo estimates of the same expectation on
                              draws shared by all estimators, the independent
                              numerical check.
 ``lemma_approx_risk``        the two-term (task-shift + fine-tune noise)
-                             shortcut: two of the exact evaluator's five
-                             ``Term``s, term_zeta2 and term_sigma_tilde.
+                             shortcut, a ``TermRisk`` over two of the exact
+                             evaluator's five Terms, term_zeta2 and
+                             term_sigma_tilde
+                             (``lemma_approx_risk(pair, env).report(kind)``).
 
 Trace reduction
 ---------------
@@ -79,7 +84,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimators import PRETRAINED, EstimatorKind, GramSolver
+from .estimators import EstimatorKind, GramSolver
 from .synth import TaskEnvironment, _wishart_bartlett
 
 TERM_KEYS = ("bias_thetac", "term_zeta1", "term_zeta2", "term_sigma", "term_sigma_tilde")
@@ -98,7 +103,6 @@ class TaskRisk:
     value: float
     terms: dict[str, float] = field(default_factory=dict)
     se: float | None = None
-    note: str | None = None
 
 
 @dataclass(frozen=True)
@@ -107,23 +111,22 @@ class RiskReport:
 
     method: str  # monte_carlo | analytic | lemma_approx
     kind: EstimatorKind
-    pre: TaskRisk | None
-    ft: TaskRisk | None
+    pre: TaskRisk
+    ft: TaskRisk
     draws: int | None = None
 
     @property
     def l_pre(self) -> float:
-        return self.pre.value if self.pre is not None else float("nan")
+        return self.pre.value
 
     @property
     def l_ft(self) -> float:
-        return self.ft.value if self.ft is not None else float("nan")
+        return self.ft.value
 
     def task(self, name: str) -> TaskRisk:
-        out = self.pre if name == "pre" else self.ft
-        if out is None:
-            raise ValueError(f"task {name!r} was not evaluated in this report")
-        return out
+        if name not in ("pre", "ft"):
+            raise ValueError(f"unknown task {name!r}; known: pre, ft")
+        return getattr(self, name)
 
     def to_dict(self) -> dict:
         d = {
@@ -134,8 +137,6 @@ class RiskReport:
             "draws": self.draws,
         }
         for name, tr in (("pre", self.pre), ("ft", self.ft)):
-            if tr is None:
-                continue
             d[f"l_{name}"] = tr.value
             d[f"terms_{name}"] = dict(tr.terms)
             if tr.se is not None:
@@ -319,64 +320,21 @@ class FtResolvent:
                 "term_sigma_tilde": Term(0.0, zero, sigma2_tilde * m)}
 
 
-class AnalyticRisk:
-    """Exact conditional risk evaluator for one ``DesignPair``.
+class TermRisk:
+    """Reads per-task ``Term``s (``terms[task][key]``) at each lam's resolvent weights.
 
-    Builds the five ``Term``s of each task once (``terms[task][key]``; see the
-    module docstring) and reads them at each lam's resolvent weights, keeping
-    each (lam, task)'s quadratics for every tau; at tau = 0 a term is its c.
-    A pair without a fixed theta_c averages the shared-parameter quadratic
-    form over the uniform sphere of radius ``theta_c_norm`` (value
-    norm^2/p * trace); a pair with one evaluates it at that fixed point.
+    Keeps each (lam, task)'s term quadratics for every tau; at tau = 0 a term
+    is its c and no weights are read.  Every report covers both tasks.  The
+    exact evaluator (``AnalyticRisk``) reads the five ``TERM_KEYS``, the
+    two-term shortcut (``lemma_approx_risk``) two of them.
     """
 
-    def __init__(
-        self,
-        pair: DesignPair,
-        zeta1: float,
-        zeta2: float,
-        sigma2: float,
-        sigma2_tilde: float,
-        theta_c_norm: float = 1.0,
-    ):
-        self.resolvent = res = pair.resolvent
+    def __init__(self, method: str, resolvent: FtResolvent,
+                 terms: dict[str, dict[str, Term]]):
+        self.method = method
+        self.resolvent = resolvent
+        self.terms = terms
         self._quads = {}  # (lam, task) -> term quadratics
-        # S[t] = C D_t C^T and G = C C^T for the stacked rows C = [X; Xt(; theta_c)]
-        S, G, x, xt, sp = pair.S, pair.G, pair.x, pair.xt, pair.solver_pre
-        U, s = res.solver.U, res.solver.s
-        GU = G[x, xt] @ U
-        A1GU = sp.solve(GU)
-        AGU = (A1GU, sp.solve(A1GU))  # A^-k G U, k = 1, 2
-        Q1, Q2 = (GU.T @ a for a in AGU)
-        if pair.fixed_theta_c:
-            # h = (I - P) theta_c = C^T v with v = (-A^-1 X theta_c, 0, 1), so
-            # h^T D h, g = U^T Xt h and U^T Xt D h are Gram contractions
-            v = np.r_[-sp.solve(G[x, -1]), np.zeros(pair.n), 1.0]
-            g = U.T @ (G[xt] @ v)
-        r2 = theta_c_norm**2 / pair.p
-        self.terms = {}
-        for t, St in S.items():
-            a1 = sp.solve(St[x, x])
-            w0, u0 = float(np.trace(a1)), float(np.trace(sp.solve(a1)))
-            c1, c2 = (np.einsum("ij,ij->j", a, St[x, xt] @ U) for a in AGU)
-            M, trc = res.M[t], pair.tr_cov[t]
-            m = np.diagonal(M)
-            MQ1 = M * Q1.T
-            if pair.fixed_theta_c:
-                bias = Term(float(v @ St @ v), -2 * (U.T @ (St[xt] @ v)) * g, np.outer(g, g) * M)
-            else:
-                bias = Term(r2 * (trc - w0), 2 * r2 * (c1 - m), r2 * (np.diag(s * m) - MQ1))
-            zeta1_term = (Term(zeta1 * (trc - w0), np.zeros_like(m), zeta1 * MQ1) if t == "pre"
-                          else Term(zeta1 * w0, -2 * zeta1 * c1, zeta1 * MQ1))
-            terms = {"bias_thetac": bias, "term_zeta1": zeta1_term,
-                     "term_sigma": Term(sigma2 * u0, -2 * sigma2 * c2, sigma2 * (M * Q2.T)),
-                     **res.two_terms(zeta2, sigma2_tilde, t)}
-            self.terms[t] = {k: terms[k] for k in TERM_KEYS}
-
-    @classmethod
-    def from_env(cls, pair: DesignPair, env: TaskEnvironment) -> "AnalyticRisk":
-        return cls(pair, zeta1=env.zeta1, zeta2=env.zeta2, sigma2=env.sigma2,
-                   sigma2_tilde=env.sigma2_tilde, theta_c_norm=env.theta_c_norm)
 
     def term_quadratics(self, lam: float, task: str) -> dict[str, _Quad]:
         """Each risk term as an exact quadratic in tau, at fixed lam; built once per (lam, task)."""
@@ -394,10 +352,67 @@ class AnalyticRisk:
         value, terms = _finish_terms(raw)
         return TaskRisk(value=value, terms=terms)
 
-    def report(self, kind: EstimatorKind, task: str = "both") -> RiskReport:
-        pre = self.task_risk(kind, "pre") if task in ("pre", "both") else None
-        ft = self.task_risk(kind, "ft") if task in ("ft", "both") else None
-        return RiskReport(method="analytic", kind=kind, pre=pre, ft=ft)
+    def report(self, kind: EstimatorKind) -> RiskReport:
+        return RiskReport(method=self.method, kind=kind, pre=self.task_risk(kind, "pre"),
+                          ft=self.task_risk(kind, "ft"))
+
+
+class AnalyticRisk(TermRisk):
+    """Exact conditional risk evaluator for one ``DesignPair``.
+
+    Builds the five ``Term``s of each task once (see the module docstring).
+    A pair without a fixed theta_c averages the shared-parameter quadratic
+    form over the uniform sphere of radius ``theta_c_norm`` (value
+    norm^2/p * trace); a pair with one evaluates it at that fixed point.
+    """
+
+    def __init__(
+        self,
+        pair: DesignPair,
+        zeta1: float,
+        zeta2: float,
+        sigma2: float,
+        sigma2_tilde: float,
+        theta_c_norm: float = 1.0,
+    ):
+        res = pair.resolvent
+        # S[t] = C D_t C^T and G = C C^T for the stacked rows C = [X; Xt(; theta_c)]
+        S, G, x, xt, sp = pair.S, pair.G, pair.x, pair.xt, pair.solver_pre
+        U, s = res.solver.U, res.solver.s
+        GU = G[x, xt] @ U
+        A1GU = sp.solve(GU)
+        AGU = (A1GU, sp.solve(A1GU))  # A^-k G U, k = 1, 2
+        Q1, Q2 = (GU.T @ a for a in AGU)
+        if pair.fixed_theta_c:
+            # h = (I - P) theta_c = C^T v with v = (-A^-1 X theta_c, 0, 1), so
+            # h^T D h, g = U^T Xt h and U^T Xt D h are Gram contractions
+            v = np.r_[-sp.solve(G[x, -1]), np.zeros(pair.n), 1.0]
+            g = U.T @ (G[xt] @ v)
+        r2 = theta_c_norm**2 / pair.p
+        all_terms = {}
+        for t, St in S.items():
+            a1 = sp.solve(St[x, x])
+            w0, u0 = float(np.trace(a1)), float(np.trace(sp.solve(a1)))
+            c1, c2 = (np.einsum("ij,ij->j", a, St[x, xt] @ U) for a in AGU)
+            M, trc = res.M[t], pair.tr_cov[t]
+            m = np.diagonal(M)
+            MQ1 = M * Q1.T
+            if pair.fixed_theta_c:
+                bias = Term(float(v @ St @ v), -2 * (U.T @ (St[xt] @ v)) * g, np.outer(g, g) * M)
+            else:
+                bias = Term(r2 * (trc - w0), 2 * r2 * (c1 - m), r2 * (np.diag(s * m) - MQ1))
+            zeta1_term = (Term(zeta1 * (trc - w0), np.zeros_like(m), zeta1 * MQ1) if t == "pre"
+                          else Term(zeta1 * w0, -2 * zeta1 * c1, zeta1 * MQ1))
+            terms = {"bias_thetac": bias, "term_zeta1": zeta1_term,
+                     "term_sigma": Term(sigma2 * u0, -2 * sigma2 * c2, sigma2 * (M * Q2.T)),
+                     **res.two_terms(zeta2, sigma2_tilde, t)}
+            all_terms[t] = {k: terms[k] for k in TERM_KEYS}
+        super().__init__("analytic", res, all_terms)
+
+    @classmethod
+    def from_env(cls, pair: DesignPair, env: TaskEnvironment) -> "AnalyticRisk":
+        return cls(pair, zeta1=env.zeta1, zeta2=env.zeta2, sigma2=env.sigma2,
+                   sigma2_tilde=env.sigma2_tilde, theta_c_norm=env.theta_c_norm)
 
 
 def _off_span_gram(rng: np.random.Generator, dof: int, m: int) -> np.ndarray:
@@ -414,7 +429,6 @@ def mc_expected_risks(
     kinds: list[EstimatorKind],
     draws: int,
     rng: np.random.Generator,
-    task: str = "both",
 ) -> list[RiskReport]:
     """Monte-Carlo mean of the plug-in risk over fresh parameter/noise draws,
     one report per kind, every kind on the same draws.
@@ -426,22 +440,19 @@ def mc_expected_risks(
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    tasks = [t for t in ("pre", "ft") if task in (t, "both")]
-    risks = _mc_risk_draws(pair, env, kinds, draws, rng, tasks)
+    risks = _mc_risk_draws(pair, env, kinds, draws, rng)
 
     def summarise(r) -> TaskRisk:
         se = float(np.std(r, ddof=1) / np.sqrt(r.size)) if r.size > 1 else 0.0
         return TaskRisk(value=float(np.mean(r)), se=se)
 
     return [RiskReport(method="monte_carlo", kind=kind, draws=draws,
-                       pre=summarise(r["pre"]) if "pre" in r else None,
-                       ft=summarise(r["ft"]) if "ft" in r else None)
+                       pre=summarise(r["pre"]), ft=summarise(r["ft"]))
             for kind, r in zip(kinds, risks)]
 
 
 def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[EstimatorKind],
-                   draws: int, rng: np.random.Generator,
-                   tasks: list[str]) -> list[dict[str, np.ndarray]]:
+                   draws: int, rng: np.random.Generator) -> list[dict[str, np.ndarray]]:
     """The plug-in risk of every kind on each of ``draws`` shared draws, per task."""
     coords = pair.row_space()
     ranks = [F.shape[1] for F in coords]
@@ -461,7 +472,7 @@ def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[Estimator
             pretrained.append(i)
         else:
             by_lam.setdefault(lam, []).append((i, tau))
-    risks = [{t: [] for t in tasks} for _ in kinds]
+    risks = [{"pre": [], "ft": []} for _ in kinds]
     zeta = {"pre": env.zeta1, "ft": env.zeta2}
     offset = {"pre": 1, "ft": 2}  # index of the task's offset in each off-span Gram
     sd = np.sqrt([1.0, env.zeta1, env.zeta2])
@@ -470,9 +481,9 @@ def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[Estimator
         return rng.standard_normal((rows, m)) * np.sqrt(var) if var > 0 else 0.0
 
     def add(i, hat):
-        for t in tasks:
+        for t, r in risks[i].items():
             d = hat - target[t]
-            risks[i][t].append(weights[t] @ (d * d) + perp[t])
+            r.append(weights[t] @ (d * d) + perp[t])
 
     done = 0
     while done < draws:
@@ -513,29 +524,11 @@ def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[Estimator
     return [{t: np.concatenate(chunks) for t, chunks in r.items()} for r in risks]
 
 
-def lemma_approx_risk(
-    pair: DesignPair,
-    env: TaskEnvironment,
-    kind: EstimatorKind,
-    task: str = "both",
-) -> RiskReport:
+def lemma_approx_risk(pair: DesignPair, env: TaskEnvironment) -> TermRisk:
     """Dominant-term shortcut: the exact evaluator's term_zeta2 and
-    term_sigma_tilde only, the pair's shared ``FtResolvent.two_terms`` read at
-    one lam's weights.  The pretrained estimator's pretrain risk is
-    lower-order and reported as 0 with a note.
+    term_sigma_tilde only, the pair's shared ``FtResolvent.two_terms`` on both
+    tasks, read like the exact evaluator's Terms.
     """
-    lam, tau = kind.effective
-    tasks = [t for t in ("pre", "ft") if task in (t, "both")]
-    if kind.name == PRETRAINED:  # tau = 0: only the fine-tune task-shift constant
-        quads = {"pre": {}, "ft": {"term_zeta2": _Quad(env.zeta2 * pair.tr_cov["ft"])}}
-    else:
-        res = pair.resolvent
-        d = res.d(lam)
-        quads = {t: {k: term.at(d) for k, term
-                     in res.two_terms(env.zeta2, env.sigma2_tilde, t).items()}
-                 for t in tasks}
-    risks = {t: TaskRisk(*_finish_terms({k: q(tau) for k, q in quads[t].items()}),
-                         note=None if quads[t] else "negligible next to every fine-tuned estimator")
-             for t in tasks}
-    return RiskReport(method="lemma_approx", kind=kind,
-                      pre=risks.get("pre"), ft=risks.get("ft"))
+    res = pair.resolvent
+    return TermRisk("lemma_approx", res,
+                    {t: res.two_terms(env.zeta2, env.sigma2_tilde, t) for t in ("pre", "ft")})

@@ -73,8 +73,9 @@ class TaskEnvironment:
                 f"{self.spectrum_pre.p} != {self.spectrum_ft.p}"
             )
         for name in ("zeta1", "zeta2", "sigma2", "sigma2_tilde", "theta_c_norm"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:  # False for NaN too
+                raise ValueError(f"{name} must be a finite non-negative number, "
+                                 f"got {getattr(self, name)!r}")
         if self.coord_dist not in COORD_DISTS:
             raise ValueError(f"coord_dist must be one of {COORD_DISTS}")
         if self.xi is not None and not (0.0 < self.xi < 1.0):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorKind
-from .risk import AnalyticRisk, DesignPair, _Quad
+from .risk import AnalyticRisk, DesignPair, _Quad, lemma_approx_risk
 from .spectra import SpectrumSpec, build_eigenvalues, effective_rank
 from .synth import TaskEnvironment, _coord_draws, _wishart_bartlett, derive_rng, sample_designs
 
@@ -39,15 +39,12 @@ def lambda_prime(env: TaskEnvironment) -> float:
 def _two_term(pair: DesignPair, env: TaskEnvironment, lam: float, objective: str = "ft"):
     """The two-term risk at lam as a quadratic in tau.
 
-    The fine-tune task's term_zeta2 and term_sigma_tilde at the pair's shared
-    resolvent weights.  "sum" adds the pretrain task's pair, read through the
+    The two-term shortcut's fine-tune quadratics, term_zeta2 plus
+    term_sigma_tilde.  "sum" adds the pretrain task's pair, read through the
     fine-tune covariance as in the theorems' reduced form: the same tau^2
     coefficient once more.
     """
-    res = pair.resolvent
-    d = res.d(lam)
-    terms = res.two_terms(env.zeta2, env.sigma2_tilde, "ft").values()
-    q = sum((term.at(d) for term in terms), _Quad())
+    q = sum(lemma_approx_risk(pair, env).term_quadratics(lam, "ft").values(), _Quad())
     return q + _Quad(0.0, 0.0, q.a2) if objective == "sum" else q
 
 
@@ -169,25 +166,26 @@ class OrderingReport:
         }
 
 
-def _chain(values: list[float]) -> tuple[bool | None, int, float]:
-    """Check values[0] < values[1] < ... strictly (best first).
+def _chain(chains: list[list[float]]) -> tuple[bool | None, int, float]:
+    """Check values[0] < values[1] < ... strictly (best first) in every chain.
 
-    Returns (holds, tie count, smallest relative margin); comparisons whose
-    gap is below STRICT_REL of the local scale count as ties and are
-    excluded rather than failed.
+    Returns (holds, tie count, smallest relative margin) over all the chains'
+    comparisons; comparisons whose gap is below STRICT_REL of the local scale
+    count as ties and are excluded rather than failed.
     """
     holds: bool | None = None
     ties = 0
     margin = np.inf
-    for left, right in zip(values, values[1:]):
-        scale = max(abs(left), abs(right), 1e-300)
-        gap = right - left
-        if abs(gap) <= STRICT_REL * scale:
-            ties += 1
-            continue
-        ok = gap > 0
-        holds = ok if holds is None else (holds and ok)
-        margin = min(margin, gap / scale)
+    for values in chains:
+        for left, right in zip(values, values[1:]):
+            scale = max(abs(left), abs(right), 1e-300)
+            gap = right - left
+            if abs(gap) <= STRICT_REL * scale:
+                ties += 1
+                continue
+            ok = gap > 0
+            holds = ok if holds is None else (holds and ok)
+            margin = min(margin, gap / scale)
     return holds, ties, (margin if np.isfinite(margin) else np.nan)
 
 
@@ -224,47 +222,26 @@ def verify_theorem_orderings(
         ft_ridgeless = l_ft(EstimatorKind.ridgeless())
         sum_ridgeless = l_sum(EstimatorKind.ridgeless())
 
-        holds: dict[str, bool | None] = {}
-        ties: dict[str, int] = {}
-        margins: dict[str, float] = {}
+        chains: dict[str, list[list[float]]] = {"item1": [], "item2": [], "item3": []}
         tau_stars: dict[str, float] = {}
-
-        def merge(item, verdict):
-            ok, tie, margin = verdict
-            if ok is not None:
-                prev = holds.get(item)
-                holds[item] = ok if prev is None else (prev and ok)
-            ties[item] = ties.get(item, 0) + tie
-            prev_m = margins.get(item, np.nan)
-            if not np.isnan(margin):
-                margins[item] = margin if np.isnan(prev_m) else min(prev_m, margin)
-
-        for item in ("item1", "item2", "item3"):
-            holds[item] = None
-            ties[item] = 0
-            margins[item] = np.nan
-
         for lam in lambda_grid:
             ts = tau_prime(pair, env, lam)
             tau_stars[repr(float(lam))] = ts
             # grid points at tau = 1 are evaluated anyway: there the ensemble
             # coincides with its ridge leg, which shows up as a recorded tie
             if 0.0 < lam <= 2 * lam_star:
-                merge("item1", _chain([l_ft(EstimatorKind.ridge(lam)),
-                                       ft_ridgeless, ft_pre]))
+                chains["item1"].append([l_ft(EstimatorKind.ridge(lam)), ft_ridgeless, ft_pre])
                 sum_ridge = l_sum(EstimatorKind.ridge(lam))
                 taus2 = sorted({t for t in tau_grid if ts / 2 <= t} | {min(ts / 2, 1.0)})
-                for tau in taus2:
-                    merge("item2", _chain([
-                        l_sum(EstimatorKind.ensemble(lam, tau)), sum_ridge, sum_ridgeless,
-                    ]))
+                chains["item2"] += [[l_sum(EstimatorKind.ensemble(lam, tau)), sum_ridge,
+                                     sum_ridgeless] for tau in taus2]
             if 0.0 <= lam < lam_star:
                 ft_ridge = l_ft(EstimatorKind.ridge(lam))
                 taus3 = sorted({t for t in tau_grid if ts <= t} | {min(ts, 1.0)})
-                for tau in taus3:
-                    merge("item3", _chain([
-                        l_ft(EstimatorKind.ensemble(lam, tau)), ft_ridge,
-                    ]))
+                chains["item3"] += [[l_ft(EstimatorKind.ensemble(lam, tau)), ft_ridge]
+                                    for tau in taus3]
+        verdicts = {item: _chain(c) for item, c in chains.items()}
+        holds, ties, margins = ({item: v[k] for item, v in verdicts.items()} for k in range(3))
 
         outcomes.append(SeedOutcome(
             seed=rep, holds=holds, ties=ties, margins=margins,

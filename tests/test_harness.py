@@ -396,10 +396,13 @@ def test_evaluate_seed_reduces_the_designs_without_a_qr(monkeypatch, fix_theta_c
     assert {r.method for r in reports} == {"analytic", "monte_carlo", "lemma_approx"}
 
 
-def test_preset_seed_builds_each_lambda_and_task_once(monkeypatch):
-    # the evaluator reads each (lam, task)'s resolvent weights once and keeps
-    # its term quadratics for every tau
-    config = config_from_dict({"case": "a", **preset_defaults("a"), "replicates": 1})
+@pytest.mark.parametrize("methods", [["analytic"], ["lemma_approx"]],
+                         ids=["analytic", "lemma_approx"])
+def test_preset_seed_builds_each_lambda_and_task_once(monkeypatch, methods):
+    # each closed-form evaluator reads each (lam, task)'s resolvent weights once
+    # and keeps its term quadratics for every tau
+    config = config_from_dict({"case": "a", **preset_defaults("a"), "replicates": 1,
+                               "methods": methods})
     kinds = preset_points(config)
     calls = []
     weights = FtResolvent.d
@@ -587,6 +590,11 @@ def test_cli_risk_json_and_numerical_failure(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "analytic"
     assert payload["l_ft"] > 0
+    # without --out or a config out the report is JSON on stdout: --format is refused
+    assert cli_main(["risk", "--estimator", "ridge_ft", "--lambda", "1e-4",
+                     "--case", "a", "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert "--format" in captured.err and captured.out == ""
     cfg = tmp_path / "singular.json"
     cfg.write_text(json.dumps({
         "n": 10, "p": 120, "p_tilde": 1, "k_star": 1,
@@ -838,7 +846,7 @@ def test_cli_format_flag_wins_over_config_and_names_the_default_file(tmp_path, m
 
 
 @pytest.mark.parametrize("flags", [["--replicates", "0"], ["--trials", "0"],
-                                   ["--trials", "-3"]])
+                                   ["--trials", "-3"], ["--n", "0"], ["--n", "-3"]])
 def test_cli_verify_rejects_non_positive_counts(tmp_path, capsys, flags):
     out = tmp_path / "v.json"
     assert cli_main(["verify", "--p", "400", "--n", "16", "--replicates", "2", "--trials", "10",

@@ -146,7 +146,7 @@ def test_analytic_terms_match_the_dense_oracle(seed, n, n_pre, support, lengths,
     kind = _kind(lam, tau)
     # the two-term shortcut reads only the fine-tune shift and noise variances
     lemma = lemma_approx_risk(pair, SimpleNamespace(zeta2=variances[1],
-                                                    sigma2_tilde=variances[3]), kind)
+                                                    sigma2_tilde=variances[3])).report(kind)
     two = ("term_zeta2", "term_sigma_tilde")
     for task in ("pre", "ft"):
         got = ev.task_risk(kind, task).terms

@@ -317,7 +317,7 @@ def test_mc_reduced_law_matches_dense_draws(name):
     theta_c = fixed_theta_c(env) if name.endswith("fixed_theta_c") else None
     draws = 4000
     reduced = _mc_risk_draws(DesignPair.from_env(X, Xt, env, theta_c=theta_c), env, ALL_KINDS,
-                             draws, derive_rng(7, "mc", 0), ["pre", "ft"])
+                             draws, derive_rng(7, "mc", 0))
     dense = mc_dense_risk_draws(X, Xt, env, ALL_KINDS, draws, derive_rng(8, "mc", 0),
                                 theta_c=theta_c)
     for kind, got, want in zip(ALL_KINDS, reduced, dense):
@@ -469,19 +469,19 @@ def test_sweep_mc_bytes_equal_at_one_and_two_workers(tmp_path):
 
 def test_lemma_pretrained_is_pure_task_shift():
     env = desk_env()
-    report = lemma_approx_risk(draw_pair(env, seed=12), env, EstimatorKind.pretrained())
+    report = lemma_approx_risk(draw_pair(env, seed=12), env).report(EstimatorKind.pretrained())
     eigs_ft = build_eigenvalues(env.spectrum_ft)
     assert report.l_ft == pytest.approx(env.zeta2 * eigs_ft.sum(), rel=1e-12)
     assert report.pre.value == 0.0
-    assert "negligible" in report.pre.note
 
 
 def test_lemma_ensemble_tau1_equals_ridge():
     env = desk_env()
     pair = draw_pair(env, seed=13)
     lam = 1e-3
-    ens = lemma_approx_risk(pair, env, EstimatorKind.ensemble(lam, 1.0))
-    ridge = lemma_approx_risk(pair, env, EstimatorKind.ridge(lam))
+    lemma = lemma_approx_risk(pair, env)
+    ens = lemma.report(EstimatorKind.ensemble(lam, 1.0))
+    ridge = lemma.report(EstimatorKind.ridge(lam))
     assert ens.l_ft == pytest.approx(ridge.l_ft, rel=1e-14)
     assert ens.l_pre == pytest.approx(ridge.l_pre, rel=1e-14)
 
@@ -512,7 +512,7 @@ def test_lemma_within_band_of_analytic_on_bench_instance():
     env = desk_env(p=2000, n=40)
     pair = draw_pair(env, seed=14)
     lam = 1e-3
-    approx = lemma_approx_risk(pair, env, EstimatorKind.ridge(lam))
+    approx = lemma_approx_risk(pair, env).report(EstimatorKind.ridge(lam))
     exact = AnalyticRisk.from_env(pair, env).report(EstimatorKind.ridge(lam))
     ratio = approx.l_ft / exact.l_ft
     assert 0.8 <= ratio <= 1.25
@@ -533,11 +533,12 @@ def test_singular_ft_gram_raises_at_lambda_zero():
 def test_report_task_accessor_and_dict():
     env = desk_env()
     report = AnalyticRisk.from_env(draw_pair(env, seed=16), env).report(
-        EstimatorKind.ridge(1e-3), task="ft")
-    assert report.pre is None
+        EstimatorKind.ridge(1e-3))
     assert report.task("ft").value == report.l_ft
+    assert report.task("pre").value == report.l_pre
     with pytest.raises(ValueError):
-        report.task("pre")
+        report.task("x")
     d = report.to_dict()
-    assert d["method"] == "analytic" and "l_ft" in d and "l_pre" not in d
+    assert d["method"] == "analytic"
+    assert (d["l_pre"], d["l_ft"]) == (report.l_pre, report.l_ft)
 

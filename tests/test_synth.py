@@ -118,6 +118,11 @@ def test_environment_validation():
         small_env(coord_dist="cauchy")
     with pytest.raises(ValueError):
         small_env(xi=1.5)
+    # the config's rule: every variance and the theta_c norm is finite and non-negative
+    for name in ("zeta1", "zeta2", "sigma2", "sigma2_tilde", "theta_c_norm"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be a finite non-negative"):
+                small_env(**{name: value})
 
 
 # -------------------------------------------------------------- diagnostics
