@@ -8,9 +8,9 @@ Subcommands:
                      (its rows to --out or the config's out, else the
                      report as JSON on stdout)
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure
-(ill-conditioned Gram without --jitter, or any failed seed of a preset or
-sweep, whose surviving rows are still written), 3 I/O error.
+Exit codes: 0 success, 1 validation error (usage errors included), 2
+numerical failure (ill-conditioned Gram without --jitter, or any failed seed
+of a preset or sweep, whose surviving rows are still written), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from ._blas import single_threaded, start_single_threaded
 
@@ -46,8 +47,13 @@ def _add_common(parser):
                         help="rescue near-singular Grams with a recorded diagonal boost")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a validation error: exit 1
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="overadapt",
         description="Pretrain/fine-tune linear-regression risk laboratory",
     )
@@ -174,10 +180,9 @@ def _cmd_verify(args) -> int:
     print(f"eigen band: {band.inside}/{band.trials} inside "
           f"[{band.band[0]:.3g}, {band.band[1]:.3g}] x scale (regime_ok={band.regime_ok})")
     if args.out:
-        payload = report.to_dict()
-        payload["eigen_band"] = band.to_dict()
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump({**asdict(report), "eigen_band": asdict(band)}, fh, indent=2,
+                      sort_keys=True)
         print(f"wrote {args.out}")
     ok = all(report.rates[i] >= 0.9 for i in ("item1", "item2", "item3"))
     ok = ok and band.rate >= 0.95
@@ -193,6 +198,8 @@ def _cmd_risk(args) -> int:
         if value is not None and args.estimator not in takes:
             raise ValueError(f"{flag} applies only to {' and '.join(takes)}, "
                              f"not to {args.estimator}")
+    if args.case and args.config:
+        raise ValueError("--case and --config both give the environment; give one")
     lam = 0.0 if args.lam is None else args.lam
     tau = 1.0 if args.tau is None else args.tau
     from .harness import evaluate_seed, rows_from_report, write_results
@@ -221,8 +228,6 @@ def _cmd_risk(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "preset": _cmd_preset,
         "sweep": _cmd_sweep,
@@ -230,6 +235,7 @@ def main(argv=None) -> int:
         "risk": _cmd_risk,
     }
     try:
+        args = build_parser().parse_args(argv)
         for flag, least in (("seed", 0), ("workers", 1), ("replicates", 1), ("trials", 1),
                             ("n", 1)):
             value = getattr(args, flag, None)

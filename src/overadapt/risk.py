@@ -181,10 +181,17 @@ class Term:
     b: np.ndarray
     H: np.ndarray
 
+    def _apply(self, d: np.ndarray) -> np.ndarray:
+        return self.H * d if self.H.ndim == 1 else self.H @ d
+
     def at(self, d: np.ndarray) -> _Quad:
         """The term at one lam's weights d, as a quadratic in tau."""
-        Hd = self.H * d if self.H.ndim == 1 else self.H @ d
-        return _Quad(self.c, self.b @ d, d @ Hd)
+        return _Quad(self.c, self.b @ d, d @ self._apply(d))
+
+    def dlam(self, d: np.ndarray, n: int) -> _Quad:
+        """d/d(lam) of ``at(d)``: tau b.d' + 2 tau^2 (H d).d', d' = -n d^2, H symmetric."""
+        dd = -n * d * d
+        return _Quad(0.0, self.b @ dd, 2.0 * (self._apply(d) @ dd))
 
 
 def _runs(eigs: dict[str, np.ndarray]) -> list[tuple[int, int]]:
@@ -283,11 +290,13 @@ class FtResolvent:
     Holds the pair's At = U diag(s) U^T and, per task covariance D, M = U^T S U
     with S = Xt D Xt^T.  ``d(lam)`` gives the resolvent weights every ``Term``
     is read at.  ``two_terms`` builds the two ``Term``s that depend on M only
-    through m = diag(M), term_zeta2 and term_sigma_tilde, which ``AnalyticRisk``,
-    the two-term shortcut and the theory share.  ``traces`` gives
-    t1-t3 = tr{R^-k S} and t4, t5 = tr{R^-k At S}, d-weighted sums of m; t4 at
-    lam = 0 on a jittered singular Gram has condition number cond(R)^3 ~ 1e37,
-    so it is nan there rather than decided by rounding.
+    through m = diag(M), term_zeta2 and term_sigma_tilde, which ``AnalyticRisk``
+    and the two-term shortcut share, and which the theory reads from either.
+    ``traces`` gives t1-t3 = tr{R^-k S} and t4, t5 = tr{R^-k At S}, d-weighted
+    sums of m; t4 at lam = 0 on a jittered singular Gram has condition number
+    cond(R)^3 ~ 1e37, so it is nan there rather than decided by rounding.  No
+    program path calls ``traces``: it is kept because ``bench/tracing.py``
+    wraps it by name, and the tests pin it to dense solves.
     """
 
     def __init__(self, pair: DesignPair):

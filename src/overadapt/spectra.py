@@ -49,14 +49,6 @@ class SpectrumSpec:
         """Sum of all eigenvalues, computed from the block counts."""
         return self.k_star + (self.p_tilde - self.k_star) * self.gamma
 
-    def to_dict(self) -> dict:
-        return {
-            "k_star": self.k_star,
-            "gamma": self.gamma,
-            "p": self.p,
-            "p_tilde": self.p_tilde,
-        }
-
 
 def build_eigenvalues(spec: SpectrumSpec) -> np.ndarray:
     """Materialise the spectrum as a length-p non-increasing vector."""

@@ -1,16 +1,17 @@
 """Optimal regularisation/ensembling levels and ordering verification.
 
-The fine-tune risk shortcut is, up to constants, a quadratic in the
-ensemble weight and a smooth function of the ridge level; its closed-form
-derivatives locate the optima: ridge level ``lambda_star = sigma2_tilde /
-(n * zeta2)`` for the fine-tune task (twice that for the summed two-task
-risk), ensemble weight ``tau_star(lam)`` for the fine-tune task (half that
-for the sum).  ``verify_theorem_orderings`` replays the three predicted
-strict orderings on freshly drawn designs using the exact conditional
-risks, and ``eigen_band_check`` probes the tail-Gram eigenvalue
-concentration that underpins them: for Gaussian coordinates that Gram is
-exactly gamma times a Wishart matrix, drawn by the Bartlett decomposition;
-Rademacher coordinates have no closed law and keep the dense draw.
+The theory reads a seed's ``TermRisk``: its fine-tune term_zeta2 and
+term_sigma_tilde are the two-term risk, a quadratic in the ensemble weight,
+and ``Term.dlam`` their ridge-level derivative.  Its optima are the ridge
+level ``lambda_star = sigma2_tilde / (n * zeta2)`` for the fine-tune task
+(twice that for the summed two-task risk) and the ensemble weight
+``tau_star(lam)`` (half that for the sum).  ``verify_theorem_orderings``
+replays the three predicted strict orderings on freshly drawn designs using
+the exact conditional risks, and ``eigen_band_check`` probes the tail-Gram
+eigenvalue concentration that underpins them: for Gaussian coordinates that
+Gram is exactly gamma times a Wishart matrix, drawn by the Bartlett
+decomposition; Rademacher coordinates have no closed law and keep the dense
+draw.  ``dataclasses.asdict`` serialises the reports.
 """
 
 from __future__ import annotations
@@ -20,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimatorKind
-from .risk import AnalyticRisk, DesignPair, _Quad, lemma_approx_risk
+from .risk import AnalyticRisk, DesignPair, TermRisk, _Quad
 from .spectra import SpectrumSpec, build_eigenvalues, effective_rank
 from .synth import TaskEnvironment, _coord_draws, _wishart_bartlett, derive_rng, sample_designs
 
 # A chain inequality counts as strict only if the gap beats this fraction of
 # the values' scale; anything smaller is recorded as a tie.
 STRICT_REL = 1e-12
+
+TWO_TERMS = ("term_zeta2", "term_sigma_tilde")
 
 
 def lambda_prime(env: TaskEnvironment) -> float:
@@ -36,65 +39,60 @@ def lambda_prime(env: TaskEnvironment) -> float:
     return env.sigma2_tilde / (env.n * env.zeta2)
 
 
-def _two_term(pair: DesignPair, env: TaskEnvironment, lam: float, objective: str = "ft"):
-    """The two-term risk at lam as a quadratic in tau.
+def _two_term(ev: TermRisk, lam: float, objective: str = "ft", dlam: bool = False) -> _Quad:
+    """The two-term risk at lam as a quadratic in tau, or its d/d(lam) (``Term.dlam``).
 
-    The two-term shortcut's fine-tune quadratics, term_zeta2 plus
-    term_sigma_tilde.  "sum" adds the pretrain task's pair, read through the
-    fine-tune covariance as in the theorems' reduced form: the same tau^2
-    coefficient once more.
+    The fine-tune task's term_zeta2 plus term_sigma_tilde.  "sum" adds the
+    pretrain task's pair, read through the fine-tune covariance as in the
+    theorems' reduced form: the same tau^2 coefficient once more.
     """
-    q = sum(lemma_approx_risk(pair, env).term_quadratics(lam, "ft").values(), _Quad())
+    if dlam:
+        if lam < 0:
+            raise ValueError("lam must be non-negative")
+        res = ev.resolvent
+        if lam == 0.0 and res.solver.jitter_applied > 0:
+            # d^3 on a jittered singular Gram: cond(R)^3 ~ 1e37, decided by rounding
+            return _Quad(np.nan, np.nan, np.nan)
+        d = res.d(lam)
+        parts = [ev.terms["ft"][k].dlam(d, res.n) for k in TWO_TERMS]
+    else:
+        parts = [ev.term_quadratics(lam, "ft")[k] for k in TWO_TERMS]
+    q = sum(parts, _Quad())
     return q + _Quad(0.0, 0.0, q.a2) if objective == "sum" else q
 
 
-def tau_prime(pair: DesignPair, env: TaskEnvironment, lam: float) -> float:
+def tau_prime(ev: TermRisk, lam: float) -> float:
     """Risk-optimal ensemble weight at ridge level lam.
 
     Ratio of the task-shift trace to the curvature traces; lies in [0, 1]
     whenever lam <= lambda_prime(env) and equals 1 exactly at that boundary.
     """
-    q = _two_term(pair, env, lam)
+    q = _two_term(ev, lam)
     return -q.a1 / (2.0 * q.a2)
 
 
-def ft_risk_dlambda(pair: DesignPair, env: TaskEnvironment, lam: float) -> float:
+def ft_risk_dlambda(ev: TermRisk, lam: float) -> float:
     """d/d(lam) of the two-term fine-tune risk of the ridge estimator.
 
     Equals 2n (zeta2*n*lam - sigma2_tilde) tr{R^-3 S}; its sign is the sign
     of the scalar prefactor, so the risk decreases up to lambda_prime and
     increases beyond it.
     """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    n = env.n
-    t = pair.resolvent.traces(lam)
-    return 2.0 * n * (env.zeta2 * n * lam - env.sigma2_tilde) * t["t4"]
+    return _two_term(ev, lam, dlam=True)(1.0)
 
 
-def sum_risk_dlambda(pair: DesignPair, env: TaskEnvironment, lam: float) -> float:
+def sum_risk_dlambda(ev: TermRisk, lam: float) -> float:
     """d/d(lam) of the two-term summed (pretrain + fine-tune) ridge risk.
 
+    Equals 2n ((zeta2*n*lam - 2 sigma2_tilde) tr{R^-3 S} - zeta2 tr{R^-3 At S}).
     The reduced form involves only fine-tune-side traces.  Strictly
     negative for lam < 2*lambda_prime; at exactly 2*lambda_prime only the
     curvature term survives, keeping the derivative <= 0.
     """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    n = env.n
-    t = pair.resolvent.traces(lam)
-    return 2.0 * n * (
-        (env.zeta2 * n * lam - 2.0 * env.sigma2_tilde) * t["t4"] - env.zeta2 * t["t5"]
-    )
+    return _two_term(ev, lam, "sum", dlam=True)(1.0)
 
 
-def ensemble_risk_dtau(
-    pair: DesignPair,
-    env: TaskEnvironment,
-    lam: float,
-    tau: float,
-    objective: str = "ft",
-) -> float:
+def ensemble_risk_dtau(ev: TermRisk, lam: float, tau: float, objective: str = "ft") -> float:
     """d/d(tau) of the two-term ensemble risk.
 
     objective "ft":  2 tau (zeta2 t3 + sigma2_tilde t2) - 2 zeta2 t1,
@@ -104,18 +102,18 @@ def ensemble_risk_dtau(
     """
     if objective not in ("ft", "sum"):
         raise ValueError("objective must be 'ft' or 'sum'")
-    q = _two_term(pair, env, lam, objective)
+    q = _two_term(ev, lam, objective)
     return q.a1 + 2.0 * tau * q.a2
 
 
-def lemma_ft_risk(pair: DesignPair, env: TaskEnvironment, lam: float, tau: float = 1.0) -> float:
+def lemma_ft_risk(ev: TermRisk, lam: float, tau: float = 1.0) -> float:
     """Two-term fine-tune risk of the (lam, tau) estimator; f and g objectives."""
-    return _two_term(pair, env, lam)(tau)
+    return _two_term(ev, lam)(tau)
 
 
-def lemma_sum_risk(pair: DesignPair, env: TaskEnvironment, lam: float, tau: float = 1.0) -> float:
+def lemma_sum_risk(ev: TermRisk, lam: float, tau: float = 1.0) -> float:
     """Two-term summed two-task risk of the (lam, tau) estimator; h and J objectives."""
-    return _two_term(pair, env, lam, "sum")(tau)
+    return _two_term(ev, lam, "sum")(tau)
 
 
 @dataclass(frozen=True)
@@ -140,30 +138,11 @@ class OrderingReport:
            fine-tune task, for grid lam in [0, lambda_star).
     """
 
-    env_summary: dict
+    env: dict                            # sizes, both SpectrumSpecs, variances
     lambda_grid: tuple[float, ...]
     tau_grid: tuple[float, ...]
     seeds: tuple[SeedOutcome, ...]
     rates: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "env": self.env_summary,
-            "lambda_grid": list(self.lambda_grid),
-            "tau_grid": list(self.tau_grid),
-            "rates": self.rates,
-            "seeds": [
-                {
-                    "seed": s.seed,
-                    "holds": s.holds,
-                    "ties": s.ties,
-                    "margins": s.margins,
-                    "lambda_star": s.lambda_star,
-                    "tau_star": s.tau_star,
-                }
-                for s in self.seeds
-            ],
-        }
 
 
 def _chain(chains: list[list[float]]) -> tuple[bool | None, int, float]:
@@ -215,7 +194,7 @@ def verify_theorem_orderings(
     for rep in range(seeds):
         pair = DesignPair.from_env(*sample_designs(env, master_seed, rep), env)
         ev = AnalyticRisk.from_env(pair, env)
-        # the evaluator builds each (lam, task)'s term quadratics once
+        # the evaluator builds each (lam, task)'s term quadratics once, tau_prime's too
         l_ft = lambda kind: ev.task_risk(kind, "ft").value
         l_sum = lambda kind: ev.task_risk(kind, "pre").value + ev.task_risk(kind, "ft").value
         ft_pre = l_ft(EstimatorKind.pretrained())
@@ -225,7 +204,7 @@ def verify_theorem_orderings(
         chains: dict[str, list[list[float]]] = {"item1": [], "item2": [], "item3": []}
         tau_stars: dict[str, float] = {}
         for lam in lambda_grid:
-            ts = tau_prime(pair, env, lam)
+            ts = tau_prime(ev, lam)
             tau_stars[repr(float(lam))] = ts
             # grid points at tau = 1 are evaluated anyway: there the ensemble
             # coincides with its ridge leg, which shows up as a recorded tie
@@ -252,17 +231,16 @@ def verify_theorem_orderings(
     for item in ("item1", "item2", "item3"):
         evaluated = [o.holds[item] for o in outcomes if o.holds[item] is not None]
         rates[item] = (sum(evaluated) / len(evaluated)) if evaluated else float("nan")
-    env_summary = {
+    summary = {
         "n": env.n, "p": env.p,
-        "spectrum_pre": env.spectrum_pre.to_dict(),
-        "spectrum_ft": env.spectrum_ft.to_dict(),
+        "spectrum_pre": env.spectrum_pre, "spectrum_ft": env.spectrum_ft,
         "zeta1": env.zeta1, "zeta2": env.zeta2,
         "sigma2": env.sigma2, "sigma2_tilde": env.sigma2_tilde,
         "theta_c_norm": env.theta_c_norm, "lambda_star": lam_star,
         "seeds": seeds, "master_seed": master_seed,
     }
     return OrderingReport(
-        env_summary=env_summary,
+        env=summary,
         lambda_grid=tuple(lambda_grid),
         tau_grid=tuple(tau_grid),
         seeds=tuple(outcomes),
@@ -292,13 +270,6 @@ class EigenBandReport:
     band: tuple[float, float]
     regime_ok: bool
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials, "inside": self.inside, "rate": self.rate,
-            "scale": self.scale, "band": list(self.band),
-            "regime_ok": self.regime_ok, "note": self.note,
-        }
 
 
 def eigen_band_check(

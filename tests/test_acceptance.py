@@ -200,7 +200,7 @@ def test_c05_ensemble_beats_ridge_and_stationarity(ordering_env):
         pair = DesignPair.from_env(X, Xt, env)
         ev = AnalyticRisk.from_env(pair, env)
         for lam in (0.0, lam_star / 2):
-            ts = tau_prime(pair, env, lam)
+            ts = tau_prime(ev, lam)
             quads = ev.term_quadratics(lam, "ft")
             vals = np.array([sum(q(t) for q in quads.values()) for t in taus])
             worst = max(worst, abs(taus[int(np.argmin(vals))] - ts))
@@ -272,35 +272,36 @@ def test_c08_stationarity_identities(ordering_env):
     lam_star = lambda_prime(env)
     worst_tp = worst_f = worst_g = worst_j = worst_fd = 0.0
     for seed in range(5):
-        pair = DesignPair.from_env(*sample_designs(env, MASTER_SEED, seed), env)
-        res = pair.resolvent
-        worst_tp = max(worst_tp, abs(tau_prime(pair, env, lam_star) - 1.0))
+        ev = AnalyticRisk.from_env(
+            DesignPair.from_env(*sample_designs(env, MASTER_SEED, seed), env), env)
+        res = ev.resolvent
+        worst_tp = max(worst_tp, abs(tau_prime(ev, lam_star) - 1.0))
         t = res.traces(lam_star)
         f_scale = 2 * env.n * (env.zeta2 * env.n * lam_star + env.sigma2_tilde) * t["t4"]
         worst_f = max(worst_f,
-                      abs(ft_risk_dlambda(pair, env, lam_star)) / f_scale)
+                      abs(ft_risk_dlambda(ev, lam_star)) / f_scale)
         lam = lam_star / 3
-        ts = tau_prime(pair, env, lam)
+        ts = tau_prime(ev, lam)
         g_scale = 2 * env.zeta2 * res.traces(lam)["t1"]
         worst_g = max(worst_g, abs(
-            ensemble_risk_dtau(pair, env, lam, ts, "ft")) / g_scale)
+            ensemble_risk_dtau(ev, lam, ts, "ft")) / g_scale)
         worst_j = max(worst_j, abs(
-            ensemble_risk_dtau(pair, env, lam, ts / 2, "sum")) / g_scale)
+            ensemble_risk_dtau(ev, lam, ts / 2, "sum")) / g_scale)
         # central differences of the reduced risks
         h_lam = 1e-5 * lam
         for deriv, func in (
-            (ft_risk_dlambda(pair, env, lam),
-             lambda l: lemma_ft_risk(pair, env, l, 1.0)),
-            (sum_risk_dlambda(pair, env, lam),
-             lambda l: lemma_sum_risk(pair, env, l, 1.0)),
+            (ft_risk_dlambda(ev, lam),
+             lambda l: lemma_ft_risk(ev, l, 1.0)),
+            (sum_risk_dlambda(ev, lam),
+             lambda l: lemma_sum_risk(ev, l, 1.0)),
         ):
             fd = (func(lam + h_lam) - func(lam - h_lam)) / (2 * h_lam)
             worst_fd = max(worst_fd, abs(deriv - fd) / abs(deriv))
         for deriv, func in (
-            (ensemble_risk_dtau(pair, env, lam, 0.4, "ft"),
-             lambda u: lemma_ft_risk(pair, env, lam, u)),
-            (ensemble_risk_dtau(pair, env, lam, 0.4, "sum"),
-             lambda u: lemma_sum_risk(pair, env, lam, u)),
+            (ensemble_risk_dtau(ev, lam, 0.4, "ft"),
+             lambda u: lemma_ft_risk(ev, lam, u)),
+            (ensemble_risk_dtau(ev, lam, 0.4, "sum"),
+             lambda u: lemma_sum_risk(ev, lam, u)),
         ):
             fd = (func(0.4 + 1e-6) - func(0.4 - 1e-6)) / 2e-6
             worst_fd = max(worst_fd, abs(deriv - fd) / abs(deriv))

@@ -584,7 +584,7 @@ def test_cli_sweep_and_exit_codes(tmp_path):
                      str(missing_dir), "--workers", "1"]) == 3
 
 
-def test_cli_risk_json_and_numerical_failure(tmp_path, capsys):
+def test_cli_risk_json_and_numerical_failure(tmp_path, monkeypatch, capsys):
     assert cli_main(["risk", "--estimator", "ridge_ft", "--lambda", "1e-3",
                      "--case", "a"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -601,6 +601,14 @@ def test_cli_risk_json_and_numerical_failure(tmp_path, capsys):
         "gamma_pre": 0.05, "gamma_ft": 0.0}))
     assert cli_main(["risk", "--estimator", "ridgeless_ft", "--config",
                      str(cfg)]) == 2
+    capsys.readouterr()
+    # --case and --config both give the environment: refused before any seed runs
+    cfg.write_text(json.dumps({"case": "c"}))
+    monkeypatch.setattr(harness, "evaluate_seed", lambda *args: pytest.fail("a seed ran"))
+    assert cli_main(["risk", "--estimator", "ridge_ft", "--lambda", "1e-4", "--case", "b",
+                     "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "--case" in captured.err and "--config" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("fmt, method, overrides", [
@@ -667,6 +675,26 @@ def test_cli_risk_rejects_a_parameter_its_estimator_lacks(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert flags[-2] in captured.err and estimator in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["risk", "--estimator", "bogus"], "invalid choice: 'bogus'", id="bad-choice"),
+    pytest.param(["verify", "--seed", "abc"], "invalid int value: 'abc'", id="non-integer"),
+    pytest.param(["sweep"], "the following arguments are required: --config",
+                 id="missing-required"),
+])
+def test_cli_usage_errors_are_validation_errors(capsys, argv, message):
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+def test_cli_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli_main(["verify", "--help"])
+    assert done.value.code == 0
+    assert "--trials" in capsys.readouterr().out
 
 
 def test_cli_risk_rejects_zero_mc_draws(tmp_path, capsys):

@@ -206,6 +206,24 @@ def test_ft_resolvent_traces_match_dense_solves(duplicated):
                 (lam, key)
 
 
+@pytest.mark.parametrize("with_theta_c", [False, True])
+def test_term_dlam_matches_central_differences(with_theta_c):
+    # every Term of the exact evaluator, full H included, on both tasks
+    env = desk_env()
+    theta_c = fixed_theta_c(env) if with_theta_c else None
+    ev = AnalyticRisk.from_env(draw_pair(env, seed=8, theta_c=theta_c), env)
+    res, lam = ev.resolvent, 0.01
+    h = 1e-5 * lam
+    for task in ("pre", "ft"):
+        for key, term in ev.terms[task].items():
+            got = term.dlam(res.d(lam), env.n)
+            up, down = term.at(res.d(lam + h)), term.at(res.d(lam - h))
+            assert got.a0 == 0.0
+            for coef in ("a1", "a2"):
+                fd = (getattr(up, coef) - getattr(down, coef)) / (2 * h)
+                assert getattr(got, coef) == pytest.approx(fd, rel=1e-6), (task, key, coef)
+
+
 # ------------------------------------------------------------- Monte Carlo
 
 def test_mc_matches_analytic_within_3se():

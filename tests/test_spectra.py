@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -108,4 +110,4 @@ def test_trace_matches_built_vector():
 
 def test_spec_dict_round_trip():
     spec = SpectrumSpec(2, 0.125, 100, 60)
-    assert SpectrumSpec(**spec.to_dict()) == spec
+    assert SpectrumSpec(**asdict(spec)) == spec

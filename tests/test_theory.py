@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.stats import ks_2samp
 
 from overadapt.estimators import EstimatorKind
 from overadapt.presets import theorem_check_env
-from overadapt.risk import AnalyticRisk, DesignPair
+from overadapt.risk import AnalyticRisk, DesignPair, FtResolvent
 from overadapt.spectra import SpectrumSpec, build_eigenvalues, effective_rank
 from overadapt.synth import (
     TaskEnvironment,
@@ -39,6 +40,10 @@ def draw_pair(env, seed=0):
     return DesignPair.from_env(*sample_designs(env, seed), env)
 
 
+def draw_ev(env, seed=0):
+    return AnalyticRisk.from_env(draw_pair(env, seed), env)
+
+
 def central_diff(f, x, h):
     return (f(x + h) - f(x - h)) / (2 * h)
 
@@ -67,15 +72,14 @@ def test_tau_prime_is_one_at_lambda_prime():
     env = bench_env()
     lam_star = lambda_prime(env)
     for seed in range(5):
-        assert abs(tau_prime(draw_pair(env, seed), env, lam_star) - 1.0) <= 1e-10
+        assert abs(tau_prime(draw_ev(env, seed), lam_star) - 1.0) <= 1e-10
 
 
 def test_tau_prime_interior_and_grid_argmin():
     env = bench_env(p=2000, n=40)
-    pair = draw_pair(env, 1)
-    ts = tau_prime(pair, env, 0.0)
+    ev = draw_ev(env, 1)
+    ts = tau_prime(ev, 0.0)
     assert 0.0 < ts < 1.0
-    ev = AnalyticRisk.from_env(pair, env)
     taus = np.round(np.arange(0.0, 1.0001, 1e-3), 9)
     quads = ev.term_quadratics(0.0, "ft")
     vals = np.array([sum(q(t) for q in quads.values()) for t in taus])
@@ -91,7 +95,7 @@ def test_tau_prime_decreases_with_noise():
             n=env.n, spectrum_pre=env.spectrum_pre, spectrum_ft=env.spectrum_ft,
             zeta1=env.zeta1, zeta2=env.zeta2, sigma2=env.sigma2, sigma2_tilde=s2t,
             theta_c_norm=env.theta_c_norm, xi=env.xi)
-        values.append(tau_prime(pair, noisy, 0.0))
+        values.append(tau_prime(AnalyticRisk.from_env(pair, noisy), 0.0))
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -99,60 +103,70 @@ def test_tau_prime_decreases_with_noise():
 
 def test_ft_derivative_sign_and_zero():
     env = bench_env()
-    pair = draw_pair(env, 3)
+    ev = draw_ev(env, 3)
     lam_star = lambda_prime(env)
-    res = pair.resolvent
-    t = res.traces(lam_star)
+    t = ev.resolvent.traces(lam_star)
     scale = 2 * env.n * (env.zeta2 * env.n * lam_star + env.sigma2_tilde) * t["t4"]
-    assert abs(ft_risk_dlambda(pair, env, lam_star)) <= 1e-12 * scale
-    assert ft_risk_dlambda(pair, env, lam_star / 2) < 0.0
-    assert ft_risk_dlambda(pair, env, 2 * lam_star) > 0.0
+    assert abs(ft_risk_dlambda(ev, lam_star)) <= 1e-12 * scale
+    assert ft_risk_dlambda(ev, lam_star / 2) < 0.0
+    assert ft_risk_dlambda(ev, 2 * lam_star) > 0.0
     with pytest.raises(ValueError):
-        ft_risk_dlambda(pair, env, -1e-9)
+        ft_risk_dlambda(ev, -1e-9)
 
 
 def test_sum_derivative_signs():
     env = bench_env()
-    pair = draw_pair(env, 4)
+    ev = draw_ev(env, 4)
     lam_star = lambda_prime(env)
-    assert sum_risk_dlambda(pair, env, lam_star) < 0.0
-    assert sum_risk_dlambda(pair, env, 2 * lam_star) <= 0.0
+    assert sum_risk_dlambda(ev, lam_star) < 0.0
+    assert sum_risk_dlambda(ev, 2 * lam_star) <= 0.0
+
+
+def test_lambda_derivatives_undefined_at_zero_on_a_jittered_singular_gram():
+    # d^3 there carries cond(R)^3: the derivatives are nan, as traces' t4 is
+    rng = np.random.default_rng(12)
+    n, p = 6, 30
+    Xt = rng.standard_normal((n, p))
+    Xt[1] = Xt[0]
+    eigs = np.linspace(1.0, 0.1, p)
+    ev = AnalyticRisk(DesignPair(rng.standard_normal((n, p)), Xt, eigs, eigs, jitter=True),
+                      zeta1=0.1, zeta2=0.2, sigma2=0.1, sigma2_tilde=0.3)
+    assert np.isnan(ft_risk_dlambda(ev, 0.0)) and np.isnan(sum_risk_dlambda(ev, 0.0))
+    assert np.isfinite(ft_risk_dlambda(ev, 1e-3)) and np.isfinite(sum_risk_dlambda(ev, 1e-3))
 
 
 def test_derivatives_match_finite_differences():
     env = bench_env()
-    pair = draw_pair(env, 5)
-    res = pair.resolvent
+    ev = draw_ev(env, 5)
     lam0, tau0 = 0.01, 0.45
     h = 1e-5 * lam0
-    fd_f = central_diff(lambda l: lemma_ft_risk(pair, env, l, 1.0), lam0, h)
-    assert ft_risk_dlambda(pair, env, lam0) == pytest.approx(fd_f, rel=1e-4)
-    fd_h = central_diff(lambda l: lemma_sum_risk(pair, env, l, 1.0), lam0, h)
-    assert sum_risk_dlambda(pair, env, lam0) == pytest.approx(
+    fd_f = central_diff(lambda l: lemma_ft_risk(ev, l, 1.0), lam0, h)
+    assert ft_risk_dlambda(ev, lam0) == pytest.approx(fd_f, rel=1e-4)
+    fd_h = central_diff(lambda l: lemma_sum_risk(ev, l, 1.0), lam0, h)
+    assert sum_risk_dlambda(ev, lam0) == pytest.approx(
         fd_h, rel=1e-4)
-    fd_g = central_diff(lambda t: lemma_ft_risk(pair, env, lam0, t),
+    fd_g = central_diff(lambda t: lemma_ft_risk(ev, lam0, t),
                         tau0, 1e-6)
-    assert ensemble_risk_dtau(pair, env, lam0, tau0, "ft") == pytest.approx(
+    assert ensemble_risk_dtau(ev, lam0, tau0, "ft") == pytest.approx(
         fd_g, rel=1e-4)
-    fd_j = central_diff(lambda t: lemma_sum_risk(pair, env, lam0, t),
+    fd_j = central_diff(lambda t: lemma_sum_risk(ev, lam0, t),
                         tau0, 1e-6)
-    assert ensemble_risk_dtau(pair, env, lam0, tau0, "sum") == pytest.approx(
+    assert ensemble_risk_dtau(ev, lam0, tau0, "sum") == pytest.approx(
         fd_j, rel=1e-4)
 
 
 def test_dtau_stationary_points():
     env = bench_env()
-    pair = draw_pair(env, 6)
-    res = pair.resolvent
+    ev = draw_ev(env, 6)
     lam = 0.005
-    ts = tau_prime(pair, env, lam)
-    scale = 2 * env.zeta2 * res.traces(lam)["t1"]
-    assert abs(ensemble_risk_dtau(pair, env, lam, ts, "ft")) <= 1e-10 * scale
-    assert abs(ensemble_risk_dtau(pair, env, lam, ts / 2, "sum")) <= 1e-10 * scale
+    ts = tau_prime(ev, lam)
+    scale = 2 * env.zeta2 * ev.resolvent.traces(lam)["t1"]
+    assert abs(ensemble_risk_dtau(ev, lam, ts, "ft")) <= 1e-10 * scale
+    assert abs(ensemble_risk_dtau(ev, lam, ts / 2, "sum")) <= 1e-10 * scale
     # below the optimal ridge level the weight-1 slope is strictly positive
-    assert ensemble_risk_dtau(pair, env, lam, 1.0, "ft") > 0.0
+    assert ensemble_risk_dtau(ev, lam, 1.0, "ft") > 0.0
     with pytest.raises(ValueError):
-        ensemble_risk_dtau(pair, env, lam, 0.5, "nope")
+        ensemble_risk_dtau(ev, lam, 0.5, "nope")
 
 
 # ------------------------------------------------------------- ordering suite
@@ -164,7 +178,7 @@ def test_verify_orderings_bench_run():
     assert report.rates["item2"] >= 0.9
     assert report.rates["item3"] >= 0.9
     again = verify_theorem_orderings(env, seeds=8, master_seed=0)
-    assert report.to_dict() == again.to_dict()
+    assert asdict(report) == asdict(again)
 
 
 def test_verify_orderings_eigendecompose_each_design_once(monkeypatch):
@@ -175,6 +189,16 @@ def test_verify_orderings_eigendecompose_each_design_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     verify_theorem_orderings(env, seeds=3, master_seed=0)
     assert len(calls) == 2 * 3
+
+
+def test_verify_orderings_reads_the_weights_once_per_lambda_and_task(monkeypatch):
+    # tau_prime reads the seed's evaluator: d at lam = 0 and at the default
+    # grid's three levels, once per task
+    calls = []
+    d = FtResolvent.d
+    monkeypatch.setattr(FtResolvent, "d", lambda self, lam: calls.append(lam) or d(self, lam))
+    verify_theorem_orderings(theorem_check_env(), seeds=1, master_seed=0)
+    assert len(calls) == 2 * (1 + 3)
 
 
 def test_verify_orderings_tau_one_is_tie():
@@ -190,8 +214,9 @@ def test_verify_orderings_tau_one_is_tie():
 def test_ordering_report_serialization():
     env = bench_env()
     report = verify_theorem_orderings(env, seeds=2, master_seed=2)
-    payload = json.loads(json.dumps(report.to_dict(), sort_keys=True))
+    payload = json.loads(json.dumps(asdict(report), sort_keys=True))
     assert payload["rates"].keys() == {"item1", "item2", "item3"}
+    assert payload["env"]["spectrum_ft"] == asdict(env.spectrum_ft)
     assert len(payload["seeds"]) == 2
     for seed in payload["seeds"]:
         assert seed["holds"].keys() == seed["ties"].keys() == {"item1", "item2", "item3"}
