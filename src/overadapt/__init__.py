@@ -25,11 +25,10 @@ _SUBMODULE_NAMES = {
              "lemma_approx_risk", "mc_expected_risks"),
     "spectra": ("SpectrumSpec", "UndefinedRankError", "build_eigenvalues", "effective_rank"),
     "svgplot": ("MissingSeriesError", "render_tradeoff_svg"),
-    "synth": ("Condition2Report", "TaskEnvironment", "check_condition2", "derive_rng",
-              "sample_design", "sample_designs", "sample_theta_c"),
-    "theory": ("EigenBandReport", "OrderingReport", "eigen_band_check", "ensemble_risk_dtau",
-               "ft_risk_dlambda", "lambda_prime", "sum_risk_dlambda", "tau_prime",
-               "verify_theorem_orderings"),
+    "synth": ("TaskEnvironment", "derive_rng", "sample_design", "sample_designs",
+              "sample_theta_c"),
+    "theory": ("EigenBandReport", "OrderingReport", "eigen_band_check", "lambda_prime",
+               "tau_prime", "verify_theorem_orderings"),
 }
 _SUBMODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items()
                  for name in names}

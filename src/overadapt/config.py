@@ -46,7 +46,6 @@ class ExperimentConfig:
     sigma2_tilde: float = 1e-2
     theta_c_norm: float = 1.0
     coord_dist: str = "gaussian"
-    xi: float | None = 0.5
     n_pre: int | None = None
     master_seed: int = 0
     replicates: int = 20
@@ -89,8 +88,6 @@ class ExperimentConfig:
                             f"k_star={self.k_star}, p_tilde={self.p_tilde}, p={self.p}")
         if self.coord_dist not in ("gaussian", "rademacher"):
             fail("coord_dist", f"must be gaussian or rademacher, got {self.coord_dist!r}")
-        if self.xi is not None and not (0.0 < self.xi < 1.0):
-            fail("xi", f"must lie in (0, 1) or be null, got {self.xi!r}")
         # bool is an int subclass, so JSON true would pass as 1
         for name in ("n_pre", "workers"):
             v = getattr(self, name)
@@ -131,7 +128,7 @@ class ExperimentConfig:
             zeta1=self.zeta1, zeta2=self.zeta2,
             sigma2=self.sigma2, sigma2_tilde=self.sigma2_tilde,
             theta_c_norm=self.theta_c_norm, coord_dist=self.coord_dist,
-            xi=self.xi, n_pre=self.n_pre,
+            n_pre=self.n_pre,
         )
 
     def to_dict(self) -> dict:

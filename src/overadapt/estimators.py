@@ -41,17 +41,22 @@ class GramSolver:
     raises ``SingularDesignError`` at nlam = 0; with ``jitter=True`` a
     diagonal boost of 1e-12 * tr(G)/n is added to ``gram`` and ``s`` at
     construction instead, so every penalty sees it whatever the call order.
+    The ``null`` leading eigendirections of a jittered Gram, those with
+    s <= s_max * n * eps, get zero weight at every penalty: there X^T u = 0,
+    and u^T rhs is rounding noise that 1/jitter would amplify.
     """
 
     def __init__(self, gram: np.ndarray, jitter: bool = False):
         self.n = gram.shape[0]
         self.gram = gram
         self.jitter_applied = 0.0
+        self.null = 0
         self.s, self.U = np.linalg.eigh(self.gram)
         lo, hi = self.s[0], self.s[-1]
         self.cond = hi / lo if lo > 0 else np.inf
         self._singular = hi <= 0 or lo <= 0 or self.cond > COND_THRESHOLD
         if self._singular and jitter:
+            self.null = int(np.sum(self.s <= hi * self.n * np.finfo(float).eps))
             self.jitter_applied = 1e-12 * np.trace(self.gram) / self.n
             self.gram = self.gram + self.jitter_applied * np.eye(self.n)
             self.s = self.s + self.jitter_applied
@@ -73,10 +78,12 @@ class GramSolver:
         return self.U, self.s + nlam
 
     def solve(self, rhs: np.ndarray, nlam: float = 0.0) -> np.ndarray:
-        """(X X^T + nlam I)^{-1} rhs."""
+        """(X X^T + nlam I)^{-1} rhs, zero on a jittered Gram's null directions."""
         U, shifted = self.factor(nlam)
         coef = U.T @ rhs
-        return U @ (coef / (shifted[:, None] if coef.ndim == 2 else shifted))
+        coef = coef / (shifted[:, None] if coef.ndim == 2 else shifted)
+        coef[: self.null] = 0.0
+        return U @ coef
 
 
 @dataclass(frozen=True)

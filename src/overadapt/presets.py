@@ -91,9 +91,9 @@ def theorem_check_env(p: int = DESK_P, n: int = 40) -> TaskEnvironment:
     """Environment used by the ordering suites.
 
     A fine-tune support of 2n keeps the fine-tune Gram away from squareness
-    and strictly satisfies p_tilde > n.  The variance scales sit inside the
-    diagnostic bands (zeta2 ~ sigma2 ~ sigma2_tilde, zeta1 and the shared
-    parameter small) but are chosen so the task-shift and fine-tune-noise
+    and strictly satisfies p_tilde > n.  The variance scales follow the
+    model's order assumptions (zeta2 ~ sigma2 ~ sigma2_tilde, zeta1 and the
+    shared parameter small) but are chosen so the task-shift and fine-tune-noise
     terms dominate the risk at this bench dimension: the closed-form optima
     only match the full-risk optima once the lower-order terms are
     negligible, and at p ~ 2000 the simulation-default constants leave them
@@ -109,5 +109,4 @@ def theorem_check_env(p: int = DESK_P, n: int = 40) -> TaskEnvironment:
         sigma2_tilde=4e-2,
         theta_c_norm=0.25,
         coord_dist="gaussian",
-        xi=1.0 / 3.0,
     )

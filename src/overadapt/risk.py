@@ -308,9 +308,11 @@ class FtResolvent:
         self._m = {t: np.diagonal(M) for t, M in self.M.items()}
 
     def d(self, lam: float) -> np.ndarray:
-        """1/(s + n*lam), the eigenvalues of R^-1."""
+        """1/(s + n*lam), the eigenvalues of R^-1; 0 on a jittered Gram's null directions."""
         _, shifted = self.solver.factor(self.n * float(lam))
-        return 1.0 / shifted
+        d = 1.0 / shifted
+        d[: self.solver.null] = 0.0
+        return d
 
     def traces(self, lam: float, task: str = "ft") -> dict[str, float]:
         d, m, s = self.d(lam), self._m[task], self.solver.s

@@ -47,9 +47,8 @@ class TaskEnvironment:
 
     Variances: zeta1/zeta2 are the per-coordinate variances of the task
     offsets, sigma2/sigma2_tilde the label-noise variances.  coord_dist is
-    the law of the whitened design coordinates.  xi is only used by the
-    finite-n diagnostic checks.  n_pre, when set, gives the pretrain task a
-    different sample count from the fine-tune task.
+    the law of the whitened design coordinates.  n_pre, when set, gives the
+    pretrain task a different sample count from the fine-tune task.
     """
 
     n: int
@@ -61,7 +60,6 @@ class TaskEnvironment:
     sigma2_tilde: float
     theta_c_norm: float = 1.0
     coord_dist: str = "gaussian"
-    xi: float | None = None
     n_pre: int | None = None
 
     def __post_init__(self):
@@ -78,8 +76,6 @@ class TaskEnvironment:
                                  f"got {getattr(self, name)!r}")
         if self.coord_dist not in COORD_DISTS:
             raise ValueError(f"coord_dist must be one of {COORD_DISTS}")
-        if self.xi is not None and not (0.0 < self.xi < 1.0):
-            raise ValueError(f"xi must lie in (0, 1), got {self.xi}")
         if self.n_pre is not None and self.n_pre < 1:
             raise ValueError(f"n_pre must be >= 1, got {self.n_pre}")
 
@@ -158,98 +154,3 @@ def sample_theta_c(env: TaskEnvironment, rng: np.random.Generator) -> np.ndarray
         theta_c = np.ones(env.p)
         norm = np.sqrt(env.p)
     return theta_c * (env.theta_c_norm / norm)
-
-
-@dataclass(frozen=True)
-class Condition2Item:
-    name: str
-    value: float
-    requirement: str
-    status: str  # "pass" | "warn" | "info"
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class Condition2Thresholds:
-    """Finite-n surrogates for the asymptotic order requirements.
-
-    These cutoffs are artifact choices, not part of the model; the report
-    carries them so a reader can judge each flag.
-    """
-
-    k_star_max: int = 3
-    omega_ratio: float = 4.0   # "grows faster than": ratio must exceed this
-    asymp_band: float = 4.0    # "same order": ratio within [1/band, band]
-    small_o_max: float = 0.25  # "vanishes": value must be below this
-    omega_slack: float = 10.0  # divisor applied to lower bounds of omega checks
-
-
-@dataclass(frozen=True)
-class Condition2Report:
-    items: tuple[Condition2Item, ...]
-    thresholds: Condition2Thresholds
-
-    @property
-    def all_pass(self) -> bool:
-        return all(it.status != "warn" for it in self.items)
-
-    def to_dict(self) -> dict:
-        return {
-            "items": [vars(it) for it in self.items],
-            "thresholds": vars(self.thresholds),
-            "all_pass": self.all_pass,
-        }
-
-
-def check_condition2(
-    env: TaskEnvironment,
-    thresholds: Condition2Thresholds | None = None,
-) -> Condition2Report:
-    """Diagnose the finite-n surrogates of the model's order assumptions.
-
-    Purely informational: returns a per-item pass/warn report and never
-    raises on a violated item.
-    """
-    if env.xi is None:
-        raise ValueError("check_condition2 needs env.xi (the diagnostic exponent)")
-    th = thresholds or Condition2Thresholds()
-    xi = env.xi
-    n, p = env.n, env.p
-    pt = env.spectrum_ft.p_tilde
-    gamma_ft = env.spectrum_ft.gamma
-    items: list[Condition2Item] = []
-
-    def add(name, value, requirement, ok, note=""):
-        items.append(Condition2Item(name, float(value), requirement, "pass" if ok else "warn", note))
-
-    add("k_star_bounded", env.spectrum_pre.k_star,
-        f"k_star <= {th.k_star_max}", env.spectrum_pre.k_star <= th.k_star_max)
-    add("p_over_n", p / n, f"p/n >= {th.omega_ratio}", p / n >= th.omega_ratio)
-    add("p_below_n_power", p / n ** (1 + xi), "p / n^(1+xi) <= 1", p <= n ** (1 + xi),
-        note="small-n surrogate of an asymptotic upper bound")
-    if pt > n:
-        add("pt_gt_n", pt / n, "p_tilde > n", True)
-    else:
-        items.append(Condition2Item(
-            "pt_gt_n", pt / n, "p_tilde > n", "warn",
-            "boundary: p_tilde == n" if pt == n else "violated: p_tilde < n",
-        ))
-    add("pt_asymp_n", pt / n, f"p_tilde/n <= {th.asymp_band}", pt / n <= th.asymp_band)
-    add("pt_gamma_order1", pt * gamma_ft,
-        f"p_tilde*gamma in [{1 / th.asymp_band}, {th.asymp_band}]",
-        1 / th.asymp_band <= pt * gamma_ft <= th.asymp_band)
-    ratio = pt * gamma_ft * env.zeta2 / env.sigma2_tilde if env.sigma2_tilde > 0 else float("inf")
-    items.append(Condition2Item(
-        "pt_gamma_vs_noise", ratio, "p_tilde*gamma*zeta2/sigma2_tilde (raw ratio)",
-        "info", "comparison constant unspecified; raw ratio reported"))
-    add("zeta1_small", env.zeta1, f"zeta1 <= n^-xi = {n ** -xi:.4g}", env.zeta1 <= n ** -xi)
-    for other, oname in ((env.sigma2, "sigma2"), (env.sigma2_tilde, "sigma2_tilde")):
-        r = env.zeta2 / other if other > 0 else float("inf")
-        add(f"zeta2_vs_{oname}", r,
-            f"ratio in [{1 / th.asymp_band}, {th.asymp_band}]",
-            1 / th.asymp_band <= r <= th.asymp_band)
-    add("zeta2_small", env.zeta2, f"zeta2 <= {th.small_o_max}", env.zeta2 <= th.small_o_max)
-    floor = max(n ** (-(1 - xi) / 2), n ** -xi) / th.omega_slack
-    add("zeta2_not_too_small", env.zeta2, f"zeta2 >= {floor:.4g}", env.zeta2 >= floor,
-        note="lower-order surrogate; commonly violated at bench scale")
-    return Condition2Report(items=tuple(items), thresholds=th)

@@ -1,17 +1,16 @@
 """Optimal regularisation/ensembling levels and ordering verification.
 
 The theory reads a seed's ``TermRisk``: its fine-tune term_zeta2 and
-term_sigma_tilde are the two-term risk, a quadratic in the ensemble weight,
-and ``Term.dlam`` their ridge-level derivative.  Its optima are the ridge
-level ``lambda_star = sigma2_tilde / (n * zeta2)`` for the fine-tune task
-(twice that for the summed two-task risk) and the ensemble weight
-``tau_star(lam)`` (half that for the sum).  ``verify_theorem_orderings``
-replays the three predicted strict orderings on freshly drawn designs using
-the exact conditional risks, and ``eigen_band_check`` probes the tail-Gram
-eigenvalue concentration that underpins them: for Gaussian coordinates that
-Gram is exactly gamma times a Wishart matrix, drawn by the Bartlett
-decomposition; Rademacher coordinates have no closed law and keep the dense
-draw.  ``dataclasses.asdict`` serialises the reports.
+term_sigma_tilde are the two-term risk, a quadratic in the ensemble weight.
+Its optima are the ridge level ``lambda_prime = sigma2_tilde / (n * zeta2)``
+for the fine-tune task (twice that for the summed two-task risk) and the
+ensemble weight ``tau_prime(lam)`` (half that for the sum).
+``verify_theorem_orderings`` replays the three predicted strict orderings on
+freshly drawn designs using the exact conditional risks, and
+``eigen_band_check`` probes the tail-Gram eigenvalue concentration that
+underpins them: with Gaussian coordinates that Gram is exactly gamma times a
+Wishart matrix, drawn by the Bartlett decomposition.
+``dataclasses.asdict`` serialises the reports.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from .estimators import EstimatorKind
 from .risk import AnalyticRisk, DesignPair, TermRisk, _Quad
 from .spectra import SpectrumSpec, build_eigenvalues, effective_rank
-from .synth import TaskEnvironment, _coord_draws, _wishart_bartlett, derive_rng, sample_designs
+from .synth import TaskEnvironment, _wishart_bartlett, derive_rng, sample_designs
 
 # A chain inequality counts as strict only if the gap beats this fraction of
 # the values' scale; anything smaller is recorded as a tie.
@@ -39,81 +38,17 @@ def lambda_prime(env: TaskEnvironment) -> float:
     return env.sigma2_tilde / (env.n * env.zeta2)
 
 
-def _two_term(ev: TermRisk, lam: float, objective: str = "ft", dlam: bool = False) -> _Quad:
-    """The two-term risk at lam as a quadratic in tau, or its d/d(lam) (``Term.dlam``).
-
-    The fine-tune task's term_zeta2 plus term_sigma_tilde.  "sum" adds the
-    pretrain task's pair, read through the fine-tune covariance as in the
-    theorems' reduced form: the same tau^2 coefficient once more.
-    """
-    if dlam:
-        if lam < 0:
-            raise ValueError("lam must be non-negative")
-        res = ev.resolvent
-        if lam == 0.0 and res.solver.jitter_applied > 0:
-            # d^3 on a jittered singular Gram: cond(R)^3 ~ 1e37, decided by rounding
-            return _Quad(np.nan, np.nan, np.nan)
-        d = res.d(lam)
-        parts = [ev.terms["ft"][k].dlam(d, res.n) for k in TWO_TERMS]
-    else:
-        parts = [ev.term_quadratics(lam, "ft")[k] for k in TWO_TERMS]
-    q = sum(parts, _Quad())
-    return q + _Quad(0.0, 0.0, q.a2) if objective == "sum" else q
-
-
 def tau_prime(ev: TermRisk, lam: float) -> float:
     """Risk-optimal ensemble weight at ridge level lam.
 
-    Ratio of the task-shift trace to the curvature traces; lies in [0, 1]
-    whenever lam <= lambda_prime(env) and equals 1 exactly at that boundary.
+    The minimiser of the two-term fine-tune risk, the sum of the evaluator's
+    fine-tune term_zeta2 and term_sigma_tilde quadratics in tau: the ratio of
+    the task-shift trace to the curvature traces.  It lies in [0, 1] whenever
+    lam <= lambda_prime(env) and equals 1 exactly at that boundary.
     """
-    q = _two_term(ev, lam)
+    quads = ev.term_quadratics(lam, "ft")
+    q = sum((quads[k] for k in TWO_TERMS), _Quad())
     return -q.a1 / (2.0 * q.a2)
-
-
-def ft_risk_dlambda(ev: TermRisk, lam: float) -> float:
-    """d/d(lam) of the two-term fine-tune risk of the ridge estimator.
-
-    Equals 2n (zeta2*n*lam - sigma2_tilde) tr{R^-3 S}; its sign is the sign
-    of the scalar prefactor, so the risk decreases up to lambda_prime and
-    increases beyond it.
-    """
-    return _two_term(ev, lam, dlam=True)(1.0)
-
-
-def sum_risk_dlambda(ev: TermRisk, lam: float) -> float:
-    """d/d(lam) of the two-term summed (pretrain + fine-tune) ridge risk.
-
-    Equals 2n ((zeta2*n*lam - 2 sigma2_tilde) tr{R^-3 S} - zeta2 tr{R^-3 At S}).
-    The reduced form involves only fine-tune-side traces.  Strictly
-    negative for lam < 2*lambda_prime; at exactly 2*lambda_prime only the
-    curvature term survives, keeping the derivative <= 0.
-    """
-    return _two_term(ev, lam, "sum", dlam=True)(1.0)
-
-
-def ensemble_risk_dtau(ev: TermRisk, lam: float, tau: float, objective: str = "ft") -> float:
-    """d/d(tau) of the two-term ensemble risk.
-
-    objective "ft":  2 tau (zeta2 t3 + sigma2_tilde t2) - 2 zeta2 t1,
-                     zero at tau_prime(lam).
-    objective "sum": 4 tau (zeta2 t3 + sigma2_tilde t2) - 2 zeta2 t1,
-                     zero at tau_prime(lam) / 2.
-    """
-    if objective not in ("ft", "sum"):
-        raise ValueError("objective must be 'ft' or 'sum'")
-    q = _two_term(ev, lam, objective)
-    return q.a1 + 2.0 * tau * q.a2
-
-
-def lemma_ft_risk(ev: TermRisk, lam: float, tau: float = 1.0) -> float:
-    """Two-term fine-tune risk of the (lam, tau) estimator; f and g objectives."""
-    return _two_term(ev, lam)(tau)
-
-
-def lemma_sum_risk(ev: TermRisk, lam: float, tau: float = 1.0) -> float:
-    """Two-term summed two-task risk of the (lam, tau) estimator; h and J objectives."""
-    return _two_term(ev, lam, "sum")(tau)
 
 
 @dataclass(frozen=True)
@@ -248,17 +183,11 @@ def verify_theorem_orderings(
     )
 
 
-def _tail_gram_extremes(
-    rng: np.random.Generator, n: int, tail: np.ndarray, coord_dist: str
-) -> tuple[float, float]:
-    """Extreme eigenvalues of one draw of ``Z diag(tail) Z^T``, tail constant."""
-    if coord_dist == "gaussian":
-        rank, dof = sorted((n, tail.size))
-        evs = tail[0] * np.linalg.eigvalsh(_wishart_bartlett(rng, rank, dof))
-        return (0.0 if tail.size < n else evs[0]), evs[-1]
-    Z = _coord_draws(rng, (n, tail.size), coord_dist)
-    evs = np.linalg.eigvalsh((Z * tail) @ Z.T)
-    return evs[0], evs[-1]
+def _tail_gram_extremes(rng: np.random.Generator, n: int, tail: np.ndarray) -> tuple[float, float]:
+    """Extreme eigenvalues of one draw of ``Z diag(tail) Z^T``, tail constant, Z Gaussian."""
+    rank, dof = sorted((n, tail.size))
+    evs = tail[0] * np.linalg.eigvalsh(_wishart_bartlett(rng, rank, dof))
+    return (0.0 if tail.size < n else evs[0]), evs[-1]
 
 
 @dataclass(frozen=True)
@@ -278,25 +207,22 @@ def eigen_band_check(
     trials: int,
     band: tuple[float, float] = (1 / 3, 3.0),
     rng: np.random.Generator | None = None,
-    b: float = 1.0,
-    coord_dist: str = "gaussian",
 ) -> EigenBandReport:
     """Empirical concentration of the tail Gram's extreme eigenvalues.
 
     Draws the n x n Gram ``Z diag(tail) Z^T`` of the spectrum's tail block
-    (the m = p_tilde - k_star eigenvalues past the k_star leading ones) and
-    counts how often both extreme eigenvalues land inside
-    band * (pivot eigenvalue * effective rank).  Outside the heavy-tail
-    regime (effective rank below b*n) the check is reported but flagged,
-    never fatal.
+    (the m = p_tilde - k_star eigenvalues past the k_star leading ones),
+    with Gaussian coordinates Z, and counts how often both extreme
+    eigenvalues land inside band * (pivot eigenvalue * effective rank).
+    Outside the heavy-tail regime (effective rank below n) the check is
+    reported but flagged, never fatal.
 
-    The tail is one constant block gamma, so for Gaussian coordinates the
-    Gram is gamma * Z Z^T, whose nonzero eigenvalues are those of
-    gamma * Wishart_a(d, I) with a = min(n, m) and d = max(n, m) degrees of
-    freedom.  Each trial draws that a x a matrix by the Bartlett decomposition,
-    a(a+1)/2 numbers instead of the n*m entries of Z; when m < n the Gram
-    has n - m exact zero eigenvalues, so its smallest eigenvalue is 0.
-    Rademacher coordinates have no such closed law and draw Z itself.
+    The tail is one constant block gamma, so the Gram is gamma * Z Z^T,
+    whose nonzero eigenvalues are those of gamma * Wishart_a(d, I) with
+    a = min(n, m) and d = max(n, m) degrees of freedom.  Each trial draws
+    that a x a matrix by the Bartlett decomposition, a(a+1)/2 numbers
+    instead of the n*m entries of Z; when m < n the Gram has n - m exact
+    zero eigenvalues, so its smallest eigenvalue is 0.
     """
     if rng is None:
         rng = derive_rng(0, "eigen", 0)
@@ -310,14 +236,14 @@ def eigen_band_check(
         )
     r_k = effective_rank(eigs, k)
     scale = pivot * r_k
-    regime_ok = r_k >= b * n
+    regime_ok = r_k >= n
     tail = eigs[k : spec.p_tilde]
     inside = 0
     for _ in range(trials):
-        smallest, largest = _tail_gram_extremes(rng, n, tail, coord_dist)
+        smallest, largest = _tail_gram_extremes(rng, n, tail)
         if band[0] * scale <= smallest and largest <= band[1] * scale:
             inside += 1
-    note = "" if regime_ok else f"regime violated: r_k = {r_k:.4g} < b*n = {b * n:.4g}"
+    note = "" if regime_ok else f"regime violated: r_k = {r_k:.4g} < n = {n}"
     return EigenBandReport(
         trials=trials, inside=inside, rate=inside / trials if trials else 0.0,
         scale=scale, band=band, regime_ok=regime_ok, note=note,

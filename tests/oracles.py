@@ -4,12 +4,16 @@ Everything here is deliberately naive: dense p x p algebra, SVD
 pseudo-inverses, explicit KKT systems and p-dimensional parameter draws.
 The package under test must agree with these at small sizes, exactly or in
 law; none of this code is shared with it.  ``CountingRng`` counts the
-numbers a generator hands out.
+numbers a generator hands out, and ``two_term`` reads the package's own
+``Term``s for the theory's stationarity identities.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from overadapt.risk import _Quad
+from overadapt.theory import TWO_TERMS
 
 
 def minnorm_oracle(X, Y):
@@ -139,3 +143,16 @@ def random_block_instance(rng, n=5, p=11, p_tilde=None, k_star=2):
     X = rng.standard_normal((n, p)) * np.sqrt(eigs_pre)
     Xt = rng.standard_normal((n, p)) * np.sqrt(eigs_ft)
     return X, Xt, eigs_pre, eigs_ft
+
+
+def two_term(ev, lam, objective="ft", dlam=False):
+    """The two-term risk at lam as a quadratic in tau, or its d/d(lam) (``Term.dlam``).
+
+    The fine-tune task's term_zeta2 plus term_sigma_tilde; "sum" is the
+    theorems' reduced two-task form, the same tau^2 coefficient once more.
+    """
+    res = ev.resolvent
+    parts = ([ev.terms["ft"][k].dlam(res.d(lam), res.n) for k in TWO_TERMS] if dlam
+             else [ev.term_quadratics(lam, "ft")[k] for k in TWO_TERMS])
+    q = sum(parts, _Quad())
+    return q + _Quad(0.0, 0.0, q.a2) if objective == "sum" else q

@@ -31,18 +31,8 @@ from overadapt.synth import (
     sample_designs,
     sample_theta_c,
 )
-from overadapt.theory import (
-    eigen_band_check,
-    ensemble_risk_dtau,
-    ft_risk_dlambda,
-    lambda_prime,
-    lemma_ft_risk,
-    lemma_sum_risk,
-    sum_risk_dlambda,
-    tau_prime,
-    verify_theorem_orderings,
-)
-from oracles import estimator_oracle
+from overadapt.theory import eigen_band_check, lambda_prime, tau_prime, verify_theorem_orderings
+from oracles import estimator_oracle, two_term
 
 MASTER_SEED = 0
 
@@ -66,7 +56,7 @@ def desk_instance_env(p=500, n=20):
         spectrum_pre=SpectrumSpec(1, float(n) ** -1.5, p, p),
         spectrum_ft=SpectrumSpec(1, 1.0 / n, p, 2 * n),
         zeta1=1e-4, zeta2=1e-2, sigma2=1e-2, sigma2_tilde=1e-2,
-        theta_c_norm=1.0, xi=0.5,
+        theta_c_norm=1.0,
     )
 
 
@@ -275,35 +265,32 @@ def test_c08_stationarity_identities(ordering_env):
         ev = AnalyticRisk.from_env(
             DesignPair.from_env(*sample_designs(env, MASTER_SEED, seed), env), env)
         res = ev.resolvent
+        # the reduced two-term risks' derivatives: in lam at tau = 1, and in tau
+        dlam = lambda l, objective: two_term(ev, l, objective, dlam=True)(1.0)
+
+        def dtau(l, u, objective):
+            q = two_term(ev, l, objective)
+            return q.a1 + 2.0 * u * q.a2
+
         worst_tp = max(worst_tp, abs(tau_prime(ev, lam_star) - 1.0))
         t = res.traces(lam_star)
         f_scale = 2 * env.n * (env.zeta2 * env.n * lam_star + env.sigma2_tilde) * t["t4"]
-        worst_f = max(worst_f,
-                      abs(ft_risk_dlambda(ev, lam_star)) / f_scale)
+        worst_f = max(worst_f, abs(dlam(lam_star, "ft")) / f_scale)
         lam = lam_star / 3
         ts = tau_prime(ev, lam)
         g_scale = 2 * env.zeta2 * res.traces(lam)["t1"]
-        worst_g = max(worst_g, abs(
-            ensemble_risk_dtau(ev, lam, ts, "ft")) / g_scale)
-        worst_j = max(worst_j, abs(
-            ensemble_risk_dtau(ev, lam, ts / 2, "sum")) / g_scale)
+        worst_g = max(worst_g, abs(dtau(lam, ts, "ft")) / g_scale)
+        worst_j = max(worst_j, abs(dtau(lam, ts / 2, "sum")) / g_scale)
         # central differences of the reduced risks
         h_lam = 1e-5 * lam
-        for deriv, func in (
-            (ft_risk_dlambda(ev, lam),
-             lambda l: lemma_ft_risk(ev, l, 1.0)),
-            (sum_risk_dlambda(ev, lam),
-             lambda l: lemma_sum_risk(ev, l, 1.0)),
-        ):
+        for objective in ("ft", "sum"):
+            func = lambda l: two_term(ev, l, objective)(1.0)
             fd = (func(lam + h_lam) - func(lam - h_lam)) / (2 * h_lam)
+            deriv = dlam(lam, objective)
             worst_fd = max(worst_fd, abs(deriv - fd) / abs(deriv))
-        for deriv, func in (
-            (ensemble_risk_dtau(ev, lam, 0.4, "ft"),
-             lambda u: lemma_ft_risk(ev, lam, u)),
-            (ensemble_risk_dtau(ev, lam, 0.4, "sum"),
-             lambda u: lemma_sum_risk(ev, lam, u)),
-        ):
+            func = two_term(ev, lam, objective)
             fd = (func(0.4 + 1e-6) - func(0.4 - 1e-6)) / 2e-6
+            deriv = dtau(lam, 0.4, objective)
             worst_fd = max(worst_fd, abs(deriv - fd) / abs(deriv))
     ok = (worst_tp <= 1e-10 and worst_f <= 1e-12 and worst_g <= 1e-10
           and worst_j <= 1e-10 and worst_fd <= 1e-4)

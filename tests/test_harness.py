@@ -1003,6 +1003,23 @@ def test_cli_rejects_bad_workers_variable(tmp_path, monkeypatch, capsys, value):
     assert not saved.exists()
 
 
+def test_cli_config_has_no_xi_key(tmp_path, monkeypatch, capsys):
+    cfg_path, saved = tmp_path / "cfg.json", tmp_path / "saved.json"
+    save_config(small_config(replicates=1), cfg_path)
+    assert cli_main(["sweep", "--config", str(cfg_path), "--save-config", str(saved),
+                     "--workers", "1", "--out", str(tmp_path / "rows.csv")]) == 0
+    assert "xi" not in json.loads(saved.read_text())
+    capsys.readouterr()
+    # a config that still carries the key is refused before any seed runs
+    monkeypatch.setattr(harness, "evaluate_seed", lambda *args: pytest.fail("a seed ran"))
+    cfg_path.write_text(json.dumps({**small_config(replicates=1).to_dict(), "xi": 0.5}))
+    out = tmp_path / "refused.csv"
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "unknown config key(s): xi" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_rejects_a_negative_seed_before_any_seed_runs(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     save_config(small_config(replicates=1), cfg_path)
@@ -1065,7 +1082,7 @@ def test_cli_rejects_non_finite_numbers_before_any_seed_runs(tmp_path, monkeypat
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_config_rejects_non_finite_numbers(value):
     for key in ("zeta1", "zeta2", "sigma2", "sigma2_tilde", "theta_c_norm",
-                "gamma_pre", "gamma_ft", "xi"):
+                "gamma_pre", "gamma_ft"):
         with pytest.raises(ConfigError, match=key):
             small_config(**{key: value})
     for key in ("lambda_grid", "tau_grid"):

@@ -38,7 +38,7 @@ def desk_env(p=400, n=20, **overrides):
         spectrum_pre=SpectrumSpec(1, float(n) ** -1.5, p, p),
         spectrum_ft=SpectrumSpec(1, 1.0 / n, p, 2 * n),
         zeta1=1e-4, zeta2=1e-2, sigma2=1e-2, sigma2_tilde=1e-2,
-        theta_c_norm=1.0, xi=0.5,
+        theta_c_norm=1.0,
     )
     base.update(overrides)
     return TaskEnvironment(**base)
@@ -524,6 +524,30 @@ def test_lemma_rows_are_the_analytic_two_terms():
             assert approx.terms[key] == pytest.approx(exact.terms[key], rel=1e-12, abs=0)
         assert approx.value == pytest.approx(
             exact.terms["term_zeta2"] + exact.terms["term_sigma_tilde"], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param({"n": 8, "p": 60, "p_tilde": 5, "gamma_pre": 8.0**-1.5, "gamma_ft": 0.1},
+                 id="rank-deficient-ft"),
+    pytest.param({"n": 8, "p": 12, "p_tilde": 10, "n_pre": 20, "gamma_pre": 0.3,
+                  "gamma_ft": 0.1}, id="rank-deficient-pre-and-ft"),
+])
+def test_jittered_rank_deficient_rows_agree_with_mc(raw):
+    # a null direction u of a jittered Gram carries rounding noise, not 0, in
+    # u^T S u; weighted 1/jitter it would swamp every closed-form row
+    kinds = [EstimatorKind.pretrained(), EstimatorKind.ridgeless(), EstimatorKind.ridge(1e-3),
+             EstimatorKind.ensemble(0.0, 0.5), EstimatorKind.ensemble(1e-3, 0.3)]
+    for master_seed in range(4):
+        cfg = config_from_dict({**raw, "jitter": True, "master_seed": master_seed,
+                                "mc_draws": 20_000,
+                                "methods": ["analytic", "monte_carlo", "lemma_approx"]})
+        reports = evaluate_seed(cfg, 0, kinds)
+        for exact, mc, lemma in zip(reports[::3], reports[1::3], reports[2::3]):
+            for task in ("pre", "ft"):
+                for closed in (exact, lemma):
+                    assert 0.0 <= closed.task(task).value < np.inf, (closed.method, task)
+                gap = abs(mc.task(task).value - exact.task(task).value)
+                assert gap <= 3 * mc.task(task).se, (master_seed, exact.kind, task)
 
 
 def test_lemma_within_band_of_analytic_on_bench_instance():

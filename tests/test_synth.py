@@ -3,9 +3,7 @@ import pytest
 
 from overadapt.spectra import SpectrumSpec, build_eigenvalues
 from overadapt.synth import (
-    Condition2Thresholds,
     TaskEnvironment,
-    check_condition2,
     derive_rng,
     sample_design,
     sample_designs,
@@ -19,7 +17,7 @@ def small_env(**overrides):
         spectrum_pre=SpectrumSpec(1, 0.1, 40, 40),
         spectrum_ft=SpectrumSpec(1, 0.2, 40, 16),
         zeta1=1e-3, zeta2=1e-2, sigma2=1e-2, sigma2_tilde=1e-2,
-        theta_c_norm=1.0, xi=0.5,
+        theta_c_norm=1.0,
     )
     base.update(overrides)
     return TaskEnvironment(**base)
@@ -116,65 +114,8 @@ def test_environment_validation():
         small_env(spectrum_ft=SpectrumSpec(1, 0.2, 41, 16))  # mismatched p
     with pytest.raises(ValueError):
         small_env(coord_dist="cauchy")
-    with pytest.raises(ValueError):
-        small_env(xi=1.5)
     # the config's rule: every variance and the theta_c norm is finite and non-negative
     for name in ("zeta1", "zeta2", "sigma2", "sigma2_tilde", "theta_c_norm"):
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be a finite non-negative"):
                 small_env(**{name: value})
-
-
-# -------------------------------------------------------------- diagnostics
-
-def test_condition2_boundary_support():
-    # support size equal to the sample count trips the strict p_tilde > n item
-    env = TaskEnvironment(
-        n=40,
-        spectrum_pre=SpectrumSpec(1, 40.0**-1.5, 10_000, 10_000),
-        spectrum_ft=SpectrumSpec(1, 1 / 40, 10_000, 40),
-        zeta1=1e-4, zeta2=1e-2, sigma2=1e-2, sigma2_tilde=1e-2, xi=0.5,
-    )
-    report = check_condition2(env)
-    item = {it.name: it for it in report.items}["pt_gt_n"]
-    assert item.status == "warn"
-    assert "boundary" in item.note
-
-
-def test_condition2_equal_noise_scales_pass():
-    env = small_env(zeta2=1e-2, sigma2_tilde=1e-2)
-    report = check_condition2(env)
-    item = {it.name: it for it in report.items}["zeta2_vs_sigma2_tilde"]
-    assert item.status == "pass"
-    assert item.value == pytest.approx(1.0)
-
-
-def test_condition2_p_equals_n_fails_growth():
-    env = TaskEnvironment(
-        n=16,
-        spectrum_pre=SpectrumSpec(1, 0.1, 16, 16),
-        spectrum_ft=SpectrumSpec(1, 0.1, 16, 16),
-        zeta1=1e-4, zeta2=1e-2, sigma2=1e-2, sigma2_tilde=1e-2, xi=0.5,
-    )
-    report = check_condition2(env)
-    item = {it.name: it for it in report.items}["p_over_n"]
-    assert item.status == "warn"
-
-
-def test_condition2_informational_ratio():
-    env = small_env()
-    report = check_condition2(env)
-    item = {it.name: it for it in report.items}["pt_gamma_vs_noise"]
-    assert item.status == "info"
-    pt, g = env.spectrum_ft.p_tilde, env.spectrum_ft.gamma
-    assert item.value == pytest.approx(pt * g * env.zeta2 / env.sigma2_tilde)
-
-
-def test_condition2_requires_xi_and_never_raises_on_items():
-    env = small_env(xi=None)
-    with pytest.raises(ValueError):
-        check_condition2(env)
-    report = check_condition2(small_env(), Condition2Thresholds(omega_ratio=1e9))
-    assert report.items  # violated items are reported, not raised
-    assert not report.all_pass
-    assert isinstance(report.to_dict()["items"], list)

@@ -8,28 +8,16 @@ from scipy.stats import ks_2samp
 from overadapt.estimators import EstimatorKind
 from overadapt.presets import theorem_check_env
 from overadapt.risk import AnalyticRisk, DesignPair, FtResolvent
-from overadapt.spectra import SpectrumSpec, build_eigenvalues, effective_rank
-from overadapt.synth import (
-    TaskEnvironment,
-    _coord_draws,
-    _wishart_bartlett,
-    derive_rng,
-    sample_designs,
-)
+from overadapt.spectra import SpectrumSpec, build_eigenvalues
+from overadapt.synth import TaskEnvironment, _wishart_bartlett, derive_rng, sample_designs
 from overadapt.theory import (
-    EigenBandReport,
     _tail_gram_extremes,
     eigen_band_check,
-    ensemble_risk_dtau,
-    ft_risk_dlambda,
     lambda_prime,
-    lemma_ft_risk,
-    lemma_sum_risk,
-    sum_risk_dlambda,
     tau_prime,
     verify_theorem_orderings,
 )
-from oracles import CountingRng
+from oracles import CountingRng, two_term
 
 
 def bench_env(p=600, n=24):
@@ -46,6 +34,17 @@ def draw_ev(env, seed=0):
 
 def central_diff(f, x, h):
     return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def dlam(ev, lam, objective="ft"):
+    """d/d(lam) of the two-term ridge risk (tau = 1)."""
+    return two_term(ev, lam, objective, dlam=True)(1.0)
+
+
+def dtau(ev, lam, tau, objective="ft"):
+    """d/d(tau) of the two-term ensemble risk."""
+    q = two_term(ev, lam, objective)
+    return q.a1 + 2.0 * tau * q.a2
 
 
 # -------------------------------------------------------------- lambda_prime
@@ -94,7 +93,7 @@ def test_tau_prime_decreases_with_noise():
         noisy = TaskEnvironment(
             n=env.n, spectrum_pre=env.spectrum_pre, spectrum_ft=env.spectrum_ft,
             zeta1=env.zeta1, zeta2=env.zeta2, sigma2=env.sigma2, sigma2_tilde=s2t,
-            theta_c_norm=env.theta_c_norm, xi=env.xi)
+            theta_c_norm=env.theta_c_norm)
         values.append(tau_prime(AnalyticRisk.from_env(pair, noisy), 0.0))
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -107,32 +106,17 @@ def test_ft_derivative_sign_and_zero():
     lam_star = lambda_prime(env)
     t = ev.resolvent.traces(lam_star)
     scale = 2 * env.n * (env.zeta2 * env.n * lam_star + env.sigma2_tilde) * t["t4"]
-    assert abs(ft_risk_dlambda(ev, lam_star)) <= 1e-12 * scale
-    assert ft_risk_dlambda(ev, lam_star / 2) < 0.0
-    assert ft_risk_dlambda(ev, 2 * lam_star) > 0.0
-    with pytest.raises(ValueError):
-        ft_risk_dlambda(ev, -1e-9)
+    assert abs(dlam(ev, lam_star)) <= 1e-12 * scale
+    assert dlam(ev, lam_star / 2) < 0.0
+    assert dlam(ev, 2 * lam_star) > 0.0
 
 
 def test_sum_derivative_signs():
     env = bench_env()
     ev = draw_ev(env, 4)
     lam_star = lambda_prime(env)
-    assert sum_risk_dlambda(ev, lam_star) < 0.0
-    assert sum_risk_dlambda(ev, 2 * lam_star) <= 0.0
-
-
-def test_lambda_derivatives_undefined_at_zero_on_a_jittered_singular_gram():
-    # d^3 there carries cond(R)^3: the derivatives are nan, as traces' t4 is
-    rng = np.random.default_rng(12)
-    n, p = 6, 30
-    Xt = rng.standard_normal((n, p))
-    Xt[1] = Xt[0]
-    eigs = np.linspace(1.0, 0.1, p)
-    ev = AnalyticRisk(DesignPair(rng.standard_normal((n, p)), Xt, eigs, eigs, jitter=True),
-                      zeta1=0.1, zeta2=0.2, sigma2=0.1, sigma2_tilde=0.3)
-    assert np.isnan(ft_risk_dlambda(ev, 0.0)) and np.isnan(sum_risk_dlambda(ev, 0.0))
-    assert np.isfinite(ft_risk_dlambda(ev, 1e-3)) and np.isfinite(sum_risk_dlambda(ev, 1e-3))
+    assert dlam(ev, lam_star, "sum") < 0.0
+    assert dlam(ev, 2 * lam_star, "sum") <= 0.0
 
 
 def test_derivatives_match_finite_differences():
@@ -140,19 +124,11 @@ def test_derivatives_match_finite_differences():
     ev = draw_ev(env, 5)
     lam0, tau0 = 0.01, 0.45
     h = 1e-5 * lam0
-    fd_f = central_diff(lambda l: lemma_ft_risk(ev, l, 1.0), lam0, h)
-    assert ft_risk_dlambda(ev, lam0) == pytest.approx(fd_f, rel=1e-4)
-    fd_h = central_diff(lambda l: lemma_sum_risk(ev, l, 1.0), lam0, h)
-    assert sum_risk_dlambda(ev, lam0) == pytest.approx(
-        fd_h, rel=1e-4)
-    fd_g = central_diff(lambda t: lemma_ft_risk(ev, lam0, t),
-                        tau0, 1e-6)
-    assert ensemble_risk_dtau(ev, lam0, tau0, "ft") == pytest.approx(
-        fd_g, rel=1e-4)
-    fd_j = central_diff(lambda t: lemma_sum_risk(ev, lam0, t),
-                        tau0, 1e-6)
-    assert ensemble_risk_dtau(ev, lam0, tau0, "sum") == pytest.approx(
-        fd_j, rel=1e-4)
+    for objective in ("ft", "sum"):
+        fd_lam = central_diff(lambda l: two_term(ev, l, objective)(1.0), lam0, h)
+        assert dlam(ev, lam0, objective) == pytest.approx(fd_lam, rel=1e-4)
+        fd_tau = central_diff(two_term(ev, lam0, objective), tau0, 1e-6)
+        assert dtau(ev, lam0, tau0, objective) == pytest.approx(fd_tau, rel=1e-4)
 
 
 def test_dtau_stationary_points():
@@ -161,12 +137,10 @@ def test_dtau_stationary_points():
     lam = 0.005
     ts = tau_prime(ev, lam)
     scale = 2 * env.zeta2 * ev.resolvent.traces(lam)["t1"]
-    assert abs(ensemble_risk_dtau(ev, lam, ts, "ft")) <= 1e-10 * scale
-    assert abs(ensemble_risk_dtau(ev, lam, ts / 2, "sum")) <= 1e-10 * scale
+    assert abs(dtau(ev, lam, ts)) <= 1e-10 * scale
+    assert abs(dtau(ev, lam, ts / 2, "sum")) <= 1e-10 * scale
     # below the optimal ridge level the weight-1 slope is strictly positive
-    assert ensemble_risk_dtau(ev, lam, 1.0, "ft") > 0.0
-    with pytest.raises(ValueError):
-        ensemble_risk_dtau(ev, lam, 0.5, "nope")
+    assert dtau(ev, lam, 1.0) > 0.0
 
 
 # ------------------------------------------------------------- ordering suite
@@ -272,41 +246,20 @@ def test_eigen_band_regime_violation_reported_not_fatal():
 
 # ------------------------------------------- tail Gram: exact Wishart draw
 
-def dense_tail_extremes(rng, n, tail, coord_dist):
-    """Reference: form the n x m coordinate block and its Gram directly."""
-    Z = _coord_draws(rng, (n, tail.size), coord_dist)
+def dense_tail_extremes(rng, n, tail):
+    """Reference: form the n x m Gaussian coordinate block and its Gram directly."""
+    Z = rng.standard_normal((n, tail.size))
     evs = np.linalg.eigvalsh((Z * tail) @ Z.T)
     return evs[0], evs[-1]
-
-
-def dense_band_check(spec, n, trials, rng, band=(1 / 3, 3.0), b=1.0,
-                     coord_dist="gaussian"):
-    """Reference: the band check drawing every trial's coordinate block."""
-    eigs = build_eigenvalues(spec)
-    k = spec.k_star
-    r_k = effective_rank(eigs, k)
-    scale = eigs[k] * r_k
-    tail = eigs[k : spec.p_tilde]
-    inside = 0
-    for _ in range(trials):
-        lo, hi = dense_tail_extremes(rng, n, tail, coord_dist)
-        if band[0] * scale <= lo and hi <= band[1] * scale:
-            inside += 1
-    regime_ok = r_k >= b * n
-    note = "" if regime_ok else f"regime violated: r_k = {r_k:.4g} < b*n = {b * n:.4g}"
-    return EigenBandReport(
-        trials=trials, inside=inside, rate=inside / trials if trials else 0.0,
-        scale=scale, band=band, regime_ok=regime_ok, note=note,
-    )
 
 
 def test_wishart_extremes_match_dense_draws():
     n, m, gamma, trials = 10, 1999, 0.01, 2000
     tail = np.full(m, gamma)
     rng_w, rng_d = derive_rng(0, "eigen", 1), derive_rng(0, "eigen", 2)
-    wishart = np.array([_tail_gram_extremes(rng_w, n, tail, "gaussian")
+    wishart = np.array([_tail_gram_extremes(rng_w, n, tail)
                         for _ in range(trials)])
-    dense = np.array([dense_tail_extremes(rng_d, n, tail, "gaussian")
+    dense = np.array([dense_tail_extremes(rng_d, n, tail)
                       for _ in range(trials)])
     assert ks_2samp(wishart[:, 0], dense[:, 0]).pvalue > 0.01
     assert ks_2samp(wishart[:, 1], dense[:, 1]).pvalue > 0.01
@@ -330,7 +283,7 @@ def test_wishart_rank_deficient_tail_has_zero_eigenvalue():
     tail = build_eigenvalues(spec)[1:]
     rng = derive_rng(4, "eigen", 0)
     for _ in range(5):
-        smallest, largest = _tail_gram_extremes(rng, n, tail, "gaussian")
+        smallest, largest = _tail_gram_extremes(rng, n, tail)
         assert smallest == 0.0 < largest
     report = eigen_band_check(spec, n=n, trials=50, band=(1e-12, 1e12),
                               rng=derive_rng(4, "eigen", 1))
@@ -341,20 +294,9 @@ def test_wishart_single_sample_is_scaled_chi_square():
     m, gamma = 399, 0.05
     tail = np.full(m, gamma)
     for seed in range(5):
-        smallest, largest = _tail_gram_extremes(derive_rng(seed, "eigen", 0), 1,
-                                                tail, "gaussian")
+        smallest, largest = _tail_gram_extremes(derive_rng(seed, "eigen", 0), 1, tail)
         expected = gamma * derive_rng(seed, "eigen", 0).chisquare(m)
         assert smallest == largest == pytest.approx(expected, rel=1e-14)
-
-
-@pytest.mark.parametrize("n, p_tilde", [(10, 2000), (1, 400), (30, 21)])
-def test_rademacher_band_check_keeps_dense_draws(n, p_tilde):
-    spec = SpectrumSpec(k_star=1, gamma=0.01, p=p_tilde, p_tilde=p_tilde)
-    report = eigen_band_check(spec, n=n, trials=30, rng=derive_rng(5, "eigen", 0),
-                              coord_dist="rademacher")
-    reference = dense_band_check(spec, n=n, trials=30, rng=derive_rng(5, "eigen", 0),
-                                 coord_dist="rademacher")
-    assert report == reference
 
 
 def test_gaussian_band_check_draws_triangle_not_block():
