@@ -67,10 +67,14 @@ class ExperimentConfig:
         def fail(name, msg):
             raise ConfigError(f"{name}: {msg}")
 
-        for name in ("n", "p", "p_tilde", "k_star", "replicates", "mc_draws"):
+        for name in ("n", "p", "p_tilde", "k_star", "replicates"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 fail(name, f"must be a positive integer, got {v!r}")
+        v = self.mc_draws
+        if not isinstance(v, int) or isinstance(v, bool) or v < 2:
+            fail("mc_draws", f"must be an integer >= 2 (a standard error needs two draws), "
+                             f"got {v!r}")
         v = self.master_seed
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             fail("master_seed", f"must be a non-negative integer, got {v!r}")

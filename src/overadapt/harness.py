@@ -167,13 +167,14 @@ def evaluate_seed(config: ExperimentConfig, seed_index: int,
     Deterministic in (master_seed, seed_index).
     """
     env, methods = config.environment(), config.methods
-    X, Xt = sample_designs(env, config.master_seed, seed_index)
     theta_c = None
     if config.fix_theta_c:
         # one shared draw held fixed across every replicate of the sweep
         theta_c = sample_theta_c(env, derive_rng(config.master_seed, "params", 0))
-    # one reduction of the designs: every method reads the pair's Grams and solvers
-    pair = DesignPair.from_env(X, Xt, env, theta_c=theta_c, jitter=config.jitter)
+    # one reduction of the designs: every method reads the pair's Grams and
+    # solvers, and the p-dimensional designs are freed before any method runs
+    pair = DesignPair.from_env(*sample_designs(env, config.master_seed, seed_index), env,
+                               theta_c=theta_c, jitter=config.jitter)
     analytic = AnalyticRisk.from_env(pair, env) if "analytic" in methods else None
     lemma = lemma_approx_risk(pair, env) if "lemma_approx" in methods else None
     mc = [None] * len(kinds)

@@ -74,7 +74,12 @@ one more spanning row; each block then draws only the offsets' off-span
 squared norms, zeta * chi2(m_B - r_B).  Every draw takes both noise
 vectors, so all estimator points share one stream: a call for several
 points gives each the numbers a call for that point alone gives.  Per batch
-theta_1 is solved once and the ridge step once per lam.
+theta_1 is solved once and the ridge step once per lam, and a point's risk
+is a quadratic in tau read from three per-draw coefficients: c0 per task
+from the pretrained error e0 = hat0 - target, and c1, c2 per lam from e0
+and the ridge step.  A call allocates its batch arrays once, so its memory
+is fixed by the rank, the batch size and the returned per-draw risks, and
+its cost grows with the number of lambdas, not of points.
 """
 
 from __future__ import annotations
@@ -94,6 +99,8 @@ TERM_KEYS = ("bias_thetac", "term_zeta1", "term_zeta2", "term_sigma", "term_sigm
 _CLAMP_REL = 1e-10
 
 _MC_BATCH = 512
+
+_TASKS = ("pre", "ft")
 
 
 @dataclass(frozen=True)
@@ -448,14 +455,14 @@ def mc_expected_risks(
     solvers and one row-space reduction serve every draw, so a draw costs
     O(n) numbers and n x n work at any p (see the module docstring).  Draws
     are vectorised in batches of ``_MC_BATCH``, which fixes the stream.
+    Fewer than two draws are refused: one draw has no standard error.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    if draws < 2:
+        raise ValueError(f"draws must be >= 2 for a standard error, got {draws}")
     risks = _mc_risk_draws(pair, env, kinds, draws, rng)
 
     def summarise(r) -> TaskRisk:
-        se = float(np.std(r, ddof=1) / np.sqrt(r.size)) if r.size > 1 else 0.0
-        return TaskRisk(value=float(np.mean(r)), se=se)
+        return TaskRisk(value=float(np.mean(r)), se=float(np.std(r, ddof=1) / np.sqrt(r.size)))
 
     return [RiskReport(method="monte_carlo", kind=kind, draws=draws,
                        pre=summarise(r["pre"]), ft=summarise(r["ft"]))
@@ -464,7 +471,16 @@ def mc_expected_risks(
 
 def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[EstimatorKind],
                    draws: int, rng: np.random.Generator) -> list[dict[str, np.ndarray]]:
-    """The plug-in risk of every kind on each of ``draws`` shared draws, per task."""
+    """The plug-in risk of every kind on each of ``draws`` shared draws, per task.
+
+    The batch arrays are allocated once per call, and each batch draws into
+    them in place; a partial last batch uses the leading (rows, m) part of
+    each, which is contiguous, so the stream is that of fresh arrays.  A
+    point's error is e0 + tau step, with e0 = hat0 - target the pretrained
+    error and step its lam's ridge step, so its weighed squared error is
+    c0 + tau (c1 + tau c2): c0 = w.e0^2 once per task, c1 = 2 w.(e0 step) and
+    c2 = w.step^2 once per lam, and O(1) per point and draw.
+    """
     coords = pair.row_space()
     ranks = [F.shape[1] for F in coords]
     # each coordinate's spectrum value per task, and every run's off-span dimension
@@ -483,56 +499,76 @@ def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[Estimator
             pretrained.append(i)
         else:
             by_lam.setdefault(lam, []).append((i, tau))
-    risks = [{"pre": [], "ft": []} for _ in kinds]
+    risks = [{t: np.empty(draws) for t in _TASKS} for _ in kinds]
     zeta = {"pre": env.zeta1, "ft": env.zeta2}
     offset = {"pre": 1, "ft": 2}  # index of the task's offset in each off-span Gram
     sd = np.sqrt([1.0, env.zeta1, env.zeta2])
+    # both offsets (each becomes its task's target, then its e0), theta_c's
+    # Gaussian, hat0, the ridge step, one scratch array and the label noise
+    size = min(_MC_BATCH, draws)
+    bufs = {k: np.empty(rank * size) for k in (*_TASKS, "g", "hat0", "step", "scratch")}
+    noise = np.empty(max(n_pre, n) * size)
 
-    def normals(rows, var):
-        return rng.standard_normal((rows, m)) * np.sqrt(var) if var > 0 else 0.0
+    def batch(flat, rows=rank):
+        return flat[: rows * m].reshape(rows, m)
 
-    def add(i, hat):
-        for t, r in risks[i].items():
-            d = hat - target[t]
-            r.append(weights[t] @ (d * d) + perp[t])
+    def normals(out, var):
+        if var > 0:
+            rng.standard_normal(out=out)
+            out *= np.sqrt(var)
+            return out
+        return 0.0
 
     done = 0
     while done < draws:
         m = min(_MC_BATCH, draws - done)
+        drawn = slice(done, done + m)
         done += m
         # in-span coordinates of both offsets (and below, of theta_c's Gaussian);
         # the off-span parts enter only as their squared risk per task
-        alpha = {t: normals(rank, zeta[t]) for t in ("pre", "ft")}
-        perp = {t: np.zeros(m) for t in ("pre", "ft")}
+        alpha = {t: normals(batch(bufs[t]), zeta[t]) for t in _TASKS}
+        perp = {t: np.zeros(m) for t in _TASKS}
+        scratch = batch(bufs["scratch"])
         if not pair.fixed_theta_c:
-            g = rng.standard_normal((rank, m))
+            tc = batch(bufs["g"])
+            rng.standard_normal(out=tc)
             grams = [(_off_span_gram(rng, dof, m) * sd[:, None] * sd, e) for dof, e in off]
-            norm2 = np.sum(g * g, axis=0)
+            norm2 = np.sum(np.multiply(tc, tc, out=scratch), axis=0)
             for W, _ in grams:
                 norm2 += W[:, 0, 0]
             s = env.theta_c_norm / np.sqrt(norm2)
-            tc = g * s
+            tc *= s
             for W, e in grams:
                 for t, k in offset.items():
                     perp[t] += e[t] * (s * s * W[:, 0, 0] + 2 * s * W[:, 0, k] + W[:, k, k])
         else:
-            tc = np.broadcast_to(F[-1][:, None], (rank, m))
+            tc = F[-1][:, None]
             for dof, e in off:
                 chi2 = rng.chisquare(dof, (m, 2))
                 for t, k in offset.items():
                     perp[t] += e[t] * zeta[t] * chi2[:, k - 1]
-        target = {t: tc + alpha[t] for t in ("pre", "ft")}
-        Y = Xq @ target["pre"] + normals(n_pre, env.sigma2)
-        Yt = Xtq @ target["ft"] + normals(n, env.sigma2_tilde)
-        hat0 = Xq.T @ sp.solve(Y)
+        target = {t: np.add(tc, alpha[t], out=batch(bufs[t])) for t in _TASKS}
+        Y = Xq @ target["pre"]
+        Y += normals(batch(noise, n_pre), env.sigma2)
+        Yt = Xtq @ target["ft"]
+        Yt += normals(batch(noise, n), env.sigma2_tilde)
+        hat0 = np.matmul(Xq.T, sp.solve(Y), out=batch(bufs["hat0"]))
+        Yt -= Xtq @ hat0  # the fine-tune residual
+        # e0 = hat0 - target, in place of the target, and c0 = w.e0^2
+        e0 = {t: np.subtract(hat0, target[t], out=target[t]) for t in _TASKS}
+        c0 = {t: weights[t] @ np.multiply(e, e, out=scratch) for t, e in e0.items()}
         for i in pretrained:
-            add(i, hat0)
-        resid = Yt - Xtq @ hat0
+            for t, r in risks[i].items():
+                r[drawn] = c0[t] + perp[t]
         for lam, points in by_lam.items():
-            step = Xtq.T @ st.solve(resid, nlam=n * lam)
+            step = np.matmul(Xtq.T, st.solve(Yt, nlam=n * lam), out=batch(bufs["step"]))
+            sq = np.multiply(step, step, out=scratch)
+            c2 = {t: weights[t] @ sq for t in _TASKS}
+            c1 = {t: 2 * (weights[t] @ np.multiply(e, step, out=scratch)) for t, e in e0.items()}
             for i, tau in points:
-                add(i, hat0 + tau * step)
-    return [{t: np.concatenate(chunks) for t, chunks in r.items()} for r in risks]
+                for t, r in risks[i].items():
+                    r[drawn] = c0[t] + tau * (c1[t] + tau * c2[t]) + perp[t]
+    return risks
 
 
 def lemma_approx_risk(pair: DesignPair, env: TaskEnvironment) -> TermRisk:

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: dense p x p algebra, SVD
 pseudo-inverses, explicit KKT systems and p-dimensional parameter draws.
 The package under test must agree with these at small sizes, exactly or in
-law; none of this code is shared with it.  ``CountingRng`` counts the
+law.  None of this code is shared with it except in
+``mc_pointwise_risk_draws``, which reuses the package's row-space draw and
+weighs every point's estimate in full.  ``CountingRng`` counts the
 numbers a generator hands out, and ``two_term`` reads the package's own
 ``Term``s for the theory's stationarity identities.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from overadapt.risk import _Quad
+from overadapt.risk import _MC_BATCH, _off_span_gram, _Quad
 from overadapt.theory import TWO_TERMS
 
 
@@ -82,6 +84,68 @@ def mc_dense_risk_draws(X, Xt, env, kinds, draws, rng, theta_c=None):
         out.append({task: np.sum(eigs[task][:, None] * (hat - target[task]) ** 2, axis=0)
                     for task in ("pre", "ft")})
     return out
+
+
+def mc_pointwise_risk_draws(pair, env, kinds, draws, rng):
+    """Per-draw plug-in risks on the package's row-space draw, each point weighed directly.
+
+    The same stream and batches as ``risk._mc_risk_draws``, but every point's
+    estimate ``hat0 + tau * step`` is formed and its error weighed in full,
+    with fresh arrays, instead of read from per-lam coefficients.  Returns one
+    {task: per-draw risks} per kind.
+    """
+    coords = pair.row_space()
+    ranks = [F.shape[1] for F in coords]
+    weights = {t: np.repeat(v, ranks) for t, v in pair.values.items()}
+    off = [(m - r, {t: float(v[i]) for t, v in pair.values.items()})
+           for i, (m, r) in enumerate(zip(pair.sizes, ranks)) if m > r]
+    F = np.hstack(coords)
+    n_pre, n, rank = pair.n_pre, pair.n, F.shape[1]
+    Xq, Xtq = F[pair.x], F[pair.xt]
+    sp, st = pair.solver_pre, pair.solver_ft
+    risks = [{"pre": [], "ft": []} for _ in kinds]
+    zeta = {"pre": env.zeta1, "ft": env.zeta2}
+    offset = {"pre": 1, "ft": 2}
+    sd = np.sqrt([1.0, env.zeta1, env.zeta2])
+
+    def normals(rows, var):
+        return rng.standard_normal((rows, m)) * np.sqrt(var) if var > 0 else 0.0
+
+    done = 0
+    while done < draws:
+        m = min(_MC_BATCH, draws - done)
+        done += m
+        alpha = {t: normals(rank, zeta[t]) for t in ("pre", "ft")}
+        perp = {t: np.zeros(m) for t in ("pre", "ft")}
+        if not pair.fixed_theta_c:
+            g = rng.standard_normal((rank, m))
+            grams = [(_off_span_gram(rng, dof, m) * sd[:, None] * sd, e) for dof, e in off]
+            norm2 = np.sum(g * g, axis=0)
+            for W, _ in grams:
+                norm2 += W[:, 0, 0]
+            s = env.theta_c_norm / np.sqrt(norm2)
+            tc = g * s
+            for W, e in grams:
+                for t, k in offset.items():
+                    perp[t] += e[t] * (s * s * W[:, 0, 0] + 2 * s * W[:, 0, k] + W[:, k, k])
+        else:
+            tc = np.broadcast_to(F[-1][:, None], (rank, m))
+            for dof, e in off:
+                chi2 = rng.chisquare(dof, (m, 2))
+                for t, k in offset.items():
+                    perp[t] += e[t] * zeta[t] * chi2[:, k - 1]
+        target = {t: tc + alpha[t] for t in ("pre", "ft")}
+        Y = Xq @ target["pre"] + normals(n_pre, env.sigma2)
+        Yt = Xtq @ target["ft"] + normals(n, env.sigma2_tilde)
+        hat0 = Xq.T @ sp.solve(Y)
+        resid = Yt - Xtq @ hat0
+        for i, kind in enumerate(kinds):
+            lam, tau = kind.effective
+            hat = hat0 if tau == 0.0 else hat0 + tau * (Xtq.T @ st.solve(resid, nlam=n * lam))
+            for t, r in risks[i].items():
+                d = hat - target[t]
+                r.append(weights[t] @ (d * d) + perp[t])
+    return [{t: np.concatenate(chunks) for t, chunks in r.items()} for r in risks]
 
 
 class CountingRng:

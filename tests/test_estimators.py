@@ -173,12 +173,13 @@ def test_ensemble_tau_validation():
 
 def test_ensemble_collinearity_across_tau():
     # the ensemble moves along the line from theta1 to the ridge weights, so
-    # on one shared draw its plug-in risk is an exact quadratic in tau
+    # on shared draws its plug-in risk (and their mean) is an exact quadratic
+    # in tau; two draws, the fewest that carry a standard error
     env = small_env()
     pair = DesignPair.from_env(*sample_designs(env, 7), env)
     taus = (0.0, 0.1, 0.25, 0.5, 0.6, 0.9, 1.0)
     reports = mc_expected_risks(pair, env, [EstimatorKind.ensemble(0.05, t) for t in taus],
-                                1, derive_rng(7, "mc", 0))
+                                2, derive_rng(7, "mc", 0))
     for task in ("pre", "ft"):
         r = {t: rep.task(task).value for t, rep in zip(taus, reports)}
         c = r[0.0]

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -104,6 +105,9 @@ def test_config_grids_sorted_deduplicated():
 def test_config_validation_messages():
     with pytest.raises(ConfigError, match="replicates"):
         small_config(replicates=0)
+    for draws in (0, 1):  # one draw has no standard error
+        with pytest.raises(ConfigError, match="mc_draws"):
+            small_config(mc_draws=draws)
     with pytest.raises(ConfigError, match="tau_grid"):
         small_config(tau_grid=[0.0, 1.5])
     with pytest.raises(ConfigError, match="methods"):
@@ -395,6 +399,28 @@ def test_evaluate_seed_reduces_the_designs_without_a_qr(monkeypatch, fix_theta_c
     assert calls == []
     assert {r.method for r in reports} == {"analytic", "monte_carlo", "lemma_approx"}
 
+
+def test_evaluate_seed_frees_the_designs_before_monte_carlo(monkeypatch):
+    # the pair keeps only its per-run Grams, so Monte Carlo never runs beside
+    # the p-dimensional designs
+    cfg = mc_crosscheck_config(methods=["analytic", "monte_carlo"], mc_draws=100)
+    designs, alive = [], []
+    draw, mc = harness.sample_designs, harness.mc_expected_risks
+
+    def sample(*args):
+        X, Xt = draw(*args)
+        designs.extend((weakref.ref(X), weakref.ref(Xt)))
+        return X, Xt
+
+    def monte_carlo(*args):
+        alive.append([ref() is not None for ref in designs])
+        return mc(*args)
+
+    monkeypatch.setattr(harness, "sample_designs", sample)
+    monkeypatch.setattr(harness, "mc_expected_risks", monte_carlo)
+    reports = evaluate_seed(cfg, 0, expand_estimator_points(cfg))
+    assert len(designs) == 2 and alive == [[False, False]]
+    assert {r.method for r in reports} == {"analytic", "monte_carlo"}
 
 @pytest.mark.parametrize("methods", [["analytic"], ["lemma_approx"]],
                          ids=["analytic", "lemma_approx"])
@@ -728,6 +754,15 @@ def test_cli_help_still_exits_zero(capsys):
         cli_main(["verify", "--help"])
     assert done.value.code == 0
     assert "--trials" in capsys.readouterr().out
+
+
+def test_cli_risk_rejects_one_mc_draw(tmp_path, capsys):
+    # one draw has no standard error, so no se is reported as 0.0
+    out = tmp_path / "risk.json"
+    assert cli_main(["risk", "--estimator", "ridgeless_ft", "--case", "a",
+                     "--method", "monte_carlo", "--mc-draws", "1", "--out", str(out)]) == 1
+    assert "mc_draws" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_risk_rejects_zero_mc_draws(tmp_path, capsys):

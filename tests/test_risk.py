@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -5,8 +8,9 @@ from scipy.stats import ks_2samp
 from overadapt.config import config_from_dict
 from overadapt.estimators import EstimatorKind, SingularDesignError
 from overadapt.harness import evaluate_seed, rows_from_report, run_sweep, write_results
-from overadapt.presets import preset_environment
+from overadapt.presets import preset_defaults, preset_environment, preset_points
 from overadapt.risk import (
+    _MC_BATCH,
     TERM_KEYS,
     AnalyticRisk,
     DesignPair,
@@ -22,7 +26,13 @@ from overadapt.synth import (
     sample_designs,
     sample_theta_c,
 )
-from oracles import CountingRng, dense_risk_terms, mc_dense_risk_draws, random_block_instance
+from oracles import (
+    CountingRng,
+    dense_risk_terms,
+    mc_dense_risk_draws,
+    mc_pointwise_risk_draws,
+    random_block_instance,
+)
 
 ALL_KINDS = [
     EstimatorKind.pretrained(),
@@ -281,6 +291,14 @@ def test_mc_reproducible_and_validates_draws():
         mc_expected_risks(pair, env, [kind], 0, derive_rng(4, "mc", 0))
 
 
+def test_mc_refuses_one_draw():
+    # one draw has no standard error; 0.0 would claim the value is exact
+    env = desk_env()
+    with pytest.raises(ValueError, match="draws"):
+        mc_expected_risks(draw_pair(env, seed=11), env, [EstimatorKind.ridgeless()], 1,
+                          derive_rng(4, "mc", 0))
+
+
 def small_dof_env(**overrides):
     # n_pre + n = 7 stacked rows: the unit block (8 columns) keeps 1 off-span
     # dimension, the shared tail (9 columns) 2, the pretrain-only block
@@ -434,6 +452,87 @@ def test_mc_shared_draws_without_fine_tuning_keep_pretrained_stream():
     single = mc_expected_risks(pair, env, [kinds[0]], 700, derive_rng(6, "mc", 0))[0]
     for got in shared[:2]:
         _same_mc(got, single)
+
+
+POINTWISE_KINDS = [*ALL_KINDS, EstimatorKind.ensemble(0.05, 0.0),
+                   EstimatorKind.ensemble(0.05, 0.75), EstimatorKind.ridge(0.2),
+                   EstimatorKind.ensemble(0.2, 0.3)]
+
+
+@pytest.mark.parametrize("name", ["random_theta_c", "fixed_theta_c", "zero_zeta_sigma2",
+                                  "fixed_theta_c_zero_zeta_sigma2", "small_dof"])
+def test_mc_coefficients_match_the_pointwise_reference(name):
+    # c0 + tau (c1 + tau c2) equals each point's estimate hat0 + tau step,
+    # formed and weighed in full on the same stream; 1100 draws end on a
+    # partial batch, and tau = 0 points read c0 alone, bit for bit
+    zero = dict(zeta1=0.0, zeta2=0.0, sigma2=0.0) if "zero" in name else {}
+    env = small_dof_env() if name == "small_dof" else desk_env(**zero)
+    theta_c = fixed_theta_c(env) if name.startswith("fixed") else None
+    pair = draw_pair(env, seed=19, theta_c=theta_c)
+    got = _mc_risk_draws(pair, env, POINTWISE_KINDS, 1100, derive_rng(9, "mc", 0))
+    want = mc_pointwise_risk_draws(pair, env, POINTWISE_KINDS, 1100, derive_rng(9, "mc", 0))
+    for kind, g, w in zip(POINTWISE_KINDS, got, want):
+        for task in ("pre", "ft"):
+            assert g[task].shape == (1100,)
+            if kind.effective[1] == 0.0:
+                assert np.array_equal(g[task], w[task]), (kind, task)
+            else:
+                np.testing.assert_allclose(g[task], w[task], rtol=1e-12, atol=0,
+                                           err_msg=f"{kind} {task}")
+
+
+def _mc_peak(pair, env, kinds, draws=2000):
+    """tracemalloc's peak during one ``_mc_risk_draws`` call, above what was held
+    before it, and the call's result.
+
+    A first, untraced call builds the pair's solvers and warms the code path,
+    so the traced one allocates only what every call allocates.
+    """
+    _mc_risk_draws(pair, env, kinds, draws, derive_rng(0, "mc", 0))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        risks = _mc_risk_draws(pair, env, kinds, draws, derive_rng(0, "mc", 0))
+        return tracemalloc.get_traced_memory()[1] - held, risks
+    finally:
+        tracemalloc.stop()
+
+
+def _returned_bytes(risks) -> int:
+    """The per-draw risk arrays a call returns, with their containers."""
+    return sys.getsizeof(risks) + sum(
+        sys.getsizeof(point) + sum(sys.getsizeof(r) for r in point.values())
+        for point in risks)
+
+
+def preset_a_points():
+    return preset_points(config_from_dict({"case": "a", **preset_defaults("a")}))
+
+
+def test_mc_memory_grows_with_points_only_by_the_returned_draws():
+    # the batch arrays are allocated once per call whatever the number of
+    # points: 54 points over 22 lambdas hold only their per-draw risks more
+    # than 4 do, and beside the returned risks a call holds its six rank x
+    # batch arrays and the label noise with a few n x batch temporaries
+    env = preset_environment("a")
+    pair = DesignPair.from_env(*sample_designs(env, 0), env)
+    kinds = preset_a_points()
+    assert len(kinds) == 54
+    few, few_risks = _mc_peak(pair, env, kinds[:4])
+    many, many_risks = _mc_peak(pair, env, kinds)
+    assert many - few <= _returned_bytes(many_risks) - _returned_bytes(few_risks)
+    rank = sum(F.shape[1] for F in pair.row_space())
+    batch = 8 * _MC_BATCH  # bytes per row of a batch array
+    assert few - _returned_bytes(few_risks) <= batch * (6 * rank + 9 * max(pair.n_pre, pair.n))
+
+
+def test_mc_memory_does_not_grow_with_p():
+    peaks = []
+    for full in (False, True):  # p = 2000 and p = 10^4
+        env = preset_environment("a", full=full)
+        pair = DesignPair.from_env(*sample_designs(env, 0), env)
+        peaks.append(_mc_peak(pair, env, preset_a_points())[0])
+    assert peaks[0] == peaks[1]
 
 
 def mc_sweep_config(**overrides):
