@@ -35,7 +35,7 @@ from ._blas import single_threaded, start_single_threaded
 
 start_single_threaded()  # before the imports below load numpy
 
-from .config import ConfigError, config_from_dict, load_config, save_config
+from .config import FORMATS, METHODS, ConfigError, config_from_dict, load_config, save_config
 from .estimators import EstimatorKind, SingularDesignError
 from .presets import CASES, FT_ONLY_LAMBDA, preset_defaults, preset_points, theorem_check_env
 from .spectra import SpectrumSpec
@@ -50,7 +50,7 @@ def _add_common(parser):
     parser.add_argument("--replicates", type=int, default=None)
     parser.add_argument("--mc-draws", type=int, default=None)
     parser.add_argument("--out", default=None, help="output path for result rows")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
+    parser.add_argument("--format", choices=FORMATS, default=None,
                         help="row format (default: the config's format)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: OVERADAPT_WORKERS or all cores)")
@@ -76,8 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="full dimension p=10000 (default p=2000)")
     p_preset.add_argument("--plot", default=None, metavar="PREFIX",
                           help="write PREFIX-tradeoff.svg and PREFIX-ft.svg")
-    p_preset.add_argument("--methods", nargs="+", default=None,
-                          choices=("analytic", "monte_carlo", "lemma_approx"))
+    p_preset.add_argument("--methods", nargs="+", default=None, choices=METHODS)
     p_preset.add_argument("--tau-grid", type=float, nargs="+", default=None)
     # nargs=1: the flag's value is a one-level lambda_grid, as for sweep
     p_preset.add_argument("--lambda", dest="lambda_grid", type=float, nargs=1,
@@ -101,14 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_verify)
 
     p_risk = sub.add_parser("risk", help="single-point risk evaluation")
-    p_risk.add_argument("--estimator", required=True,
-                        choices=("pretrained", "ridgeless_ft", "ridge_ft", "ensemble"))
+    p_risk.add_argument("--estimator", required=True, choices=tuple(EstimatorKind.PARAMS))
     p_risk.add_argument("--lambda", dest="lam", type=float, default=None,
                         help="ridge level of ridge_ft and ensemble (default 0)")
     p_risk.add_argument("--tau", type=float, default=None,
                         help="ensemble weight of ensemble (default 1)")
-    p_risk.add_argument("--method", choices=("analytic", "monte_carlo", "lemma_approx"),
-                        default="analytic")
+    p_risk.add_argument("--method", choices=METHODS, default="analytic")
     p_risk.add_argument("--case", choices=sorted(CASES), default=None,
                         help="take the environment from a preset case")
     p_risk.add_argument("--config", default=None,
@@ -222,15 +219,15 @@ def _cmd_risk(args) -> int:
     for flag, value in (("--replicates", args.replicates), ("--workers", args.workers)):
         if value is not None:
             raise ValueError(f"risk evaluates one instance; {flag} does not apply")
-    for flag, value, takes in (("--lambda", args.lam, ("ridge_ft", "ensemble")),
-                               ("--tau", args.tau, ("ensemble",))):
-        if value is not None and args.estimator not in takes:
-            raise ValueError(f"{flag} applies only to {' and '.join(takes)}, "
+    flags = {"lam": "--lambda", "tau": "--tau"}
+    given = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    for k in given:
+        if k not in EstimatorKind.PARAMS[args.estimator]:
+            takes = [name for name, free in EstimatorKind.PARAMS.items() if k in free]
+            raise ValueError(f"{flags[k]} applies only to {' and '.join(takes)}, "
                              f"not to {args.estimator}")
     if args.case and args.config:
         raise ValueError("--case and --config both give the environment; give one")
-    lam = 0.0 if args.lam is None else args.lam
-    tau = 1.0 if args.tau is None else args.tau
     from .harness import evaluate_seed, rows_from_report, write_results
 
     base = load_config(args.config).to_dict() if args.config else {"case": args.case or "a"}
@@ -240,12 +237,7 @@ def _cmd_risk(args) -> int:
         raise ValueError("risk prints its report as JSON without --out or a config out; "
                          "--format does not apply")
     _check_writable(out)
-    kind = {
-        "pretrained": EstimatorKind.pretrained,
-        "ridgeless_ft": EstimatorKind.ridgeless,
-        "ridge_ft": lambda: EstimatorKind.ridge(lam),
-        "ensemble": lambda: EstimatorKind.ensemble(lam, tau),
-    }[args.estimator]()
+    kind = EstimatorKind(args.estimator, **given)
     # replicate 0 of a one-method sweep of the config at this one point
     (report,) = evaluate_seed(config, 0, [kind])
     if out:

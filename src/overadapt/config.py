@@ -2,9 +2,11 @@
 
 A config is a single flat JSON object (no nesting, no includes) so that
 save(load(f)) is lossless byte-for-byte modulo key order.  A file may carry
-just {"case": "a"}: the case sets its size and tails
-(``presets.preset_defaults``), every other key keeps the default below,
-which is case a's, and explicit keys override both.
+just {"case": "a"}.  An ``ExperimentConfig``, from a file or built directly,
+takes each size key it is not given (n, p, p_tilde and the two tails,
+``presets.preset_defaults``) from its case, or from case a if it has none,
+and refuses an unknown case; every other key keeps the default below, and
+explicit keys override both.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .estimators import EstimatorKind
 from .presets import TRADEOFF_LAMBDA, preset_defaults
 from .spectra import SpectrumSpec
 from .synth import TaskEnvironment
 
 METHODS = ("analytic", "monte_carlo", "lemma_approx")
-ESTIMATOR_NAMES = ("pretrained", "ridgeless_ft", "ridge_ft", "ensemble")
 FORMATS = ("csv", "json")
+
+_FROM_CASE = object()  # the default of a size key: its case's value, filled in on construction
 
 
 class ConfigError(ValueError):
@@ -34,12 +38,12 @@ def _default_tau_grid() -> list[float]:
 @dataclass
 class ExperimentConfig:
     case: str | None = None
-    n: int = 40
-    p: int = 2000
-    p_tilde: int = 80  # 2n, as in case a: off the square-Gram spike at p_tilde = n
+    n: int = _FROM_CASE
+    p: int = _FROM_CASE
+    p_tilde: int = _FROM_CASE
     k_star: int = 1
-    gamma_pre: float = 40.0**-1.5
-    gamma_ft: float = 0.025
+    gamma_pre: float = _FROM_CASE
+    gamma_ft: float = _FROM_CASE
     zeta1: float = 1e-4
     zeta2: float = 1e-2
     sigma2: float = 1e-2
@@ -53,7 +57,7 @@ class ExperimentConfig:
     tau_grid: list[float] = field(default_factory=_default_tau_grid)
     mc_draws: int = 2000
     methods: list[str] = field(default_factory=lambda: ["analytic"])
-    estimators: list[str] = field(default_factory=lambda: list(ESTIMATOR_NAMES))
+    estimators: list[str] = field(default_factory=lambda: list(EstimatorKind.PARAMS))
     out: str | None = None
     format: str = "csv"
     workers: int | None = None
@@ -61,6 +65,9 @@ class ExperimentConfig:
     fix_theta_c: bool = False
 
     def __post_init__(self):
+        for key, value in preset_defaults("a" if self.case is None else self.case).items():
+            if getattr(self, key) is _FROM_CASE:
+                setattr(self, key, value)
         self.validate()
 
     def validate(self):
@@ -106,8 +113,8 @@ class ExperimentConfig:
             if m not in METHODS:
                 fail("methods", f"unknown method {m!r}; known: {METHODS}")
         for e in self.estimators:
-            if e not in ESTIMATOR_NAMES:
-                fail("estimators", f"unknown estimator {e!r}; known: {ESTIMATOR_NAMES}")
+            if e not in EstimatorKind.PARAMS:
+                fail("estimators", f"unknown estimator {e!r}; known: {tuple(EstimatorKind.PARAMS)}")
         if not self.methods:
             fail("methods", "at least one method is required")
         if not self.estimators:
@@ -155,12 +162,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    merged: dict = {}
-    if raw.get("case") is not None:
-        merged.update(preset_defaults(raw["case"]))
-    merged.update(_coerce_numbers(raw))
     try:
-        return ExperimentConfig(**merged)
+        return ExperimentConfig(**_coerce_numbers(raw))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

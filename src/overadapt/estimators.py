@@ -43,7 +43,8 @@ class GramSolver:
     construction instead, so every penalty sees it whatever the call order.
     The ``null`` leading eigendirections of a jittered Gram, those with
     s <= s_max * n * eps, get zero weight at every penalty: there X^T u = 0,
-    and u^T rhs is rounding noise that 1/jitter would amplify.
+    and u^T rhs is rounding noise that 1/jitter would amplify.  ``factor``
+    decides this for every reader, by giving them an infinite eigenvalue.
     """
 
     def __init__(self, gram: np.ndarray, jitter: bool = False):
@@ -69,20 +70,21 @@ class GramSolver:
         return [int(i) for i in np.nonzero(null_dir >= cutoff)[0]]
 
     def factor(self, nlam: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """(U, s + nlam): the eigenpairs of X X^T + nlam I."""
+        """(U, s + nlam), the eigenpairs of X X^T + nlam I; inf on a jittered Gram's nulls."""
         if nlam == 0.0 and self._singular:
             raise SingularDesignError(
                 f"Gram condition number {self.cond:.3e} exceeds "
                 f"{COND_THRESHOLD:.1e}; offending rows: {self._offending_rows()}"
             )
-        return self.U, self.s + nlam
+        shifted = self.s + nlam
+        shifted[: self.null] = np.inf
+        return self.U, shifted
 
     def solve(self, rhs: np.ndarray, nlam: float = 0.0) -> np.ndarray:
         """(X X^T + nlam I)^{-1} rhs, zero on a jittered Gram's null directions."""
         U, shifted = self.factor(nlam)
         coef = U.T @ rhs
         coef = coef / (shifted[:, None] if coef.ndim == 2 else shifted)
-        coef[: self.null] = 0.0
         return U @ coef
 
 
@@ -93,21 +95,22 @@ class EstimatorKind:
     Every kind maps onto the pair (lam, tau): the pretrained estimator is
     tau = 0, the interpolating fine-tune is (0, 1), ridge is (lam, 1) and
     the ensemble is (lam, tau) with the ridge (or, at lam = 0, the
-    interpolating) solution as its fine-tuned leg.
+    interpolating) solution as its fine-tuned leg.  ``PARAMS`` is the one
+    table of the kinds, in row order, and the parameters each one takes.
     """
 
     name: str
     lam: float = 0.0
     tau: float = 1.0
 
-    KINDS = (PRETRAINED, RIDGELESS, RIDGE, ENSEMBLE)
+    PARAMS = {PRETRAINED: (), RIDGELESS: (), RIDGE: ("lam",), ENSEMBLE: ("lam", "tau")}
 
     def __post_init__(self):
-        if self.name not in self.KINDS:
+        if self.name not in self.PARAMS:
             raise ValueError(f"unknown estimator kind {self.name!r}")
         if not 0.0 <= self.lam < np.inf:  # False for NaN too
             raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
-        if self.name == ENSEMBLE and not (0.0 <= self.tau <= 1.0):
+        if "tau" in self.PARAMS[self.name] and not (0.0 <= self.tau <= 1.0):
             raise ValueError(f"tau={self.tau} outside [0, 1]")
 
     @property

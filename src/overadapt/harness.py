@@ -24,6 +24,7 @@ split for MC rows) stay empty.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import pickle
@@ -38,9 +39,10 @@ import numpy.random  # noqa: F401
 
 from ._blas import pin_single_thread
 from .config import ExperimentConfig, config_from_dict
-from .estimators import ENSEMBLE, PRETRAINED, RIDGE, RIDGELESS, EstimatorKind
+from .estimators import EstimatorKind
 from .presets import preset_defaults, preset_points
 from .risk import (
+    TASKS,
     TERM_KEYS,
     AnalyticRisk,
     DesignPair,
@@ -55,8 +57,6 @@ WORKERS_ENV_VAR = "OVERADAPT_WORKERS"
 # CPython's own multiprocessing defaults to spawn on macOS, where fork is
 # unsafe once system frameworks have started threads; only Linux forks here.
 _CAN_FORK = sys.platform == "linux"
-
-TASKS = ("pre", "ft")
 
 
 @dataclass(frozen=True)
@@ -121,15 +121,10 @@ def write_results(rows, path, format: str = "csv") -> None:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 
 
-def _row_params(kind: EstimatorKind) -> tuple[float | None, float | None]:
-    # lambda only matters for ridge/ensemble provenances, tau only for ensembles
-    lam = kind.lam if kind.name in (RIDGE, ENSEMBLE) else None
-    tau = kind.tau if kind.name == ENSEMBLE else None
-    return lam, tau
-
-
 def rows_from_report(report: RiskReport, case: str, seed: int) -> list[ResultRow]:
-    lam, tau = _row_params(report.kind)
+    # a row gives lambda and tau only where its kind takes them
+    free = EstimatorKind.PARAMS[report.kind.name]
+    lam, tau = (getattr(report.kind, k) if k in free else None for k in ("lam", "tau"))
     rows = []
     for task in TASKS:
         tr = report.task(task)
@@ -142,21 +137,13 @@ def rows_from_report(report: RiskReport, case: str, seed: int) -> list[ResultRow
 
 
 def expand_estimator_points(config: ExperimentConfig) -> list[EstimatorKind]:
-    """Factorial expansion of the configured estimators over the grids."""
+    """Factorial expansion of the configured estimators over their parameters' grids."""
+    grids = {"lam": config.lambda_grid, "tau": config.tau_grid}
     points: list[EstimatorKind] = []
     for name in config.estimators:
-        if name == PRETRAINED:
-            points.append(EstimatorKind.pretrained())
-        elif name == RIDGELESS:
-            points.append(EstimatorKind.ridgeless())
-        elif name == RIDGE:
-            points.extend(EstimatorKind.ridge(lam) for lam in config.lambda_grid)
-        elif name == ENSEMBLE:
-            points.extend(
-                EstimatorKind.ensemble(lam, tau)
-                for lam in config.lambda_grid
-                for tau in config.tau_grid
-            )
+        free = EstimatorKind.PARAMS[name]
+        points += [EstimatorKind(name, **dict(zip(free, values)))
+                   for values in itertools.product(*(grids[k] for k in free))]
     return points
 
 

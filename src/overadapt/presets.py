@@ -5,8 +5,8 @@ are tied to n (pretrain tail n^-1.5, fine-tune tail n^-1), so the labels'
 gamma values name whichever tail the original figure captioned.  Cases a/b
 share the n = 40 environment and c/d the n = 60 one; the label is kept on
 every output row so runs stay distinguishable.  A case sets only n, p, the
-fine-tune support and the two tails; every other key keeps its
-``ExperimentConfig`` default, which is case a's.
+fine-tune support and the two tails (an ``ExperimentConfig`` without a case
+takes case a's); every other key keeps its ``ExperimentConfig`` default.
 
 A preset run is a sweep over ``preset_points``: the pretrained and
 interpolating estimators, the ridge family, and the ensemble weight sweep at
@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .estimators import EstimatorKind
-from .spectra import SpectrumSpec
 from .synth import TaskEnvironment
 
 FULL_P = 10_000
@@ -52,18 +51,22 @@ RIDGE_FAMILY = tuple(float(v) for v in np.logspace(-6, -2, 9))
 FT_SUPPORT_FACTOR = 2
 
 
-def preset_defaults(case: str, full: bool = False) -> dict:
-    """The config keys one case sets (see config.ExperimentConfig for the rest)."""
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}; known: {sorted(CASES)}")
-    n, _ = CASES[case]
+def _sizes(n: int, p: int) -> dict:
+    """The size keys of a case with n samples in dimension p; support and tails follow n."""
     return {
         "n": n,
-        "p": FULL_P if full else DESK_P,
+        "p": p,
         "p_tilde": FT_SUPPORT_FACTOR * n,
         "gamma_pre": float(n) ** -1.5,
         "gamma_ft": 1.0 / n,
     }
+
+
+def preset_defaults(case: str, full: bool = False) -> dict:
+    """The config keys one case sets (see config.ExperimentConfig for the rest)."""
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}; known: {sorted(CASES)}")
+    return _sizes(CASES[case][0], FULL_P if full else DESK_P)
 
 
 def preset_environment(case: str, full: bool = False) -> TaskEnvironment:
@@ -90,23 +93,16 @@ def preset_points(config) -> list[EstimatorKind]:
 def theorem_check_env(p: int = DESK_P, n: int = 40) -> TaskEnvironment:
     """Environment used by the ordering suites.
 
-    A fine-tune support of 2n keeps the fine-tune Gram away from squareness
-    and strictly satisfies p_tilde > n.  The variance scales follow the
-    model's order assumptions (zeta2 ~ sigma2 ~ sigma2_tilde, zeta1 and the
-    shared parameter small) but are chosen so the task-shift and fine-tune-noise
-    terms dominate the risk at this bench dimension: the closed-form optima
-    only match the full-risk optima once the lower-order terms are
-    negligible, and at p ~ 2000 the simulation-default constants leave them
-    a percent-level perturbation.
+    The sizes follow n as a case's do: a fine-tune support of 2n keeps the
+    fine-tune Gram away from squareness and strictly satisfies p_tilde > n.
+    The variance scales follow the model's order assumptions (zeta2 ~ sigma2 ~
+    sigma2_tilde, zeta1 and the shared parameter small) but are chosen so the
+    task-shift and fine-tune-noise terms dominate the risk at this bench
+    dimension: the closed-form optima only match the full-risk optima once the
+    lower-order terms are negligible, and at p ~ 2000 the simulation-default
+    constants leave them a percent-level perturbation.
     """
-    return TaskEnvironment(
-        n=n,
-        spectrum_pre=SpectrumSpec(k_star=1, gamma=float(n) ** -1.5, p=p, p_tilde=p),
-        spectrum_ft=SpectrumSpec(k_star=1, gamma=1.0 / n, p=p, p_tilde=2 * n),
-        zeta1=1e-5,
-        zeta2=4e-2,
-        sigma2=1.25e-2,
-        sigma2_tilde=4e-2,
-        theta_c_norm=0.25,
-        coord_dist="gaussian",
-    )
+    from .config import ExperimentConfig
+
+    return ExperimentConfig(**_sizes(n, p), zeta1=1e-5, zeta2=4e-2, sigma2=1.25e-2,
+                            sigma2_tilde=4e-2, theta_c_norm=0.25).environment()

@@ -100,7 +100,7 @@ _CLAMP_REL = 1e-10
 
 _MC_BATCH = 512
 
-_TASKS = ("pre", "ft")
+TASKS = ("pre", "ft")
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class RiskReport:
         return self.ft.value
 
     def task(self, name: str) -> TaskRisk:
-        if name not in ("pre", "ft"):
+        if name not in TASKS:
             raise ValueError(f"unknown task {name!r}; known: pre, ft")
         return getattr(self, name)
 
@@ -317,9 +317,7 @@ class FtResolvent:
     def d(self, lam: float) -> np.ndarray:
         """1/(s + n*lam), the eigenvalues of R^-1; 0 on a jittered Gram's null directions."""
         _, shifted = self.solver.factor(self.n * float(lam))
-        d = 1.0 / shifted
-        d[: self.solver.null] = 0.0
-        return d
+        return 1.0 / shifted
 
     def traces(self, lam: float, task: str = "ft") -> dict[str, float]:
         d, m, s = self.d(lam), self._m[task], self.solver.s
@@ -371,8 +369,8 @@ class TermRisk:
         return TaskRisk(value=value, terms=terms)
 
     def report(self, kind: EstimatorKind) -> RiskReport:
-        return RiskReport(method=self.method, kind=kind, pre=self.task_risk(kind, "pre"),
-                          ft=self.task_risk(kind, "ft"))
+        return RiskReport(method=self.method, kind=kind,
+                          **{t: self.task_risk(kind, t) for t in TASKS})
 
 
 class AnalyticRisk(TermRisk):
@@ -499,14 +497,14 @@ def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[Estimator
             pretrained.append(i)
         else:
             by_lam.setdefault(lam, []).append((i, tau))
-    risks = [{t: np.empty(draws) for t in _TASKS} for _ in kinds]
+    risks = [{t: np.empty(draws) for t in TASKS} for _ in kinds]
     zeta = {"pre": env.zeta1, "ft": env.zeta2}
     offset = {"pre": 1, "ft": 2}  # index of the task's offset in each off-span Gram
     sd = np.sqrt([1.0, env.zeta1, env.zeta2])
     # both offsets (each becomes its task's target, then its e0), theta_c's
     # Gaussian, hat0, the ridge step, one scratch array and the label noise
     size = min(_MC_BATCH, draws)
-    bufs = {k: np.empty(rank * size) for k in (*_TASKS, "g", "hat0", "step", "scratch")}
+    bufs = {k: np.empty(rank * size) for k in (*TASKS, "g", "hat0", "step", "scratch")}
     noise = np.empty(max(n_pre, n) * size)
 
     def batch(flat, rows=rank):
@@ -526,8 +524,8 @@ def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[Estimator
         done += m
         # in-span coordinates of both offsets (and below, of theta_c's Gaussian);
         # the off-span parts enter only as their squared risk per task
-        alpha = {t: normals(batch(bufs[t]), zeta[t]) for t in _TASKS}
-        perp = {t: np.zeros(m) for t in _TASKS}
+        alpha = {t: normals(batch(bufs[t]), zeta[t]) for t in TASKS}
+        perp = {t: np.zeros(m) for t in TASKS}
         scratch = batch(bufs["scratch"])
         if not pair.fixed_theta_c:
             tc = batch(bufs["g"])
@@ -547,7 +545,7 @@ def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[Estimator
                 chi2 = rng.chisquare(dof, (m, 2))
                 for t, k in offset.items():
                     perp[t] += e[t] * zeta[t] * chi2[:, k - 1]
-        target = {t: np.add(tc, alpha[t], out=batch(bufs[t])) for t in _TASKS}
+        target = {t: np.add(tc, alpha[t], out=batch(bufs[t])) for t in TASKS}
         Y = Xq @ target["pre"]
         Y += normals(batch(noise, n_pre), env.sigma2)
         Yt = Xtq @ target["ft"]
@@ -555,7 +553,7 @@ def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[Estimator
         hat0 = np.matmul(Xq.T, sp.solve(Y), out=batch(bufs["hat0"]))
         Yt -= Xtq @ hat0  # the fine-tune residual
         # e0 = hat0 - target, in place of the target, and c0 = w.e0^2
-        e0 = {t: np.subtract(hat0, target[t], out=target[t]) for t in _TASKS}
+        e0 = {t: np.subtract(hat0, target[t], out=target[t]) for t in TASKS}
         c0 = {t: weights[t] @ np.multiply(e, e, out=scratch) for t, e in e0.items()}
         for i in pretrained:
             for t, r in risks[i].items():
@@ -563,7 +561,7 @@ def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[Estimator
         for lam, points in by_lam.items():
             step = np.matmul(Xtq.T, st.solve(Yt, nlam=n * lam), out=batch(bufs["step"]))
             sq = np.multiply(step, step, out=scratch)
-            c2 = {t: weights[t] @ sq for t in _TASKS}
+            c2 = {t: weights[t] @ sq for t in TASKS}
             c1 = {t: 2 * (weights[t] @ np.multiply(e, step, out=scratch)) for t, e in e0.items()}
             for i, tau in points:
                 for t, r in risks[i].items():
@@ -578,4 +576,4 @@ def lemma_approx_risk(pair: DesignPair, env: TaskEnvironment) -> TermRisk:
     """
     res = pair.resolvent
     return TermRisk("lemma_approx", res,
-                    {t: res.two_terms(env.zeta2, env.sigma2_tilde, t) for t in ("pre", "ft")})
+                    {t: res.two_terms(env.zeta2, env.sigma2_tilde, t) for t in TASKS})

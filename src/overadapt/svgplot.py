@@ -18,6 +18,8 @@ from .estimators import ENSEMBLE, PRETRAINED, RIDGE, RIDGELESS
 WIDTH, HEIGHT = 720, 480
 PAD_L, PAD_R, PAD_T, PAD_B = 80, 180, 50, 60
 
+METHOD = "analytic"  # the rows a plot draws
+
 COLORS = {
     ENSEMBLE: "#1f77b4",
     RIDGE: "#ff7f0e",
@@ -28,7 +30,7 @@ LABELS = {
     ENSEMBLE: "ensemble (tau sweep)",
     RIDGE: "ridge family",
     RIDGELESS: "interpolating fine-tune",
-    PRETRAINED: "pretrained",
+    PRETRAINED: PRETRAINED,
 }
 
 
@@ -40,12 +42,12 @@ def _mean(vals):
     return float(np.mean(vals))
 
 
-def _collect(rows, estimator, task, method="analytic"):
+def _collect(rows, estimator, task):
     picked = [r for r in rows if r.estimator == estimator and r.task == task
-              and r.method == method]
+              and r.method == METHOD]
     if not picked:
         raise MissingSeriesError(
-            f"no {method} rows for estimator {estimator!r} on task {task!r}")
+            f"no {METHOD} rows for estimator {estimator!r} on task {task!r}")
     return picked
 
 
@@ -145,7 +147,6 @@ def render_tradeoff_svg(
     path,
     mode: str = "tradeoff",
     title: str = "",
-    method: str = "analytic",
     ensemble_lambda: float | None = None,
     ft_lambda: float | None = None,
 ) -> None:
@@ -168,17 +169,17 @@ def render_tradeoff_svg(
             "two-task trade-off" if mode == "tradeoff" else "fine-tune risk vs ensemble weight")
 
     if mode == "tradeoff":
-        ens_ft = _group_mean(_collect(ens_pick, ENSEMBLE, "ft", method), lambda r: r.tau)
-        ens_pre = _group_mean(_collect(ens_pick, ENSEMBLE, "pre", method), lambda r: r.tau)
+        ens_ft = _group_mean(_collect(ens_pick, ENSEMBLE, "ft"), lambda r: r.tau)
+        ens_pre = _group_mean(_collect(ens_pick, ENSEMBLE, "pre"), lambda r: r.tau)
         curve = [(ens_ft[t], ens_pre[t]) for t in sorted(ens_ft)]
-        ridge_ft = _group_mean(_collect(rows, RIDGE, "ft", method), lambda r: r.lam)
-        ridge_pre = _group_mean(_collect(rows, RIDGE, "pre", method), lambda r: r.lam)
+        ridge_ft = _group_mean(_collect(rows, RIDGE, "ft"), lambda r: r.lam)
+        ridge_pre = _group_mean(_collect(rows, RIDGE, "pre"), lambda r: r.lam)
         ridge_pts = [(ridge_ft[l], ridge_pre[l]) for l in sorted(ridge_ft)]
         singles = {}
         for est in (RIDGELESS, PRETRAINED):
             singles[est] = (
-                _mean([r.value for r in _collect(rows, est, "ft", method)]),
-                _mean([r.value for r in _collect(rows, est, "pre", method)]),
+                _mean([r.value for r in _collect(rows, est, "ft")]),
+                _mean([r.value for r in _collect(rows, est, "pre")]),
             )
         xs = [p[0] for p in curve + ridge_pts + list(singles.values())]
         ys = [p[1] for p in curve + ridge_pts + list(singles.values())]
@@ -205,13 +206,13 @@ def render_tradeoff_svg(
         ])
         xlabel, ylabel = "fine-tune excess risk", "pretrain excess risk"
     else:
-        ens_ft = _group_mean(_collect(ens_pick, ENSEMBLE, "ft", method), lambda r: r.tau)
+        ens_ft = _group_mean(_collect(ens_pick, ENSEMBLE, "ft"), lambda r: r.tau)
         curve = sorted(ens_ft.items())
         refs = []
         for est in (RIDGE, RIDGELESS, PRETRAINED):
             sel = [r for r in rows if r.estimator == est
                    and (est != RIDGE or ft_lambda is None or r.lam == ft_lambda)]
-            refs.append((est, _mean([r.value for r in _collect(sel, est, "ft", method)])))
+            refs.append((est, _mean([r.value for r in _collect(sel, est, "ft")])))
         ys = [v for _, v in curve] + [v for _, v in refs]
         xaxis = _Axis([t for t, _ in curve], PAD_L, WIDTH - PAD_R)
         yaxis = _Axis(ys, HEIGHT - PAD_B, PAD_T)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _default_tau_grid
 from .estimators import EstimatorKind
 from .risk import AnalyticRisk, DesignPair, TermRisk, _Quad
 from .spectra import SpectrumSpec, build_eigenvalues, effective_rank
@@ -121,7 +122,7 @@ def verify_theorem_orderings(
     if lambda_grid is None:
         lambda_grid = [lam_star / 2, lam_star, 2 * lam_star]
     if tau_grid is None:
-        tau_grid = list(np.round(np.linspace(0.0, 1.0, 21), 10))
+        tau_grid = _default_tau_grid()
     lambda_grid = sorted(set(float(v) for v in lambda_grid))
     tau_grid = sorted(set(float(v) for v in tau_grid))
 

@@ -76,6 +76,29 @@ def test_config_defaults_are_case_a():
     assert default == case_a
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_config_takes_its_case_keys_however_built(case):
+    # a library run_sweep labels its rows with the case, so the sizes must be the case's
+    built, loaded = ExperimentConfig(case=case), config_from_dict({"case": case})
+    assert built == loaded
+    assert {k: getattr(built, k) for k in preset_defaults(case)} == preset_defaults(case)
+    # an explicit size key wins over the case's; the others still come from the case
+    given = ExperimentConfig(case=case, n=24)
+    assert given.n == 24 and given.p_tilde == preset_defaults(case)["p_tilde"]
+    assert config_from_dict({"case": case, "n": 24}) == given
+    with pytest.raises(ConfigError, match="n: must be a positive integer, got None"):
+        config_from_dict({"case": case, "n": None})
+    with pytest.raises(ConfigError, match="p_tilde: must be a positive integer, got None"):
+        ExperimentConfig(case=case, p_tilde=None)
+
+
+def test_config_refuses_an_unknown_case():
+    with pytest.raises(ValueError, match="unknown case 'z'"):
+        ExperimentConfig(case="z")
+    with pytest.raises(ConfigError, match="unknown case 'z'"):
+        config_from_dict({"case": "z"})
+
+
 def test_config_rejects_negative_zeta2():
     with pytest.raises(ConfigError, match="zeta2"):
         small_config(zeta2=-0.5)
