@@ -23,7 +23,7 @@ _SUBMODULE_NAMES = {
     "presets": ("preset_environment", "preset_points", "theorem_check_env"),
     "risk": ("AnalyticRisk", "DesignPair", "FtResolvent", "RiskReport", "TaskRisk",
              "lemma_approx_risk", "mc_expected_risks"),
-    "spectra": ("SpectrumSpec", "UndefinedRankError", "build_eigenvalues", "effective_rank"),
+    "spectra": ("SpectrumSpec",),
     "svgplot": ("MissingSeriesError", "render_tradeoff_svg"),
     "synth": ("TaskEnvironment", "derive_rng", "sample_design", "sample_designs",
               "sample_theta_c"),

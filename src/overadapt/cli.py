@@ -37,7 +37,7 @@ start_single_threaded()  # before the imports below load numpy
 
 from .config import FORMATS, METHODS, ConfigError, config_from_dict, load_config, save_config
 from .estimators import EstimatorKind, SingularDesignError
-from .presets import CASES, FT_ONLY_LAMBDA, preset_defaults, preset_points, theorem_check_env
+from .presets import CASES, FT_ONLY_LAMBDA, FULL_P, preset_points, theorem_check_env
 from .spectra import SpectrumSpec
 from .synth import derive_rng
 
@@ -169,7 +169,7 @@ def _run(args, config, kinds, name: str, save_config_to: str | None = None) -> i
 
 
 def _cmd_preset(args) -> int:
-    config = _config(args, {"case": args.case, **preset_defaults(args.case, args.full)})
+    config = _config(args, {"case": args.case, **({"p": FULL_P} if args.full else {})})
     if args.plot and "analytic" not in config.methods:
         raise ValueError("--plot draws the analytic rows; add analytic to --methods")
     return _run(args, config, preset_points(config), f"preset_{args.case}")

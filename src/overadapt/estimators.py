@@ -124,6 +124,12 @@ class EstimatorKind:
             return self.lam, 1.0
         return self.lam, self.tau
 
+    @property
+    def shown(self) -> tuple[float | None, float | None]:
+        """(lam, tau) as rows and reports show them: None for one the kind does not take."""
+        return tuple(getattr(self, k) if k in self.PARAMS[self.name] else None
+                     for k in ("lam", "tau"))
+
     @classmethod
     def pretrained(cls):
         return cls(PRETRAINED)

@@ -40,7 +40,7 @@ import numpy.random  # noqa: F401
 from ._blas import pin_single_thread
 from .config import ExperimentConfig, config_from_dict
 from .estimators import EstimatorKind
-from .presets import preset_defaults, preset_points
+from .presets import FULL_P, preset_points
 from .risk import (
     TASKS,
     TERM_KEYS,
@@ -122,9 +122,7 @@ def write_results(rows, path, format: str = "csv") -> None:
 
 
 def rows_from_report(report: RiskReport, case: str, seed: int) -> list[ResultRow]:
-    # a row gives lambda and tau only where its kind takes them
-    free = EstimatorKind.PARAMS[report.kind.name]
-    lam, tau = (getattr(report.kind, k) if k in free else None for k in ("lam", "tau"))
+    lam, tau = report.kind.shown
     rows = []
     for task in TASKS:
         tr = report.task(task)
@@ -333,5 +331,6 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None,
 def run_preset(case: str, overrides: dict | None = None, full: bool = False,
                workers: int | None = None) -> SweepResult:
     """One built-in case, with ``overrides`` on its config, over its preset points."""
-    config = config_from_dict({"case": case, **preset_defaults(case, full), **(overrides or {})})
+    sizes = {"p": FULL_P} if full else {}  # the config fills the case's other sizes
+    config = config_from_dict({"case": case, **sizes, **(overrides or {})})
     return run_sweep(config, workers, preset_points(config))

@@ -43,12 +43,13 @@ r2 = theta_c_norm^2/p and o the elementwise product:
 A fixed theta_c replaces the bias term's sphere average by its value: with
 h = (I - X^T A^-1 X) theta_c and g = U^T Xt h, it is
 (h^T D h, -2 (U^T Xt D h) o g, (g g^T) o M).  The terms are pinned to dense
-p x p evaluation in the tests.  The covariances are constant on a few runs
-of coordinates (three for every config), so S_X(D), S_Xt(D), C(D) and G are
-spectrum-weighted sums of one Gram per run of the stacked rows [X; Xt]
-(``DesignPair``): one pass over the design columns per design pair, and no
-p x n array.  A and At, and so both solvers, are diagonal blocks of the
-summed Gram.  A diagonal H is kept as its diagonal, so the two-term
+p x p evaluation in the tests.  The spectra come as (count, value) blocks,
+so the covariances are constant on the few runs their merged edges make
+(three for every config): S_X(D), S_Xt(D), C(D) and G are spectrum-weighted
+sums of one Gram per run of the stacked rows [X; Xt] (``DesignPair``), one
+pass over the drawn design columns, with no length-p or p x n array.  A and
+At, and so both solvers, are diagonal blocks of the summed Gram.  A diagonal
+H is kept as its diagonal, so the two-term
 shortcut (term_zeta2 and term_sigma_tilde, built by ``FtResolvent``) costs
 O(n) per point; the exact evaluator costs O(n^2) per lam, keeps each lam's
 quadratics, and then O(1) per tau.
@@ -84,6 +85,7 @@ its cost grows with the number of lambdas, not of points.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -136,13 +138,9 @@ class RiskReport:
         return getattr(self, name)
 
     def to_dict(self) -> dict:
-        d = {
-            "method": self.method,
-            "estimator": self.kind.name,
-            "lambda": self.kind.lam,
-            "tau": self.kind.tau,
-            "draws": self.draws,
-        }
+        lam, tau = self.kind.shown
+        d = {"method": self.method, "estimator": self.kind.name, "lambda": lam, "tau": tau,
+             "draws": self.draws}
         for name, tr in (("pre", self.pre), ("ft", self.ft)):
             d[f"l_{name}"] = tr.value
             d[f"terms_{name}"] = dict(tr.terms)
@@ -201,23 +199,32 @@ class Term:
         return _Quad(0.0, self.b @ dd, 2.0 * (self._apply(d) @ dd))
 
 
-def _runs(eigs: dict[str, np.ndarray]) -> list[tuple[int, int]]:
-    """The [lo, hi) coordinate runs on which every spectrum in ``eigs`` is constant."""
-    steps = np.any([np.diff(e) != 0 for e in eigs.values()], axis=0)
-    cuts = [int(c) + 1 for c in np.flatnonzero(steps)]
-    return list(zip([0, *cuts], [*cuts, steps.size + 1]))
+def _runs(blocks: dict[str, Sequence]) -> tuple[list[tuple[int, int]], dict[str, np.ndarray]]:
+    """The [lo, hi) coordinate runs on which every task's (count, value) blocks
+    are constant, and each task's value per run."""
+    blocks = {t: [(int(c), float(v)) for c, v in b if c] for t, b in blocks.items()}
+    ends = {t: np.cumsum([c for c, _ in b]) for t, b in blocks.items()}
+    p = {int(e[-1]) for e in ends.values()}
+    if len(p) != 1:
+        raise ValueError(f"the tasks' blocks cover different dimensions {sorted(p)}")
+    starts = [0, *sorted({int(e) for t, b in blocks.items()
+                          for e, (_, v), (_, w) in zip(ends[t], b, b[1:]) if v != w})]
+    values = {t: np.array([v for _, v in b])[np.searchsorted(ends[t], starts, side="right")]
+              for t, b in blocks.items()}
+    return list(zip(starts, [*starts[1:], *p])), values
 
 
 class DesignPair:
     """One seed's two designs, reduced once: one Gram per spectrum run.
 
-    A run is a stretch of coordinates on which both spectra are constant
-    (``_runs``).  One pass over the design columns forms, per run r, the Gram
-    C_r C_r^T of the stacked rows C = [X; Xt] (a fixed ``theta_c`` is one
-    more row), skipping products with a design that is zero on the run.  The
-    pair keeps those Grams, each run's spectrum value per task (``values``)
-    and size, ``tr_cov``, ``p`` and ``jitter``; nothing below reads X or Xt
-    again:
+    A run is a stretch of coordinates on which both tasks' spectra, given as
+    (count, value) blocks that cover p, are constant (``_runs``).  One pass
+    over the design columns forms, per run r, the Gram C_r C_r^T of the
+    stacked rows C = [X; Xt] (a fixed ``theta_c`` is one more row), skipping a
+    design on a run where its spectrum is zero, so a design may stop at the
+    end of its last nonzero block, as a drawn one does.  The pair keeps
+    those Grams, each run's spectrum value per task (``values``) and size,
+    ``tr_cov``, ``p`` and ``jitter``; nothing below reads X or Xt again:
 
     * ``S[t]`` = C D_t C^T and ``G`` = C C^T, spectrum-weighted sums;
     * ``solver_pre`` and ``solver_ft``, from G's diagonal blocks,
@@ -226,27 +233,28 @@ class DesignPair:
     * ``row_space()``, Monte Carlo's coordinates (see the module docstring).
     """
 
-    def __init__(self, X: np.ndarray, Xt: np.ndarray, eigs_pre: np.ndarray,
-                 eigs_ft: np.ndarray, theta_c: np.ndarray | None = None,
-                 jitter: bool = False):
-        eigs = {"pre": np.asarray(eigs_pre, dtype=float), "ft": np.asarray(eigs_ft, dtype=float)}
-        rows = [X, Xt] if theta_c is None else [X, Xt, np.asarray(theta_c, dtype=float)[None, :]]
-        self.n_pre, self.n, self.p = X.shape[0], Xt.shape[0], X.shape[1]
+    def __init__(self, X: np.ndarray, Xt: np.ndarray, blocks_pre: Sequence, blocks_ft: Sequence,
+                 theta_c: np.ndarray | None = None, jitter: bool = False):
+        blocks = {"pre": blocks_pre, "ft": blocks_ft}
+        tc = [] if theta_c is None else [(np.asarray(theta_c, dtype=float)[None, :], None)]
+        rows = [(X, "pre"), (Xt, "ft"), *tc]  # each row block with its task
+        self.n_pre, self.n = X.shape[0], Xt.shape[0]
         self.x, self.xt = slice(0, self.n_pre), slice(self.n_pre, self.n_pre + self.n)
         self.fixed_theta_c = theta_c is not None
         self.jitter = jitter
-        self.tr_cov = {t: float(np.sum(e)) for t, e in eigs.items()}
-        runs = _runs(eigs)
+        self.tr_cov = {t: float(sum(c * v for c, v in b)) for t, b in blocks.items()}
+        runs, self.values = _runs(blocks)
         self.sizes = [hi - lo for lo, hi in runs]
-        self.values = {t: e[[lo for lo, _ in runs]] for t, e in eigs.items()}
-        edges = np.cumsum([0, *(r.shape[0] for r in rows)])
-        blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        self.p = runs[-1][1]
+        edges = np.cumsum([0, *(r.shape[0] for r, _ in rows)])
+        spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
         self.grams = []
-        for lo, hi in runs:
+        for i, (lo, hi) in enumerate(runs):
             gram = np.zeros((edges[-1], edges[-1]))
-            live = [(b, r[:, lo:hi]) for b, r in zip(blocks, rows) if r[:, lo:hi].any()]
-            for i, (bi, ri) in enumerate(live):
-                for bj, rj in live[i:]:
+            live = [(b, r[:, lo:hi]) for b, (r, t) in zip(spans, rows)
+                    if t is None or self.values[t][i] != 0.0]
+            for k, (bi, ri) in enumerate(live):
+                for bj, rj in live[k:]:
                     gram[bi, bj] = ri @ rj.T
                     gram[bj, bi] = gram[bi, bj].T
             self.grams.append(gram)
@@ -257,7 +265,8 @@ class DesignPair:
     @classmethod
     def from_env(cls, X: np.ndarray, Xt: np.ndarray, env: TaskEnvironment,
                  theta_c: np.ndarray | None = None, jitter: bool = False) -> "DesignPair":
-        return cls(X, Xt, *env.eigenvalues(), theta_c=theta_c, jitter=jitter)
+        return cls(X, Xt, env.spectrum_pre.blocks, env.spectrum_ft.blocks,
+                   theta_c=theta_c, jitter=jitter)
 
     @cached_property
     def solver_pre(self) -> GramSolver:

@@ -1,8 +1,9 @@
 """Population model and finite-sample draws for the two-task regression setup.
 
-Generates the designs X (pretrain) and X_tilde (fine-tune), and the shared
-parameter theta_c that a ``fix_theta_c`` run holds fixed; the risk
-evaluators average over the rest of the model (exactly, or by Monte Carlo).
+Generates the designs X (pretrain) and X_tilde (fine-tune) as their drawn
+n x p_tilde blocks, read by ``risk.DesignPair`` with the spectra's blocks,
+and the shared parameter theta_c that a ``fix_theta_c`` run holds fixed;
+the evaluators average over the rest of the model, exactly or by Monte Carlo.
 All randomness flows through streams derived from (master_seed, purpose,
 replicate) so that parallel replicates are order-independent and every draw
 is bit-reproducible.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import SpectrumSpec, build_eigenvalues
+from .spectra import SpectrumSpec
 
 # Stable purpose codes for stream derivation.  A stream is seeded with
 # SeedSequence([master_seed, PURPOSE[tag], replicate]); changing any of the
@@ -87,9 +88,6 @@ class TaskEnvironment:
     def pretrain_samples(self) -> int:
         return self.n if self.n_pre is None else self.n_pre
 
-    def eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
-        return build_eigenvalues(self.spectrum_pre), build_eigenvalues(self.spectrum_ft)
-
 
 def _coord_draws(rng: np.random.Generator, shape, coord_dist: str) -> np.ndarray:
     """i.i.d. zero-mean unit-variance coordinates."""
@@ -120,16 +118,17 @@ def sample_design(
     rng: np.random.Generator,
     coord_dist: str = "gaussian",
 ) -> np.ndarray:
-    """Draw an n x p design whose rows have covariance diag(eigenvalues).
+    """Draw a design whose rows have covariance diag(eigenvalues), as its n x p_tilde block.
 
-    Row i is sqrt(eigs) * eta_i elementwise; columns where the spectrum is
-    zero are exactly zero (coordinates there are never drawn).
+    Row i is sqrt(eigs) * eta_i elementwise: the unit block keeps its draws
+    and the tail block is scaled by sqrt(gamma).  The p - p_tilde zero
+    columns past the support are neither drawn nor returned.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     X = _coord_draws(rng, (n, spec.p_tilde), coord_dist)
-    X *= np.sqrt(build_eigenvalues(spec)[: spec.p_tilde])
-    return X if spec.p_tilde == spec.p else np.pad(X, ((0, 0), (0, spec.p - spec.p_tilde)))
+    X[:, spec.k_star:] *= np.sqrt(spec.gamma)
+    return X
 
 
 def sample_designs(

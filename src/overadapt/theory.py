@@ -22,7 +22,7 @@ import numpy as np
 from .config import _default_tau_grid
 from .estimators import EstimatorKind
 from .risk import AnalyticRisk, DesignPair, TermRisk, _Quad
-from .spectra import SpectrumSpec, build_eigenvalues, effective_rank
+from .spectra import SpectrumSpec
 from .synth import TaskEnvironment, _wishart_bartlett, derive_rng, sample_designs
 
 # A chain inequality counts as strict only if the gap beats this fraction of
@@ -184,11 +184,12 @@ def verify_theorem_orderings(
     )
 
 
-def _tail_gram_extremes(rng: np.random.Generator, n: int, tail: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues of one draw of ``Z diag(tail) Z^T``, tail constant, Z Gaussian."""
-    rank, dof = sorted((n, tail.size))
-    evs = tail[0] * np.linalg.eigvalsh(_wishart_bartlett(rng, rank, dof))
-    return (0.0 if tail.size < n else evs[0]), evs[-1]
+def _tail_gram_extremes(rng: np.random.Generator, n: int, gamma: float,
+                        m: int) -> tuple[float, float]:
+    """Extreme eigenvalues of one draw of ``gamma Z Z^T``, Z an n x m Gaussian block."""
+    rank, dof = sorted((n, m))
+    evs = gamma * np.linalg.eigvalsh(_wishart_bartlett(rng, rank, dof))
+    return (0.0 if m < n else evs[0]), evs[-1]
 
 
 @dataclass(frozen=True)
@@ -227,21 +228,18 @@ def eigen_band_check(
     """
     if rng is None:
         rng = derive_rng(0, "eigen", 0)
-    eigs = build_eigenvalues(spec)
-    k = spec.k_star
-    pivot = eigs[k] if k < eigs.size else 0.0
-    if pivot <= 0.0:
+    # the tail block's value is the pivot, and its size the effective rank r_k
+    gamma, r_k = spec.gamma, spec.p_tilde - spec.k_star
+    if gamma <= 0.0 or r_k == 0:
         return EigenBandReport(
             trials=trials, inside=0, rate=0.0, scale=0.0, band=band,
             regime_ok=False, note="tail is zero: tail Gram vanishes identically",
         )
-    r_k = effective_rank(eigs, k)
-    scale = pivot * r_k
+    scale = gamma * r_k
     regime_ok = r_k >= n
-    tail = eigs[k : spec.p_tilde]
     inside = 0
     for _ in range(trials):
-        smallest, largest = _tail_gram_extremes(rng, n, tail)
+        smallest, largest = _tail_gram_extremes(rng, n, gamma, r_k)
         if band[0] * scale <= smallest and largest <= band[1] * scale:
             inside += 1
     note = "" if regime_ok else f"regime violated: r_k = {r_k:.4g} < n = {n}"

@@ -18,6 +18,16 @@ from overadapt.risk import _MC_BATCH, _off_span_gram, _Quad
 from overadapt.theory import TWO_TERMS
 
 
+def eigenvalues(blocks):
+    """The length-p eigenvalue vector of (count, value) blocks, for the dense references."""
+    return np.repeat([float(v) for _, v in blocks], [int(c) for c, _ in blocks])
+
+
+def padded(X, p):
+    """A design with its zero columns past its width written out, for the dense references."""
+    return np.pad(X, ((0, 0), (0, p - X.shape[1])))
+
+
 def minnorm_oracle(X, Y):
     """Least-norm interpolant via dense SVD pseudo-inverse."""
     return np.linalg.pinv(X) @ Y
@@ -61,7 +71,9 @@ def mc_dense_risk_draws(X, Xt, env, kinds, draws, rng, theta_c=None):
     ``estimator_oracle`` on those shared draws and weighs the errors with the
     spectra.  Returns one {task: per-draw risks} per kind.
     """
-    eigs = dict(zip(("pre", "ft"), env.eigenvalues()))
+    eigs = {"pre": eigenvalues(env.spectrum_pre.blocks),
+            "ft": eigenvalues(env.spectrum_ft.blocks)}
+    X, Xt = padded(X, env.p), padded(Xt, env.p)
     n_pre, p = X.shape
     n = Xt.shape[0]
 
@@ -165,21 +177,24 @@ class CountingRng:
         return counted
 
 
-def dense_risk_terms(X, Xt, eigs_pre, eigs_ft, zeta1, zeta2, sigma2, sigma2_tilde,
+def dense_risk_terms(X, Xt, blocks_pre, blocks_ft, zeta1, zeta2, sigma2, sigma2_tilde,
                      lam, tau, task, theta_c=None, theta_c_norm=1.0):
     """Exact conditional risk terms through dense p x p operators.
 
     Builds the error coefficient operator of every randomness source
-    explicitly and evaluates the covariance-weighted quadratic forms.
+    explicitly and evaluates the covariance-weighted quadratic forms.  The
+    spectra are (count, value) blocks; a design may stop at its width.
     """
-    p = X.shape[1]
+    eigs = eigenvalues(blocks_pre if task == "pre" else blocks_ft)
+    p = eigs.size
+    X, Xt = padded(X, p), padded(Xt, p)
     n = Xt.shape[0]  # the ridge penalty scales with the fine-tune sample count
     A = X @ X.T
     R = Xt @ Xt.T + n * lam * np.eye(n)
     P = X.T @ np.linalg.solve(A, X)
     K = tau * (Xt.T @ np.linalg.solve(R, Xt))
     I = np.eye(p)
-    D = np.diag(eigs_pre if task == "pre" else eigs_ft)
+    D = np.diag(eigs)
     C_tc = -(I - K) @ (I - P)
     C_a1 = ((I - K) @ P - I) if task == "pre" else (I - K) @ P
     C_a2 = K if task == "pre" else (K - I)
@@ -199,14 +214,19 @@ def dense_risk_terms(X, Xt, eigs_pre, eigs_ft, zeta1, zeta2, sigma2, sigma2_tild
 
 
 def random_block_instance(rng, n=5, p=11, p_tilde=None, k_star=2):
-    """Random designs plus irregular spectra for oracle comparisons."""
+    """Random designs plus irregular spectra, as blocks, for oracle comparisons.
+
+    Every nonzero eigenvalue is its own one-coordinate block; the fine-tune
+    spectrum ends in one zero block, which its n x p_tilde design omits.
+    """
     p_tilde = p_tilde or max(k_star + 2, p - 3)
     eigs_pre = np.sort(rng.uniform(0.05, 1.0, p))[::-1]
     eigs_ft = np.zeros(p)
     eigs_ft[:p_tilde] = np.sort(rng.uniform(0.05, 1.0, p_tilde))[::-1]
     X = rng.standard_normal((n, p)) * np.sqrt(eigs_pre)
     Xt = rng.standard_normal((n, p)) * np.sqrt(eigs_ft)
-    return X, Xt, eigs_pre, eigs_ft
+    blocks_ft = [(1, v) for v in eigs_ft[:p_tilde]] + [(p - p_tilde, 0.0)] * (p > p_tilde)
+    return X, Xt[:, :p_tilde], [(1, v) for v in eigs_pre], blocks_ft
 
 
 def two_term(ev, lam, objective="ft", dlam=False):

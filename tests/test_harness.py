@@ -693,6 +693,25 @@ def test_cli_risk_json_and_numerical_failure(tmp_path, monkeypatch, capsys):
     assert "--case" in captured.err and "--config" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("estimator, flags, shown", [
+    ("pretrained", [], (None, None)),
+    ("ridgeless_ft", [], (None, None)),
+    ("ridge_ft", ["--lambda", "1e-3"], (1e-3, None)),
+    ("ensemble", ["--lambda", "1e-3", "--tau", "0.5"], (1e-3, 0.5)),
+])
+def test_cli_risk_json_shows_only_the_parameters_its_kind_takes(tmp_path, capsys, estimator,
+                                                                flags, shown):
+    # the JSON report and the rows show lambda and tau alike: null where the kind
+    # takes no such parameter (the pretrained estimator is tau = 0, not 1)
+    argv = ["risk", "--estimator", estimator, "--case", "a", "--method", "lemma_approx", *flags]
+    assert cli_main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["lambda"], payload["tau"]) == shown
+    out = tmp_path / "risk.json"
+    assert cli_main([*argv, "--format", "json", "--out", str(out)]) == 0
+    assert {(row["lambda"], row["tau"]) for row in json.loads(out.read_text())} == {shown}
+
+
 @pytest.mark.parametrize("fmt, method, overrides", [
     pytest.param("csv", "analytic", {}, id="csv"),
     pytest.param("json", "analytic", {}, id="json"),

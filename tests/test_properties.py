@@ -17,14 +17,27 @@ from hypothesis import strategies as st
 from overadapt.estimators import EstimatorKind
 from overadapt.risk import TERM_KEYS, AnalyticRisk, DesignPair, lemma_approx_risk
 
-from oracles import dense_risk_terms
+from oracles import dense_risk_terms, eigenvalues, padded
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-def _piecewise(rng, lengths, lo=0.05):
-    """A spectrum constant on runs of the given lengths, values in [lo, 1]."""
-    return np.repeat(rng.uniform(lo, 1.0, len(lengths)), lengths)
+def _blocks(rng, lengths, p, lo=0.05):
+    """Blocks of the given lengths, the last one stretched to p, values in [lo, 1]."""
+    counts = [*lengths[:-1], p - sum(lengths[:-1])]
+    return list(zip(counts, rng.uniform(lo, 1.0, len(counts))))
+
+
+def _support(blocks, width):
+    """``blocks`` cut at coordinate ``width``, then one zero block to their end.
+
+    Blocks past the cut keep a count of zero, which the pair must skip.
+    """
+    out, lo = [], 0
+    for count, value in blocks:
+        out.append((min(max(width - lo, 0), count), value))
+        lo += count
+    return [*out, (lo - width, 0.0)]
 
 
 @st.composite
@@ -35,17 +48,24 @@ def run_lengths(draw, least=1):
         lambda v: sum(v) >= least))
 
 
-def _design(rng, rows, eigs, coord_dist):
-    """Rows of i.i.d. Gaussian or Rademacher coordinates scaled by sqrt(eigs)."""
+def _design(rng, rows, blocks, coord_dist="gaussian"):
+    """Rows of i.i.d. Gaussian or Rademacher coordinates scaled by the blocks' sqrt values.
+
+    The design stops at its last nonzero block, as a drawn design does, so it
+    is narrower than p whenever its spectrum ends in zeros.
+    """
+    eigs = eigenvalues(blocks)
     if coord_dist == "gaussian":
         Z = rng.standard_normal((rows, eigs.size))
     else:
         Z = rng.integers(0, 2, (rows, eigs.size)) * 2.0 - 1.0
-    return Z * np.sqrt(eigs)
+    width = np.flatnonzero(eigs)[-1] + 1 if eigs.any() else 0
+    return (Z * np.sqrt(eigs))[:, :width]
 
 
-def _stack(X, Xt, theta_c):
-    return np.vstack([X, Xt] if theta_c is None else [X, Xt, theta_c[None, :]])
+def _stack(X, Xt, theta_c, p):
+    rows = [padded(X, p), padded(Xt, p)]
+    return np.vstack(rows if theta_c is None else [*rows, theta_c[None, :]])
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_pre=st.integers(1, 5), n=st.integers(1, 5),
@@ -56,20 +76,24 @@ def test_pair_grams_equal_the_dense_weighted_products(seed, n_pre, n, fixed_thet
                                                       lengths_pre, lengths_ft, zero_runs):
     rng = np.random.default_rng(seed)
     p = max(sum(lengths_pre), sum(lengths_ft))
-    eigs = {"pre": _piecewise(rng, [*lengths_pre[:-1], p - sum(lengths_pre[:-1])]),
-            "ft": _piecewise(rng, [*lengths_ft[:-1], p - sum(lengths_ft[:-1])])}
-    eigs["ft"][max(p - zero_runs, 0):] = 0.0  # a support that ends before p
-    X = rng.standard_normal((n_pre, p)) * np.sqrt(eigs["pre"])
-    Xt = rng.standard_normal((n, p)) * np.sqrt(eigs["ft"])  # zero past its support
+    # a fine-tune support that ends before p, its design stopping there
+    blocks = {"pre": _blocks(rng, lengths_pre, p),
+              "ft": _support(_blocks(rng, lengths_ft, p), max(p - zero_runs, 0))}
+    X, Xt = _design(rng, n_pre, blocks["pre"]), _design(rng, n, blocks["ft"])
     theta_c = rng.standard_normal(p) if fixed_theta_c else None
-    pair = DesignPair(X, Xt, eigs["pre"], eigs["ft"], theta_c=theta_c)
-    C = _stack(X, Xt, theta_c)
-    for t, e in [*eigs.items(), ("total", np.ones(p))]:
+    pair = DesignPair(X, Xt, blocks["pre"], blocks["ft"], theta_c=theta_c)
+    assert pair.p == p
+    with pytest.raises(ValueError, match="different dimensions"):
+        DesignPair(X, Xt, blocks["pre"], [*blocks["ft"], (1, 0.0)])
+    C = _stack(X, Xt, theta_c, p)
+    for t, e in [*((t, eigenvalues(b)) for t, b in blocks.items()), ("total", np.ones(p))]:
         got = pair.G if t == "total" else pair.S[t]
         want = (C * e) @ C.T
         # |sum_k a_k b_k e_k| <= sqrt(D_i D_j): the scale of each entry's rounding
         scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
         assert np.all(np.abs(got - want) <= 1e-12 * scale), t
+        if t != "total":
+            assert pair.tr_cov[t] == pytest.approx(e.sum(), rel=1e-12), t
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), n_pre=st.integers(1, 6),
@@ -83,22 +107,21 @@ def test_row_space_coordinates_reproduce_each_run_gram(seed, n, n_pre, support, 
     rng = np.random.default_rng(seed)
     p_tilde = {"below": n - 1, "equal": n, "above": n + 3}[support]
     p = max(sum(lengths), p_tilde + 2)
-    cuts = [*lengths[:-1], p - sum(lengths[:-1])]
-    eigs_pre = _piecewise(rng, cuts)
-    eigs_ft = _piecewise(rng, cuts)
-    for k in zero_pre & set(range(len(cuts))):  # zero pretrain variance on some runs
-        eigs_pre[sum(cuts[:k]):sum(cuts[:k + 1])] = 0.0
-    eigs_ft[p_tilde:] = 0.0
+    # zero pretrain variance on some blocks; the fine-tune support ends at p_tilde
+    blocks_pre = [(c, 0.0 if k in zero_pre else v)
+                  for k, (c, v) in enumerate(_blocks(rng, lengths, p))]
+    blocks_ft = _support(_blocks(rng, lengths, p), p_tilde)
 
-    X, Xt = _design(rng, n_pre, eigs_pre, coord_dist), _design(rng, n, eigs_ft, coord_dist)
+    X, Xt = _design(rng, n_pre, blocks_pre, coord_dist), _design(rng, n, blocks_ft, coord_dist)
     theta_c = rng.standard_normal(p) if fixed_theta_c else None
-    pair = DesignPair(X, Xt, eigs_pre, eigs_ft, theta_c=theta_c)
-    C = _stack(X, Xt, theta_c)
+    pair = DesignPair(X, Xt, blocks_pre, blocks_ft, theta_c=theta_c)
+    C = _stack(X, Xt, theta_c, p)
     edges = np.cumsum([0, *pair.sizes])
     assert edges[-1] == p
-    for F, lo, hi in zip(pair.row_space(), edges, edges[1:]):
-        for t, e in (("pre", eigs_pre), ("ft", eigs_ft)):
-            assert np.all(e[lo:hi] == e[lo]), t  # both spectra are constant on a run
+    for i, (F, lo, hi) in enumerate(zip(pair.row_space(), edges, edges[1:])):
+        for t, b in (("pre", blocks_pre), ("ft", blocks_ft)):
+            # both spectra are constant on a run, at the run's value
+            assert np.all(eigenvalues(b)[lo:hi] == pair.values[t][i]), t
         want = C[:, lo:hi] @ C[:, lo:hi].T
         assert np.max(np.abs(F @ F.T - want), initial=0.0) <= 1e-12 * np.max(np.abs(want)), \
             (lo, hi)
@@ -126,11 +149,10 @@ def test_analytic_terms_match_the_dense_oracle(seed, n, n_pre, support, lengths,
     rng = np.random.default_rng(seed)
     p_tilde = {"below": n - 1, "equal": n, "above": n + 3}[support]
     p = max(sum(lengths), n_pre + 3, p_tilde + 2)
-    eigs_pre = _piecewise(rng, [*lengths[:-1], p - sum(lengths[:-1])])
-    eigs_ft = _piecewise(rng, [*lengths[:-1], p - sum(lengths[:-1])])
-    eigs_ft[p_tilde:] = 0.0
+    blocks_pre = _blocks(rng, lengths, p)
+    blocks_ft = _support(_blocks(rng, lengths, p), p_tilde)
 
-    X, Xt = _design(rng, n_pre, eigs_pre, coord_dist), _design(rng, n, eigs_ft, coord_dist)
+    X, Xt = _design(rng, n_pre, blocks_pre, coord_dist), _design(rng, n, blocks_ft, coord_dist)
     if support != "above":
         lam = lam or 1e-3  # a rank-deficient or square fine-tune Gram needs a penalty
     # the oracle's dense inverses and the evaluator's eigenbases agree to rel 1e-9
@@ -141,7 +163,7 @@ def test_analytic_terms_match_the_dense_oracle(seed, n, n_pre, support, lengths,
     if fixed_theta_c:
         theta_c = rng.standard_normal(p)
         theta_c *= 1.3 / np.linalg.norm(theta_c)
-    pair = DesignPair(X, Xt, eigs_pre, eigs_ft, theta_c=theta_c)
+    pair = DesignPair(X, Xt, blocks_pre, blocks_ft, theta_c=theta_c)
     ev = AnalyticRisk(pair, *variances, theta_c_norm=1.3)
     kind = _kind(lam, tau)
     # the two-term shortcut reads only the fine-tune shift and noise variances
@@ -151,7 +173,7 @@ def test_analytic_terms_match_the_dense_oracle(seed, n, n_pre, support, lengths,
     for task in ("pre", "ft"):
         got = ev.task_risk(kind, task).terms
         # at tau = 0 the terms do not depend on lam, which keeps the oracle's R invertible
-        want = dense_risk_terms(X, Xt, eigs_pre, eigs_ft, *variances, lam, tau, task,
+        want = dense_risk_terms(X, Xt, blocks_pre, blocks_ft, *variances, lam, tau, task,
                                 theta_c=theta_c, theta_c_norm=1.3)
         assert {k: lemma.task(task).terms[k] for k in two} == pytest.approx(
             {k: want[k] for k in two}, rel=1e-9, abs=1e-12), task

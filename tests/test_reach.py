@@ -23,8 +23,6 @@ KEPT = {
     "risk.Term.dlam",
     # bench/tracing.py wraps it by name, so it goes with the benchmark's mend
     "risk.FtResolvent.traces",
-    # the p-free design pairs will read a spectrum's trace without its eigenvalues
-    "spectra.SpectrumSpec.trace",
     # library conveniences the tests and library callers use
     "harness.run_preset",
     "presets.preset_environment",

@@ -18,7 +18,7 @@ from overadapt.risk import (
     lemma_approx_risk,
     mc_expected_risks,
 )
-from overadapt.spectra import SpectrumSpec, build_eigenvalues
+from overadapt.spectra import SpectrumSpec
 from overadapt.synth import (
     TaskEnvironment,
     derive_rng,
@@ -31,6 +31,7 @@ from oracles import (
     dense_risk_terms,
     mc_dense_risk_draws,
     mc_pointwise_risk_draws,
+    padded,
     random_block_instance,
 )
 
@@ -71,9 +72,9 @@ def draw_pair(env, seed=0, theta_c=None):
 def test_analytic_terms_match_dense_oracle():
     rng = np.random.default_rng(7)
     for trial in range(4):
-        X, Xt, eigs_pre, eigs_ft = random_block_instance(
+        X, Xt, blocks_pre, blocks_ft = random_block_instance(
             rng, n=5, p=11, p_tilde=7, k_star=2)
-        ev = AnalyticRisk(DesignPair(X, Xt, eigs_pre, eigs_ft),
+        ev = AnalyticRisk(DesignPair(X, Xt, blocks_pre, blocks_ft),
                           zeta1=0.3, zeta2=0.7, sigma2=0.2, sigma2_tilde=0.4,
                           theta_c_norm=1.3)
         for lam, tau in [(0.0, 1.0), (0.01, 1.0), (0.05, 0.35), (0.2, 0.8),
@@ -84,7 +85,7 @@ def test_analytic_terms_match_dense_oracle():
             for task in ("pre", "ft"):
                 got = ev.task_risk(kind, task).terms
                 want = dense_risk_terms(
-                    X, Xt, eigs_pre, eigs_ft, 0.3, 0.7, 0.2, 0.4,
+                    X, Xt, blocks_pre, blocks_ft, 0.3, 0.7, 0.2, 0.4,
                     *kind.effective, task, theta_c_norm=1.3)
                 for key in TERM_KEYS:
                     assert got[key] == pytest.approx(
@@ -93,10 +94,10 @@ def test_analytic_terms_match_dense_oracle():
 
 def test_analytic_fixed_theta_c_matches_dense_oracle():
     rng = np.random.default_rng(8)
-    X, Xt, eigs_pre, eigs_ft = random_block_instance(rng, n=4, p=9, p_tilde=6)
+    X, Xt, blocks_pre, blocks_ft = random_block_instance(rng, n=4, p=9, p_tilde=6)
     tc = rng.standard_normal(9)
     tc *= 1.3 / np.linalg.norm(tc)
-    ev = AnalyticRisk(DesignPair(X, Xt, eigs_pre, eigs_ft, theta_c=tc), 0.3, 0.7, 0.2, 0.4,
+    ev = AnalyticRisk(DesignPair(X, Xt, blocks_pre, blocks_ft, theta_c=tc), 0.3, 0.7, 0.2, 0.4,
                       theta_c_norm=1.3)
     for lam, tau in [(0.0, 1.0), (0.03, 0.6), (0.5, 1.0), (0.0, 0.0)]:
         kind = EstimatorKind.ensemble(lam, tau) if 0 < tau < 1 else (
@@ -104,7 +105,7 @@ def test_analytic_fixed_theta_c_matches_dense_oracle():
                 EstimatorKind.ridgeless() if lam == 0 else EstimatorKind.ridge(lam)))
         for task in ("pre", "ft"):
             got = ev.task_risk(kind, task).terms["bias_thetac"]
-            want = dense_risk_terms(X, Xt, eigs_pre, eigs_ft, 0.3, 0.7, 0.2, 0.4,
+            want = dense_risk_terms(X, Xt, blocks_pre, blocks_ft, 0.3, 0.7, 0.2, 0.4,
                                     *kind.effective, task, theta_c=tc)["bias_thetac"]
             assert got == pytest.approx(want, rel=1e-9, abs=1e-14)
 
@@ -201,7 +202,8 @@ def test_ft_resolvent_traces_match_dense_solves(duplicated):
     if duplicated:
         Xt[1] = Xt[0]  # singular Gram: jitter rescues it
     eigs = np.linspace(1.0, 0.1, p)
-    res = DesignPair(rng.standard_normal((n, p)), Xt, eigs, eigs, jitter=duplicated).resolvent
+    blocks = [(1, v) for v in eigs]
+    res = DesignPair(rng.standard_normal((n, p)), Xt, blocks, blocks, jitter=duplicated).resolvent
     assert (res.solver.jitter_applied > 0) == duplicated
     S = (Xt * eigs) @ Xt.T
     for lam in (0.0, 1e-7, 1e-3):
@@ -330,7 +332,7 @@ def block_ranks(X, Xt, env, theta_c=None):
     pre, ft = env.spectrum_pre, env.spectrum_ft
     cuts = sorted({0, pre.k_star, ft.k_star, pre.p_tilde, ft.p_tilde, env.p})
     rows = [X, Xt] if theta_c is None else [X, Xt, theta_c[None, :]]
-    C = np.vstack(rows)
+    C = np.vstack([padded(r, env.p) for r in rows])
     return [np.linalg.matrix_rank(C[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
@@ -535,6 +537,32 @@ def test_mc_memory_does_not_grow_with_p():
     assert peaks[0] == peaks[1]
 
 
+def test_pair_and_exact_evaluator_memory_does_not_grow_with_p():
+    # the spectra reach the pair as blocks: beside the drawn designs, a seed's
+    # pair and exact evaluator hold no length-p array (no eigenvalue vector, no
+    # zero-padded fine-tune design, no scan of the design columns)
+    def build(p):
+        env = config_from_dict({"case": "a", "p": p}).environment()
+        X = sample_design(env.spectrum_pre, env.n, derive_rng(0, "design_pre", 0))
+        Xt = sample_design(env.spectrum_ft, env.n, derive_rng(0, "design_ft", 0))
+        assert X.shape == (env.n, p) and Xt.shape == (env.n, env.spectrum_ft.p_tilde)
+        AnalyticRisk.from_env(DesignPair.from_env(X, Xt, env), env)
+        return X.nbytes + Xt.nbytes
+
+    build(2000)  # loads what the first build loads once
+    peaks = []
+    for p in (2000, 10**5):
+        tracemalloc.start()
+        try:
+            designs = build(p)
+            peaks.append(tracemalloc.get_traced_memory()[1] - designs)
+        finally:
+            tracemalloc.stop()
+    # a length-p array would grow by 8 (10^5 - 2000) bytes, 784 kB; the peaks
+    # differ only by the interpreter's own small allocations
+    assert peaks[1] - peaks[0] < 8 * 1000, peaks
+
+
 def mc_sweep_config(**overrides):
     raw = {
         "case": None, "n": 10, "p": 120, "p_tilde": 20, "k_star": 1,
@@ -587,8 +615,7 @@ def test_sweep_mc_bytes_equal_at_one_and_two_workers(tmp_path):
 def test_lemma_pretrained_is_pure_task_shift():
     env = desk_env()
     report = lemma_approx_risk(draw_pair(env, seed=12), env).report(EstimatorKind.pretrained())
-    eigs_ft = build_eigenvalues(env.spectrum_ft)
-    assert report.l_ft == pytest.approx(env.zeta2 * eigs_ft.sum(), rel=1e-12)
+    assert report.l_ft == env.zeta2 * (1 + 39 * 0.05)  # zeta2 tr D_ft, the block sum
     assert report.pre.value == 0.0
 
 

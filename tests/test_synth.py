@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from overadapt.spectra import SpectrumSpec, build_eigenvalues
+from overadapt.spectra import SpectrumSpec
 from overadapt.synth import (
     TaskEnvironment,
     derive_rng,
@@ -41,18 +41,24 @@ def test_derive_rng_reproducible_and_disjoint():
 
 def test_design_zero_block_columns():
     spec = SpectrumSpec(1, 0.0, 5, 1)  # lone unit eigenvalue, all-zero tail
+    assert spec.blocks == ((1, 1.0), (4, 0.0))  # the empty tail block is left out
     X = sample_design(spec, 4, derive_rng(0, "design_ft", 0))
-    assert np.all(X[:, 1:] == 0.0)
-    assert np.any(X[:, 0] != 0.0)
+    assert X.shape == (4, 1)  # the zero columns are not drawn
+    assert np.all(X[:, 0] != 0.0)
+    zero_tail = SpectrumSpec(1, 0.0, 5, 3)  # drawn, then scaled to zero
+    X = sample_design(zero_tail, 4, derive_rng(0, "design_ft", 0))
+    assert X.shape == (4, 3) and np.all(X[:, 1:] == 0.0)
 
 
 @pytest.mark.parametrize("p_tilde", [7, 12])
 def test_design_is_the_scaled_draw_padded_with_zeros(p_tilde):
     spec = SpectrumSpec(2, 0.3, 12, p_tilde)
+    # the returned block is the draw, scaled per block; the p - p_tilde zero
+    # columns that pad it to the full design are implied, not materialised
     X = sample_design(spec, 5, derive_rng(4, "design_ft", 0))
     Z = derive_rng(4, "design_ft", 0).standard_normal((5, p_tilde))
-    want = np.zeros((5, 12))
-    want[:, :p_tilde] = Z * np.sqrt(build_eigenvalues(spec)[:p_tilde])
+    want = Z * np.sqrt(np.r_[1.0, 1.0, np.full(p_tilde - 2, 0.3)])
+    assert X.shape == (5, p_tilde)
     assert np.array_equal(X, want)
 
 
@@ -68,7 +74,8 @@ def test_design_row_norm_matches_trace():
     spec = SpectrumSpec(1, 0.004, 1000, 1000)
     X = sample_design(spec, 10_000, derive_rng(2, "design_pre", 0))
     mean_sq = np.mean(np.sum(X * X, axis=1))
-    assert abs(mean_sq - spec.trace) < 0.03 * spec.trace
+    trace = 1 + 999 * 0.004
+    assert abs(mean_sq - trace) < 0.03 * trace
 
 
 def test_design_rademacher_rows():
@@ -94,7 +101,7 @@ def test_distinct_pretrain_sample_count():
     env = small_env(n_pre=20)
     X, X_tilde = sample_designs(env, master_seed=0)
     assert X.shape == (20, env.p)
-    assert X_tilde.shape == (env.n, env.p)
+    assert X_tilde.shape == (env.n, env.spectrum_ft.p_tilde)
 
 
 @pytest.mark.parametrize("coord_dist", ["gaussian", "rademacher"])

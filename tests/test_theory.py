@@ -8,7 +8,7 @@ from scipy.stats import ks_2samp
 from overadapt.estimators import EstimatorKind
 from overadapt.presets import theorem_check_env
 from overadapt.risk import AnalyticRisk, DesignPair, FtResolvent
-from overadapt.spectra import SpectrumSpec, build_eigenvalues
+from overadapt.spectra import SpectrumSpec
 from overadapt.synth import TaskEnvironment, _wishart_bartlett, derive_rng, sample_designs
 from overadapt.theory import (
     _tail_gram_extremes,
@@ -217,22 +217,24 @@ def test_eigen_band_check_concentrates():
     spec = SpectrumSpec(k_star=1, gamma=0.01, p=p, p_tilde=p)
     report = eigen_band_check(spec, n=n, trials=100, rng=derive_rng(0, "eigen", 0))
     assert report.regime_ok
-    assert report.scale == pytest.approx(0.01 * (p - 1), rel=1e-12)
+    assert report.scale == 0.01 * (p - 1)  # gamma times the tail's size, its effective rank
     assert report.rate >= 0.95
 
 
 def test_eigen_band_zero_tail_flagged():
-    spec = SpectrumSpec(k_star=1, gamma=0.0, p=50, p_tilde=50)
-    report = eigen_band_check(spec, n=5, trials=10, rng=derive_rng(1, "eigen", 0))
-    assert not report.regime_ok
-    assert report.scale == 0.0
-    assert "zero" in report.note
+    for spec in (SpectrumSpec(k_star=1, gamma=0.0, p=50, p_tilde=50),
+                 SpectrumSpec(k_star=4, gamma=0.3, p=50, p_tilde=4)):  # no tail block
+        report = eigen_band_check(spec, n=5, trials=10, rng=derive_rng(1, "eigen", 0))
+        assert not report.regime_ok
+        assert report.scale == 0.0
+        assert "zero" in report.note
 
 
 def test_eigen_band_single_sample_scalar_case():
     spec = SpectrumSpec(k_star=1, gamma=0.05, p=400, p_tilde=400)
     report = eigen_band_check(spec, n=1, trials=50, rng=derive_rng(2, "eigen", 0))
     assert report.regime_ok  # effective rank p-1 is far above b*n = 1
+    assert report.scale == 0.05 * 399
     assert report.rate >= 0.9
 
 
@@ -240,7 +242,8 @@ def test_eigen_band_regime_violation_reported_not_fatal():
     spec = SpectrumSpec(k_star=1, gamma=0.01, p=20, p_tilde=20)
     report = eigen_band_check(spec, n=100, trials=5, rng=derive_rng(3, "eigen", 0))
     assert not report.regime_ok
-    assert "regime violated" in report.note
+    assert report.scale == 0.01 * 19
+    assert "regime violated: r_k = 19 < n = 100" in report.note
     assert report.trials == 5
 
 
@@ -257,7 +260,7 @@ def test_wishart_extremes_match_dense_draws():
     n, m, gamma, trials = 10, 1999, 0.01, 2000
     tail = np.full(m, gamma)
     rng_w, rng_d = derive_rng(0, "eigen", 1), derive_rng(0, "eigen", 2)
-    wishart = np.array([_tail_gram_extremes(rng_w, n, tail)
+    wishart = np.array([_tail_gram_extremes(rng_w, n, gamma, m)
                         for _ in range(trials)])
     dense = np.array([dense_tail_extremes(rng_d, n, tail)
                       for _ in range(trials)])
@@ -280,10 +283,9 @@ def test_wishart_trace_mean(n, m):
 def test_wishart_rank_deficient_tail_has_zero_eigenvalue():
     n, m = 30, 20  # more samples than tail directions
     spec = SpectrumSpec(k_star=1, gamma=0.01, p=m + 1, p_tilde=m + 1)
-    tail = build_eigenvalues(spec)[1:]
     rng = derive_rng(4, "eigen", 0)
     for _ in range(5):
-        smallest, largest = _tail_gram_extremes(rng, n, tail)
+        smallest, largest = _tail_gram_extremes(rng, n, 0.01, m)
         assert smallest == 0.0 < largest
     report = eigen_band_check(spec, n=n, trials=50, band=(1e-12, 1e12),
                               rng=derive_rng(4, "eigen", 1))
@@ -292,9 +294,8 @@ def test_wishart_rank_deficient_tail_has_zero_eigenvalue():
 
 def test_wishart_single_sample_is_scaled_chi_square():
     m, gamma = 399, 0.05
-    tail = np.full(m, gamma)
     for seed in range(5):
-        smallest, largest = _tail_gram_extremes(derive_rng(seed, "eigen", 0), 1, tail)
+        smallest, largest = _tail_gram_extremes(derive_rng(seed, "eigen", 0), 1, gamma, m)
         expected = gamma * derive_rng(seed, "eigen", 0).chisquare(m)
         assert smallest == largest == pytest.approx(expected, rel=1e-14)
 
