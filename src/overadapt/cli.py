@@ -16,10 +16,10 @@ seed runs).
 
 ``main`` runs one command and returns its exit code, with no other effect on
 the process, so callers can run it in process.  ``entry`` is the process's
-own entry (``python -m overadapt.cli`` and the ``overadapt`` script): after
-``main`` it freezes the garbage collector's heap, which the collection at
-interpreter shutdown then skips; that took a command's exit from 44 to 15 ms
-on 2 cores.
+own entry (``python -m overadapt.cli`` and the ``overadapt`` script): it
+keeps OpenSSL out of the process before ``main``, and after it freezes the
+garbage collector's heap, which the collection at interpreter shutdown then
+skips; that took a command's exit from 44 to 15 ms on 2 cores.
 """
 
 from __future__ import annotations
@@ -278,7 +278,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> int:
-    """``main`` as the whole process: run it, then freeze the heap for the exit."""
+    """``main`` as the whole process, with OpenSSL kept out and the heap frozen for the exit."""
+    # numpy.random imports secrets, and with it hashlib, hmac and _hashlib,
+    # which maps OpenSSL's libcrypto (3.3 MB resident); the program hashes
+    # nothing.  Blocked, hashlib and hmac fall back to CPython's built-in
+    # hashes, silently, and the forked workers inherit the block: peak RSS
+    # 36.96 -> 33.53 MB on the benchmark's preset_sweep (2 cores)
+    sys.modules.setdefault("_hashlib", None)
     code = main()
     gc.freeze()
     return code

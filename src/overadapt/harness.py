@@ -33,8 +33,9 @@ import sys
 from dataclasses import dataclass, field
 
 # Every seed draws from numpy.random, which numpy loads on first use, with
-# secrets, hashlib and OpenSSL behind it.  Loaded here, before seeds fan out,
-# it is built once and inherited by each forked child instead of rebuilt there.
+# secrets and hashlib behind it (and OpenSSL, unless ``cli.entry`` kept it
+# out).  Loaded here, before seeds fan out, it is built once and inherited by
+# each forked child instead of rebuilt there.
 import numpy.random  # noqa: F401
 
 from ._blas import pin_single_thread
@@ -236,38 +237,56 @@ def _fork_join(jobs: list[tuple], k: int) -> list[tuple]:
     Child i evaluates ``jobs[i::k]`` and writes all its outputs to its own pipe
     at once, after its last job: while the parent drains another child's
     pipe, a child blocked on its own full pipe has no job left to run.  A
-    child that dies, or leaves output that does not unpickle, fails each of
-    its jobs.  Every child is reaped before this returns or raises: one not
-    yet reaped is killed.  The package starts no threads, and OpenBLAS stops
-    its own around a fork.  A child inherits the parent's modules, numpy.random
+    child that cannot start (no pipe or no process), dies, or leaves output
+    that does not unpickle, fails each of its jobs; the others run on.  Every
+    child is reaped before this returns or raises: one not yet reaped is
+    killed.  The package starts no threads, and OpenBLAS stops its own around
+    a fork.  A child inherits the parent's modules, numpy.random
     among them (imported with this module), so its first seed imports nothing:
     on preset a at p = 2000 that seed took 47 ms when the child loaded
     numpy.random itself and 18 ms when it inherited it (a later seed: 9 ms).
     """
     outputs: list = [None] * len(jobs)
-    running: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    running: dict[int, tuple[int, int]] = {}  # pid -> (i, read end of its pipe), until reaped
     sys.stdout.flush()  # so that no child inherits buffered output to write again
     sys.stderr.flush()
     try:
         for i in range(k):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child(jobs[i::k], write_end)
-            running[pid] = read_end
-            os.close(write_end)  # else the parent holds it open and EOF never comes
-        for i, pid in enumerate(list(running)):
-            with open(running[pid], "rb", closefd=False) as fh:
+            try:
+                pid, read_end = _start_child(jobs[i::k])
+            except OSError as exc:
+                outputs[i::k] = [(seed, None, f"worker could not start: {exc}")
+                                 for _, seed, _ in jobs[i::k]]
+                continue
+            running[pid] = (i, read_end)
+        for pid in list(running):
+            i, read_end = running[pid]
+            with open(read_end, "rb", closefd=False) as fh:
                 data = fh.read()
             status = os.waitpid(pid, 0)[1]
-            os.close(running.pop(pid))
+            os.close(running.pop(pid)[1])
             outputs[i::k] = _child_outputs(jobs[i::k], data, status)
     finally:
-        for pid, read_end in running.items():
+        for pid, (_, read_end) in running.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read_end)
     return outputs
+
+
+def _start_child(jobs: list[tuple]) -> tuple[int, int]:
+    """Fork a child that runs ``jobs``: its pid and the read end of its pipe."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _child(jobs, write_end)
+    except OSError:
+        os.close(read_end)
+        raise
+    finally:
+        os.close(write_end)  # else the parent holds it open and EOF never comes
+    return pid, read_end
 
 
 def _child(jobs: list[tuple], write_end: int) -> None:

@@ -511,10 +511,11 @@ def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[Estimator
     offset = {"pre": 1, "ft": 2}  # index of the task's offset in each off-span Gram
     sd = np.sqrt([1.0, env.zeta1, env.zeta2])
     # both offsets (each becomes its task's target, then its e0), theta_c's
-    # Gaussian, hat0, the ridge step, one scratch array and the label noise
+    # Gaussian, hat0, the ridge step and one scratch array; the labels (first
+    # Y, then Yt) and their noise (then the fine-tune fit of hat0)
     size = min(_MC_BATCH, draws)
     bufs = {k: np.empty(rank * size) for k in (*TASKS, "g", "hat0", "step", "scratch")}
-    noise = np.empty(max(n_pre, n) * size)
+    labels, noise = np.empty(max(n_pre, n) * size), np.empty(max(n_pre, n) * size)
 
     def batch(flat, rows=rank):
         return flat[: rows * m].reshape(rows, m)
@@ -555,12 +556,12 @@ def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[Estimator
                 for t, k in offset.items():
                     perp[t] += e[t] * zeta[t] * chi2[:, k - 1]
         target = {t: np.add(tc, alpha[t], out=batch(bufs[t])) for t in TASKS}
-        Y = Xq @ target["pre"]
+        Y = np.matmul(Xq, target["pre"], out=batch(labels, n_pre))
         Y += normals(batch(noise, n_pre), env.sigma2)
-        Yt = Xtq @ target["ft"]
-        Yt += normals(batch(noise, n), env.sigma2_tilde)
         hat0 = np.matmul(Xq.T, sp.solve(Y), out=batch(bufs["hat0"]))
-        Yt -= Xtq @ hat0  # the fine-tune residual
+        Yt = np.matmul(Xtq, target["ft"], out=batch(labels, n))
+        Yt += normals(batch(noise, n), env.sigma2_tilde)
+        Yt -= np.matmul(Xtq, hat0, out=batch(noise, n))  # the fine-tune residual
         # e0 = hat0 - target, in place of the target, and c0 = w.e0^2
         e0 = {t: np.subtract(hat0, target[t], out=target[t]) for t in TASKS}
         c0 = {t: weights[t] @ np.multiply(e, e, out=scratch) for t, e in e0.items()}

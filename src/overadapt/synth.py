@@ -12,6 +12,7 @@ is bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -106,10 +107,17 @@ def _wishart_bartlett(rng: np.random.Generator, a: int, dof: int, size=()) -> np
     axes; all below-diagonal normals are drawn first, then all chi-squares.
     """
     size = tuple(size)
+    below, diag = _bartlett_slots(a)
     L = np.zeros((*size, a, a))
-    L[(..., *np.tril_indices(a, -1))] = rng.standard_normal((*size, a * (a - 1) // 2))
-    L[(..., *np.diag_indices(a))] = np.sqrt(rng.chisquare(dof - np.arange(a), (*size, a)))
+    L[(..., *below)] = rng.standard_normal((*size, a * (a - 1) // 2))
+    L[(..., *diag)] = np.sqrt(rng.chisquare(dof - diag[0], (*size, a)))
     return L @ np.swapaxes(L, -1, -2)
+
+
+@cache
+def _bartlett_slots(a: int) -> tuple:
+    """The index arrays of an a x a factor's below-diagonal and diagonal entries."""
+    return np.tril_indices(a, -1), np.diag_indices(a)
 
 
 def sample_design(

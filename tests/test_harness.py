@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import pickle
@@ -276,6 +277,37 @@ def test_dead_worker_flags_its_seeds_and_keeps_the_others(tmp_path, monkeypatch,
                      "--workers", "2"]) == 2
     assert {line.split(",")[1] for line in out.read_text().splitlines()[1:]} == {"0", "2"}
     assert f"seed 1 failed: {reason}\n" in capsys.readouterr().err
+    assert_no_child_left()
+
+
+@forks
+def test_a_worker_that_cannot_start_flags_its_seeds_and_keeps_the_others(tmp_path, monkeypatch,
+                                                                         capsys):
+    # every second fork fails: the first child runs seeds 0 and 2 to the end, and
+    # seeds 1 and 3 are flagged, a numerical failure (exit 2), not an i/o error
+    cfg = small_config(replicates=4)
+    kept = [r for r in run_sweep(cfg, workers=1).rows if r.seed in (0, 2)]
+    fork, forks_made = os.fork, []
+
+    def flaky_fork():
+        forks_made.append(None)
+        if len(forks_made) % 2 == 0:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", flaky_fork)
+    reason = f"worker could not start: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+    result = run_sweep(cfg, workers=2)
+    assert result.failures == [(1, reason), (3, reason)]
+    assert result.rows == kept
+    assert_no_child_left()
+    cfg_path, out, expected = tmp_path / "cfg.json", tmp_path / "rows.csv", tmp_path / "kept.csv"
+    save_config(cfg, cfg_path)
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--workers", "2"]) == 2
+    write_results(kept, expected)
+    assert out.read_bytes() == expected.read_bytes()
+    assert capsys.readouterr().err == f"seed 1 failed: {reason}\nseed 3 failed: {reason}\n"
     assert_no_child_left()
 
 
@@ -915,6 +947,31 @@ def test_cli_process_entry_exit_codes_and_output(tmp_path, capsys):
         assert (proc.stdout, proc.stderr) == (expected.out, expected.err)
         assert all(text.endswith("\n") for text in (proc.stdout, proc.stderr) if text)
         assert (out.read_bytes() if out.exists() else None) == in_process
+
+
+@forks
+def test_cli_process_entry_keeps_openssl_out(tmp_path, monkeypatch, capsys):
+    # numpy.random imports secrets, hashlib and hmac; entry blocks _hashlib, so
+    # the process maps no libcrypto (nor do the workers it forks, which share
+    # its mappings) and writes the rows of cli.main in process
+    argv = ["preset", "a", "--replicates", "2", "--workers", "2"]
+    code = ("import json, sys\n"
+            "from overadapt import cli\n"
+            f"sys.argv = ['overadapt', *{argv!r}, '--out', 'entry.csv']\n"
+            "rc = cli.entry()\n"
+            "with open('/proc/self/maps') as fh:\n"
+            "    libcrypto = sorted({line.split()[-1] for line in fh if 'libcrypto' in line})\n"
+            "print(json.dumps([rc, libcrypto]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(overadapt.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    # main changes no process-wide state: it leaves _hashlib unblocked
+    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+    assert cli_main([*argv, "--out", str(tmp_path / "main.csv")]) == 0
+    assert "_hashlib" not in sys.modules
+    capsys.readouterr()
+    assert (tmp_path / "entry.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
 
 
 @forks

@@ -515,7 +515,8 @@ def test_mc_memory_grows_with_points_only_by_the_returned_draws():
     # the batch arrays are allocated once per call whatever the number of
     # points: 54 points over 22 lambdas hold only their per-draw risks more
     # than 4 do, and beside the returned risks a call holds its six rank x
-    # batch arrays and the label noise with a few n x batch temporaries
+    # batch arrays, the labels and their noise, and the Gram solves' two
+    # n x batch temporaries
     env = preset_environment("a")
     pair = DesignPair.from_env(*sample_designs(env, 0), env)
     kinds = preset_a_points()
@@ -525,7 +526,7 @@ def test_mc_memory_grows_with_points_only_by_the_returned_draws():
     assert many - few <= _returned_bytes(many_risks) - _returned_bytes(few_risks)
     rank = sum(F.shape[1] for F in pair.row_space())
     batch = 8 * _MC_BATCH  # bytes per row of a batch array
-    assert few - _returned_bytes(few_risks) <= batch * (6 * rank + 9 * max(pair.n_pre, pair.n))
+    assert few - _returned_bytes(few_risks) <= batch * (6 * rank + 6 * max(pair.n_pre, pair.n))
 
 
 def test_mc_memory_does_not_grow_with_p():
