@@ -20,13 +20,12 @@ _SUBMODULE_NAMES = {
                "save_config"),
     "estimators": ("EstimatorKind", "GramSolver", "SingularDesignError"),
     "harness": ("ResultRow", "SweepResult", "run_preset", "run_sweep", "write_results"),
-    "presets": ("preset_environment", "preset_points", "theorem_check_env"),
+    "presets": ("preset_points", "theorem_check_env"),
     "risk": ("AnalyticRisk", "DesignPair", "FtResolvent", "RiskReport", "TaskRisk",
              "lemma_approx_risk", "mc_expected_risks"),
     "spectra": ("SpectrumSpec",),
     "svgplot": ("MissingSeriesError", "render_tradeoff_svg"),
-    "synth": ("TaskEnvironment", "derive_rng", "sample_design", "sample_designs",
-              "sample_theta_c"),
+    "synth": ("derive_rng", "sample_design", "sample_designs", "sample_theta_c"),
     "theory": ("EigenBandReport", "OrderingReport", "eigen_band_check", "lambda_prime",
                "tau_prime", "verify_theorem_orderings"),
 }

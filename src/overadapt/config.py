@@ -1,4 +1,4 @@
-"""Flat-file experiment configuration.
+"""Flat-file experiment configuration, which is also the population model.
 
 A config is a single flat JSON object (no nesting, no includes) so that
 save(load(f)) is lossless byte-for-byte modulo key order.  A file may carry
@@ -19,7 +19,7 @@ import numpy as np
 from .estimators import EstimatorKind
 from .presets import TRADEOFF_LAMBDA, preset_defaults
 from .spectra import SpectrumSpec
-from .synth import TaskEnvironment
+from .synth import COORD_DISTS
 
 METHODS = ("analytic", "monte_carlo", "lemma_approx")
 FORMATS = ("csv", "json")
@@ -35,8 +35,16 @@ def _default_tau_grid() -> list[float]:
     return [round(0.05 * i, 10) for i in range(21)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings, and the population model that its seeds draw from.
+
+    Validated once, on construction, and frozen after it: ``synth``, ``risk``
+    and ``theory`` read it as ``env``.  zeta1/zeta2 are the per-coordinate
+    variances of the task offsets, sigma2/sigma2_tilde the label-noise
+    variances; n_pre, when set, is the pretrain sample count (else n).
+    """
+
     case: str | None = None
     n: int = _FROM_CASE
     p: int = _FROM_CASE
@@ -67,7 +75,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, value in preset_defaults("a" if self.case is None else self.case).items():
             if getattr(self, key) is _FROM_CASE:
-                setattr(self, key, value)
+                object.__setattr__(self, key, value)
         self.validate()
 
     def validate(self):
@@ -97,8 +105,8 @@ class ExperimentConfig:
         if not (1 <= self.k_star <= self.p_tilde <= self.p):
             fail("p_tilde", f"need 1 <= k_star <= p_tilde <= p, got "
                             f"k_star={self.k_star}, p_tilde={self.p_tilde}, p={self.p}")
-        if self.coord_dist not in ("gaussian", "rademacher"):
-            fail("coord_dist", f"must be gaussian or rademacher, got {self.coord_dist!r}")
+        if self.coord_dist not in COORD_DISTS:
+            fail("coord_dist", f"must be one of {COORD_DISTS}, got {self.coord_dist!r}")
         # bool is an int subclass, so JSON true would pass as 1
         for name in ("n_pre", "workers"):
             v = getattr(self, name)
@@ -119,6 +127,8 @@ class ExperimentConfig:
             fail("methods", "at least one method is required")
         if not self.estimators:
             fail("estimators", "at least one estimator is required")
+        for name in ("methods", "estimators"):  # a repeated name would repeat its rows
+            object.__setattr__(self, name, list(dict.fromkeys(getattr(self, name))))
         for name in ("lambda_grid", "tau_grid"):
             grid = getattr(self, name)
             if not isinstance(grid, (list, tuple)) or not grid:
@@ -126,21 +136,24 @@ class ExperimentConfig:
             for v in grid:
                 if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v < np.inf:
                     fail(name, f"entries must be finite non-negative numbers, got {v!r}")
-            setattr(self, name, sorted({float(v) for v in grid}))
+            object.__setattr__(self, name, sorted({float(v) for v in grid}))
         for v in self.tau_grid:
             if v > 1.0:
                 fail("tau_grid", f"tau values must lie in [0, 1], got {v}")
 
-    def environment(self) -> TaskEnvironment:
-        return TaskEnvironment(
-            n=self.n,
-            spectrum_pre=SpectrumSpec(self.k_star, self.gamma_pre, self.p, self.p),
-            spectrum_ft=SpectrumSpec(self.k_star, self.gamma_ft, self.p, self.p_tilde),
-            zeta1=self.zeta1, zeta2=self.zeta2,
-            sigma2=self.sigma2, sigma2_tilde=self.sigma2_tilde,
-            theta_c_norm=self.theta_c_norm, coord_dist=self.coord_dist,
-            n_pre=self.n_pre,
-        )
+    @property
+    def spectrum_pre(self) -> SpectrumSpec:
+        """The pretrain covariance's spectrum: supported on all p coordinates."""
+        return SpectrumSpec(self.k_star, self.gamma_pre, self.p, self.p)
+
+    @property
+    def spectrum_ft(self) -> SpectrumSpec:
+        """The fine-tune covariance's spectrum: supported on the first p_tilde."""
+        return SpectrumSpec(self.k_star, self.gamma_ft, self.p, self.p_tilde)
+
+    @property
+    def pretrain_samples(self) -> int:
+        return self.n if self.n_pre is None else self.n_pre
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

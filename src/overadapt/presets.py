@@ -13,8 +13,8 @@ interpolating estimators, the ridge family, and the ensemble weight sweep at
 each level of the config's ``lambda_grid`` (the trade-off level) and at the
 deliberately small ft-only level.
 
-Full-size runs use p = 10^4; the default trims the ambient dimension to
-p = 2000 to keep bench runs fast (nothing else changes).
+A case's p is 2000, to keep bench runs fast; full-size runs (``--full``) set
+p = ``FULL_P`` = 10^4 over it, and nothing else changes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .estimators import EstimatorKind
-from .synth import TaskEnvironment
 
 FULL_P = 10_000
 DESK_P = 2_000
@@ -62,18 +61,11 @@ def _sizes(n: int, p: int) -> dict:
     }
 
 
-def preset_defaults(case: str, full: bool = False) -> dict:
+def preset_defaults(case: str) -> dict:
     """The config keys one case sets (see config.ExperimentConfig for the rest)."""
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; known: {sorted(CASES)}")
-    return _sizes(CASES[case][0], FULL_P if full else DESK_P)
-
-
-def preset_environment(case: str, full: bool = False) -> TaskEnvironment:
-    """The simulation environment for one case label."""
-    from .config import config_from_dict
-
-    return config_from_dict(preset_defaults(case, full)).environment()
+    return _sizes(CASES[case][0], DESK_P)
 
 
 def preset_points(config) -> list[EstimatorKind]:
@@ -90,8 +82,8 @@ def preset_points(config) -> list[EstimatorKind]:
     return kinds
 
 
-def theorem_check_env(p: int = DESK_P, n: int = 40) -> TaskEnvironment:
-    """Environment used by the ordering suites.
+def theorem_check_env(p: int = DESK_P, n: int = 40):
+    """The ``ExperimentConfig`` (the model) that the ordering suites run on.
 
     The sizes follow n as a case's do: a fine-tune support of 2n keeps the
     fine-tune Gram away from squareness and strictly satisfies p_tilde > n.
@@ -102,7 +94,9 @@ def theorem_check_env(p: int = DESK_P, n: int = 40) -> TaskEnvironment:
     lower-order terms are negligible, and at p ~ 2000 the simulation-default
     constants leave them a percent-level perturbation.
     """
-    from .config import ExperimentConfig
+    from .config import ConfigError, ExperimentConfig
 
+    if n == 0:  # its tails n^-1.5 and 1/n divide by zero; the config rejects every other n
+        raise ConfigError(f"n: must be a positive integer, got {n!r}")
     return ExperimentConfig(**_sizes(n, p), zeta1=1e-5, zeta2=4e-2, sigma2=1.25e-2,
-                            sigma2_tilde=4e-2, theta_c_norm=0.25).environment()
+                            sigma2_tilde=4e-2, theta_c_norm=0.25)

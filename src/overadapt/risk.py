@@ -91,8 +91,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .estimators import EstimatorKind, GramSolver
-from .synth import TaskEnvironment, _wishart_bartlett
+from .synth import _wishart_bartlett
 
 TERM_KEYS = ("bias_thetac", "term_zeta1", "term_zeta2", "term_sigma", "term_sigma_tilde")
 
@@ -263,7 +264,7 @@ class DesignPair:
                   for t, vals in self.values.items()}
 
     @classmethod
-    def from_env(cls, X: np.ndarray, Xt: np.ndarray, env: TaskEnvironment,
+    def from_env(cls, X: np.ndarray, Xt: np.ndarray, env: ExperimentConfig,
                  theta_c: np.ndarray | None = None, jitter: bool = False) -> "DesignPair":
         return cls(X, Xt, env.spectrum_pre.blocks, env.spectrum_ft.blocks,
                    theta_c=theta_c, jitter=jitter)
@@ -435,7 +436,7 @@ class AnalyticRisk(TermRisk):
         super().__init__("analytic", res, all_terms)
 
     @classmethod
-    def from_env(cls, pair: DesignPair, env: TaskEnvironment) -> "AnalyticRisk":
+    def from_env(cls, pair: DesignPair, env: ExperimentConfig) -> "AnalyticRisk":
         return cls(pair, zeta1=env.zeta1, zeta2=env.zeta2, sigma2=env.sigma2,
                    sigma2_tilde=env.sigma2_tilde, theta_c_norm=env.theta_c_norm)
 
@@ -450,7 +451,7 @@ def _off_span_gram(rng: np.random.Generator, dof: int, m: int) -> np.ndarray:
 
 def mc_expected_risks(
     pair: DesignPair,
-    env: TaskEnvironment,
+    env: ExperimentConfig,
     kinds: list[EstimatorKind],
     draws: int,
     rng: np.random.Generator,
@@ -476,7 +477,7 @@ def mc_expected_risks(
             for kind, r in zip(kinds, risks)]
 
 
-def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[EstimatorKind],
+def _mc_risk_draws(pair: DesignPair, env: ExperimentConfig, kinds: list[EstimatorKind],
                    draws: int, rng: np.random.Generator) -> list[dict[str, np.ndarray]]:
     """The plug-in risk of every kind on each of ``draws`` shared draws, per task.
 
@@ -579,7 +580,7 @@ def _mc_risk_draws(pair: DesignPair, env: TaskEnvironment, kinds: list[Estimator
     return risks
 
 
-def lemma_approx_risk(pair: DesignPair, env: TaskEnvironment) -> TermRisk:
+def lemma_approx_risk(pair: DesignPair, env: ExperimentConfig) -> TermRisk:
     """Dominant-term shortcut: the exact evaluator's term_zeta2 and
     term_sigma_tilde only, the pair's shared ``FtResolvent.two_terms`` on both
     tasks, read like the exact evaluator's Terms.

@@ -1,9 +1,10 @@
-"""Population model and finite-sample draws for the two-task regression setup.
+"""Finite-sample draws for the two-task regression setup.
 
-Generates the designs X (pretrain) and X_tilde (fine-tune) as their drawn
-n x p_tilde blocks, read by ``risk.DesignPair`` with the spectra's blocks,
-and the shared parameter theta_c that a ``fix_theta_c`` run holds fixed;
-the evaluators average over the rest of the model, exactly or by Monte Carlo.
+Generates, from the model (a validated ``config.ExperimentConfig``, read as
+``env``), the designs X (pretrain) and X_tilde (fine-tune) as their drawn
+n x p_tilde blocks, read by ``risk.DesignPair`` with the spectra's blocks, and
+the shared parameter theta_c that a ``fix_theta_c`` run holds fixed; the
+evaluators average over the rest of the model, exactly or by Monte Carlo.
 All randomness flows through streams derived from (master_seed, purpose,
 replicate) so that parallel replicates are order-independent and every draw
 is bit-reproducible.
@@ -11,12 +12,15 @@ is bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .spectra import SpectrumSpec
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 # Stable purpose codes for stream derivation.  A stream is seeded with
 # SeedSequence([master_seed, PURPOSE[tag], replicate]); changing any of the
@@ -41,53 +45,6 @@ def derive_rng(master_seed: int, purpose: str, replicate: int = 0) -> np.random.
         raise ValueError(f"unknown purpose {purpose!r}; known: {sorted(PURPOSE)}")
     seq = np.random.SeedSequence([int(master_seed), PURPOSE[purpose], int(replicate)])
     return np.random.default_rng(seq)
-
-
-@dataclass(frozen=True)
-class TaskEnvironment:
-    """Full population model for one pretrain/fine-tune pair.
-
-    Variances: zeta1/zeta2 are the per-coordinate variances of the task
-    offsets, sigma2/sigma2_tilde the label-noise variances.  coord_dist is
-    the law of the whitened design coordinates.  n_pre, when set, gives the
-    pretrain task a different sample count from the fine-tune task.
-    """
-
-    n: int
-    spectrum_pre: SpectrumSpec
-    spectrum_ft: SpectrumSpec
-    zeta1: float
-    zeta2: float
-    sigma2: float
-    sigma2_tilde: float
-    theta_c_norm: float = 1.0
-    coord_dist: str = "gaussian"
-    n_pre: int | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.spectrum_pre.p != self.spectrum_ft.p:
-            raise ValueError(
-                f"spectra must share the ambient dimension: "
-                f"{self.spectrum_pre.p} != {self.spectrum_ft.p}"
-            )
-        for name in ("zeta1", "zeta2", "sigma2", "sigma2_tilde", "theta_c_norm"):
-            if not 0 <= getattr(self, name) < np.inf:  # False for NaN too
-                raise ValueError(f"{name} must be a finite non-negative number, "
-                                 f"got {getattr(self, name)!r}")
-        if self.coord_dist not in COORD_DISTS:
-            raise ValueError(f"coord_dist must be one of {COORD_DISTS}")
-        if self.n_pre is not None and self.n_pre < 1:
-            raise ValueError(f"n_pre must be >= 1, got {self.n_pre}")
-
-    @property
-    def p(self) -> int:
-        return self.spectrum_pre.p
-
-    @property
-    def pretrain_samples(self) -> int:
-        return self.n if self.n_pre is None else self.n_pre
 
 
 def _coord_draws(rng: np.random.Generator, shape, coord_dist: str) -> np.ndarray:
@@ -140,7 +97,7 @@ def sample_design(
 
 
 def sample_designs(
-    env: TaskEnvironment, master_seed: int, replicate: int = 0
+    env: ExperimentConfig, master_seed: int, replicate: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (pretrain, fine-tune) design pair of one replicate, one stream each."""
     X = sample_design(env.spectrum_pre, env.pretrain_samples,
@@ -150,7 +107,7 @@ def sample_designs(
     return X, X_tilde
 
 
-def sample_theta_c(env: TaskEnvironment, rng: np.random.Generator) -> np.ndarray:
+def sample_theta_c(env: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     """Draw theta_c uniform on the sphere of radius env.theta_c_norm.
 
     ``fix_theta_c`` runs hold one such draw fixed across every replicate.

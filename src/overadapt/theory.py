@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _default_tau_grid
+from .config import ExperimentConfig, _default_tau_grid
 from .estimators import EstimatorKind
 from .risk import AnalyticRisk, DesignPair, TermRisk, _Quad
 from .spectra import SpectrumSpec
-from .synth import TaskEnvironment, _wishart_bartlett, derive_rng, sample_designs
+from .synth import _wishart_bartlett, derive_rng, sample_designs
 
 # A chain inequality counts as strict only if the gap beats this fraction of
 # the values' scale; anything smaller is recorded as a tie.
@@ -32,7 +32,7 @@ STRICT_REL = 1e-12
 TWO_TERMS = ("term_zeta2", "term_sigma_tilde")
 
 
-def lambda_prime(env: TaskEnvironment) -> float:
+def lambda_prime(env: ExperimentConfig) -> float:
     """Risk-optimal ridge level for the fine-tune task."""
     if env.zeta2 <= 0:
         raise ValueError("lambda_prime needs zeta2 > 0")
@@ -105,7 +105,7 @@ def _chain(chains: list[list[float]]) -> tuple[bool | None, int, float]:
 
 
 def verify_theorem_orderings(
-    env: TaskEnvironment,
+    env: ExperimentConfig,
     seeds: int,
     lambda_grid=None,
     tau_grid=None,

@@ -13,19 +13,17 @@ import pytest
 
 from overadapt._blas import single_threaded
 from overadapt.estimators import EstimatorKind, GramSolver
-from overadapt.config import config_from_dict
+from overadapt.config import ExperimentConfig, config_from_dict
 from overadapt.harness import run_preset, run_sweep, write_results
 from overadapt.presets import (
     FT_ONLY_LAMBDA,
     RIDGE_FAMILY,
     TRADEOFF_LAMBDA,
-    preset_environment,
     theorem_check_env,
 )
 from overadapt.risk import AnalyticRisk, DesignPair, mc_expected_risks
 from overadapt.spectra import SpectrumSpec
 from overadapt.synth import (
-    TaskEnvironment,
     derive_rng,
     sample_design,
     sample_designs,
@@ -51,10 +49,8 @@ def report(index, ok, detail):
 
 
 def desk_instance_env(p=500, n=20):
-    return TaskEnvironment(
-        n=n,
-        spectrum_pre=SpectrumSpec(1, float(n) ** -1.5, p, p),
-        spectrum_ft=SpectrumSpec(1, 1.0 / n, p, 2 * n),
+    return ExperimentConfig(
+        n=n, p=p, p_tilde=2 * n, k_star=1, gamma_pre=float(n) ** -1.5, gamma_ft=1.0 / n,
         zeta1=1e-4, zeta2=1e-2, sigma2=1e-2, sigma2_tilde=1e-2,
         theta_c_norm=1.0,
     )
@@ -131,7 +127,7 @@ def test_c02_interpolation_and_ridge_limits():
 
 def test_c03_analytic_vs_monte_carlo():
     start = time.perf_counter()
-    env = preset_environment("a")  # p=2000, n=40, simulation constants
+    env = ExperimentConfig(case="a")  # p=2000, n=40, simulation constants
     kinds = [
         EstimatorKind.pretrained(),
         EstimatorKind.ridgeless(),

@@ -115,9 +115,10 @@ def test_public_names_resolve_on_access():
 
 
 class _ThreadProbeConfig:
-    """Stands in for an ExperimentConfig: evaluating a seed reports the BLAS threads."""
+    """Stands in for an ExperimentConfig: evaluating a seed reports the BLAS threads,
+    from whichever setting it reads first."""
 
-    def environment(self):
+    def __getattr__(self, name):
         raise RuntimeError(f"threads {thread_counts()}")
 
 

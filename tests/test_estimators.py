@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from overadapt.config import ExperimentConfig
 from overadapt.estimators import EstimatorKind, GramSolver, SingularDesignError
 from overadapt.risk import AnalyticRisk, DesignPair, mc_expected_risks
-from overadapt.spectra import SpectrumSpec
-from overadapt.synth import TaskEnvironment, derive_rng, sample_designs
+from overadapt.synth import derive_rng, sample_designs
 from oracles import constrained_lstsq_oracle, estimator_oracle, minnorm_oracle
 
 
@@ -20,10 +20,8 @@ def finetune(theta1, Xt, Yt, lam=0.0, solver=None):
 
 
 def small_env():
-    return TaskEnvironment(
-        n=6, n_pre=5,
-        spectrum_pre=SpectrumSpec(2, 0.3, 24, 24),
-        spectrum_ft=SpectrumSpec(2, 0.5, 24, 14),
+    return ExperimentConfig(
+        n=6, n_pre=5, p=24, p_tilde=14, k_star=2, gamma_pre=0.3, gamma_ft=0.5,
         zeta1=0.05, zeta2=0.1, sigma2=0.05, sigma2_tilde=0.1,
     )
 

@@ -38,7 +38,6 @@ from overadapt.presets import (
     RIDGE_FAMILY,
     TRADEOFF_LAMBDA,
     preset_defaults,
-    preset_environment,
     preset_points,
 )
 from overadapt.risk import AnalyticRisk, DesignPair, FtResolvent
@@ -126,6 +125,21 @@ def test_config_grids_sorted_deduplicated():
     assert cfg.tau_grid == [0.0, 1.0]
 
 
+def test_repeated_estimators_and_methods_write_each_row_once(tmp_path):
+    # repeats collapse in first-seen order, as the grids' repeats do
+    raw = {"case": "a", "replicates": 1, "estimators": ["pretrained", "ridge_ft", "pretrained"],
+           "methods": ["lemma_approx", "analytic", "lemma_approx"], "workers": 1}
+    cfg_path, out, saved = tmp_path / "cfg.json", tmp_path / "rows.csv", tmp_path / "saved.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--save-config", str(saved)]) == 0
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == len(set(lines)) == 2 * 2 * 2  # 2 points, 2 methods, 2 tasks
+    kept = json.loads(saved.read_text())
+    assert (kept["estimators"], kept["methods"]) == (["pretrained", "ridge_ft"],
+                                                     ["lemma_approx", "analytic"])
+
+
 def test_config_validation_messages():
     with pytest.raises(ConfigError, match="replicates"):
         small_config(replicates=0)
@@ -199,10 +213,9 @@ def test_write_results_io_error(tmp_path):
 def test_sweep_single_point_matches_direct_evaluation():
     cfg = small_config(replicates=1, estimators=["ridge_ft"], lambda_grid=[1e-3])
     result = run_sweep(cfg, workers=1)
-    env = cfg.environment()
-    X = sample_design(env.spectrum_pre, env.n, derive_rng(0, "design_pre", 0))
-    Xt = sample_design(env.spectrum_ft, env.n, derive_rng(0, "design_ft", 0))
-    direct = AnalyticRisk.from_env(DesignPair.from_env(X, Xt, env), env).report(
+    X = sample_design(cfg.spectrum_pre, cfg.n, derive_rng(0, "design_pre", 0))
+    Xt = sample_design(cfg.spectrum_ft, cfg.n, derive_rng(0, "design_ft", 0))
+    direct = AnalyticRisk.from_env(DesignPair.from_env(X, Xt, cfg), cfg).report(
         EstimatorKind.ridge(1e-3))
     got = {r.task: r.value for r in result.rows}
     assert got["pre"] == direct.l_pre
@@ -385,15 +398,14 @@ def test_fixed_theta_c_shared_across_replicates():
     cfg = small_config(replicates=2, fix_theta_c=True,
                        methods=["analytic"], estimators=["pretrained"])
     rows = run_sweep(cfg, workers=1).rows
-    env = cfg.environment()
-    tc = sample_theta_c(env, derive_rng(cfg.master_seed, "params", 0))
+    tc = sample_theta_c(cfg, derive_rng(cfg.master_seed, "params", 0))
     for seed in (0, 1):
-        X = sample_design(env.spectrum_pre, env.n,
+        X = sample_design(cfg.spectrum_pre, cfg.n,
                           derive_rng(cfg.master_seed, "design_pre", seed))
-        Xt = sample_design(env.spectrum_ft, env.n,
+        Xt = sample_design(cfg.spectrum_ft, cfg.n,
                            derive_rng(cfg.master_seed, "design_ft", seed))
-        pair = DesignPair.from_env(X, Xt, env, theta_c=tc)
-        direct = AnalyticRisk.from_env(pair, env).report(EstimatorKind.pretrained())
+        pair = DesignPair.from_env(X, Xt, cfg, theta_c=tc)
+        direct = AnalyticRisk.from_env(pair, cfg).report(EstimatorKind.pretrained())
         got = {r.task: r.value for r in rows if r.seed == seed}
         assert got["pre"] == direct.l_pre
 
@@ -542,10 +554,13 @@ def test_preset_points_order_on_the_case_defaults():
 @pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_preset_environment_is_the_case_config_environment(case, full):
-    assert set(preset_defaults(case, full)) == {"n", "p", "p_tilde", "gamma_pre", "gamma_ft"}
-    env = preset_environment(case, full)
-    assert env == config_from_dict(preset_defaults(case, full)).environment()
-    assert env == config_from_dict({"case": case, "p": 10_000 if full else 2000}).environment()
+    # a preset runs on its case's config, the one model object: the case's sizes,
+    # with p = 10^4 over them under --full
+    assert set(preset_defaults(case)) == {"n", "p", "p_tilde", "gamma_pre", "gamma_ft"}
+    env = run_preset(case, overrides={"replicates": 1}, full=full, workers=1).config
+    p = 10_000 if full else 2000
+    assert env == config_from_dict({"case": case, "p": p, "replicates": 1})
+    assert {k: getattr(env, k) for k in preset_defaults(case)} == {**preset_defaults(case), "p": p}
 
 
 # ----------------------------------------------------------------------- svg

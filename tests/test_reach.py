@@ -25,7 +25,6 @@ KEPT = {
     "risk.FtResolvent.traces",
     # library conveniences the tests and library callers use
     "harness.run_preset",
-    "presets.preset_environment",
     "risk.RiskReport.l_pre",
     "risk.RiskReport.l_ft",
     # process-level paths: the entry point and the BLAS thread controls run in

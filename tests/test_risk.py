@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from overadapt.config import config_from_dict
+from overadapt.config import ExperimentConfig, config_from_dict
 from overadapt.estimators import EstimatorKind, SingularDesignError
 from overadapt.harness import evaluate_seed, rows_from_report, run_sweep, write_results
-from overadapt.presets import preset_defaults, preset_environment, preset_points
+from overadapt.presets import preset_defaults, preset_points
 from overadapt.risk import (
     _MC_BATCH,
     TERM_KEYS,
@@ -18,9 +18,7 @@ from overadapt.risk import (
     lemma_approx_risk,
     mc_expected_risks,
 )
-from overadapt.spectra import SpectrumSpec
 from overadapt.synth import (
-    TaskEnvironment,
     derive_rng,
     sample_design,
     sample_designs,
@@ -45,14 +43,12 @@ ALL_KINDS = [
 
 def desk_env(p=400, n=20, **overrides):
     base = dict(
-        n=n,
-        spectrum_pre=SpectrumSpec(1, float(n) ** -1.5, p, p),
-        spectrum_ft=SpectrumSpec(1, 1.0 / n, p, 2 * n),
+        n=n, p=p, p_tilde=2 * n, k_star=1, gamma_pre=float(n) ** -1.5, gamma_ft=1.0 / n,
         zeta1=1e-4, zeta2=1e-2, sigma2=1e-2, sigma2_tilde=1e-2,
         theta_c_norm=1.0,
     )
     base.update(overrides)
-    return TaskEnvironment(**base)
+    return ExperimentConfig(**base)
 
 
 def draw_designs(env, seed=0):
@@ -135,10 +131,8 @@ def test_zero_variance_row_space_theta_c_gives_zero():
 def test_pretrained_ft_task_shift_term_frozen_value():
     # environment with the literal 40-eigenvalue fine-tune support:
     # zeta2 * trace = 0.01 * (1 + 39 * 0.025) = 0.019750
-    env = TaskEnvironment(
-        n=40,
-        spectrum_pre=SpectrumSpec(1, 40.0**-1.5, 200, 200),
-        spectrum_ft=SpectrumSpec(1, 0.025, 200, 40),
+    env = ExperimentConfig(
+        n=40, p=200, p_tilde=40, k_star=1, gamma_pre=40.0**-1.5, gamma_ft=0.025,
         zeta1=1e-4, zeta2=1e-2, sigma2=1e-2, sigma2_tilde=1e-2,
     )
     report = AnalyticRisk.from_env(draw_pair(env, seed=3), env).report(EstimatorKind.pretrained())
@@ -172,11 +166,7 @@ def test_shared_support_trace_identity():
     # support, so the resolvent traces coincide
     n, p = 20, 300
     gamma = 0.05
-    env = desk_env(
-        p=p, n=n,
-        spectrum_pre=SpectrumSpec(1, gamma, p, p),
-        spectrum_ft=SpectrumSpec(1, gamma, p, 2 * n),
-    )
+    env = desk_env(p=p, n=n, gamma_pre=gamma, gamma_ft=gamma)
     res = draw_pair(env, seed=6).resolvent
     for lam in (0.0, 1e-3, 0.1):
         t_pre, t_ft = res.traces(lam, "pre"), res.traces(lam, "ft")
@@ -305,22 +295,19 @@ def small_dof_env(**overrides):
     # n_pre + n = 7 stacked rows: the unit block (8 columns) keeps 1 off-span
     # dimension, the shared tail (9 columns) 2, the pretrain-only block
     # (4 columns, spanned by X's 4 rows) none
-    base = dict(n=3, n_pre=4,
-                spectrum_pre=SpectrumSpec(8, 0.3, 21, 21),
-                spectrum_ft=SpectrumSpec(8, 0.5, 21, 17),
+    base = dict(n=3, n_pre=4, p=21, p_tilde=17, k_star=8, gamma_pre=0.3, gamma_ft=0.5,
                 zeta1=0.05, zeta2=0.1, sigma2=0.05, sigma2_tilde=0.1, theta_c_norm=1.0)
     base.update(overrides)
-    return TaskEnvironment(**base)
+    return ExperimentConfig(**base)
 
 
 def one_block_env(**overrides):
     # one flat spectrum, 30 coordinates and 5 design rows: the off-span part of
     # every draw (25 dimensions) carries most of the risk and of its spread
-    flat = SpectrumSpec(1, 1.0, 30, 30)
-    base = dict(n=2, n_pre=3, spectrum_pre=flat, spectrum_ft=flat,
+    base = dict(n=2, n_pre=3, p=30, p_tilde=30, k_star=1, gamma_pre=1.0, gamma_ft=1.0,
                 zeta1=1 / 30, zeta2=1 / 30, sigma2=0.01, sigma2_tilde=0.01, theta_c_norm=1.0)
     base.update(overrides)
-    return TaskEnvironment(**base)
+    return ExperimentConfig(**base)
 
 
 def fixed_theta_c(env, seed=0):
@@ -379,7 +366,7 @@ def _high_draw_case(name):
     elif name == "rademacher":
         env = desk_env(p=60, n=6, coord_dist="rademacher")
     elif name == "p_tilde_below_n":
-        env = desk_env(p=60, n=6, spectrum_ft=SpectrumSpec(1, 1.0 / 6, 60, 4))
+        env = desk_env(p=60, n=6, p_tilde=4)
         # the fine-tune Gram is singular: only penalised fine-tuning is defined
         kinds = [EstimatorKind.pretrained(), EstimatorKind.ridge(0.05),
                  EstimatorKind.ensemble(0.05, 0.4), EstimatorKind.ensemble(0.5, 0.7)]
@@ -412,7 +399,7 @@ def test_mc_matches_analytic_at_high_draw_counts(name):
 def test_mc_variates_per_draw_do_not_grow_with_p(with_theta_c):
     per_draw = []
     for full in (False, True):
-        env = preset_environment("a", full=full)
+        env = ExperimentConfig(case="a", p=10_000 if full else 2000)
         X, Xt = sample_designs(env, 0)
         theta_c = fixed_theta_c(env) if with_theta_c else None
         rng = CountingRng(derive_rng(0, "mc", 0))
@@ -517,7 +504,7 @@ def test_mc_memory_grows_with_points_only_by_the_returned_draws():
     # than 4 do, and beside the returned risks a call holds its six rank x
     # batch arrays, the labels and their noise, and the Gram solves' two
     # n x batch temporaries
-    env = preset_environment("a")
+    env = ExperimentConfig(case="a")
     pair = DesignPair.from_env(*sample_designs(env, 0), env)
     kinds = preset_a_points()
     assert len(kinds) == 54
@@ -532,7 +519,7 @@ def test_mc_memory_grows_with_points_only_by_the_returned_draws():
 def test_mc_memory_does_not_grow_with_p():
     peaks = []
     for full in (False, True):  # p = 2000 and p = 10^4
-        env = preset_environment("a", full=full)
+        env = ExperimentConfig(case="a", p=10_000 if full else 2000)
         pair = DesignPair.from_env(*sample_designs(env, 0), env)
         peaks.append(_mc_peak(pair, env, preset_a_points())[0])
     assert peaks[0] == peaks[1]
@@ -543,7 +530,7 @@ def test_pair_and_exact_evaluator_memory_does_not_grow_with_p():
     # pair and exact evaluator hold no length-p array (no eigenvalue vector, no
     # zero-padded fine-tune design, no scan of the design columns)
     def build(p):
-        env = config_from_dict({"case": "a", "p": p}).environment()
+        env = config_from_dict({"case": "a", "p": p})
         X = sample_design(env.spectrum_pre, env.n, derive_rng(0, "design_pre", 0))
         Xt = sample_design(env.spectrum_ft, env.n, derive_rng(0, "design_ft", 0))
         assert X.shape == (env.n, p) and Xt.shape == (env.n, env.spectrum_ft.p_tilde)
@@ -579,21 +566,20 @@ def mc_sweep_config(**overrides):
 
 def test_sweep_mc_rows_equal_per_kind_calls():
     cfg = mc_sweep_config()
-    env = cfg.environment()
     rows = [r for r in run_sweep(cfg, workers=1).rows if r.method == "monte_carlo"]
     checked = 0
     for seed in range(cfg.replicates):
-        X = sample_design(env.spectrum_pre, env.pretrain_samples,
-                          derive_rng(cfg.master_seed, "design_pre", seed), env.coord_dist)
-        Xt = sample_design(env.spectrum_ft, env.n,
-                           derive_rng(cfg.master_seed, "design_ft", seed), env.coord_dist)
-        pair = DesignPair.from_env(X, Xt, env)
+        X = sample_design(cfg.spectrum_pre, cfg.pretrain_samples,
+                          derive_rng(cfg.master_seed, "design_pre", seed), cfg.coord_dist)
+        Xt = sample_design(cfg.spectrum_ft, cfg.n,
+                           derive_rng(cfg.master_seed, "design_ft", seed), cfg.coord_dist)
+        pair = DesignPair.from_env(X, Xt, cfg)
         for r in rows:
             if r.seed != seed:
                 continue
             kind = EstimatorKind(r.estimator, lam=r.lam or 0.0,
                                  tau=1.0 if r.tau is None else r.tau)
-            want = mc_expected_risks(pair, env, [kind], cfg.mc_draws,
+            want = mc_expected_risks(pair, cfg, [kind], cfg.mc_draws,
                                      derive_rng(cfg.master_seed, "mc", seed))[0]
             assert (r.value, r.se) == (want.task(r.task).value, want.task(r.task).se)
             checked += 1
@@ -636,7 +622,8 @@ def test_lemma_rows_are_the_analytic_two_terms():
     cfg = config_from_dict({"n": 8, "p": 60, "p_tilde": 5, "gamma_pre": 8.0**-1.5,
                             "gamma_ft": 0.1, "master_seed": 3, "fix_theta_c": True,
                             "jitter": True, "methods": ["analytic", "lemma_approx"]})
-    assert cfg.environment() == desk_env(p=60, n=8, spectrum_ft=SpectrumSpec(1, 0.1, 60, 5))
+    assert cfg == desk_env(p=60, n=8, p_tilde=5, gamma_ft=0.1, master_seed=3, fix_theta_c=True,
+                           jitter=True, methods=["analytic", "lemma_approx"])
     kinds = ALL_KINDS + [EstimatorKind.ensemble(0.0, 0.7), EstimatorKind.ridge(1e-9)]
     rows = [row for report in evaluate_seed(cfg, 0, kinds)
             for row in rows_from_report(report, "", 0)]
@@ -690,7 +677,7 @@ def test_lemma_within_band_of_analytic_on_bench_instance():
 # ------------------------------------------------------------ error handling
 
 def test_singular_ft_gram_raises_at_lambda_zero():
-    env = desk_env(spectrum_ft=SpectrumSpec(1, 0.0, 400, 1))
+    env = desk_env(p_tilde=1, gamma_ft=0.0)
     ev = AnalyticRisk.from_env(draw_pair(env, seed=15), env)
     with pytest.raises(SingularDesignError):
         ev.report(EstimatorKind.ridgeless())

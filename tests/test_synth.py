@@ -1,9 +1,11 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
+from overadapt.config import ConfigError, ExperimentConfig
 from overadapt.spectra import SpectrumSpec
 from overadapt.synth import (
-    TaskEnvironment,
     derive_rng,
     sample_design,
     sample_designs,
@@ -13,14 +15,12 @@ from overadapt.synth import (
 
 def small_env(**overrides):
     base = dict(
-        n=8,
-        spectrum_pre=SpectrumSpec(1, 0.1, 40, 40),
-        spectrum_ft=SpectrumSpec(1, 0.2, 40, 16),
+        n=8, p=40, p_tilde=16, k_star=1, gamma_pre=0.1, gamma_ft=0.2,
         zeta1=1e-3, zeta2=1e-2, sigma2=1e-2, sigma2_tilde=1e-2,
         theta_c_norm=1.0,
     )
     base.update(overrides)
-    return TaskEnvironment(**base)
+    return ExperimentConfig(**base)
 
 
 # ---------------------------------------------------------------- streams
@@ -115,14 +115,15 @@ def test_design_pair_streams(coord_dist):
 
 
 def test_environment_validation():
-    with pytest.raises(ValueError):
+    # the model is the config, validated once on construction and frozen after
+    with pytest.raises(FrozenInstanceError):
+        small_env().n = 3
+    with pytest.raises(ConfigError, match="zeta2: must be a finite non-negative"):
         small_env(zeta2=-1.0)
-    with pytest.raises(ValueError):
-        small_env(spectrum_ft=SpectrumSpec(1, 0.2, 41, 16))  # mismatched p
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="coord_dist: must be one of"):
         small_env(coord_dist="cauchy")
-    # the config's rule: every variance and the theta_c norm is finite and non-negative
+    # every variance and the theta_c norm is finite and non-negative
     for name in ("zeta1", "zeta2", "sigma2", "sigma2_tilde", "theta_c_norm"):
         for value in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match=f"{name} must be a finite non-negative"):
+            with pytest.raises(ConfigError, match=f"{name}: must be a finite non-negative"):
                 small_env(**{name: value})

@@ -1,15 +1,16 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from overadapt.config import ConfigError, ExperimentConfig
 from overadapt.estimators import EstimatorKind
 from overadapt.presets import theorem_check_env
 from overadapt.risk import AnalyticRisk, DesignPair, FtResolvent
 from overadapt.spectra import SpectrumSpec
-from overadapt.synth import TaskEnvironment, _wishart_bartlett, derive_rng, sample_designs
+from overadapt.synth import _wishart_bartlett, derive_rng, sample_designs
 from overadapt.theory import (
     _tail_gram_extremes,
     eigen_band_check,
@@ -51,10 +52,8 @@ def dtau(ev, lam, tau, objective="ft"):
 
 def test_lambda_prime_values():
     def env_with(s2t, z2, n):
-        return TaskEnvironment(
-            n=n,
-            spectrum_pre=SpectrumSpec(1, 0.01, 100, 100),
-            spectrum_ft=SpectrumSpec(1, 0.01, 100, 100),
+        return ExperimentConfig(
+            n=n, p=100, p_tilde=100, k_star=1, gamma_pre=0.01, gamma_ft=0.01,
             zeta1=1e-4, zeta2=z2, sigma2=1e-2, sigma2_tilde=s2t,
         )
     assert lambda_prime(env_with(0.0, 1e-2, 40)) == 0.0
@@ -63,6 +62,14 @@ def test_lambda_prime_values():
     assert half == pytest.approx(lambda_prime(env_with(1e-2, 1e-2, 40)) / 2, rel=1e-15)
     with pytest.raises(ValueError):
         lambda_prime(env_with(1e-2, 0.0, 40))
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_theorem_check_env_refuses_n_below_one(n):
+    # its tails n^-1.5 and 1/n are formed from n: n = 0 gets the config's error
+    # too, not a ZeroDivisionError
+    with pytest.raises(ConfigError, match=f"n: must be a positive integer, got {n}$"):
+        theorem_check_env(n=n)
 
 
 # ----------------------------------------------------------------- tau_prime
@@ -90,10 +97,7 @@ def test_tau_prime_decreases_with_noise():
     pair = draw_pair(env, 2)
     values = []
     for s2t in (1e-3, 1e-2, 1e-1, 1.0):
-        noisy = TaskEnvironment(
-            n=env.n, spectrum_pre=env.spectrum_pre, spectrum_ft=env.spectrum_ft,
-            zeta1=env.zeta1, zeta2=env.zeta2, sigma2=env.sigma2, sigma2_tilde=s2t,
-            theta_c_norm=env.theta_c_norm)
+        noisy = replace(env, sigma2_tilde=s2t)
         values.append(tau_prime(AnalyticRisk.from_env(pair, noisy), 0.0))
     assert all(a > b for a, b in zip(values, values[1:]))
 
