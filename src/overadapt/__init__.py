@@ -20,9 +20,10 @@ _SUBMODULE_NAMES = {
                "save_config"),
     "estimators": ("EstimatorKind", "GramSolver", "SingularDesignError"),
     "harness": ("ResultRow", "SweepResult", "run_preset", "run_sweep", "write_results"),
+    "mc": ("mc_expected_risks",),
     "presets": ("preset_points", "theorem_check_env"),
     "risk": ("AnalyticRisk", "DesignPair", "FtResolvent", "RiskReport", "TaskRisk",
-             "lemma_approx_risk", "mc_expected_risks"),
+             "lemma_approx_risk"),
     "spectra": ("SpectrumSpec",),
     "svgplot": ("MissingSeriesError", "render_tradeoff_svg"),
     "synth": ("derive_rng", "sample_design", "sample_designs", "sample_theta_c"),

@@ -53,7 +53,8 @@ def _add_common(parser):
     parser.add_argument("--format", choices=FORMATS, default=None,
                         help="row format (default: the config's format)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: OVERADAPT_WORKERS or all cores)")
+                        help="worker processes (default: OVERADAPT_WORKERS, else the CPUs "
+                             "this process may run on)")
     parser.add_argument("--jitter", action="store_true",
                         help="rescue near-singular Grams with a recorded diagonal boost")
 

@@ -39,7 +39,8 @@ def _default_tau_grid() -> list[float]:
 class ExperimentConfig:
     """One run's settings, and the population model that its seeds draw from.
 
-    Validated once, on construction, and frozen after it: ``synth``, ``risk``
+    Validated once, on construction, and frozen after it, its four lists held
+    as tuples (saved as JSON lists), so it is hashable: ``synth``, ``risk``
     and ``theory`` read it as ``env``.  zeta1/zeta2 are the per-coordinate
     variances of the task offsets, sigma2/sigma2_tilde the label-noise
     variances; n_pre, when set, is the pretrain sample count (else n).
@@ -61,11 +62,11 @@ class ExperimentConfig:
     n_pre: int | None = None
     master_seed: int = 0
     replicates: int = 20
-    lambda_grid: list[float] = field(default_factory=lambda: [TRADEOFF_LAMBDA])
-    tau_grid: list[float] = field(default_factory=_default_tau_grid)
+    lambda_grid: tuple[float, ...] = (TRADEOFF_LAMBDA,)
+    tau_grid: tuple[float, ...] = field(default_factory=_default_tau_grid)
     mc_draws: int = 2000
-    methods: list[str] = field(default_factory=lambda: ["analytic"])
-    estimators: list[str] = field(default_factory=lambda: list(EstimatorKind.PARAMS))
+    methods: tuple[str, ...] = ("analytic",)
+    estimators: tuple[str, ...] = tuple(EstimatorKind.PARAMS)
     out: str | None = None
     format: str = "csv"
     workers: int | None = None
@@ -128,7 +129,7 @@ class ExperimentConfig:
         if not self.estimators:
             fail("estimators", "at least one estimator is required")
         for name in ("methods", "estimators"):  # a repeated name would repeat its rows
-            object.__setattr__(self, name, list(dict.fromkeys(getattr(self, name))))
+            object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
         for name in ("lambda_grid", "tau_grid"):
             grid = getattr(self, name)
             if not isinstance(grid, (list, tuple)) or not grid:
@@ -136,7 +137,7 @@ class ExperimentConfig:
             for v in grid:
                 if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v < np.inf:
                     fail(name, f"entries must be finite non-negative numbers, got {v!r}")
-            object.__setattr__(self, name, sorted({float(v) for v in grid}))
+            object.__setattr__(self, name, tuple(sorted({float(v) for v in grid})))
         for v in self.tau_grid:
             if v > 1.0:
                 fail("tau_grid", f"tau values must lie in [0, 1], got {v}")

@@ -80,12 +80,14 @@ class GramSolver:
         shifted[: self.null] = np.inf
         return self.U, shifted
 
-    def solve(self, rhs: np.ndarray, nlam: float = 0.0) -> np.ndarray:
-        """(X X^T + nlam I)^{-1} rhs, zero on a jittered Gram's null directions."""
+    def solve(self, rhs: np.ndarray, nlam: float = 0.0, coef: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """(X X^T + nlam I)^{-1} rhs, zero on a jittered Gram's null directions;
+        into ``out``, by way of ``coef`` (both shaped like rhs), when given."""
         U, shifted = self.factor(nlam)
-        coef = U.T @ rhs
-        coef = coef / (shifted[:, None] if coef.ndim == 2 else shifted)
-        return U @ coef
+        coef = np.matmul(U.T, rhs, out=coef)
+        coef /= shifted[:, None] if coef.ndim == 2 else shifted
+        return np.matmul(U, coef, out=out)
 
 
 @dataclass(frozen=True)

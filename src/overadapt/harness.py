@@ -41,17 +41,10 @@ import numpy.random  # noqa: F401
 from ._blas import pin_single_thread
 from .config import ExperimentConfig, config_from_dict
 from .estimators import EstimatorKind
+from .mc import mc_expected_risks  # loaded before seeds fan out, like numpy.random
 from .presets import FULL_P, preset_points
-from .risk import (
-    TASKS,
-    TERM_KEYS,
-    AnalyticRisk,
-    DesignPair,
-    RiskReport,
-    lemma_approx_risk,
-    mc_expected_risks,
-)
-from .synth import derive_rng, sample_designs, sample_theta_c
+from .risk import TASKS, TERM_KEYS, AnalyticRisk, DesignPair, RiskReport, lemma_approx_risk
+from .synth import derive_rng, sample_theta_c
 
 WORKERS_ENV_VAR = "OVERADAPT_WORKERS"
 
@@ -159,8 +152,8 @@ def evaluate_seed(config: ExperimentConfig, seed_index: int,
         theta_c = sample_theta_c(config, derive_rng(config.master_seed, "params", 0))
     # one reduction of the designs: every method reads the pair's Grams and
     # solvers, and the p-dimensional designs are freed before any method runs
-    pair = DesignPair.from_env(*sample_designs(config, config.master_seed, seed_index),
-                               config, theta_c=theta_c, jitter=config.jitter)
+    pair = DesignPair.draw(config, config.master_seed, seed_index, theta_c=theta_c,
+                           jitter=config.jitter)
     analytic = AnalyticRisk.from_env(pair, config) if "analytic" in methods else None
     lemma = lemma_approx_risk(pair, config) if "lemma_approx" in methods else None
     mc = [None] * len(kinds)
@@ -189,7 +182,8 @@ def _sweep_worker(args) -> tuple[int, list[ResultRow] | None, str | None]:
 
 
 def resolve_workers(requested: int | None) -> int:
-    """The worker count: ``requested``, else ``OVERADAPT_WORKERS``, else every core.
+    """The worker count: ``requested``, else ``OVERADAPT_WORKERS``, else the
+    CPUs this process may run on (its affinity mask, not the host's cores).
 
     Either source must name a positive integer; anything else is an error.
     """
@@ -197,7 +191,8 @@ def resolve_workers(requested: int | None) -> int:
     if value is None:
         source, value = WORKERS_ENV_VAR, os.environ.get(WORKERS_ENV_VAR)
         if not value:
-            return os.cpu_count() or 1
+            affinity = getattr(os, "sched_getaffinity", None)
+            return len(affinity(0)) if affinity else os.cpu_count() or 1
     try:
         count = int(value)
     except ValueError:

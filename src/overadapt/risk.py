@@ -10,9 +10,9 @@
                              (theta_c, alpha1, alpha2, noise) with the two
                              designs held fixed: five closed-form Terms
                              (``AnalyticRisk.from_env(pair, env).report(kind)``).
-``mc_expected_risks``        Monte-Carlo estimates of the same expectation on
+``mc.mc_expected_risks``     Monte-Carlo estimates of the same expectation on
                              draws shared by all estimators, the independent
-                             numerical check.
+                             numerical check, in its own module.
 ``lemma_approx_risk``        the two-term (task-shift + fine-tune noise)
                              shortcut, a ``TermRisk`` over two of the exact
                              evaluator's five Terms, term_zeta2 and
@@ -53,34 +53,6 @@ H is kept as its diagonal, so the two-term
 shortcut (term_zeta2 and term_sigma_tilde, built by ``FtResolvent``) costs
 O(n) per point; the exact evaluator costs O(n^2) per lam, keeps each lam's
 quadratics, and then O(1) per tau.
-
-Monte Carlo
------------
-Every estimator is theta_1 + tau * Xt^T R^{-1} (Yt - Xt theta_1), so it lies
-in the row span of X and Xt.  Split the coordinates into blocks on which
-both spectra are constant (the pair's runs).  On block B (m_B coordinates)
-the rows of C_B = [X_B; Xt_B] span a space of rank r_B <= n_pre + n with an
-orthonormal basis Q_B, and the designs enter the draw only through C_B Q_B.
-Any F_B with F_B F_B^T = C_B C_B^T is C_B Q_B for some such basis, so one
-SVD of the block's Gram, which the pair already holds, gives the
-coordinates; no QR over the design columns is taken.  The parameters are
-isotropic within a block, so their coordinates in any such basis are i.i.d.
-normal, and their parts off the span enter the risk only through one 3 x 3
-Gram per block, that of (theta_c's Gaussian, alpha1, alpha2), which is
-Wishart_3(m_B - r_B, diag(1, zeta1, zeta2)); theta_c's sphere norm is the
-in-span norm plus the Grams' [0, 0] entries.  A draw thus takes
-3 sum_B r_B + n_pre + n normals plus at most six numbers per block, at any
-p, with the exact law of the dense p-dimensional draw.  A fixed theta_c is
-one more spanning row; each block then draws only the offsets' off-span
-squared norms, zeta * chi2(m_B - r_B).  Every draw takes both noise
-vectors, so all estimator points share one stream: a call for several
-points gives each the numbers a call for that point alone gives.  Per batch
-theta_1 is solved once and the ridge step once per lam, and a point's risk
-is a quadratic in tau read from three per-draw coefficients: c0 per task
-from the pretrained error e0 = hat0 - target, and c1, c2 per lam from e0
-and the ridge step.  A call allocates its batch arrays once, so its memory
-is fixed by the rank, the batch size and the returned per-draw risks, and
-its cost grows with the number of lambdas, not of points.
 """
 
 from __future__ import annotations
@@ -93,15 +65,13 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .estimators import EstimatorKind, GramSolver
-from .synth import _wishart_bartlett
+from .synth import sample_designs
 
 TERM_KEYS = ("bias_thetac", "term_zeta1", "term_zeta2", "term_sigma", "term_sigma_tilde")
 
 # Negative term values smaller than this fraction of the total magnitude are
 # rounding artifacts of trace cancellation and are clamped to zero.
 _CLAMP_REL = 1e-10
-
-_MC_BATCH = 512
 
 TASKS = ("pre", "ft")
 
@@ -230,8 +200,7 @@ class DesignPair:
     * ``S[t]`` = C D_t C^T and ``G`` = C C^T, spectrum-weighted sums;
     * ``solver_pre`` and ``solver_ft``, from G's diagonal blocks,
       eigendecomposed on first use;
-    * ``resolvent``, the fine-tune ``FtResolvent`` every method shares;
-    * ``row_space()``, Monte Carlo's coordinates (see the module docstring).
+    * ``resolvent``, the fine-tune ``FtResolvent`` every method shares.
     """
 
     def __init__(self, X: np.ndarray, Xt: np.ndarray, blocks_pre: Sequence, blocks_ft: Sequence,
@@ -269,6 +238,13 @@ class DesignPair:
         return cls(X, Xt, env.spectrum_pre.blocks, env.spectrum_ft.blocks,
                    theta_c=theta_c, jitter=jitter)
 
+    @classmethod
+    def draw(cls, env: ExperimentConfig, master_seed: int, replicate: int,
+             theta_c: np.ndarray | None = None, jitter: bool = False) -> "DesignPair":
+        """One replicate's designs, drawn and reduced: the one design-draw path."""
+        return cls.from_env(*sample_designs(env, master_seed, replicate), env,
+                            theta_c=theta_c, jitter=jitter)
+
     @cached_property
     def solver_pre(self) -> GramSolver:
         return GramSolver(self.G[self.x, self.x], jitter=self.jitter)
@@ -280,25 +256,6 @@ class DesignPair:
     @cached_property
     def resolvent(self) -> "FtResolvent":
         return FtResolvent(self)
-
-    def row_space(self) -> list[np.ndarray]:
-        """Monte Carlo's coordinates: per run, F_r with F_r F_r^T = C_r C_r^T.
-
-        One SVD of the run's Gram, restricted to the rows that are live on the
-        run, gives F_r = U sqrt(s) on the rank that keeps the singular values
-        above s[0] * max(rows, m_r) * eps.
-        """
-        coords = []
-        for gram, m in zip(self.grams, self.sizes):
-            live = np.flatnonzero(np.diagonal(gram))
-            F = np.zeros((gram.shape[0], 0))
-            if live.size:
-                U, s, _ = np.linalg.svd(gram[np.ix_(live, live)])
-                rank = int(np.sum(s > s[0] * max(gram.shape[0], m) * np.finfo(float).eps))
-                F = np.zeros((gram.shape[0], rank))
-                F[live] = U[:, :rank] * np.sqrt(s[:rank])
-            coords.append(F)
-        return coords
 
 
 class FtResolvent:
@@ -439,145 +396,6 @@ class AnalyticRisk(TermRisk):
     def from_env(cls, pair: DesignPair, env: ExperimentConfig) -> "AnalyticRisk":
         return cls(pair, zeta1=env.zeta1, zeta2=env.zeta2, sigma2=env.sigma2,
                    sigma2_tilde=env.sigma2_tilde, theta_c_norm=env.theta_c_norm)
-
-
-def _off_span_gram(rng: np.random.Generator, dof: int, m: int) -> np.ndarray:
-    """m draws of Wishart_3(dof, I): Bartlett's factor, or G^T G when dof < 3."""
-    if dof >= 3:
-        return _wishart_bartlett(rng, 3, dof, (m,))
-    G = rng.standard_normal((m, dof, 3))
-    return np.swapaxes(G, 1, 2) @ G
-
-
-def mc_expected_risks(
-    pair: DesignPair,
-    env: ExperimentConfig,
-    kinds: list[EstimatorKind],
-    draws: int,
-    rng: np.random.Generator,
-) -> list[RiskReport]:
-    """Monte-Carlo mean of the plug-in risk over fresh parameter/noise draws,
-    one report per kind, every kind on the same draws.
-
-    The pair's designs (and fixed theta_c, if it has one) stay fixed; its
-    solvers and one row-space reduction serve every draw, so a draw costs
-    O(n) numbers and n x n work at any p (see the module docstring).  Draws
-    are vectorised in batches of ``_MC_BATCH``, which fixes the stream.
-    Fewer than two draws are refused: one draw has no standard error.
-    """
-    if draws < 2:
-        raise ValueError(f"draws must be >= 2 for a standard error, got {draws}")
-    risks = _mc_risk_draws(pair, env, kinds, draws, rng)
-
-    def summarise(r) -> TaskRisk:
-        return TaskRisk(value=float(np.mean(r)), se=float(np.std(r, ddof=1) / np.sqrt(r.size)))
-
-    return [RiskReport(method="monte_carlo", kind=kind, draws=draws,
-                       pre=summarise(r["pre"]), ft=summarise(r["ft"]))
-            for kind, r in zip(kinds, risks)]
-
-
-def _mc_risk_draws(pair: DesignPair, env: ExperimentConfig, kinds: list[EstimatorKind],
-                   draws: int, rng: np.random.Generator) -> list[dict[str, np.ndarray]]:
-    """The plug-in risk of every kind on each of ``draws`` shared draws, per task.
-
-    The batch arrays are allocated once per call, and each batch draws into
-    them in place; a partial last batch uses the leading (rows, m) part of
-    each, which is contiguous, so the stream is that of fresh arrays.  A
-    point's error is e0 + tau step, with e0 = hat0 - target the pretrained
-    error and step its lam's ridge step, so its weighed squared error is
-    c0 + tau (c1 + tau c2): c0 = w.e0^2 once per task, c1 = 2 w.(e0 step) and
-    c2 = w.step^2 once per lam, and O(1) per point and draw.
-    """
-    coords = pair.row_space()
-    ranks = [F.shape[1] for F in coords]
-    # each coordinate's spectrum value per task, and every run's off-span dimension
-    weights = {t: np.repeat(v, ranks) for t, v in pair.values.items()}
-    off = [(m - r, {t: float(v[i]) for t, v in pair.values.items()})
-           for i, (m, r) in enumerate(zip(pair.sizes, ranks)) if m > r]
-    F = np.hstack(coords)
-    n_pre, n, rank = pair.n_pre, pair.n, F.shape[1]
-    Xq, Xtq = F[pair.x], F[pair.xt]
-    sp, st = pair.solver_pre, pair.solver_ft
-    # kind indices with tau = 0 (the pretrained weights), the rest grouped by lam
-    pretrained, by_lam = [], {}
-    for i, kind in enumerate(kinds):
-        lam, tau = kind.effective
-        if tau == 0.0:
-            pretrained.append(i)
-        else:
-            by_lam.setdefault(lam, []).append((i, tau))
-    risks = [{t: np.empty(draws) for t in TASKS} for _ in kinds]
-    zeta = {"pre": env.zeta1, "ft": env.zeta2}
-    offset = {"pre": 1, "ft": 2}  # index of the task's offset in each off-span Gram
-    sd = np.sqrt([1.0, env.zeta1, env.zeta2])
-    # both offsets (each becomes its task's target, then its e0), theta_c's
-    # Gaussian, hat0, the ridge step and one scratch array; the labels (first
-    # Y, then Yt) and their noise (then the fine-tune fit of hat0)
-    size = min(_MC_BATCH, draws)
-    bufs = {k: np.empty(rank * size) for k in (*TASKS, "g", "hat0", "step", "scratch")}
-    labels, noise = np.empty(max(n_pre, n) * size), np.empty(max(n_pre, n) * size)
-
-    def batch(flat, rows=rank):
-        return flat[: rows * m].reshape(rows, m)
-
-    def normals(out, var):
-        if var > 0:
-            rng.standard_normal(out=out)
-            out *= np.sqrt(var)
-            return out
-        return 0.0
-
-    done = 0
-    while done < draws:
-        m = min(_MC_BATCH, draws - done)
-        drawn = slice(done, done + m)
-        done += m
-        # in-span coordinates of both offsets (and below, of theta_c's Gaussian);
-        # the off-span parts enter only as their squared risk per task
-        alpha = {t: normals(batch(bufs[t]), zeta[t]) for t in TASKS}
-        perp = {t: np.zeros(m) for t in TASKS}
-        scratch = batch(bufs["scratch"])
-        if not pair.fixed_theta_c:
-            tc = batch(bufs["g"])
-            rng.standard_normal(out=tc)
-            grams = [(_off_span_gram(rng, dof, m) * sd[:, None] * sd, e) for dof, e in off]
-            norm2 = np.sum(np.multiply(tc, tc, out=scratch), axis=0)
-            for W, _ in grams:
-                norm2 += W[:, 0, 0]
-            s = env.theta_c_norm / np.sqrt(norm2)
-            tc *= s
-            for W, e in grams:
-                for t, k in offset.items():
-                    perp[t] += e[t] * (s * s * W[:, 0, 0] + 2 * s * W[:, 0, k] + W[:, k, k])
-        else:
-            tc = F[-1][:, None]
-            for dof, e in off:
-                chi2 = rng.chisquare(dof, (m, 2))
-                for t, k in offset.items():
-                    perp[t] += e[t] * zeta[t] * chi2[:, k - 1]
-        target = {t: np.add(tc, alpha[t], out=batch(bufs[t])) for t in TASKS}
-        Y = np.matmul(Xq, target["pre"], out=batch(labels, n_pre))
-        Y += normals(batch(noise, n_pre), env.sigma2)
-        hat0 = np.matmul(Xq.T, sp.solve(Y), out=batch(bufs["hat0"]))
-        Yt = np.matmul(Xtq, target["ft"], out=batch(labels, n))
-        Yt += normals(batch(noise, n), env.sigma2_tilde)
-        Yt -= np.matmul(Xtq, hat0, out=batch(noise, n))  # the fine-tune residual
-        # e0 = hat0 - target, in place of the target, and c0 = w.e0^2
-        e0 = {t: np.subtract(hat0, target[t], out=target[t]) for t in TASKS}
-        c0 = {t: weights[t] @ np.multiply(e, e, out=scratch) for t, e in e0.items()}
-        for i in pretrained:
-            for t, r in risks[i].items():
-                r[drawn] = c0[t] + perp[t]
-        for lam, points in by_lam.items():
-            step = np.matmul(Xtq.T, st.solve(Yt, nlam=n * lam), out=batch(bufs["step"]))
-            sq = np.multiply(step, step, out=scratch)
-            c2 = {t: weights[t] @ sq for t in TASKS}
-            c1 = {t: 2 * (weights[t] @ np.multiply(e, step, out=scratch)) for t, e in e0.items()}
-            for i, tau in points:
-                for t, r in risks[i].items():
-                    r[drawn] = c0[t] + tau * (c1[t] + tau * c2[t]) + perp[t]
-    return risks
 
 
 def lemma_approx_risk(pair: DesignPair, env: ExperimentConfig) -> TermRisk:

@@ -8,7 +8,6 @@ the fine-tune-only curve (x = ensemble weight, y = fine-tune risk).
 
 from __future__ import annotations
 
-import html
 import math
 
 import numpy as np
@@ -32,6 +31,10 @@ LABELS = {
     RIDGELESS: "interpolating fine-tune",
     PRETRAINED: PRETRAINED,
 }
+
+
+def _escape(text: str) -> str:  # html.escape(text, quote=False), without html.entities
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class MissingSeriesError(ValueError):
@@ -96,7 +99,7 @@ def _svg_header(title):
         f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
         f'<rect width="100%" height="100%" fill="white"/>\n'
         f'<text x="{WIDTH / 2:.1f}" y="28" font-family="sans-serif" font-size="16" '
-        f'text-anchor="middle">{html.escape(title, quote=False)}</text>\n'
+        f'text-anchor="middle">{_escape(title)}</text>\n'
     )
 
 
@@ -119,11 +122,11 @@ def _axes(xaxis, yaxis, xlabel, ylabel):
             f'text-anchor="end">{label}</text>')
     parts.append(
         f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 16}" font-family="sans-serif" '
-        f'font-size="13" text-anchor="middle">{html.escape(xlabel, quote=False)}</text>')
+        f'font-size="13" text-anchor="middle">{_escape(xlabel)}</text>')
     parts.append(
         f'<text x="22" y="{(y0 + y1) / 2:.1f}" font-family="sans-serif" font-size="13" '
         f'text-anchor="middle" transform="rotate(-90 22 {(y0 + y1) / 2:.1f})">'
-        f'{html.escape(ylabel, quote=False)}</text>')
+        f'{_escape(ylabel)}</text>')
     return "\n".join(parts) + "\n"
 
 
@@ -138,7 +141,7 @@ def _legend(entries):
         else:
             parts.append(f'<circle cx="{x + 11}" cy="{y - 4}" r="4" fill="{color}"/>')
         parts.append(f'<text x="{x + 28}" y="{y}" font-family="sans-serif" '
-                     f'font-size="12">{html.escape(label, quote=False)}</text>')
+                     f'font-size="12">{_escape(label)}</text>')
     return "\n".join(parts) + "\n"
 
 

@@ -23,7 +23,7 @@ from .config import ExperimentConfig, _default_tau_grid
 from .estimators import EstimatorKind
 from .risk import AnalyticRisk, DesignPair, TermRisk, _Quad
 from .spectra import SpectrumSpec
-from .synth import _wishart_bartlett, derive_rng, sample_designs
+from .synth import _wishart_bartlett, derive_rng
 
 # A chain inequality counts as strict only if the gap beats this fraction of
 # the values' scale; anything smaller is recorded as a tie.
@@ -104,6 +104,42 @@ def _chain(chains: list[list[float]]) -> tuple[bool | None, int, float]:
     return holds, ties, (margin if np.isfinite(margin) else np.nan)
 
 
+def _seed_outcome(env: ExperimentConfig, master_seed: int, rep: int,
+                  lambda_grid: tuple[float, ...], tau_grid: tuple[float, ...]) -> SeedOutcome:
+    """The orderings on one seed: its own frame, freed before the next seed draws."""
+    lam_star = lambda_prime(env)
+    ev = AnalyticRisk.from_env(DesignPair.draw(env, master_seed, rep), env)
+    # the evaluator builds each (lam, task)'s term quadratics once, tau_prime's too
+    l_ft = lambda kind: ev.task_risk(kind, "ft").value
+    l_sum = lambda kind: ev.task_risk(kind, "pre").value + ev.task_risk(kind, "ft").value
+    ft_pre = l_ft(EstimatorKind.pretrained())
+    ft_ridgeless = l_ft(EstimatorKind.ridgeless())
+    sum_ridgeless = l_sum(EstimatorKind.ridgeless())
+
+    chains: dict[str, list[list[float]]] = {"item1": [], "item2": [], "item3": []}
+    tau_stars: dict[str, float] = {}
+    for lam in lambda_grid:
+        ts = tau_prime(ev, lam)
+        tau_stars[repr(float(lam))] = ts
+        # grid points at tau = 1 are evaluated anyway: there the ensemble
+        # coincides with its ridge leg, which shows up as a recorded tie
+        if 0.0 < lam <= 2 * lam_star:
+            chains["item1"].append([l_ft(EstimatorKind.ridge(lam)), ft_ridgeless, ft_pre])
+            sum_ridge = l_sum(EstimatorKind.ridge(lam))
+            taus2 = sorted({t for t in tau_grid if ts / 2 <= t} | {min(ts / 2, 1.0)})
+            chains["item2"] += [[l_sum(EstimatorKind.ensemble(lam, tau)), sum_ridge,
+                                 sum_ridgeless] for tau in taus2]
+        if 0.0 <= lam < lam_star:
+            ft_ridge = l_ft(EstimatorKind.ridge(lam))
+            taus3 = sorted({t for t in tau_grid if ts <= t} | {min(ts, 1.0)})
+            chains["item3"] += [[l_ft(EstimatorKind.ensemble(lam, tau)), ft_ridge]
+                                for tau in taus3]
+    verdicts = {item: _chain(c) for item, c in chains.items()}
+    holds, ties, margins = ({item: v[k] for item, v in verdicts.items()} for k in range(3))
+    return SeedOutcome(seed=rep, holds=holds, ties=ties, margins=margins,
+                       lambda_star=lam_star, tau_star=tau_stars)
+
+
 def verify_theorem_orderings(
     env: ExperimentConfig,
     seeds: int,
@@ -123,46 +159,11 @@ def verify_theorem_orderings(
         lambda_grid = [lam_star / 2, lam_star, 2 * lam_star]
     if tau_grid is None:
         tau_grid = _default_tau_grid()
-    lambda_grid = sorted(set(float(v) for v in lambda_grid))
-    tau_grid = sorted(set(float(v) for v in tau_grid))
+    lambda_grid = tuple(sorted(set(float(v) for v in lambda_grid)))
+    tau_grid = tuple(sorted(set(float(v) for v in tau_grid)))
 
-    outcomes = []
-    for rep in range(seeds):
-        pair = DesignPair.from_env(*sample_designs(env, master_seed, rep), env)
-        ev = AnalyticRisk.from_env(pair, env)
-        # the evaluator builds each (lam, task)'s term quadratics once, tau_prime's too
-        l_ft = lambda kind: ev.task_risk(kind, "ft").value
-        l_sum = lambda kind: ev.task_risk(kind, "pre").value + ev.task_risk(kind, "ft").value
-        ft_pre = l_ft(EstimatorKind.pretrained())
-        ft_ridgeless = l_ft(EstimatorKind.ridgeless())
-        sum_ridgeless = l_sum(EstimatorKind.ridgeless())
-
-        chains: dict[str, list[list[float]]] = {"item1": [], "item2": [], "item3": []}
-        tau_stars: dict[str, float] = {}
-        for lam in lambda_grid:
-            ts = tau_prime(ev, lam)
-            tau_stars[repr(float(lam))] = ts
-            # grid points at tau = 1 are evaluated anyway: there the ensemble
-            # coincides with its ridge leg, which shows up as a recorded tie
-            if 0.0 < lam <= 2 * lam_star:
-                chains["item1"].append([l_ft(EstimatorKind.ridge(lam)), ft_ridgeless, ft_pre])
-                sum_ridge = l_sum(EstimatorKind.ridge(lam))
-                taus2 = sorted({t for t in tau_grid if ts / 2 <= t} | {min(ts / 2, 1.0)})
-                chains["item2"] += [[l_sum(EstimatorKind.ensemble(lam, tau)), sum_ridge,
-                                     sum_ridgeless] for tau in taus2]
-            if 0.0 <= lam < lam_star:
-                ft_ridge = l_ft(EstimatorKind.ridge(lam))
-                taus3 = sorted({t for t in tau_grid if ts <= t} | {min(ts, 1.0)})
-                chains["item3"] += [[l_ft(EstimatorKind.ensemble(lam, tau)), ft_ridge]
-                                    for tau in taus3]
-        verdicts = {item: _chain(c) for item, c in chains.items()}
-        holds, ties, margins = ({item: v[k] for item, v in verdicts.items()} for k in range(3))
-
-        outcomes.append(SeedOutcome(
-            seed=rep, holds=holds, ties=ties, margins=margins,
-            lambda_star=lam_star, tau_star=tau_stars,
-        ))
-
+    outcomes = [_seed_outcome(env, master_seed, rep, lambda_grid, tau_grid)
+                for rep in range(seeds)]
     rates = {}
     for item in ("item1", "item2", "item3"):
         evaluated = [o.holds[item] for o in outcomes if o.holds[item] is not None]
@@ -177,8 +178,8 @@ def verify_theorem_orderings(
     }
     return OrderingReport(
         env=summary,
-        lambda_grid=tuple(lambda_grid),
-        tau_grid=tuple(tau_grid),
+        lambda_grid=lambda_grid,
+        tau_grid=tau_grid,
         seeds=tuple(outcomes),
         rates=rates,
     )

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from overadapt.risk import _MC_BATCH, _off_span_gram, _Quad
+from overadapt.mc import _MC_BATCH, _off_span_gram, row_space
+from overadapt.risk import _Quad
 from overadapt.theory import TWO_TERMS
 
 
@@ -101,12 +102,12 @@ def mc_dense_risk_draws(X, Xt, env, kinds, draws, rng, theta_c=None):
 def mc_pointwise_risk_draws(pair, env, kinds, draws, rng):
     """Per-draw plug-in risks on the package's row-space draw, each point weighed directly.
 
-    The same stream and batches as ``risk._mc_risk_draws``, but every point's
+    The same stream and batches as ``mc._mc_risk_draws``, but every point's
     estimate ``hat0 + tau * step`` is formed and its error weighed in full,
     with fresh arrays, instead of read from per-lam coefficients.  Returns one
     {task: per-draw risks} per kind.
     """
-    coords = pair.row_space()
+    coords = row_space(pair)
     ranks = [F.shape[1] for F in coords]
     weights = {t: np.repeat(v, ranks) for t, v in pair.values.items()}
     off = [(m - r, {t: float(v[i]) for t, v in pair.values.items()})

@@ -21,7 +21,8 @@ from overadapt.presets import (
     TRADEOFF_LAMBDA,
     theorem_check_env,
 )
-from overadapt.risk import AnalyticRisk, DesignPair, mc_expected_risks
+from overadapt.mc import mc_expected_risks
+from overadapt.risk import AnalyticRisk, DesignPair
 from overadapt.spectra import SpectrumSpec
 from overadapt.synth import (
     derive_rng,

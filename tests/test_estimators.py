@@ -3,7 +3,8 @@ import pytest
 
 from overadapt.config import ExperimentConfig
 from overadapt.estimators import EstimatorKind, GramSolver, SingularDesignError
-from overadapt.risk import AnalyticRisk, DesignPair, mc_expected_risks
+from overadapt.mc import mc_expected_risks
+from overadapt.risk import AnalyticRisk, DesignPair
 from overadapt.synth import derive_rng, sample_designs
 from oracles import constrained_lstsq_oracle, estimator_oracle, minnorm_oracle
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import overadapt
-from overadapt import harness
+from overadapt import harness, risk
 from overadapt.cli import main as cli_main
 from overadapt.config import (
     ConfigError,
@@ -121,8 +121,19 @@ def test_config_round_trip_is_byte_stable(tmp_path):
 
 def test_config_grids_sorted_deduplicated():
     cfg = small_config(lambda_grid=[1e-2, 1e-3, 1e-2], tau_grid=[1.0, 0.0, 1.0])
-    assert cfg.lambda_grid == [1e-3, 1e-2]
-    assert cfg.tau_grid == [0.0, 1.0]
+    assert cfg.lambda_grid == (1e-3, 1e-2)
+    assert cfg.tau_grid == (0.0, 1.0)
+
+
+def test_config_lists_cannot_change_in_place_and_the_config_hashes():
+    # frozen through its lists too: a tau above 1 or an unknown method cannot
+    # enter a validated config in place
+    cfg = ExperimentConfig(case="a")
+    for name in ("lambda_grid", "tau_grid", "methods", "estimators"):
+        with pytest.raises(AttributeError):
+            getattr(cfg, name).append(7.5)
+    assert hash(cfg) == hash(ExperimentConfig(case="a"))
+    assert {cfg: 1}[ExperimentConfig(case="a", tau_grid=list(cfg.tau_grid))] == 1
 
 
 def test_repeated_estimators_and_methods_write_each_row_once(tmp_path):
@@ -394,6 +405,19 @@ def test_workers_env_variable(monkeypatch, tmp_path):
     assert a == b
 
 
+def test_workers_default_to_the_cpus_the_process_may_run_on(monkeypatch):
+    # under taskset -c 0 or in a cpuset container the host counts more cores
+    # than the process may use; one worker per host core would share one CPU
+    from overadapt.harness import resolve_workers
+
+    monkeypatch.delenv("OVERADAPT_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_workers(None) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")  # where the platform has no affinity
+    assert resolve_workers(None) == 8
+
+
 def test_fixed_theta_c_shared_across_replicates():
     cfg = small_config(replicates=2, fix_theta_c=True,
                        methods=["analytic"], estimators=["pretrained"])
@@ -472,7 +496,7 @@ def test_evaluate_seed_frees_the_designs_before_monte_carlo(monkeypatch):
     # the p-dimensional designs
     cfg = mc_crosscheck_config(methods=["analytic", "monte_carlo"], mc_draws=100)
     designs, alive = [], []
-    draw, mc = harness.sample_designs, harness.mc_expected_risks
+    draw, mc = risk.sample_designs, harness.mc_expected_risks
 
     def sample(*args):
         X, Xt = draw(*args)
@@ -483,7 +507,7 @@ def test_evaluate_seed_frees_the_designs_before_monte_carlo(monkeypatch):
         alive.append([ref() is not None for ref in designs])
         return mc(*args)
 
-    monkeypatch.setattr(harness, "sample_designs", sample)
+    monkeypatch.setattr(risk, "sample_designs", sample)  # DesignPair.draw's draw
     monkeypatch.setattr(harness, "mc_expected_risks", monte_carlo)
     reports = evaluate_seed(cfg, 0, expand_estimator_points(cfg))
     assert len(designs) == 2 and alive == [[False, False]]
@@ -597,23 +621,24 @@ def test_svg_ft_curve_well_formed(tmp_path, rows_a):
 
 
 def test_svg_escapes_text_as_xml_escape_did(tmp_path, rows_a, monkeypatch):
-    from types import SimpleNamespace
     from xml.sax.saxutils import escape
 
     import overadapt.svgplot as svgplot
 
     label, title = 'ridge <&> "family"', "a & b <c> 'd'"
-    monkeypatch.setitem(svgplot.LABELS, "ridge_ft", label)
     rows = [r for r in rows_a if r.estimator != "ensemble" or r.lam == 1e-4]
 
-    def render(name):
+    def render(name, title, label):
+        monkeypatch.setitem(svgplot.LABELS, "ridge_ft", label)
         path = tmp_path / name
         render_tradeoff_svg(rows, path, mode="tradeoff", ensemble_lambda=1e-4, title=title)
         return path.read_bytes()
 
-    svg = render("html.svg")
-    monkeypatch.setattr(svgplot, "html", SimpleNamespace(escape=lambda s, quote: escape(s)))
-    assert svg == render("saxutils.svg")
+    svg = render("escaped.svg", title, label)
+    # the same render with plain stand-ins, each replaced by saxutils' escape
+    plain = render("plain.svg", "TITLE-TEXT", "LABEL-TEXT")
+    assert svg == plain.replace(b"TITLE-TEXT", escape(title).encode()).replace(
+        b"LABEL-TEXT", escape(label).encode())
     texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
     assert title in texts and label in texts
 
@@ -913,25 +938,39 @@ def test_cli_run_loads_no_scipy(tmp_path):
 
 @pytest.mark.parametrize("argv, absent", [
     (["verify", "--p", "400", "--n", "16", "--replicates", "2", "--trials", "10"],
-     ["overadapt.harness", "concurrent.futures.process", "multiprocessing"]),
+     ["overadapt.harness", "overadapt.mc", "concurrent.futures.process", "multiprocessing"]),
     (["preset", "a", "--replicates", "1", "--workers", "1"], ["overadapt.theory"]),
     (["preset", "a", "--replicates", "2", "--workers", "2"],
      ["concurrent.futures.process", "multiprocessing"]),
     (["sweep", "--config", "cfg.json", "--workers", "2"],
      ["concurrent.futures.process", "multiprocessing"]),
+    (["preset", "a", "--replicates", "1", "--workers", "1", "--plot", "a"], ["html"]),
+    (["sweep", "--config", "mc.json", "--workers", "2"],
+     ["concurrent.futures.process", "multiprocessing"]),
 ])
 def test_cli_command_loads_only_what_it_runs(tmp_path, argv, absent):
-    # verify runs no harness and a preset no theory; seeds fan out by a bare fork
+    # verify runs no harness and no Monte Carlo, a preset no theory, and a plot
+    # no html; seeds fan out by a bare fork, after the parent has loaded mc
     save_config(small_config(replicates=2), tmp_path / "cfg.json")
+    save_config(small_config(replicates=2, methods=["analytic", "monte_carlo"], mc_draws=50),
+                tmp_path / "mc.json")
     argv = [*argv, "--out", str(tmp_path / "out")]
-    code = ("import json, sys\n"
+    code = ("import json, os, sys\n"
             "from overadapt import cli\n"
+            "fork, forked = os.fork, []\n"
+            "def recording_fork():\n"
+            "    forked.append('overadapt.mc' in sys.modules)\n"
+            "    return fork()\n"
+            "os.fork = recording_fork\n"
             f"rc = cli.main({argv!r})\n"
-            f"print(json.dumps([rc, [m for m in {absent!r} if m in sys.modules]]))\n")
+            f"print(json.dumps([rc, [m for m in {absent!r} if m in sys.modules], forked]))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(overadapt.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    rc, loaded, forked = json.loads(proc.stdout.splitlines()[-1])
+    assert (rc, loaded) == (0, [])
+    forks = harness._CAN_FORK and "--workers" in argv and argv[argv.index("--workers") + 1] == "2"
+    assert forked == [True] * len(forked) and bool(forked) == forks
 
 
 def test_cli_process_entry_exit_codes_and_output(tmp_path, capsys):

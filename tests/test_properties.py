@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from overadapt.estimators import EstimatorKind
+from overadapt.mc import row_space
 from overadapt.risk import TERM_KEYS, AnalyticRisk, DesignPair, lemma_approx_risk
 
 from oracles import dense_risk_terms, eigenvalues, padded
@@ -118,7 +119,7 @@ def test_row_space_coordinates_reproduce_each_run_gram(seed, n, n_pre, support, 
     C = _stack(X, Xt, theta_c, p)
     edges = np.cumsum([0, *pair.sizes])
     assert edges[-1] == p
-    for i, (F, lo, hi) in enumerate(zip(pair.row_space(), edges, edges[1:])):
+    for i, (F, lo, hi) in enumerate(zip(row_space(pair), edges, edges[1:])):
         for t, b in (("pre", blocks_pre), ("ft", blocks_ft)):
             # both spectra are constant on a run, at the run's value
             assert np.all(eigenvalues(b)[lo:hi] == pair.values[t][i]), t

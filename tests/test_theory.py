@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.stats import ks_2samp
 
 from overadapt.config import ConfigError, ExperimentConfig
 from overadapt.estimators import EstimatorKind
+from overadapt import synth
 from overadapt.presets import theorem_check_env
 from overadapt.risk import AnalyticRisk, DesignPair, FtResolvent
 from overadapt.spectra import SpectrumSpec
@@ -177,6 +179,27 @@ def test_verify_orderings_reads_the_weights_once_per_lambda_and_task(monkeypatch
     monkeypatch.setattr(FtResolvent, "d", lambda self, lam: calls.append(lam) or d(self, lam))
     verify_theorem_orderings(theorem_check_env(), seeds=1, master_seed=0)
     assert len(calls) == 2 * (1 + 3)
+
+
+def test_verify_frees_each_seed_before_the_next_draw(monkeypatch):
+    # a seed's pair and exact evaluator are garbage before the next seed draws
+    # its designs, so no two seeds' reductions are alive at once
+    refs, alive = [], []
+    draw, evaluator = synth.sample_design, AnalyticRisk.from_env
+
+    def sample(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        return draw(*args, **kwargs)
+
+    def evaluate(pair, env):
+        ev = evaluator(pair, env)
+        refs.extend((weakref.ref(pair), weakref.ref(ev)))
+        return ev
+
+    monkeypatch.setattr(synth, "sample_design", sample)
+    monkeypatch.setattr(AnalyticRisk, "from_env", staticmethod(evaluate))
+    verify_theorem_orderings(bench_env(), seeds=3, master_seed=0)
+    assert len(refs) == 2 * 3 and alive == [0] * (2 * 3)
 
 
 def test_verify_orderings_tau_one_is_tie():
