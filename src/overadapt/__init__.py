@@ -21,14 +21,14 @@ _SUBMODULE_NAMES = {
     "estimators": ("EstimatorKind", "GramSolver", "SingularDesignError"),
     "harness": ("ResultRow", "SweepResult", "run_preset", "run_sweep", "write_results"),
     "mc": ("mc_expected_risks",),
-    "presets": ("preset_points", "theorem_check_env"),
+    "presets": ("preset_points",),
     "risk": ("AnalyticRisk", "DesignPair", "FtResolvent", "RiskReport", "TaskRisk",
              "lemma_approx_risk"),
     "spectra": ("SpectrumSpec",),
     "svgplot": ("MissingSeriesError", "render_tradeoff_svg"),
     "synth": ("derive_rng", "sample_design", "sample_designs", "sample_theta_c"),
     "theory": ("EigenBandReport", "OrderingReport", "eigen_band_check", "lambda_prime",
-               "tau_prime", "verify_theorem_orderings"),
+               "tau_prime", "theorem_check_env", "verify_theorem_orderings"),
 }
 _SUBMODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items()
                  for name in names}

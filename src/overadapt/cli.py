@@ -37,7 +37,7 @@ start_single_threaded()  # before the imports below load numpy
 
 from .config import FORMATS, METHODS, ConfigError, config_from_dict, load_config, save_config
 from .estimators import EstimatorKind, SingularDesignError
-from .presets import CASES, FT_ONLY_LAMBDA, FULL_P, preset_points, theorem_check_env
+from .presets import CASES, DESK_P, FT_ONLY_LAMBDA, FULL_P, preset_points
 from .spectra import SpectrumSpec
 from .synth import derive_rng
 
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
 
     p_verify = sub.add_parser("verify", help="ordering and concentration suites")
-    p_verify.add_argument("--p", type=int, default=2000)
+    p_verify.add_argument("--p", type=int, default=DESK_P)
     p_verify.add_argument("--n", type=int, default=40)
     p_verify.add_argument("--trials", type=int, default=200,
                           help="trials for the eigenvalue band check")
@@ -192,18 +192,16 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"verify runs in one process and writes a JSON report "
                              f"of exact risks; {flag} does not apply")
     _check_writable(args.out)
-    from .theory import eigen_band_check, lambda_prime, verify_theorem_orderings
+    from .theory import eigen_band_check, theorem_check_env, verify_theorem_orderings
 
-    env = theorem_check_env(p=args.p, n=args.n)
-    seeds, master_seed = args.replicates or 20, args.seed or 0
-    lam_star = lambda_prime(env)
-    report = verify_theorem_orderings(env, seeds=seeds, master_seed=master_seed)
-    print(f"lambda' = {lam_star!r}")
+    env = _config(args, theorem_check_env(p=args.p, n=args.n).to_dict())
+    report = verify_theorem_orderings(env)
+    print(f"lambda' = {report.env['lambda_star']!r}")
     for item in ("item1", "item2", "item3"):
-        print(f"{item}: rate {report.rates[item]:.3f} over {seeds} seeds")
-    spec = SpectrumSpec(k_star=1, gamma=1e-2, p=200 * args.n + 1, p_tilde=200 * args.n + 1)
-    band = eigen_band_check(spec, n=args.n, trials=args.trials,
-                            rng=derive_rng(master_seed, "eigen", 0))
+        print(f"{item}: rate {report.rates[item]:.3f} over {env.replicates} seeds")
+    spec = SpectrumSpec(k_star=1, gamma=1e-2, p=200 * env.n + 1, p_tilde=200 * env.n + 1)
+    band = eigen_band_check(spec, n=env.n, trials=args.trials,
+                            rng=derive_rng(env.master_seed, "eigen", 0))
     print(f"eigen band: {band.inside}/{band.trials} inside "
           f"[{band.band[0]:.3g}, {band.band[1]:.3g}] x scale (regime_ok={band.regime_ok})")
     if args.out:

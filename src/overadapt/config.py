@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .estimators import EstimatorKind
-from .presets import TRADEOFF_LAMBDA, preset_defaults
+from .presets import CASES, TRADEOFF_LAMBDA, preset_defaults
 from .spectra import SpectrumSpec
 from .synth import COORD_DISTS
 
@@ -74,6 +74,8 @@ class ExperimentConfig:
     fix_theta_c: bool = False
 
     def __post_init__(self):
+        if self.case is not None and self.case not in tuple(CASES):  # a list is unhashable
+            raise ConfigError(f"case: unknown case {self.case!r}; known: {sorted(CASES)}")
         for key, value in preset_defaults("a" if self.case is None else self.case).items():
             if getattr(self, key) is _FROM_CASE:
                 object.__setattr__(self, key, value)
@@ -118,18 +120,17 @@ class ExperimentConfig:
                 fail(name, f"must be true or false, got {getattr(self, name)!r}")
         if self.format not in FORMATS:
             fail("format", f"must be one of {FORMATS}, got {self.format!r}")
-        for m in self.methods:
-            if m not in METHODS:
-                fail("methods", f"unknown method {m!r}; known: {METHODS}")
-        for e in self.estimators:
-            if e not in EstimatorKind.PARAMS:
-                fail("estimators", f"unknown estimator {e!r}; known: {tuple(EstimatorKind.PARAMS)}")
-        if not self.methods:
-            fail("methods", "at least one method is required")
-        if not self.estimators:
-            fail("estimators", "at least one estimator is required")
-        for name in ("methods", "estimators"):  # a repeated name would repeat its rows
-            object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
+        if self.out is not None and not (isinstance(self.out, str) and self.out):
+            fail("out", f"must be a path or null, got {self.out!r}")
+        for name, known in (("methods", METHODS), ("estimators", tuple(EstimatorKind.PARAMS))):
+            names = getattr(self, name)  # a bare string would be read letter by letter
+            if not isinstance(names, (list, tuple)) or not names:
+                fail(name, f"must be a non-empty list of names, got {names!r}")
+            for v in names:
+                if v not in known:
+                    fail(name, f"unknown {name[:-1]} {v!r}; known: {known}")
+            # a repeated name would repeat its rows
+            object.__setattr__(self, name, tuple(dict.fromkeys(names)))
         for name in ("lambda_grid", "tau_grid"):
             grid = getattr(self, name)
             if not isinstance(grid, (list, tuple)) or not grid:

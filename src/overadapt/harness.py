@@ -4,7 +4,8 @@
 a list of estimator points, by default the factorial expansion of the
 config's grids.  A preset run (``run_preset``) is the same runner over the
 case's points (``presets.preset_points``).  ``evaluate_seed`` evaluates each
-seed (the ``risk`` command is its replicate 0).  On Linux, seeds fan out to
+seed (the ``risk`` command is its replicate 0) on its ``DesignPair.draw``, with
+every setting read from the config.  On Linux, seeds fan out to
 forked processes: with k = min(workers, replicates), child i evaluates every
 k-th seed from seed i and pipes its outputs back as one pickle.  The parent
 has loaded every module a seed uses before it forks, so no child imports
@@ -42,9 +43,9 @@ from ._blas import pin_single_thread
 from .config import ExperimentConfig, config_from_dict
 from .estimators import EstimatorKind
 from .mc import mc_expected_risks  # loaded before seeds fan out, like numpy.random
-from .presets import FULL_P, preset_points
+from .presets import preset_points
 from .risk import TASKS, TERM_KEYS, AnalyticRisk, DesignPair, RiskReport, lemma_approx_risk
-from .synth import derive_rng, sample_theta_c
+from .synth import derive_rng
 
 WORKERS_ENV_VAR = "OVERADAPT_WORKERS"
 
@@ -146,19 +147,14 @@ def evaluate_seed(config: ExperimentConfig, seed_index: int,
     Deterministic in (master_seed, seed_index).
     """
     methods = config.methods
-    theta_c = None
-    if config.fix_theta_c:
-        # one shared draw held fixed across every replicate of the sweep
-        theta_c = sample_theta_c(config, derive_rng(config.master_seed, "params", 0))
     # one reduction of the designs: every method reads the pair's Grams and
     # solvers, and the p-dimensional designs are freed before any method runs
-    pair = DesignPair.draw(config, config.master_seed, seed_index, theta_c=theta_c,
-                           jitter=config.jitter)
-    analytic = AnalyticRisk.from_env(pair, config) if "analytic" in methods else None
+    pair = DesignPair.draw(config, seed_index)
+    analytic = AnalyticRisk(pair, config) if "analytic" in methods else None
     lemma = lemma_approx_risk(pair, config) if "lemma_approx" in methods else None
     mc = [None] * len(kinds)
     if "monte_carlo" in methods:
-        mc = mc_expected_risks(pair, config, kinds, config.mc_draws,
+        mc = mc_expected_risks(pair, config, kinds,
                                derive_rng(config.master_seed, "mc", seed_index))
     reports: list[RiskReport] = []
     for kind, mc_report in zip(kinds, mc):
@@ -342,9 +338,12 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None,
     return SweepResult(*_run_seeds(jobs, nworkers), _processes(nworkers, len(jobs)), config)
 
 
-def run_preset(case: str, overrides: dict | None = None, full: bool = False,
+def run_preset(case: str, overrides: dict | None = None,
                workers: int | None = None) -> SweepResult:
-    """One built-in case, with ``overrides`` on its config, over its preset points."""
-    sizes = {"p": FULL_P} if full else {}  # the config fills the case's other sizes
-    config = config_from_dict({"case": case, **sizes, **(overrides or {})})
+    """One built-in case, with ``overrides`` on its config, over its preset points.
+
+    The config fills the sizes that ``overrides`` leaves out from the case, so
+    ``{"p": presets.FULL_P}`` is the full-size run.
+    """
+    config = config_from_dict({"case": case, **(overrides or {})})
     return run_sweep(config, workers, preset_points(config))

@@ -70,37 +70,29 @@ def _off_span_gram(rng: np.random.Generator, dof: int, m: int) -> np.ndarray:
     return np.swapaxes(G, 1, 2) @ G
 
 
-def mc_expected_risks(
-    pair: DesignPair,
-    env: ExperimentConfig,
-    kinds: list[EstimatorKind],
-    draws: int,
-    rng: np.random.Generator,
-) -> list[RiskReport]:
-    """Monte-Carlo mean of the plug-in risk over fresh parameter/noise draws,
-    one report per kind, every kind on the same draws.
+def mc_expected_risks(pair: DesignPair, env: ExperimentConfig, kinds: list[EstimatorKind],
+                      rng: np.random.Generator) -> list[RiskReport]:
+    """Monte-Carlo mean of the plug-in risk over env's ``mc_draws`` fresh
+    parameter/noise draws, one report per kind, every kind on the same draws.
 
     The pair's designs (and fixed theta_c, if it has one) stay fixed; its
     solvers and one row-space reduction serve every draw, so a draw costs
     O(n) numbers and n x n work at any p (see the module docstring).  Draws
     are vectorised in batches of ``_MC_BATCH``, which fixes the stream.
-    Fewer than two draws are refused: one draw has no standard error.
     """
-    if draws < 2:
-        raise ValueError(f"draws must be >= 2 for a standard error, got {draws}")
-    risks = _mc_risk_draws(pair, env, kinds, draws, rng)
+    risks = _mc_risk_draws(pair, env, kinds, rng)
 
     def summarise(r) -> TaskRisk:
         return TaskRisk(value=float(np.mean(r)), se=float(np.std(r, ddof=1) / np.sqrt(r.size)))
 
-    return [RiskReport(method="monte_carlo", kind=kind, draws=draws,
+    return [RiskReport(method="monte_carlo", kind=kind, draws=env.mc_draws,
                        pre=summarise(r["pre"]), ft=summarise(r["ft"]))
             for kind, r in zip(kinds, risks)]
 
 
 def _mc_risk_draws(pair: DesignPair, env: ExperimentConfig, kinds: list[EstimatorKind],
-                   draws: int, rng: np.random.Generator) -> list[dict[str, np.ndarray]]:
-    """The plug-in risk of every kind on each of ``draws`` shared draws, per task.
+                   rng: np.random.Generator) -> list[dict[str, np.ndarray]]:
+    """The plug-in risk of every kind on each of env's ``mc_draws`` shared draws, per task.
 
     The batch arrays are allocated once per call, and each batch draws and
     solves into them in place; a partial last batch uses the leading (rows, m)
@@ -117,7 +109,8 @@ def _mc_risk_draws(pair: DesignPair, env: ExperimentConfig, kinds: list[Estimato
     off = [(m - r, {t: float(v[i]) for t, v in pair.values.items()})
            for i, (m, r) in enumerate(zip(pair.sizes, ranks)) if m > r]
     F = np.hstack(coords)
-    n_pre, n, rank = pair.n_pre, pair.n, F.shape[1]
+    del coords  # copied into F
+    n_pre, n, rank, draws = pair.n_pre, pair.n, F.shape[1], env.mc_draws
     Xq, Xtq = F[pair.x], F[pair.xt]
     sp, st = pair.solver_pre, pair.solver_ft
     # kind indices with tau = 0 (the pretrained weights), the rest grouped by lam
@@ -163,9 +156,11 @@ def _mc_risk_draws(pair: DesignPair, env: ExperimentConfig, kinds: list[Estimato
         if not pair.fixed_theta_c:
             tc = batch(bufs["g"])
             rng.standard_normal(out=tc)
-            grams = [(_off_span_gram(rng, dof, m) * sd[:, None] * sd, e) for dof, e in off]
+            grams = [(_off_span_gram(rng, dof, m), e) for dof, e in off]
             norm2 = np.sum(np.multiply(tc, tc, out=scratch), axis=0)
             for W, _ in grams:
+                W *= sd[:, None]  # scaled in place
+                W *= sd
                 norm2 += W[:, 0, 0]
             s = env.theta_c_norm / np.sqrt(norm2)
             tc *= s

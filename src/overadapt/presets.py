@@ -13,8 +13,9 @@ interpolating estimators, the ridge family, and the ensemble weight sweep at
 each level of the config's ``lambda_grid`` (the trade-off level) and at the
 deliberately small ft-only level.
 
-A case's p is 2000, to keep bench runs fast; full-size runs (``--full``) set
-p = ``FULL_P`` = 10^4 over it, and nothing else changes.
+A case's p is ``DESK_P`` = 2000, to keep bench runs fast; full-size runs
+(``--full``, or ``{"p": FULL_P}`` in ``run_preset``'s overrides) set p =
+``FULL_P`` = 10^4 over it, and nothing else changes.
 """
 
 from __future__ import annotations
@@ -63,8 +64,6 @@ def _sizes(n: int, p: int) -> dict:
 
 def preset_defaults(case: str) -> dict:
     """The config keys one case sets (see config.ExperimentConfig for the rest)."""
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}; known: {sorted(CASES)}")
     return _sizes(CASES[case][0], DESK_P)
 
 
@@ -81,22 +80,3 @@ def preset_points(config) -> list[EstimatorKind]:
         kinds += [EstimatorKind.ensemble(lam, tau) for tau in config.tau_grid]
     return kinds
 
-
-def theorem_check_env(p: int = DESK_P, n: int = 40):
-    """The ``ExperimentConfig`` (the model) that the ordering suites run on.
-
-    The sizes follow n as a case's do: a fine-tune support of 2n keeps the
-    fine-tune Gram away from squareness and strictly satisfies p_tilde > n.
-    The variance scales follow the model's order assumptions (zeta2 ~ sigma2 ~
-    sigma2_tilde, zeta1 and the shared parameter small) but are chosen so the
-    task-shift and fine-tune-noise terms dominate the risk at this bench
-    dimension: the closed-form optima only match the full-risk optima once the
-    lower-order terms are negligible, and at p ~ 2000 the simulation-default
-    constants leave them a percent-level perturbation.
-    """
-    from .config import ConfigError, ExperimentConfig
-
-    if n == 0:  # its tails n^-1.5 and 1/n divide by zero; the config rejects every other n
-        raise ConfigError(f"n: must be a positive integer, got {n!r}")
-    return ExperimentConfig(**_sizes(n, p), zeta1=1e-5, zeta2=4e-2, sigma2=1.25e-2,
-                            sigma2_tilde=4e-2, theta_c_norm=0.25)

@@ -1,15 +1,16 @@
 """Excess risks of the four estimators, three ways.
 
 ``DesignPair``               one seed's designs reduced once, to one Gram of
-                             their stacked rows per spectrum run; every
-                             method below reads the pair.
+                             their stacked rows per spectrum run
+                             (``DesignPair.draw(env, replicate)``); every
+                             method below reads the pair and the config.
 ``TermRisk``                 reads per-task ``Term``s at each lam's resolvent
                              weights, one memo per (lam, task); its
                              ``report(kind)`` covers both tasks.
 ``AnalyticRisk``             the ``TermRisk`` of the exact expectation over
                              (theta_c, alpha1, alpha2, noise) with the two
                              designs held fixed: five closed-form Terms
-                             (``AnalyticRisk.from_env(pair, env).report(kind)``).
+                             (``AnalyticRisk(pair, env).report(kind)``).
 ``mc.mc_expected_risks``     Monte-Carlo estimates of the same expectation on
                              draws shared by all estimators, the independent
                              numerical check, in its own module.
@@ -65,7 +66,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .estimators import EstimatorKind, GramSolver
-from .synth import sample_designs
+from .synth import derive_rng, sample_designs, sample_theta_c
 
 TERM_KEYS = ("bias_thetac", "term_zeta1", "term_zeta2", "term_sigma", "term_sigma_tilde")
 
@@ -233,17 +234,16 @@ class DesignPair:
                   for t, vals in self.values.items()}
 
     @classmethod
-    def from_env(cls, X: np.ndarray, Xt: np.ndarray, env: ExperimentConfig,
-                 theta_c: np.ndarray | None = None, jitter: bool = False) -> "DesignPair":
-        return cls(X, Xt, env.spectrum_pre.blocks, env.spectrum_ft.blocks,
-                   theta_c=theta_c, jitter=jitter)
+    def draw(cls, env: ExperimentConfig, replicate: int) -> "DesignPair":
+        """One replicate's designs, drawn and reduced: the one design-draw path.
 
-    @classmethod
-    def draw(cls, env: ExperimentConfig, master_seed: int, replicate: int,
-             theta_c: np.ndarray | None = None, jitter: bool = False) -> "DesignPair":
-        """One replicate's designs, drawn and reduced: the one design-draw path."""
-        return cls.from_env(*sample_designs(env, master_seed, replicate), env,
-                            theta_c=theta_c, jitter=jitter)
+        Reads env's master_seed and jitter; a ``fix_theta_c`` env holds one
+        theta_c, drawn from stream ("params", 0), across every replicate.
+        """
+        theta_c = (sample_theta_c(env, derive_rng(env.master_seed, "params", 0))
+                   if env.fix_theta_c else None)
+        return cls(*sample_designs(env, env.master_seed, replicate), env.spectrum_pre.blocks,
+                   env.spectrum_ft.blocks, theta_c=theta_c, jitter=env.jitter)
 
     @cached_property
     def solver_pre(self) -> GramSolver:
@@ -294,13 +294,13 @@ class FtResolvent:
         return {"t1": float(d @ m), "t2": float(d2 @ m), "t3": float((d2 * s) @ m),
                 "t4": float("nan") if undefined else float(d3 @ m), "t5": float((d3 * s) @ m)}
 
-    def two_terms(self, zeta2: float, sigma2_tilde: float, task: str) -> dict[str, Term]:
+    def two_terms(self, env: ExperimentConfig, task: str) -> dict[str, Term]:
         """term_zeta2 and term_sigma_tilde on ``task`` (s holds any jitter)."""
-        m = self._m[task]
+        m, zeta2 = self._m[task], env.zeta2
         zero = np.zeros_like(m)
         c, b = (zeta2 * self.tr_cov["ft"], -2 * zeta2 * m) if task == "ft" else (0.0, zero)
         return {"term_zeta2": Term(c, b, zeta2 * self.solver.s * m),
-                "term_sigma_tilde": Term(0.0, zero, sigma2_tilde * m)}
+                "term_sigma_tilde": Term(0.0, zero, env.sigma2_tilde * m)}
 
 
 class TermRisk:
@@ -343,21 +343,16 @@ class TermRisk:
 class AnalyticRisk(TermRisk):
     """Exact conditional risk evaluator for one ``DesignPair``.
 
-    Builds the five ``Term``s of each task once (see the module docstring).
-    A pair without a fixed theta_c averages the shared-parameter quadratic
-    form over the uniform sphere of radius ``theta_c_norm`` (value
-    norm^2/p * trace); a pair with one evaluates it at that fixed point.
+    Builds the five ``Term``s of each task once (see the module docstring),
+    from the pair's Grams and env's variances and ``theta_c_norm``; the
+    spectra are the pair's.  A pair without a fixed theta_c averages the
+    shared-parameter quadratic form over the uniform sphere of radius
+    ``theta_c_norm`` (value norm^2/p * trace); a pair with one evaluates it
+    at that fixed point.
     """
 
-    def __init__(
-        self,
-        pair: DesignPair,
-        zeta1: float,
-        zeta2: float,
-        sigma2: float,
-        sigma2_tilde: float,
-        theta_c_norm: float = 1.0,
-    ):
+    def __init__(self, pair: DesignPair, env: ExperimentConfig):
+        zeta1, sigma2 = env.zeta1, env.sigma2
         res = pair.resolvent
         # S[t] = C D_t C^T and G = C C^T for the stacked rows C = [X; Xt(; theta_c)]
         S, G, x, xt, sp = pair.S, pair.G, pair.x, pair.xt, pair.solver_pre
@@ -371,7 +366,7 @@ class AnalyticRisk(TermRisk):
             # h^T D h, g = U^T Xt h and U^T Xt D h are Gram contractions
             v = np.r_[-sp.solve(G[x, -1]), np.zeros(pair.n), 1.0]
             g = U.T @ (G[xt] @ v)
-        r2 = theta_c_norm**2 / pair.p
+        r2 = env.theta_c_norm**2 / pair.p
         all_terms = {}
         for t, St in S.items():
             a1 = sp.solve(St[x, x])
@@ -388,14 +383,9 @@ class AnalyticRisk(TermRisk):
                           else Term(zeta1 * w0, -2 * zeta1 * c1, zeta1 * MQ1))
             terms = {"bias_thetac": bias, "term_zeta1": zeta1_term,
                      "term_sigma": Term(sigma2 * u0, -2 * sigma2 * c2, sigma2 * (M * Q2.T)),
-                     **res.two_terms(zeta2, sigma2_tilde, t)}
+                     **res.two_terms(env, t)}
             all_terms[t] = {k: terms[k] for k in TERM_KEYS}
         super().__init__("analytic", res, all_terms)
-
-    @classmethod
-    def from_env(cls, pair: DesignPair, env: ExperimentConfig) -> "AnalyticRisk":
-        return cls(pair, zeta1=env.zeta1, zeta2=env.zeta2, sigma2=env.sigma2,
-                   sigma2_tilde=env.sigma2_tilde, theta_c_norm=env.theta_c_norm)
 
 
 def lemma_approx_risk(pair: DesignPair, env: ExperimentConfig) -> TermRisk:
@@ -405,4 +395,4 @@ def lemma_approx_risk(pair: DesignPair, env: ExperimentConfig) -> TermRisk:
     """
     res = pair.resolvent
     return TermRisk("lemma_approx", res,
-                    {t: res.two_terms(env.zeta2, env.sigma2_tilde, t) for t in TASKS})
+                    {t: res.two_terms(env, t) for t in TASKS})

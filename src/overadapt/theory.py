@@ -6,7 +6,9 @@ Its optima are the ridge level ``lambda_prime = sigma2_tilde / (n * zeta2)``
 for the fine-tune task (twice that for the summed two-task risk) and the
 ensemble weight ``tau_prime(lam)`` (half that for the sum).
 ``verify_theorem_orderings`` replays the three predicted strict orderings on
-freshly drawn designs using the exact conditional risks, and
+freshly drawn designs using the exact conditional risks, with its seed count,
+master seed and grids read from the config (``theorem_check_env`` is the one
+the ``verify`` command starts from), and
 ``eigen_band_check`` probes the tail-Gram eigenvalue concentration that
 underpins them: with Gaussian coordinates that Gram is exactly gamma times a
 Wishart matrix, drawn by the Bartlett decomposition.
@@ -15,15 +17,16 @@ Wishart matrix, drawn by the Bartlett decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentConfig, _default_tau_grid
+from .config import ConfigError, ExperimentConfig
 from .estimators import EstimatorKind
+from .presets import DESK_P, _sizes
 from .risk import AnalyticRisk, DesignPair, TermRisk, _Quad
 from .spectra import SpectrumSpec
-from .synth import _wishart_bartlett, derive_rng
+from .synth import _wishart_bartlett
 
 # A chain inequality counts as strict only if the gap beats this fraction of
 # the values' scale; anything smaller is recorded as a tie.
@@ -37,6 +40,27 @@ def lambda_prime(env: ExperimentConfig) -> float:
     if env.zeta2 <= 0:
         raise ValueError("lambda_prime needs zeta2 > 0")
     return env.sigma2_tilde / (env.n * env.zeta2)
+
+
+def theorem_check_env(p: int = DESK_P, n: int = 40) -> ExperimentConfig:
+    """The ``ExperimentConfig`` (the model) that the ordering suites run on,
+    with ``lambda_grid`` = (lambda_prime / 2, lambda_prime, 2 lambda_prime).
+
+    The sizes follow n as a case's do: a fine-tune support of 2n keeps the
+    fine-tune Gram away from squareness and strictly satisfies p_tilde > n.
+    The variance scales follow the model's order assumptions (zeta2 ~ sigma2 ~
+    sigma2_tilde, zeta1 and the shared parameter small) but are chosen so the
+    task-shift and fine-tune-noise terms dominate the risk at this bench
+    dimension: the closed-form optima only match the full-risk optima once the
+    lower-order terms are negligible, and at p ~ 2000 the simulation-default
+    constants leave them a percent-level perturbation.
+    """
+    if n == 0:  # its tails n^-1.5 and 1/n divide by zero; the config rejects every other n
+        raise ConfigError(f"n: must be a positive integer, got {n!r}")
+    env = ExperimentConfig(**_sizes(n, p), zeta1=1e-5, zeta2=4e-2, sigma2=1.25e-2,
+                           sigma2_tilde=4e-2, theta_c_norm=0.25)
+    lam = lambda_prime(env)
+    return replace(env, lambda_grid=(lam / 2, lam, 2 * lam))
 
 
 def tau_prime(ev: TermRisk, lam: float) -> float:
@@ -104,11 +128,10 @@ def _chain(chains: list[list[float]]) -> tuple[bool | None, int, float]:
     return holds, ties, (margin if np.isfinite(margin) else np.nan)
 
 
-def _seed_outcome(env: ExperimentConfig, master_seed: int, rep: int,
-                  lambda_grid: tuple[float, ...], tau_grid: tuple[float, ...]) -> SeedOutcome:
+def _seed_outcome(env: ExperimentConfig, rep: int) -> SeedOutcome:
     """The orderings on one seed: its own frame, freed before the next seed draws."""
     lam_star = lambda_prime(env)
-    ev = AnalyticRisk.from_env(DesignPair.draw(env, master_seed, rep), env)
+    ev = AnalyticRisk(DesignPair.draw(env, rep), env)
     # the evaluator builds each (lam, task)'s term quadratics once, tau_prime's too
     l_ft = lambda kind: ev.task_risk(kind, "ft").value
     l_sum = lambda kind: ev.task_risk(kind, "pre").value + ev.task_risk(kind, "ft").value
@@ -118,7 +141,7 @@ def _seed_outcome(env: ExperimentConfig, master_seed: int, rep: int,
 
     chains: dict[str, list[list[float]]] = {"item1": [], "item2": [], "item3": []}
     tau_stars: dict[str, float] = {}
-    for lam in lambda_grid:
+    for lam in env.lambda_grid:
         ts = tau_prime(ev, lam)
         tau_stars[repr(float(lam))] = ts
         # grid points at tau = 1 are evaluated anyway: there the ensemble
@@ -126,12 +149,12 @@ def _seed_outcome(env: ExperimentConfig, master_seed: int, rep: int,
         if 0.0 < lam <= 2 * lam_star:
             chains["item1"].append([l_ft(EstimatorKind.ridge(lam)), ft_ridgeless, ft_pre])
             sum_ridge = l_sum(EstimatorKind.ridge(lam))
-            taus2 = sorted({t for t in tau_grid if ts / 2 <= t} | {min(ts / 2, 1.0)})
+            taus2 = sorted({t for t in env.tau_grid if ts / 2 <= t} | {min(ts / 2, 1.0)})
             chains["item2"] += [[l_sum(EstimatorKind.ensemble(lam, tau)), sum_ridge,
                                  sum_ridgeless] for tau in taus2]
         if 0.0 <= lam < lam_star:
             ft_ridge = l_ft(EstimatorKind.ridge(lam))
-            taus3 = sorted({t for t in tau_grid if ts <= t} | {min(ts, 1.0)})
+            taus3 = sorted({t for t in env.tau_grid if ts <= t} | {min(ts, 1.0)})
             chains["item3"] += [[l_ft(EstimatorKind.ensemble(lam, tau)), ft_ridge]
                                 for tau in taus3]
     verdicts = {item: _chain(c) for item, c in chains.items()}
@@ -140,30 +163,16 @@ def _seed_outcome(env: ExperimentConfig, master_seed: int, rep: int,
                        lambda_star=lam_star, tau_star=tau_stars)
 
 
-def verify_theorem_orderings(
-    env: ExperimentConfig,
-    seeds: int,
-    lambda_grid=None,
-    tau_grid=None,
-    master_seed: int = 0,
-) -> OrderingReport:
-    """Replay the three risk orderings across freshly drawn design pairs.
+def verify_theorem_orderings(env: ExperimentConfig) -> OrderingReport:
+    """Replay the three risk orderings on env's ``replicates`` freshly drawn
+    design pairs, at every point of env's lambda and tau grids.
 
     All comparisons use the exact conditional expectations (analytic
     evaluator), never single plug-in draws.  Eligible grid points are
     filtered to each item's stated parameter range, and the boundary values
     tau_star(lam) (item3) and tau_star(lam)/2 (item2) are always included.
     """
-    lam_star = lambda_prime(env)
-    if lambda_grid is None:
-        lambda_grid = [lam_star / 2, lam_star, 2 * lam_star]
-    if tau_grid is None:
-        tau_grid = _default_tau_grid()
-    lambda_grid = tuple(sorted(set(float(v) for v in lambda_grid)))
-    tau_grid = tuple(sorted(set(float(v) for v in tau_grid)))
-
-    outcomes = [_seed_outcome(env, master_seed, rep, lambda_grid, tau_grid)
-                for rep in range(seeds)]
+    outcomes = [_seed_outcome(env, rep) for rep in range(env.replicates)]
     rates = {}
     for item in ("item1", "item2", "item3"):
         evaluated = [o.holds[item] for o in outcomes if o.holds[item] is not None]
@@ -173,16 +182,11 @@ def verify_theorem_orderings(
         "spectrum_pre": env.spectrum_pre, "spectrum_ft": env.spectrum_ft,
         "zeta1": env.zeta1, "zeta2": env.zeta2,
         "sigma2": env.sigma2, "sigma2_tilde": env.sigma2_tilde,
-        "theta_c_norm": env.theta_c_norm, "lambda_star": lam_star,
-        "seeds": seeds, "master_seed": master_seed,
+        "theta_c_norm": env.theta_c_norm, "lambda_star": lambda_prime(env),
+        "seeds": env.replicates, "master_seed": env.master_seed,
     }
-    return OrderingReport(
-        env=summary,
-        lambda_grid=lambda_grid,
-        tau_grid=tau_grid,
-        seeds=tuple(outcomes),
-        rates=rates,
-    )
+    return OrderingReport(env=summary, lambda_grid=env.lambda_grid, tau_grid=env.tau_grid,
+                          seeds=tuple(outcomes), rates=rates)
 
 
 def _tail_gram_extremes(rng: np.random.Generator, n: int, gamma: float,
@@ -208,8 +212,8 @@ def eigen_band_check(
     spec: SpectrumSpec,
     n: int,
     trials: int,
+    rng: np.random.Generator,
     band: tuple[float, float] = (1 / 3, 3.0),
-    rng: np.random.Generator | None = None,
 ) -> EigenBandReport:
     """Empirical concentration of the tail Gram's extreme eigenvalues.
 
@@ -227,8 +231,6 @@ def eigen_band_check(
     instead of the n*m entries of Z; when m < n the Gram has n - m exact
     zero eigenvalues, so its smallest eigenvalue is 0.
     """
-    if rng is None:
-        rng = derive_rng(0, "eigen", 0)
     # the tail block's value is the pivot, and its size the effective rank r_k
     gamma, r_k = spec.gamma, spec.p_tilde - spec.k_star
     if gamma <= 0.0 or r_k == 0:

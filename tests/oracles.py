@@ -6,8 +6,9 @@ The package under test must agree with these at small sizes, exactly or in
 law.  None of this code is shared with it except in
 ``mc_pointwise_risk_draws``, which reuses the package's row-space draw and
 weighs every point's estimate in full.  ``CountingRng`` counts the
-numbers a generator hands out, and ``two_term`` reads the package's own
-``Term``s for the theory's stationarity identities.
+numbers a generator hands out, ``two_term`` reads the package's own
+``Term``s for the theory's stationarity identities, and ``pair_of`` reduces
+given designs at a config's spectra, for tests that build or edit designs.
 """
 
 from __future__ import annotations
@@ -15,8 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from overadapt.mc import _MC_BATCH, _off_span_gram, row_space
-from overadapt.risk import _Quad
+from overadapt.risk import DesignPair, _Quad
 from overadapt.theory import TWO_TERMS
+
+
+def pair_of(X, Xt, env, theta_c=None):
+    """The ``DesignPair`` of the designs (X, Xt) at env's two spectra."""
+    return DesignPair(X, Xt, env.spectrum_pre.blocks, env.spectrum_ft.blocks, theta_c=theta_c)
 
 
 def eigenvalues(blocks):

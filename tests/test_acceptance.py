@@ -7,6 +7,7 @@ are pinned at bench scale.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,23 +16,19 @@ from overadapt._blas import single_threaded
 from overadapt.estimators import EstimatorKind, GramSolver
 from overadapt.config import ExperimentConfig, config_from_dict
 from overadapt.harness import run_preset, run_sweep, write_results
-from overadapt.presets import (
-    FT_ONLY_LAMBDA,
-    RIDGE_FAMILY,
-    TRADEOFF_LAMBDA,
-    theorem_check_env,
-)
+from overadapt.presets import FT_ONLY_LAMBDA, RIDGE_FAMILY, TRADEOFF_LAMBDA
 from overadapt.mc import mc_expected_risks
 from overadapt.risk import AnalyticRisk, DesignPair
 from overadapt.spectra import SpectrumSpec
-from overadapt.synth import (
-    derive_rng,
-    sample_design,
-    sample_designs,
-    sample_theta_c,
+from overadapt.synth import derive_rng, sample_design, sample_designs, sample_theta_c
+from overadapt.theory import (
+    eigen_band_check,
+    lambda_prime,
+    tau_prime,
+    theorem_check_env,
+    verify_theorem_orderings,
 )
-from overadapt.theory import eigen_band_check, lambda_prime, tau_prime, verify_theorem_orderings
-from oracles import estimator_oracle, padded, two_term
+from oracles import estimator_oracle, padded, pair_of, two_term
 
 MASTER_SEED = 0
 
@@ -141,11 +138,11 @@ def test_c03_analytic_vs_monte_carlo():
                           derive_rng(MASTER_SEED, "design_pre", seed))
         Xt = sample_design(env.spectrum_ft, env.n,
                            derive_rng(MASTER_SEED, "design_ft", seed))
-        pair = DesignPair.from_env(X, Xt, env)
-        exact = AnalyticRisk.from_env(pair, env)
+        pair = pair_of(X, Xt, env)
+        exact = AnalyticRisk(pair, env)
         for k, kind in enumerate(kinds):
-            mc = mc_expected_risks(pair, env, [kind], draws=2000,
-                                   rng=derive_rng(MASTER_SEED, "mc", 100 * seed + k))[0]
+            mc = mc_expected_risks(pair, replace(env, mc_draws=2000), [kind],
+                                   derive_rng(MASTER_SEED, "mc", 100 * seed + k))[0]
             for task in ("pre", "ft"):
                 total += 1
                 gap = abs(mc.task(task).value - exact.task_risk(kind, task).value)
@@ -162,9 +159,9 @@ def ordering_env():
 
 def test_c04_regularization_ordering(ordering_env):
     lam_star = lambda_prime(ordering_env)
-    rep = verify_theorem_orderings(
-        ordering_env, seeds=20, master_seed=MASTER_SEED,
-        lambda_grid=[lam_star / 2, lam_star, 2 * lam_star], tau_grid=[0.0])
+    rep = verify_theorem_orderings(replace(
+        ordering_env, replicates=20, master_seed=MASTER_SEED,
+        lambda_grid=[lam_star / 2, lam_star, 2 * lam_star], tau_grid=[0.0]))
     held = sum(1 for s in rep.seeds if s.holds["item1"])
     report(4, held >= 18,
            f"ridge < interpolating < pretrained on ft task held in {held}/20 seeds "
@@ -174,9 +171,9 @@ def test_c04_regularization_ordering(ordering_env):
 def test_c05_ensemble_beats_ridge_and_stationarity(ordering_env):
     env = ordering_env
     lam_star = lambda_prime(env)
-    rep = verify_theorem_orderings(
-        env, seeds=20, master_seed=MASTER_SEED,
-        lambda_grid=[0.0, lam_star / 2], tau_grid=[0.0])
+    rep = verify_theorem_orderings(replace(
+        env, replicates=20, master_seed=MASTER_SEED,
+        lambda_grid=[0.0, lam_star / 2], tau_grid=[0.0]))
     held = sum(1 for s in rep.seeds if s.holds["item3"])
     taus = np.round(np.arange(0.0, 1.0001, 1e-3), 9)
     worst = 0.0
@@ -185,8 +182,8 @@ def test_c05_ensemble_beats_ridge_and_stationarity(ordering_env):
                           derive_rng(MASTER_SEED, "design_pre", seed))
         Xt = sample_design(env.spectrum_ft, env.n,
                            derive_rng(MASTER_SEED, "design_ft", seed))
-        pair = DesignPair.from_env(X, Xt, env)
-        ev = AnalyticRisk.from_env(pair, env)
+        pair = pair_of(X, Xt, env)
+        ev = AnalyticRisk(pair, env)
         for lam in (0.0, lam_star / 2):
             ts = tau_prime(ev, lam)
             quads = ev.term_quadratics(lam, "ft")
@@ -200,9 +197,9 @@ def test_c05_ensemble_beats_ridge_and_stationarity(ordering_env):
 
 def test_c06_sum_risk_ordering(ordering_env):
     lam_star = lambda_prime(ordering_env)
-    rep = verify_theorem_orderings(
-        ordering_env, seeds=20, master_seed=MASTER_SEED,
-        lambda_grid=[lam_star], tau_grid=[0.0])
+    rep = verify_theorem_orderings(replace(
+        ordering_env, replicates=20, master_seed=MASTER_SEED,
+        lambda_grid=[lam_star], tau_grid=[0.0]))
     held = sum(1 for s in rep.seeds if s.holds["item2"])
     report(6, held >= 18,
            f"two-task sum chain at lam*, tau*/2 held in {held}/20 seeds")
@@ -260,8 +257,7 @@ def test_c08_stationarity_identities(ordering_env):
     lam_star = lambda_prime(env)
     worst_tp = worst_f = worst_g = worst_j = worst_fd = 0.0
     for seed in range(5):
-        ev = AnalyticRisk.from_env(
-            DesignPair.from_env(*sample_designs(env, MASTER_SEED, seed), env), env)
+        ev = AnalyticRisk(DesignPair.draw(replace(env, master_seed=MASTER_SEED), seed), env)
         res = ev.resolvent
         # the reduced two-term risks' derivatives: in lam at tau = 1, and in tau
         dlam = lambda l, objective: two_term(ev, l, objective, dlam=True)(1.0)

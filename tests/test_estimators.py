@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from overadapt.config import ExperimentConfig
 from overadapt.estimators import EstimatorKind, GramSolver, SingularDesignError
 from overadapt.mc import mc_expected_risks
 from overadapt.risk import AnalyticRisk, DesignPair
-from overadapt.synth import derive_rng, sample_designs
+from overadapt.synth import derive_rng
 from oracles import constrained_lstsq_oracle, estimator_oracle, minnorm_oracle
 
 
@@ -151,12 +153,12 @@ def test_ensemble_endpoints_exact():
     # tau = 0 is the pretrained estimator and tau = 1 the ridge, exactly, in
     # both evaluators (Monte Carlo on shared draws)
     env = small_env()
-    pair = DesignPair.from_env(*sample_designs(env, 3), env)
+    pair = DesignPair.draw(replace(env, master_seed=3), 0)
     lam = 0.05
     kinds = [EstimatorKind.ensemble(lam, 0.0), EstimatorKind.pretrained(),
              EstimatorKind.ensemble(lam, 1.0), EstimatorKind.ridge(lam)]
-    mc = mc_expected_risks(pair, env, kinds, 300, derive_rng(3, "mc", 0))
-    analytic = AnalyticRisk.from_env(pair, env)
+    mc = mc_expected_risks(pair, replace(env, mc_draws=300), kinds, derive_rng(3, "mc", 0))
+    analytic = AnalyticRisk(pair, env)
     for reports in (mc, [analytic.report(kind) for kind in kinds]):
         for task in ("pre", "ft"):
             assert reports[0].task(task).value == reports[1].task(task).value
@@ -175,10 +177,11 @@ def test_ensemble_collinearity_across_tau():
     # on shared draws its plug-in risk (and their mean) is an exact quadratic
     # in tau; two draws, the fewest that carry a standard error
     env = small_env()
-    pair = DesignPair.from_env(*sample_designs(env, 7), env)
+    pair = DesignPair.draw(replace(env, master_seed=7), 0)
     taus = (0.0, 0.1, 0.25, 0.5, 0.6, 0.9, 1.0)
-    reports = mc_expected_risks(pair, env, [EstimatorKind.ensemble(0.05, t) for t in taus],
-                                2, derive_rng(7, "mc", 0))
+    reports = mc_expected_risks(pair, replace(env, mc_draws=2),
+                                [EstimatorKind.ensemble(0.05, t) for t in taus],
+                                derive_rng(7, "mc", 0))
     for task in ("pre", "ft"):
         r = {t: rep.task(task).value for t, rep in zip(taus, reports)}
         c = r[0.0]

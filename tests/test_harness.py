@@ -35,14 +35,16 @@ from overadapt.harness import (
 from overadapt.presets import (
     CASES,
     FT_ONLY_LAMBDA,
+    FULL_P,
     RIDGE_FAMILY,
     TRADEOFF_LAMBDA,
     preset_defaults,
     preset_points,
 )
-from overadapt.risk import AnalyticRisk, DesignPair, FtResolvent
+from overadapt.risk import AnalyticRisk, FtResolvent
 from overadapt.svgplot import MissingSeriesError, render_tradeoff_svg
 from overadapt.synth import derive_rng, sample_design, sample_theta_c
+from oracles import pair_of
 
 
 def small_config(**overrides):
@@ -93,9 +95,9 @@ def test_config_takes_its_case_keys_however_built(case):
 
 
 def test_config_refuses_an_unknown_case():
-    with pytest.raises(ValueError, match="unknown case 'z'"):
+    with pytest.raises(ConfigError, match="^case: unknown case 'z'"):
         ExperimentConfig(case="z")
-    with pytest.raises(ConfigError, match="unknown case 'z'"):
+    with pytest.raises(ConfigError, match="^case: unknown case 'z'"):
         config_from_dict({"case": "z"})
 
 
@@ -171,6 +173,28 @@ def test_config_validation_messages():
                        ("workers", True)):
         with pytest.raises(ConfigError, match=key):
             small_config(**{key: value})
+    # a bare string would be read letter by letter, and a number not at all
+    for key, value in (("methods", "analytic"), ("estimators", "ridge_ft"), ("methods", 5),
+                       ("out", 5), ("out", ["x"]), ("out", "")):
+        with pytest.raises(ConfigError, match=f"^{key}: must be"):
+            small_config(**{key: value})
+    for case in (3, ["a"]):
+        with pytest.raises(ConfigError, match="^case: unknown case"):
+            config_from_dict({"case": case})
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"out": 5}, "out: must be a path or null, got 5"),
+    ({"out": ["x"]}, "out: must be a path or null, got ['x']"),
+    ({"methods": "analytic"}, "methods: must be a non-empty list of names, got 'analytic'"),
+    ({"case": 3}, "case: unknown case 3; known: ['a', 'b', 'c', 'd']"),
+])
+def test_cli_sweep_names_the_bad_config_field(tmp_path, capsys, raw, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["sweep", "--config", str(path), "--workers", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_config_bad_json(tmp_path):
@@ -226,8 +250,7 @@ def test_sweep_single_point_matches_direct_evaluation():
     result = run_sweep(cfg, workers=1)
     X = sample_design(cfg.spectrum_pre, cfg.n, derive_rng(0, "design_pre", 0))
     Xt = sample_design(cfg.spectrum_ft, cfg.n, derive_rng(0, "design_ft", 0))
-    direct = AnalyticRisk.from_env(DesignPair.from_env(X, Xt, cfg), cfg).report(
-        EstimatorKind.ridge(1e-3))
+    direct = AnalyticRisk(pair_of(X, Xt, cfg), cfg).report(EstimatorKind.ridge(1e-3))
     got = {r.task: r.value for r in result.rows}
     assert got["pre"] == direct.l_pre
     assert got["ft"] == direct.l_ft
@@ -428,8 +451,8 @@ def test_fixed_theta_c_shared_across_replicates():
                           derive_rng(cfg.master_seed, "design_pre", seed))
         Xt = sample_design(cfg.spectrum_ft, cfg.n,
                            derive_rng(cfg.master_seed, "design_ft", seed))
-        pair = DesignPair.from_env(X, Xt, cfg, theta_c=tc)
-        direct = AnalyticRisk.from_env(pair, cfg).report(EstimatorKind.pretrained())
+        pair = pair_of(X, Xt, cfg, theta_c=tc)
+        direct = AnalyticRisk(pair, cfg).report(EstimatorKind.pretrained())
         got = {r.task: r.value for r in rows if r.seed == seed}
         assert got["pre"] == direct.l_pre
 
@@ -581,7 +604,8 @@ def test_preset_environment_is_the_case_config_environment(case, full):
     # a preset runs on its case's config, the one model object: the case's sizes,
     # with p = 10^4 over them under --full
     assert set(preset_defaults(case)) == {"n", "p", "p_tilde", "gamma_pre", "gamma_ft"}
-    env = run_preset(case, overrides={"replicates": 1}, full=full, workers=1).config
+    overrides = {"replicates": 1, **({"p": FULL_P} if full else {})}
+    env = run_preset(case, overrides=overrides, workers=1).config
     p = 10_000 if full else 2000
     assert env == config_from_dict({"case": case, "p": p, "replicates": 1})
     assert {k: getattr(env, k) for k in preset_defaults(case)} == {**preset_defaults(case), "p": p}

@@ -165,7 +165,10 @@ def test_analytic_terms_match_the_dense_oracle(seed, n, n_pre, support, lengths,
         theta_c = rng.standard_normal(p)
         theta_c *= 1.3 / np.linalg.norm(theta_c)
     pair = DesignPair(X, Xt, blocks_pre, blocks_ft, theta_c=theta_c)
-    ev = AnalyticRisk(pair, *variances, theta_c_norm=1.3)
+    # the evaluators read only the variances and theta_c_norm; the spectra are the pair's
+    env = SimpleNamespace(**dict(zip(("zeta1", "zeta2", "sigma2", "sigma2_tilde"), variances)),
+                          theta_c_norm=1.3)
+    ev = AnalyticRisk(pair, env)
     kind = _kind(lam, tau)
     # the two-term shortcut reads only the fine-tune shift and noise variances
     lemma = lemma_approx_risk(pair, SimpleNamespace(zeta2=variances[1],

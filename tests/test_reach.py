@@ -12,10 +12,11 @@ import importlib
 import inspect
 import pkgutil
 import sys
+from dataclasses import fields
 
 import overadapt
 from overadapt.cli import main as cli_main
-from overadapt.config import config_from_dict, save_config
+from overadapt.config import ExperimentConfig, config_from_dict, save_config
 
 KEPT = {
     # the lambda-derivative primitive that finding the exact full-risk optima
@@ -90,3 +91,26 @@ def test_every_public_function_runs_under_a_command(tmp_path, capsys):
     assert unreached == KEPT, \
         f"reached by no command: {sorted(unreached - KEPT)}; " \
         f"reached or gone, drop from KEPT: {sorted(KEPT - unreached)}"
+
+
+# parameters named after a config field that travel beside the config on purpose
+RESTATED = {
+    # the --workers flag overrides the config's value and is not saved with it
+    "harness.run_sweep": {"workers"},
+    # stream coordinates, as for derive_rng: any master seed, not only the config's
+    "synth.sample_designs": {"master_seed"},
+}
+
+
+def test_no_parameter_restates_a_field_of_the_config_beside_it():
+    # a public function that takes the config (env or config) reads each of its
+    # fields there; a second parameter of the same name would be a second source
+    field_names = {f.name for f in fields(ExperimentConfig)}
+    restated = {}
+    for name, code in _public_code().items():
+        params = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+        if {"env", "config"} & set(params):
+            extra = field_names & set(params)
+            if extra:
+                restated[name] = extra
+    assert restated == RESTATED

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from oracles import (
     mc_dense_risk_draws,
     mc_pointwise_risk_draws,
     padded,
+    pair_of,
     random_block_instance,
 )
 
@@ -53,7 +55,12 @@ def draw_designs(env, seed=0):
 
 
 def draw_pair(env, seed=0, theta_c=None):
-    return DesignPair.from_env(*draw_designs(env, seed), env, theta_c=theta_c)
+    return pair_of(*draw_designs(env, seed), env, theta_c=theta_c)
+
+
+# the variances the dense oracle is given; the spectra are the pair's blocks
+ORACLE_ENV = ExperimentConfig(zeta1=0.3, zeta2=0.7, sigma2=0.2, sigma2_tilde=0.4,
+                              theta_c_norm=1.3)
 
 
 # ------------------------------------------------- analytic vs dense oracle
@@ -63,9 +70,7 @@ def test_analytic_terms_match_dense_oracle():
     for trial in range(4):
         X, Xt, blocks_pre, blocks_ft = random_block_instance(
             rng, n=5, p=11, p_tilde=7, k_star=2)
-        ev = AnalyticRisk(DesignPair(X, Xt, blocks_pre, blocks_ft),
-                          zeta1=0.3, zeta2=0.7, sigma2=0.2, sigma2_tilde=0.4,
-                          theta_c_norm=1.3)
+        ev = AnalyticRisk(DesignPair(X, Xt, blocks_pre, blocks_ft), ORACLE_ENV)
         for lam, tau in [(0.0, 1.0), (0.01, 1.0), (0.05, 0.35), (0.2, 0.8),
                          (0.0, 0.0), (1.0, 0.5)]:
             kind = EstimatorKind.ensemble(lam, tau) if 0 < tau < 1 else (
@@ -86,8 +91,7 @@ def test_analytic_fixed_theta_c_matches_dense_oracle():
     X, Xt, blocks_pre, blocks_ft = random_block_instance(rng, n=4, p=9, p_tilde=6)
     tc = rng.standard_normal(9)
     tc *= 1.3 / np.linalg.norm(tc)
-    ev = AnalyticRisk(DesignPair(X, Xt, blocks_pre, blocks_ft, theta_c=tc), 0.3, 0.7, 0.2, 0.4,
-                      theta_c_norm=1.3)
+    ev = AnalyticRisk(DesignPair(X, Xt, blocks_pre, blocks_ft, theta_c=tc), ORACLE_ENV)
     for lam, tau in [(0.0, 1.0), (0.03, 0.6), (0.5, 1.0), (0.0, 0.0)]:
         kind = EstimatorKind.ensemble(lam, tau) if 0 < tau < 1 else (
             EstimatorKind.pretrained() if tau == 0 else (
@@ -103,7 +107,7 @@ def test_analytic_fixed_theta_c_matches_dense_oracle():
 
 def test_analytic_additivity_and_nonnegative_terms():
     env = desk_env()
-    ev = AnalyticRisk.from_env(draw_pair(env, seed=1), env)
+    ev = AnalyticRisk(draw_pair(env, seed=1), env)
     for kind in ALL_KINDS:
         report = ev.report(kind)
         for tr in (report.pre, report.ft):
@@ -116,8 +120,8 @@ def test_zero_variance_row_space_theta_c_gives_zero():
     X, Xt = draw_designs(env, seed=2)
     tc = X.T @ np.ones(env.n)
     tc *= env.theta_c_norm / np.linalg.norm(tc)
-    pair = DesignPair.from_env(X, Xt, env, theta_c=tc)
-    report = AnalyticRisk.from_env(pair, env).report(EstimatorKind.pretrained())
+    pair = pair_of(X, Xt, env, theta_c=tc)
+    report = AnalyticRisk(pair, env).report(EstimatorKind.pretrained())
     assert report.l_pre <= 1e-12
 
 
@@ -128,13 +132,13 @@ def test_pretrained_ft_task_shift_term_frozen_value():
         n=40, p=200, p_tilde=40, k_star=1, gamma_pre=40.0**-1.5, gamma_ft=0.025,
         zeta1=1e-4, zeta2=1e-2, sigma2=1e-2, sigma2_tilde=1e-2,
     )
-    report = AnalyticRisk.from_env(draw_pair(env, seed=3), env).report(EstimatorKind.pretrained())
+    report = AnalyticRisk(draw_pair(env, seed=3), env).report(EstimatorKind.pretrained())
     assert report.ft.terms["term_zeta2"] == pytest.approx(0.019750, rel=1e-12)
 
 
 def test_tau_quadraticity_of_ensemble_ft_risk():
     env = desk_env()
-    ev = AnalyticRisk.from_env(draw_pair(env, seed=4), env)
+    ev = AnalyticRisk(draw_pair(env, seed=4), env)
     lam = 1e-3
     vals = {t: ev.task_risk(EstimatorKind.ensemble(lam, t), "ft").value
             for t in (0.0, 0.25, 0.5, 1.0)}
@@ -147,7 +151,7 @@ def test_tau_quadraticity_of_ensemble_ft_risk():
 
 def test_ridge_risk_continuous_to_ridgeless():
     env = desk_env()
-    ev = AnalyticRisk.from_env(draw_pair(env, seed=5), env)
+    ev = AnalyticRisk(draw_pair(env, seed=5), env)
     tiny = ev.report(EstimatorKind.ridge(1e-12))
     zero = ev.report(EstimatorKind.ridgeless())
     assert tiny.l_ft == pytest.approx(zero.l_ft, rel=1e-6)
@@ -206,7 +210,7 @@ def test_term_dlam_matches_central_differences(with_theta_c):
     # every Term of the exact evaluator, full H included, on both tasks
     env = desk_env()
     theta_c = fixed_theta_c(env) if with_theta_c else None
-    ev = AnalyticRisk.from_env(draw_pair(env, seed=8, theta_c=theta_c), env)
+    ev = AnalyticRisk(draw_pair(env, seed=8, theta_c=theta_c), env)
     res, lam = ev.resolvent, 0.01
     h = 1e-5 * lam
     for task in ("pre", "ft"):
@@ -224,10 +228,10 @@ def test_term_dlam_matches_central_differences(with_theta_c):
 def test_mc_matches_analytic_within_3se():
     env = desk_env()
     pair = draw_pair(env, seed=7)
-    ev = AnalyticRisk.from_env(pair, env)
+    ev = AnalyticRisk(pair, env)
     for i, kind in enumerate(ALL_KINDS):
-        mc = mc_expected_risks(pair, env, [kind], draws=4000,
-                               rng=derive_rng(100 + i, "mc", 0))[0]
+        mc = mc_expected_risks(pair, replace(env, mc_draws=4000), [kind],
+                               derive_rng(100 + i, "mc", 0))[0]
         exact = ev.report(kind)
         for task in ("pre", "ft"):
             gap = abs(mc.task(task).value - exact.task(task).value)
@@ -237,9 +241,9 @@ def test_mc_matches_analytic_within_3se():
 def test_mc_noise_only_environment():
     env = desk_env(zeta1=0.0, zeta2=0.0, sigma2=0.0, theta_c_norm=0.0)
     pair = draw_pair(env, seed=8)
-    mc = mc_expected_risks(pair, env, [EstimatorKind.ridgeless()], draws=4000,
-                           rng=derive_rng(9, "mc", 0))[0]
-    exact = AnalyticRisk.from_env(pair, env).report(EstimatorKind.ridgeless())
+    mc = mc_expected_risks(pair, replace(env, mc_draws=4000), [EstimatorKind.ridgeless()],
+                           derive_rng(9, "mc", 0))[0]
+    exact = AnalyticRisk(pair, env).report(EstimatorKind.ridgeless())
     assert exact.ft.value == pytest.approx(exact.ft.terms["term_sigma_tilde"])
     assert abs(mc.l_ft - exact.l_ft) <= 3 * mc.ft.se
 
@@ -248,10 +252,10 @@ def test_mc_se_scales_with_draws():
     env = desk_env()
     pair = draw_pair(env, seed=9)
     kind = EstimatorKind.ridge(1e-3)
-    se_small = mc_expected_risks(pair, env, [kind], draws=100,
-                                 rng=derive_rng(1, "mc", 0))[0].ft.se
-    se_big = mc_expected_risks(pair, env, [kind], draws=10_000,
-                               rng=derive_rng(2, "mc", 0))[0].ft.se
+    se_small = mc_expected_risks(pair, replace(env, mc_draws=100), [kind],
+                                 derive_rng(1, "mc", 0))[0].ft.se
+    se_big = mc_expected_risks(pair, replace(env, mc_draws=10_000), [kind],
+                               derive_rng(2, "mc", 0))[0].ft.se
     ratio = se_small / se_big
     assert 10.0 / 1.3 <= ratio <= 10.0 * 1.3
 
@@ -259,8 +263,8 @@ def test_mc_se_scales_with_draws():
 def test_mc_exact_zero_when_deterministic():
     env = desk_env(zeta1=0.0, zeta2=0.0, sigma2=0.0, sigma2_tilde=0.0,
                    theta_c_norm=0.0)
-    mc = mc_expected_risks(draw_pair(env, seed=10), env, [EstimatorKind.ridge(1e-3)], draws=50,
-                           rng=derive_rng(3, "mc", 0))[0]
+    mc = mc_expected_risks(draw_pair(env, seed=10), replace(env, mc_draws=50),
+                           [EstimatorKind.ridge(1e-3)], derive_rng(3, "mc", 0))[0]
     assert mc.l_pre == 0.0 and mc.l_ft == 0.0
     assert mc.pre.se == 0.0
 
@@ -269,19 +273,11 @@ def test_mc_reproducible_and_validates_draws():
     env = desk_env()
     pair = draw_pair(env, seed=11)
     kind = EstimatorKind.ensemble(1e-3, 0.5)
-    a = mc_expected_risks(pair, env, [kind], 500, derive_rng(4, "mc", 0))[0]
-    b = mc_expected_risks(pair, env, [kind], 500, derive_rng(4, "mc", 0))[0]
+    a = mc_expected_risks(pair, replace(env, mc_draws=500), [kind], derive_rng(4, "mc", 0))[0]
+    b = mc_expected_risks(pair, replace(env, mc_draws=500), [kind], derive_rng(4, "mc", 0))[0]
     assert a.l_ft == b.l_ft and a.l_pre == b.l_pre
     with pytest.raises(ValueError):
-        mc_expected_risks(pair, env, [kind], 0, derive_rng(4, "mc", 0))
-
-
-def test_mc_refuses_one_draw():
-    # one draw has no standard error; 0.0 would claim the value is exact
-    env = desk_env()
-    with pytest.raises(ValueError, match="draws"):
-        mc_expected_risks(draw_pair(env, seed=11), env, [EstimatorKind.ridgeless()], 1,
-                          derive_rng(4, "mc", 0))
+        mc_expected_risks(pair, replace(env, mc_draws=0), [kind], derive_rng(4, "mc", 0))
 
 
 def small_dof_env(**overrides):
@@ -334,8 +330,8 @@ def test_mc_reduced_law_matches_dense_draws(name):
     X, Xt = draw_designs(env, seed=19)
     theta_c = fixed_theta_c(env) if name.endswith("fixed_theta_c") else None
     draws = 4000
-    reduced = _mc_risk_draws(DesignPair.from_env(X, Xt, env, theta_c=theta_c), env, ALL_KINDS,
-                             draws, derive_rng(7, "mc", 0))
+    reduced = _mc_risk_draws(pair_of(X, Xt, env, theta_c=theta_c), replace(env, mc_draws=draws),
+                             ALL_KINDS, derive_rng(7, "mc", 0))
     dense = mc_dense_risk_draws(X, Xt, env, ALL_KINDS, draws, derive_rng(8, "mc", 0),
                                 theta_c=theta_c)
     for kind, got, want in zip(ALL_KINDS, reduced, dense):
@@ -378,8 +374,9 @@ def test_mc_matches_analytic_at_high_draw_counts(name):
     # alarm), at a standard error of at most 1% of the risk
     env, kinds, theta_c = _high_draw_case(name)
     pair = draw_pair(env, seed=23, theta_c=theta_c)
-    ev = AnalyticRisk.from_env(pair, env)
-    reports = mc_expected_risks(pair, env, kinds, 40_000, derive_rng(23, "mc", 0))
+    ev = AnalyticRisk(pair, env)
+    reports = mc_expected_risks(pair, replace(env, mc_draws=40_000), kinds,
+                                derive_rng(23, "mc", 0))
     for kind, mc in zip(kinds, reports):
         for task in ("pre", "ft"):
             exact = ev.task_risk(kind, task).value
@@ -396,8 +393,8 @@ def test_mc_variates_per_draw_do_not_grow_with_p(with_theta_c):
         X, Xt = sample_designs(env, 0)
         theta_c = fixed_theta_c(env) if with_theta_c else None
         rng = CountingRng(derive_rng(0, "mc", 0))
-        mc_expected_risks(DesignPair.from_env(X, Xt, env, theta_c=theta_c), env, ALL_KINDS,
-                          1024, rng)
+        mc_expected_risks(pair_of(X, Xt, env, theta_c=theta_c), replace(env, mc_draws=1024),
+                          ALL_KINDS, rng)
         ranks = block_ranks(X, Xt, env, theta_c)
         assert rng.count % 1024 == 0
         per_draw.append(rng.count // 1024)
@@ -417,10 +414,11 @@ def test_mc_shared_draws_equal_single_kind_calls():
     kinds = [EstimatorKind.ridgeless(), EstimatorKind.ridge(0.05),
              EstimatorKind.ridge(0.2), EstimatorKind.ensemble(0.05, 0.4)]
     # 1100 draws: two full batches and a partial one
-    shared = mc_expected_risks(pair, env, kinds, 1100, derive_rng(5, "mc", 0))
+    env = replace(env, mc_draws=1100)
+    shared = mc_expected_risks(pair, env, kinds, derive_rng(5, "mc", 0))
     assert [r.kind for r in shared] == kinds
     for kind, got in zip(kinds, shared):
-        _same_mc(got, mc_expected_risks(pair, env, [kind], 1100, derive_rng(5, "mc", 0))[0])
+        _same_mc(got, mc_expected_risks(pair, env, [kind], derive_rng(5, "mc", 0))[0])
 
 
 def test_mc_shared_draws_without_fine_tuning_keep_pretrained_stream():
@@ -430,8 +428,9 @@ def test_mc_shared_draws_without_fine_tuning_keep_pretrained_stream():
     pair = draw_pair(env, seed=18)
     kinds = [EstimatorKind.pretrained(), EstimatorKind.ensemble(0.05, 0.0),
              EstimatorKind.ridge(0.05)]
-    shared = mc_expected_risks(pair, env, kinds, 700, derive_rng(6, "mc", 0))
-    single = mc_expected_risks(pair, env, [kinds[0]], 700, derive_rng(6, "mc", 0))[0]
+    env = replace(env, mc_draws=700)
+    shared = mc_expected_risks(pair, env, kinds, derive_rng(6, "mc", 0))
+    single = mc_expected_risks(pair, env, [kinds[0]], derive_rng(6, "mc", 0))[0]
     for got in shared[:2]:
         _same_mc(got, single)
 
@@ -451,7 +450,8 @@ def test_mc_coefficients_match_the_pointwise_reference(name):
     env = small_dof_env() if name == "small_dof" else desk_env(**zero)
     theta_c = fixed_theta_c(env) if name.startswith("fixed") else None
     pair = draw_pair(env, seed=19, theta_c=theta_c)
-    got = _mc_risk_draws(pair, env, POINTWISE_KINDS, 1100, derive_rng(9, "mc", 0))
+    got = _mc_risk_draws(pair, replace(env, mc_draws=1100), POINTWISE_KINDS,
+                         derive_rng(9, "mc", 0))
     want = mc_pointwise_risk_draws(pair, env, POINTWISE_KINDS, 1100, derive_rng(9, "mc", 0))
     for kind, g, w in zip(POINTWISE_KINDS, got, want):
         for task in ("pre", "ft"):
@@ -470,11 +470,12 @@ def _mc_peak(pair, env, kinds, draws=2000):
     A first, untraced call builds the pair's solvers and warms the code path,
     so the traced one allocates only what every call allocates.
     """
-    _mc_risk_draws(pair, env, kinds, draws, derive_rng(0, "mc", 0))
+    env = replace(env, mc_draws=draws)
+    _mc_risk_draws(pair, env, kinds, derive_rng(0, "mc", 0))
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        risks = _mc_risk_draws(pair, env, kinds, draws, derive_rng(0, "mc", 0))
+        risks = _mc_risk_draws(pair, env, kinds, derive_rng(0, "mc", 0))
         return tracemalloc.get_traced_memory()[1] - held, risks
     finally:
         tracemalloc.stop()
@@ -496,10 +497,11 @@ def test_mc_memory_grows_with_points_only_by_the_returned_draws():
     # points: 54 points over 22 lambdas hold only their per-draw risks more
     # than 4 do, and beside the returned risks a call holds its six rank x
     # batch arrays, three n x batch arrays (the labels, their noise and the
-    # Gram solves' results, which the solves write into) and, under 2.5 more
+    # Gram solves' results, which the solves write into) and, under 1.5 more
     # n x batch arrays, the row-space coordinates and the off-span Grams
+    # (4.45 n x batch arrays beside the rank x batch ones, measured on numpy 2.4)
     env = ExperimentConfig(case="a")
-    pair = DesignPair.from_env(*sample_designs(env, 0), env)
+    pair = DesignPair.draw(env, 0)
     kinds = preset_a_points()
     assert len(kinds) == 54
     few, few_risks = _mc_peak(pair, env, kinds[:4])
@@ -507,14 +509,14 @@ def test_mc_memory_grows_with_points_only_by_the_returned_draws():
     assert many - few <= _returned_bytes(many_risks) - _returned_bytes(few_risks)
     rank = sum(F.shape[1] for F in row_space(pair))
     batch = 8 * _MC_BATCH  # bytes per row of a batch array
-    assert few - _returned_bytes(few_risks) <= batch * (6 * rank + 5.5 * max(pair.n_pre, pair.n))
+    assert few - _returned_bytes(few_risks) <= batch * (6 * rank + 4.5 * max(pair.n_pre, pair.n))
 
 
 def test_mc_memory_does_not_grow_with_p():
     peaks = []
     for full in (False, True):  # p = 2000 and p = 10^4
         env = ExperimentConfig(case="a", p=10_000 if full else 2000)
-        pair = DesignPair.from_env(*sample_designs(env, 0), env)
+        pair = DesignPair.draw(env, 0)
         peaks.append(_mc_peak(pair, env, preset_a_points())[0])
     assert peaks[0] == peaks[1]
 
@@ -528,7 +530,7 @@ def test_pair_and_exact_evaluator_memory_does_not_grow_with_p():
         X = sample_design(env.spectrum_pre, env.n, derive_rng(0, "design_pre", 0))
         Xt = sample_design(env.spectrum_ft, env.n, derive_rng(0, "design_ft", 0))
         assert X.shape == (env.n, p) and Xt.shape == (env.n, env.spectrum_ft.p_tilde)
-        AnalyticRisk.from_env(DesignPair.from_env(X, Xt, env), env)
+        AnalyticRisk(pair_of(X, Xt, env), env)
         return X.nbytes + Xt.nbytes
 
     build(2000)  # loads what the first build loads once
@@ -567,14 +569,14 @@ def test_sweep_mc_rows_equal_per_kind_calls():
                           derive_rng(cfg.master_seed, "design_pre", seed), cfg.coord_dist)
         Xt = sample_design(cfg.spectrum_ft, cfg.n,
                            derive_rng(cfg.master_seed, "design_ft", seed), cfg.coord_dist)
-        pair = DesignPair.from_env(X, Xt, cfg)
+        pair = pair_of(X, Xt, cfg)
         for r in rows:
             if r.seed != seed:
                 continue
             kind = EstimatorKind(r.estimator, lam=r.lam or 0.0,
                                  tau=1.0 if r.tau is None else r.tau)
-            want = mc_expected_risks(pair, cfg, [kind], cfg.mc_draws,
-                                     derive_rng(cfg.master_seed, "mc", seed))[0]
+            rng = derive_rng(cfg.master_seed, "mc", seed)
+            want = mc_expected_risks(pair, cfg, [kind], rng)[0]
             assert (r.value, r.se) == (want.task(r.task).value, want.task(r.task).se)
             checked += 1
     # pretrained, ridgeless, two ridge levels and six ensembles, both tasks
@@ -663,7 +665,7 @@ def test_lemma_within_band_of_analytic_on_bench_instance():
     pair = draw_pair(env, seed=14)
     lam = 1e-3
     approx = lemma_approx_risk(pair, env).report(EstimatorKind.ridge(lam))
-    exact = AnalyticRisk.from_env(pair, env).report(EstimatorKind.ridge(lam))
+    exact = AnalyticRisk(pair, env).report(EstimatorKind.ridge(lam))
     ratio = approx.l_ft / exact.l_ft
     assert 0.8 <= ratio <= 1.25
 
@@ -672,7 +674,7 @@ def test_lemma_within_band_of_analytic_on_bench_instance():
 
 def test_singular_ft_gram_raises_at_lambda_zero():
     env = desk_env(p_tilde=1, gamma_ft=0.0)
-    ev = AnalyticRisk.from_env(draw_pair(env, seed=15), env)
+    ev = AnalyticRisk(draw_pair(env, seed=15), env)
     with pytest.raises(SingularDesignError):
         ev.report(EstimatorKind.ridgeless())
     # the pretrained estimator never touches the fine-tune resolvent
@@ -682,7 +684,7 @@ def test_singular_ft_gram_raises_at_lambda_zero():
 
 def test_report_task_accessor_and_dict():
     env = desk_env()
-    report = AnalyticRisk.from_env(draw_pair(env, seed=16), env).report(
+    report = AnalyticRisk(draw_pair(env, seed=16), env).report(
         EstimatorKind.ridge(1e-3))
     assert report.task("ft").value == report.l_ft
     assert report.task("pre").value == report.l_pre

@@ -8,16 +8,16 @@ from scipy.stats import ks_2samp
 
 from overadapt.config import ConfigError, ExperimentConfig
 from overadapt.estimators import EstimatorKind
-from overadapt import synth
-from overadapt.presets import theorem_check_env
+from overadapt import synth, theory
 from overadapt.risk import AnalyticRisk, DesignPair, FtResolvent
 from overadapt.spectra import SpectrumSpec
-from overadapt.synth import _wishart_bartlett, derive_rng, sample_designs
+from overadapt.synth import _wishart_bartlett, derive_rng
 from overadapt.theory import (
     _tail_gram_extremes,
     eigen_band_check,
     lambda_prime,
     tau_prime,
+    theorem_check_env,
     verify_theorem_orderings,
 )
 from oracles import CountingRng, two_term
@@ -28,11 +28,11 @@ def bench_env(p=600, n=24):
 
 
 def draw_pair(env, seed=0):
-    return DesignPair.from_env(*sample_designs(env, seed), env)
+    return DesignPair.draw(replace(env, master_seed=seed), 0)
 
 
 def draw_ev(env, seed=0):
-    return AnalyticRisk.from_env(draw_pair(env, seed), env)
+    return AnalyticRisk(draw_pair(env, seed), env)
 
 
 def central_diff(f, x, h):
@@ -100,7 +100,7 @@ def test_tau_prime_decreases_with_noise():
     values = []
     for s2t in (1e-3, 1e-2, 1e-1, 1.0):
         noisy = replace(env, sigma2_tilde=s2t)
-        values.append(tau_prime(AnalyticRisk.from_env(pair, noisy), 0.0))
+        values.append(tau_prime(AnalyticRisk(pair, noisy), 0.0))
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -153,11 +153,11 @@ def test_dtau_stationary_points():
 
 def test_verify_orderings_bench_run():
     env = bench_env()
-    report = verify_theorem_orderings(env, seeds=8, master_seed=0)
+    report = verify_theorem_orderings(replace(env, replicates=8, master_seed=0))
     assert report.rates["item1"] >= 0.9
     assert report.rates["item2"] >= 0.9
     assert report.rates["item3"] >= 0.9
-    again = verify_theorem_orderings(env, seeds=8, master_seed=0)
+    again = verify_theorem_orderings(replace(env, replicates=8, master_seed=0))
     assert asdict(report) == asdict(again)
 
 
@@ -167,7 +167,7 @@ def test_verify_orderings_eigendecompose_each_design_once(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    verify_theorem_orderings(env, seeds=3, master_seed=0)
+    verify_theorem_orderings(replace(env, replicates=3, master_seed=0))
     assert len(calls) == 2 * 3
 
 
@@ -177,7 +177,7 @@ def test_verify_orderings_reads_the_weights_once_per_lambda_and_task(monkeypatch
     calls = []
     d = FtResolvent.d
     monkeypatch.setattr(FtResolvent, "d", lambda self, lam: calls.append(lam) or d(self, lam))
-    verify_theorem_orderings(theorem_check_env(), seeds=1, master_seed=0)
+    verify_theorem_orderings(replace(theorem_check_env(), replicates=1, master_seed=0))
     assert len(calls) == 2 * (1 + 3)
 
 
@@ -185,36 +185,59 @@ def test_verify_frees_each_seed_before_the_next_draw(monkeypatch):
     # a seed's pair and exact evaluator are garbage before the next seed draws
     # its designs, so no two seeds' reductions are alive at once
     refs, alive = [], []
-    draw, evaluator = synth.sample_design, AnalyticRisk.from_env
+    draw = synth.sample_design
 
     def sample(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in refs))
         return draw(*args, **kwargs)
 
     def evaluate(pair, env):
-        ev = evaluator(pair, env)
+        ev = AnalyticRisk(pair, env)
         refs.extend((weakref.ref(pair), weakref.ref(ev)))
         return ev
 
     monkeypatch.setattr(synth, "sample_design", sample)
-    monkeypatch.setattr(AnalyticRisk, "from_env", staticmethod(evaluate))
-    verify_theorem_orderings(bench_env(), seeds=3, master_seed=0)
+    monkeypatch.setattr(theory, "AnalyticRisk", evaluate)
+    verify_theorem_orderings(replace(bench_env(), replicates=3, master_seed=0))
     assert len(refs) == 2 * 3 and alive == [0] * (2 * 3)
+
+
+def test_verify_orderings_reads_its_run_from_the_config():
+    # the seed count, the master seed and both grids are the config's
+    env = replace(bench_env(), replicates=3, master_seed=4, lambda_grid=[2e-2, 1e-3],
+                  tau_grid=[0.25, 1.0])
+    report = verify_theorem_orderings(env)
+    assert (report.env["seeds"], report.env["master_seed"]) == (3, 4)
+    assert [seed.seed for seed in report.seeds] == [0, 1, 2]
+    assert report.lambda_grid == env.lambda_grid == (1e-3, 2e-2)
+    assert report.tau_grid == env.tau_grid == (0.25, 1.0)
+    assert all(seed.tau_star.keys() == {"0.001", "0.02"} for seed in report.seeds)
+    # seed k is replicate k of the config's master seed: a one-replicate run at
+    # master seed 4 reports the first seed's outcome, one at master seed 5 does not
+    first = lambda env: json.dumps(asdict(verify_theorem_orderings(env).seeds[0]))  # noqa: E731
+    assert first(env) == first(replace(env, replicates=1))
+    assert first(env) != first(replace(env, replicates=1, master_seed=5))
+
+
+def test_theorem_check_env_grid_brackets_lambda_prime():
+    assert (theorem_check_env().p, theorem_check_env().n) == (2000, 40)
+    for env in (theorem_check_env(), bench_env()):
+        lam = lambda_prime(env)
+        assert env.lambda_grid == (lam / 2, lam, 2 * lam)
 
 
 def test_verify_orderings_tau_one_is_tie():
     env = bench_env()
     lam_star = lambda_prime(env)
     report = verify_theorem_orderings(
-        env, seeds=2, master_seed=1,
-        lambda_grid=[lam_star / 2], tau_grid=[1.0])
+        replace(env, replicates=2, master_seed=1, lambda_grid=[lam_star / 2], tau_grid=[1.0]))
     for seed in report.seeds:
         assert seed.ties["item3"] >= 1  # ensemble at weight 1 equals its ridge leg
 
 
 def test_ordering_report_serialization():
     env = bench_env()
-    report = verify_theorem_orderings(env, seeds=2, master_seed=2)
+    report = verify_theorem_orderings(replace(env, replicates=2, master_seed=2))
     payload = json.loads(json.dumps(asdict(report), sort_keys=True))
     assert payload["rates"].keys() == {"item1", "item2", "item3"}
     assert payload["env"]["spectrum_ft"] == asdict(env.spectrum_ft)
@@ -228,7 +251,7 @@ def test_ridge_at_optimum_beats_interpolation_per_instance():
     lam_star = lambda_prime(env)
     strict = 0
     for seed in range(10):
-        ev = AnalyticRisk.from_env(draw_pair(env, seed), env)
+        ev = AnalyticRisk(draw_pair(env, seed), env)
         ridge = ev.task_risk(EstimatorKind.ridge(lam_star), "ft").value
         ridgeless = ev.task_risk(EstimatorKind.ridgeless(), "ft").value
         assert ridge <= ridgeless
