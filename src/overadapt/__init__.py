@@ -24,7 +24,6 @@ _SUBMODULE_NAMES = {
     "presets": ("preset_points",),
     "risk": ("AnalyticRisk", "DesignPair", "FtResolvent", "RiskReport", "TaskRisk",
              "lemma_approx_risk"),
-    "spectra": ("SpectrumSpec",),
     "svgplot": ("MissingSeriesError", "render_tradeoff_svg"),
     "synth": ("derive_rng", "sample_design", "sample_designs", "sample_theta_c"),
     "theory": ("EigenBandReport", "OrderingReport", "eigen_band_check", "lambda_prime",

@@ -38,7 +38,6 @@ start_single_threaded()  # before the imports below load numpy
 from .config import FORMATS, METHODS, ConfigError, config_from_dict, load_config, save_config
 from .estimators import EstimatorKind, SingularDesignError
 from .presets import CASES, DESK_P, FT_ONLY_LAMBDA, FULL_P, preset_points
-from .spectra import SpectrumSpec
 from .synth import derive_rng
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3
@@ -199,8 +198,7 @@ def _cmd_verify(args) -> int:
     print(f"lambda' = {report.env['lambda_star']!r}")
     for item in ("item1", "item2", "item3"):
         print(f"{item}: rate {report.rates[item]:.3f} over {env.replicates} seeds")
-    spec = SpectrumSpec(k_star=1, gamma=1e-2, p=200 * env.n + 1, p_tilde=200 * env.n + 1)
-    band = eigen_band_check(spec, n=env.n, trials=args.trials,
+    band = eigen_band_check(1e-2, 200 * env.n, n=env.n, trials=args.trials,
                             rng=derive_rng(env.master_seed, "eigen", 0))
     print(f"eigen band: {band.inside}/{band.trials} inside "
           f"[{band.band[0]:.3g}, {band.band[1]:.3g}] x scale (regime_ok={band.regime_ok})")

@@ -7,6 +7,9 @@ takes each size key it is not given (n, p, p_tilde and the two tails,
 ``presets.preset_defaults``) from its case, or from case a if it has none,
 and refuses an unknown case; every other key keeps the default below, and
 explicit keys override both.
+
+The config also states the two spectra, ``spectrum_pre`` and ``spectrum_ft``,
+as the (count, value) blocks that every other module reads them as.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 
 from .estimators import EstimatorKind
 from .presets import CASES, TRADEOFF_LAMBDA, preset_defaults
-from .spectra import SpectrumSpec
 from .synth import COORD_DISTS
 
 METHODS = ("analytic", "monte_carlo", "lemma_approx")
@@ -44,6 +46,8 @@ class ExperimentConfig:
     and ``theory`` read it as ``env``.  zeta1/zeta2 are the per-coordinate
     variances of the task offsets, sigma2/sigma2_tilde the label-noise
     variances; n_pre, when set, is the pretrain sample count (else n).
+    ``validate`` is the one check of the spectrum keys (1 <= k_star <=
+    p_tilde <= p, tails in [0, 1] so each spectrum is non-increasing).
     """
 
     case: str | None = None
@@ -144,14 +148,21 @@ class ExperimentConfig:
                 fail("tau_grid", f"tau values must lie in [0, 1], got {v}")
 
     @property
-    def spectrum_pre(self) -> SpectrumSpec:
-        """The pretrain covariance's spectrum: supported on all p coordinates."""
-        return SpectrumSpec(self.k_star, self.gamma_pre, self.p, self.p)
+    def spectrum_pre(self) -> tuple[tuple[int, float], ...]:
+        """The pretrain covariance's spectrum, supported on all p coordinates."""
+        return self._blocks(self.gamma_pre, self.p)
 
     @property
-    def spectrum_ft(self) -> SpectrumSpec:
-        """The fine-tune covariance's spectrum: supported on the first p_tilde."""
-        return SpectrumSpec(self.k_star, self.gamma_ft, self.p, self.p_tilde)
+    def spectrum_ft(self) -> tuple[tuple[int, float], ...]:
+        """The fine-tune covariance's spectrum, supported on the first p_tilde."""
+        return self._blocks(self.gamma_ft, self.p_tilde)
+
+    def _blocks(self, gamma: float, support: int) -> tuple[tuple[int, float], ...]:
+        """k_star ones, the tail gamma up to ``support``, then zeros up to p, as
+        (count, value) blocks in coordinate order, empty blocks left out."""
+        blocks = ((self.k_star, 1.0), (support - self.k_star, float(gamma)),
+                  (self.p - support, 0.0))
+        return tuple(b for b in blocks if b[0])
 
     @property
     def pretrain_samples(self) -> int:

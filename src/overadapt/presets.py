@@ -27,12 +27,12 @@ from .estimators import EstimatorKind
 FULL_P = 10_000
 DESK_P = 2_000
 
-# case -> (n, captioned gamma)
+# case -> n, with the tail its figure captioned (``_sizes`` sets both tails)
 CASES = {
-    "a": (40, 0.025),
-    "b": (40, 0.004),
-    "c": (60, 0.017),
-    "d": (60, 0.0022),
+    "a": 40,  # 0.025 = 1/n, the fine-tune tail
+    "b": 40,  # 0.004 ~ n^-1.5, the pretrain tail
+    "c": 60,  # 0.017 ~ 1/n
+    "d": 60,  # 0.0022 ~ n^-1.5
 }
 
 TRADEOFF_LAMBDA = 1e-4   # near-optimal ridge level used for the trade-off curves
@@ -64,7 +64,7 @@ def _sizes(n: int, p: int) -> dict:
 
 def preset_defaults(case: str) -> dict:
     """The config keys one case sets (see config.ExperimentConfig for the rest)."""
-    return _sizes(CASES[case][0], DESK_P)
+    return _sizes(CASES[case], DESK_P)
 
 
 def preset_points(config) -> list[EstimatorKind]:

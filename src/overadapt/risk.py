@@ -242,8 +242,8 @@ class DesignPair:
         """
         theta_c = (sample_theta_c(env, derive_rng(env.master_seed, "params", 0))
                    if env.fix_theta_c else None)
-        return cls(*sample_designs(env, env.master_seed, replicate), env.spectrum_pre.blocks,
-                   env.spectrum_ft.blocks, theta_c=theta_c, jitter=env.jitter)
+        return cls(*sample_designs(env, replicate), env.spectrum_pre, env.spectrum_ft,
+                   theta_c=theta_c, jitter=env.jitter)
 
     @cached_property
     def solver_pre(self) -> GramSolver:

@@ -64,7 +64,7 @@ def _group_mean(rows, key):
 class _Axis:
     """Linear or log10 mapping from data to pixel coordinates."""
 
-    def __init__(self, values, pixel_lo, pixel_hi, flip=False):
+    def __init__(self, values, pixel_lo, pixel_hi):
         vals = [v for v in values if math.isfinite(v)]
         lo, hi = min(vals), max(vals)
         self.log = lo > 0 and hi / lo > 100.0
@@ -75,13 +75,10 @@ class _Axis:
         span = hi - lo
         self.lo, self.hi = lo - 0.05 * span, hi + 0.05 * span
         self.pixel_lo, self.pixel_hi = pixel_lo, pixel_hi
-        self.flip = flip
 
     def __call__(self, v):
         x = math.log10(v) if self.log else v
         frac = (x - self.lo) / (self.hi - self.lo)
-        if self.flip:
-            frac = 1.0 - frac
         return self.pixel_lo + frac * (self.pixel_hi - self.pixel_lo)
 
     def ticks(self, count=5):

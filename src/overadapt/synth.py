@@ -1,8 +1,8 @@
 """Finite-sample draws for the two-task regression setup.
 
 Generates, from the model (a validated ``config.ExperimentConfig``, read as
-``env``), the designs X (pretrain) and X_tilde (fine-tune) as their drawn
-n x p_tilde blocks, read by ``risk.DesignPair`` with the spectra's blocks, and
+``env``), the designs X (pretrain) and X_tilde (fine-tune), each drawn at its
+spectrum's (count, value) blocks up to the end of the last nonzero one, and
 the shared parameter theta_c that a ``fix_theta_c`` run holds fixed; the
 evaluators average over the rest of the model, exactly or by Monte Carlo.
 All randomness flows through streams derived from (master_seed, purpose,
@@ -12,12 +12,11 @@ is bit-reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .spectra import SpectrumSpec
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -78,32 +77,34 @@ def _bartlett_slots(a: int) -> tuple:
 
 
 def sample_design(
-    spec: SpectrumSpec,
+    blocks: Sequence[tuple[int, float]],
     n: int,
     rng: np.random.Generator,
     coord_dist: str = "gaussian",
 ) -> np.ndarray:
-    """Draw a design whose rows have covariance diag(eigenvalues), as its n x p_tilde block.
+    """Draw a design whose rows have covariance diag(eigenvalues), given as
+    (count, value) blocks, up to the end of the last nonzero block.
 
-    Row i is sqrt(eigs) * eta_i elementwise: the unit block keeps its draws
-    and the tail block is scaled by sqrt(gamma).  The p - p_tilde zero
-    columns past the support are neither drawn nor returned.
+    Row i is sqrt(eigs) * eta_i elementwise: each block's columns are scaled
+    in place by the square root of its value.  The zero columns past the
+    last nonzero block are neither drawn nor returned.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    X = _coord_draws(rng, (n, spec.p_tilde), coord_dist)
-    X[:, spec.k_star:] *= np.sqrt(spec.gamma)
+    ends = np.cumsum([count for count, _ in blocks])
+    width = max((int(e) for e, (_, v) in zip(ends, blocks) if v), default=0)
+    X = _coord_draws(rng, (n, width), coord_dist)
+    for end, (count, value) in zip(ends, blocks):
+        X[:, end - count:end] *= np.sqrt(value)
     return X
 
 
-def sample_designs(
-    env: ExperimentConfig, master_seed: int, replicate: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (pretrain, fine-tune) design pair of one replicate, one stream each."""
+def sample_designs(env: ExperimentConfig, replicate: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The (pretrain, fine-tune) designs of one replicate of env's master seed, one stream each."""
     X = sample_design(env.spectrum_pre, env.pretrain_samples,
-                      derive_rng(master_seed, "design_pre", replicate), env.coord_dist)
+                      derive_rng(env.master_seed, "design_pre", replicate), env.coord_dist)
     X_tilde = sample_design(env.spectrum_ft, env.n,
-                            derive_rng(master_seed, "design_ft", replicate), env.coord_dist)
+                            derive_rng(env.master_seed, "design_ft", replicate), env.coord_dist)
     return X, X_tilde
 
 

@@ -25,7 +25,6 @@ from .config import ConfigError, ExperimentConfig
 from .estimators import EstimatorKind
 from .presets import DESK_P, _sizes
 from .risk import AnalyticRisk, DesignPair, TermRisk, _Quad
-from .spectra import SpectrumSpec
 from .synth import _wishart_bartlett
 
 # A chain inequality counts as strict only if the gap beats this fraction of
@@ -98,7 +97,7 @@ class OrderingReport:
            fine-tune task, for grid lam in [0, lambda_star).
     """
 
-    env: dict                            # sizes, both SpectrumSpecs, variances
+    env: dict                            # sizes, both spectra's blocks, variances
     lambda_grid: tuple[float, ...]
     tau_grid: tuple[float, ...]
     seeds: tuple[SeedOutcome, ...]
@@ -209,7 +208,8 @@ class EigenBandReport:
 
 
 def eigen_band_check(
-    spec: SpectrumSpec,
+    gamma: float,
+    r_k: int,
     n: int,
     trials: int,
     rng: np.random.Generator,
@@ -217,22 +217,19 @@ def eigen_band_check(
 ) -> EigenBandReport:
     """Empirical concentration of the tail Gram's extreme eigenvalues.
 
-    Draws the n x n Gram ``Z diag(tail) Z^T`` of the spectrum's tail block
-    (the m = p_tilde - k_star eigenvalues past the k_star leading ones),
-    with Gaussian coordinates Z, and counts how often both extreme
-    eigenvalues land inside band * (pivot eigenvalue * effective rank).
+    Draws the n x n Gram ``gamma Z Z^T`` of a spectrum's tail block, r_k
+    eigenvalues of value gamma (the pivot eigenvalue; r_k is the effective
+    rank), with Gaussian coordinates Z, and counts how often both extreme
+    eigenvalues land inside band * (gamma * r_k).
     Outside the heavy-tail regime (effective rank below n) the check is
     reported but flagged, never fatal.
 
-    The tail is one constant block gamma, so the Gram is gamma * Z Z^T,
-    whose nonzero eigenvalues are those of gamma * Wishart_a(d, I) with
-    a = min(n, m) and d = max(n, m) degrees of freedom.  Each trial draws
-    that a x a matrix by the Bartlett decomposition, a(a+1)/2 numbers
-    instead of the n*m entries of Z; when m < n the Gram has n - m exact
-    zero eigenvalues, so its smallest eigenvalue is 0.
+    The Gram's nonzero eigenvalues are those of gamma * Wishart_a(d, I)
+    with a = min(n, r_k) and d = max(n, r_k) degrees of freedom.  Each trial
+    draws that a x a matrix by the Bartlett decomposition, a(a+1)/2 numbers
+    instead of the n*r_k entries of Z; when r_k < n the Gram has n - r_k
+    exact zero eigenvalues, so its smallest eigenvalue is 0.
     """
-    # the tail block's value is the pivot, and its size the effective rank r_k
-    gamma, r_k = spec.gamma, spec.p_tilde - spec.k_star
     if gamma <= 0.0 or r_k == 0:
         return EigenBandReport(
             trials=trials, inside=0, rate=0.0, scale=0.0, band=band,

@@ -22,7 +22,7 @@ from overadapt.theory import TWO_TERMS
 
 def pair_of(X, Xt, env, theta_c=None):
     """The ``DesignPair`` of the designs (X, Xt) at env's two spectra."""
-    return DesignPair(X, Xt, env.spectrum_pre.blocks, env.spectrum_ft.blocks, theta_c=theta_c)
+    return DesignPair(X, Xt, env.spectrum_pre, env.spectrum_ft, theta_c=theta_c)
 
 
 def eigenvalues(blocks):
@@ -78,8 +78,7 @@ def mc_dense_risk_draws(X, Xt, env, kinds, draws, rng, theta_c=None):
     ``estimator_oracle`` on those shared draws and weighs the errors with the
     spectra.  Returns one {task: per-draw risks} per kind.
     """
-    eigs = {"pre": eigenvalues(env.spectrum_pre.blocks),
-            "ft": eigenvalues(env.spectrum_ft.blocks)}
+    eigs = {"pre": eigenvalues(env.spectrum_pre), "ft": eigenvalues(env.spectrum_ft)}
     X, Xt = padded(X, env.p), padded(Xt, env.p)
     n_pre, p = X.shape
     n = Xt.shape[0]

@@ -19,7 +19,6 @@ from overadapt.harness import run_preset, run_sweep, write_results
 from overadapt.presets import FT_ONLY_LAMBDA, RIDGE_FAMILY, TRADEOFF_LAMBDA
 from overadapt.mc import mc_expected_risks
 from overadapt.risk import AnalyticRisk, DesignPair
-from overadapt.spectra import SpectrumSpec
 from overadapt.synth import derive_rng, sample_design, sample_designs, sample_theta_c
 from overadapt.theory import (
     eigen_band_check,
@@ -96,7 +95,7 @@ def test_c02_interpolation_and_ridge_limits():
     for seed in range(20):
         # one instance per replicate: designs, theta_c and both offsets from
         # the params stream, each task's label noise from its own stream
-        X, Xt = sample_designs(env, MASTER_SEED, seed)
+        X, Xt = sample_designs(replace(env, master_seed=MASTER_SEED), seed)
         Xt = padded(Xt, env.p)  # the fine-tune design with its zero columns
         params = derive_rng(MASTER_SEED, "params", seed)
         theta_c = sample_theta_c(env, params)
@@ -297,11 +296,10 @@ def test_c08_stationarity_identities(ordering_env):
 def test_c09_tail_eigenvalue_concentration():
     n = 10
     p = 200 * n
-    spec = SpectrumSpec(k_star=1, gamma=0.01, p=p, p_tilde=p)
-    rep = eigen_band_check(spec, n=n, trials=200, band=(1 / 3, 3.0),
+    rep = eigen_band_check(0.01, p - 1, n=n, trials=200, band=(1 / 3, 3.0),
                            rng=derive_rng(MASTER_SEED, "eigen", 0))
     # a constant tail's effective rank is its size, p - 1 here
-    assert rep.scale == spec.gamma * (p - 1) and p - 1 >= 100 * n
+    assert rep.scale == 0.01 * (p - 1) and p - 1 >= 100 * n
     ok = rep.regime_ok and rep.rate >= 0.95
     report(9, ok,
            f"{rep.inside}/{rep.trials} trials inside [1/3, 3] x "

@@ -97,8 +97,6 @@ def test_every_public_function_runs_under_a_command(tmp_path, capsys):
 RESTATED = {
     # the --workers flag overrides the config's value and is not saved with it
     "harness.run_sweep": {"workers"},
-    # stream coordinates, as for derive_rng: any master seed, not only the config's
-    "synth.sample_designs": {"master_seed"},
 }
 
 

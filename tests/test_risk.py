@@ -305,8 +305,8 @@ def fixed_theta_c(env, seed=0):
 
 def block_ranks(X, Xt, env, theta_c=None):
     """Rank of each constant-spectrum block's stacked design columns."""
-    pre, ft = env.spectrum_pre, env.spectrum_ft
-    cuts = sorted({0, pre.k_star, ft.k_star, pre.p_tilde, ft.p_tilde, env.p})
+    cuts = sorted({0, *(int(end) for blocks in (env.spectrum_pre, env.spectrum_ft)
+                        for end in np.cumsum([count for count, _ in blocks]))})
     rows = [X, Xt] if theta_c is None else [X, Xt, theta_c[None, :]]
     C = np.vstack([padded(r, env.p) for r in rows])
     return [np.linalg.matrix_rank(C[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
@@ -390,7 +390,7 @@ def test_mc_variates_per_draw_do_not_grow_with_p(with_theta_c):
     per_draw = []
     for full in (False, True):
         env = ExperimentConfig(case="a", p=10_000 if full else 2000)
-        X, Xt = sample_designs(env, 0)
+        X, Xt = sample_designs(env)  # replicate 0 of master seed 0
         theta_c = fixed_theta_c(env) if with_theta_c else None
         rng = CountingRng(derive_rng(0, "mc", 0))
         mc_expected_risks(pair_of(X, Xt, env, theta_c=theta_c), replace(env, mc_draws=1024),
@@ -529,7 +529,7 @@ def test_pair_and_exact_evaluator_memory_does_not_grow_with_p():
         env = config_from_dict({"case": "a", "p": p})
         X = sample_design(env.spectrum_pre, env.n, derive_rng(0, "design_pre", 0))
         Xt = sample_design(env.spectrum_ft, env.n, derive_rng(0, "design_ft", 0))
-        assert X.shape == (env.n, p) and Xt.shape == (env.n, env.spectrum_ft.p_tilde)
+        assert X.shape == (env.n, p) and Xt.shape == (env.n, env.p_tilde)
         AnalyticRisk(pair_of(X, Xt, env), env)
         return X.nbytes + Xt.nbytes
 

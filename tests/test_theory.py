@@ -10,7 +10,6 @@ from overadapt.config import ConfigError, ExperimentConfig
 from overadapt.estimators import EstimatorKind
 from overadapt import synth, theory
 from overadapt.risk import AnalyticRisk, DesignPair, FtResolvent
-from overadapt.spectra import SpectrumSpec
 from overadapt.synth import _wishart_bartlett, derive_rng
 from overadapt.theory import (
     _tail_gram_extremes,
@@ -240,7 +239,10 @@ def test_ordering_report_serialization():
     report = verify_theorem_orderings(replace(env, replicates=2, master_seed=2))
     payload = json.loads(json.dumps(asdict(report), sort_keys=True))
     assert payload["rates"].keys() == {"item1", "item2", "item3"}
-    assert payload["env"]["spectrum_ft"] == asdict(env.spectrum_ft)
+    # each spectrum as its (count, value) blocks: k_star ones, the tail, the zeros
+    assert payload["env"]["spectrum_pre"] == [[1, 1.0], [env.p - 1, env.gamma_pre]]
+    assert payload["env"]["spectrum_ft"] == [[1, 1.0], [env.p_tilde - 1, env.gamma_ft],
+                                             [env.p - env.p_tilde, 0.0]]
     assert len(payload["seeds"]) == 2
     for seed in payload["seeds"]:
         assert seed["holds"].keys() == seed["ties"].keys() == {"item1", "item2", "item3"}
@@ -264,33 +266,29 @@ def test_ridge_at_optimum_beats_interpolation_per_instance():
 def test_eigen_band_check_concentrates():
     n = 10
     p = 200 * n
-    spec = SpectrumSpec(k_star=1, gamma=0.01, p=p, p_tilde=p)
-    report = eigen_band_check(spec, n=n, trials=100, rng=derive_rng(0, "eigen", 0))
+    report = eigen_band_check(0.01, p - 1, n=n, trials=100, rng=derive_rng(0, "eigen", 0))
     assert report.regime_ok
     assert report.scale == 0.01 * (p - 1)  # gamma times the tail's size, its effective rank
     assert report.rate >= 0.95
 
 
 def test_eigen_band_zero_tail_flagged():
-    for spec in (SpectrumSpec(k_star=1, gamma=0.0, p=50, p_tilde=50),
-                 SpectrumSpec(k_star=4, gamma=0.3, p=50, p_tilde=4)):  # no tail block
-        report = eigen_band_check(spec, n=5, trials=10, rng=derive_rng(1, "eigen", 0))
+    for gamma, r_k in ((0.0, 49), (0.3, 0)):  # a zero tail, and no tail block
+        report = eigen_band_check(gamma, r_k, n=5, trials=10, rng=derive_rng(1, "eigen", 0))
         assert not report.regime_ok
         assert report.scale == 0.0
         assert "zero" in report.note
 
 
 def test_eigen_band_single_sample_scalar_case():
-    spec = SpectrumSpec(k_star=1, gamma=0.05, p=400, p_tilde=400)
-    report = eigen_band_check(spec, n=1, trials=50, rng=derive_rng(2, "eigen", 0))
+    report = eigen_band_check(0.05, 399, n=1, trials=50, rng=derive_rng(2, "eigen", 0))
     assert report.regime_ok  # effective rank p-1 is far above b*n = 1
     assert report.scale == 0.05 * 399
     assert report.rate >= 0.9
 
 
 def test_eigen_band_regime_violation_reported_not_fatal():
-    spec = SpectrumSpec(k_star=1, gamma=0.01, p=20, p_tilde=20)
-    report = eigen_band_check(spec, n=100, trials=5, rng=derive_rng(3, "eigen", 0))
+    report = eigen_band_check(0.01, 19, n=100, trials=5, rng=derive_rng(3, "eigen", 0))
     assert not report.regime_ok
     assert report.scale == 0.01 * 19
     assert "regime violated: r_k = 19 < n = 100" in report.note
@@ -332,12 +330,11 @@ def test_wishart_trace_mean(n, m):
 
 def test_wishart_rank_deficient_tail_has_zero_eigenvalue():
     n, m = 30, 20  # more samples than tail directions
-    spec = SpectrumSpec(k_star=1, gamma=0.01, p=m + 1, p_tilde=m + 1)
     rng = derive_rng(4, "eigen", 0)
     for _ in range(5):
         smallest, largest = _tail_gram_extremes(rng, n, 0.01, m)
         assert smallest == 0.0 < largest
-    report = eigen_band_check(spec, n=n, trials=50, band=(1e-12, 1e12),
+    report = eigen_band_check(0.01, m, n=n, trials=50, band=(1e-12, 1e12),
                               rng=derive_rng(4, "eigen", 1))
     assert report.inside == 0
 
@@ -352,7 +349,6 @@ def test_wishart_single_sample_is_scaled_chi_square():
 
 def test_gaussian_band_check_draws_triangle_not_block():
     n, m, trials = 40, 8000, 5
-    spec = SpectrumSpec(k_star=1, gamma=0.01, p=m + 1, p_tilde=m + 1)
     rng = CountingRng(derive_rng(6, "eigen", 0))
-    eigen_band_check(spec, n=n, trials=trials, rng=rng)
+    eigen_band_check(0.01, m, n=n, trials=trials, rng=rng)
     assert rng.count == trials * n * (n + 1) // 2  # not trials * n * m
