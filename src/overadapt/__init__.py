@@ -22,8 +22,7 @@ _SUBMODULE_NAMES = {
     "harness": ("ResultRow", "SweepResult", "run_preset", "run_sweep", "write_results"),
     "mc": ("mc_expected_risks",),
     "presets": ("preset_points",),
-    "risk": ("AnalyticRisk", "DesignPair", "FtResolvent", "RiskReport", "TaskRisk",
-             "lemma_approx_risk"),
+    "risk": ("AnalyticRisk", "DesignPair", "FtResolvent", "lemma_approx_risk"),
     "svgplot": ("MissingSeriesError", "render_tradeoff_svg"),
     "synth": ("derive_rng", "sample_design", "sample_designs", "sample_theta_c"),
     "theory": ("EigenBandReport", "OrderingReport", "eigen_band_check", "lambda_prime",

@@ -6,7 +6,7 @@ Subcommands:
   verify             ordering suite + tail-eigenvalue concentration check
   risk               evaluate one estimator point on one drawn instance
                      (its rows to --out or the config's out, else the
-                     report as JSON on stdout)
+                     rows as JSON on stdout, as --format json writes them)
 
 Exit codes: 0 success, 1 validation error (usage errors included), 2
 numerical failure (ill-conditioned Gram without --jitter, or any failed seed
@@ -225,24 +225,23 @@ def _cmd_risk(args) -> int:
                              f"not to {args.estimator}")
     if args.case and args.config:
         raise ValueError("--case and --config both give the environment; give one")
-    from .harness import evaluate_seed, rows_from_report, write_results
+    from .harness import evaluate_seed, write_results
 
     base = load_config(args.config).to_dict() if args.config else {"case": args.case or "a"}
     config = _config(args, {**base, "methods": [args.method]})
     out = args.out or config.out
     if args.format and not out:
-        raise ValueError("risk prints its report as JSON without --out or a config out; "
+        raise ValueError("risk prints its rows as JSON without --out or a config out; "
                          "--format does not apply")
     _check_writable(out)
     kind = EstimatorKind(args.estimator, **given)
     # replicate 0 of a one-method sweep of the config at this one point
-    (report,) = evaluate_seed(config, 0, [kind])
+    rows = evaluate_seed(config, 0, [kind])
     if out:
-        rows = rows_from_report(report, config.case or "", 0)
         write_results(rows, out, config.format)
         print(f"wrote {len(rows)} rows to {out}")
     else:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps([r.to_dict() for r in rows], indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -128,7 +128,7 @@ class EstimatorKind:
 
     @property
     def shown(self) -> tuple[float | None, float | None]:
-        """(lam, tau) as rows and reports show them: None for one the kind does not take."""
+        """(lam, tau) as rows show them: None for one the kind does not take."""
         return tuple(getattr(self, k) if k in self.PARAMS[self.name] else None
                      for k in ("lam", "tau"))
 

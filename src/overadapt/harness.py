@@ -4,9 +4,9 @@
 a list of estimator points, by default the factorial expansion of the
 config's grids.  A preset run (``run_preset``) is the same runner over the
 case's points (``presets.preset_points``).  ``evaluate_seed`` evaluates each
-seed (the ``risk`` command is its replicate 0) on its ``DesignPair.draw``, with
-every setting read from the config.  On Linux, seeds fan out to
-forked processes: with k = min(workers, replicates), child i evaluates every
+seed (the ``risk`` command is its replicate 0) on its ``DesignPair.draw``
+into its rows, with every setting read from the config.  On Linux, seeds
+fan out to forked processes: with k = min(workers, replicates), child i evaluates every
 k-th seed from seed i and pipes its outputs back as one pickle.  The parent
 has loaded every module a seed uses before it forks, so no child imports
 anything.  Elsewhere,
@@ -40,11 +40,11 @@ from dataclasses import dataclass, field
 import numpy.random  # noqa: F401
 
 from ._blas import pin_single_thread
-from .config import ExperimentConfig, config_from_dict
+from .config import METHODS, ExperimentConfig, config_from_dict
 from .estimators import EstimatorKind
 from .mc import mc_expected_risks  # loaded before seeds fan out, like numpy.random
 from .presets import preset_points
-from .risk import TASKS, TERM_KEYS, AnalyticRisk, DesignPair, RiskReport, lemma_approx_risk
+from .risk import TASKS, TERM_KEYS, AnalyticRisk, DesignPair, lemma_approx_risk
 from .synth import derive_rng
 
 WORKERS_ENV_VAR = "OVERADAPT_WORKERS"
@@ -116,19 +116,6 @@ def write_results(rows, path, format: str = "csv") -> None:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 
 
-def rows_from_report(report: RiskReport, case: str, seed: int) -> list[ResultRow]:
-    lam, tau = report.kind.shown
-    rows = []
-    for task in TASKS:
-        tr = report.task(task)
-        rows.append(ResultRow(
-            case=case, seed=seed, estimator=report.kind.name,
-            lam=lam, tau=tau, task=task, method=report.method,
-            value=tr.value, se=tr.se, terms=dict(tr.terms),
-        ))
-    return rows
-
-
 def expand_estimator_points(config: ExperimentConfig) -> list[EstimatorKind]:
     """Factorial expansion of the configured estimators over their parameters' grids."""
     grids = {"lam": config.lambda_grid, "tau": config.tau_grid}
@@ -141,38 +128,38 @@ def expand_estimator_points(config: ExperimentConfig) -> list[EstimatorKind]:
 
 
 def evaluate_seed(config: ExperimentConfig, seed_index: int,
-                  kinds: list[EstimatorKind]) -> list[RiskReport]:
-    """Every report of one replicate, in row order: per kind, one per method.
+                  kinds: list[EstimatorKind]) -> list[ResultRow]:
+    """Every row of one replicate: per kind, per method in ``METHODS`` order, per task.
 
     Deterministic in (master_seed, seed_index).
     """
-    methods = config.methods
+    methods = [m for m in METHODS if m in config.methods]
     # one reduction of the designs: every method reads the pair's Grams and
     # solvers, and the p-dimensional designs are freed before any method runs
     pair = DesignPair.draw(config, seed_index)
-    analytic = AnalyticRisk(pair, config) if "analytic" in methods else None
-    lemma = lemma_approx_risk(pair, config) if "lemma_approx" in methods else None
-    mc = [None] * len(kinds)
+    closed = {m: make(pair, config) for m, make in
+              (("analytic", AnalyticRisk), ("lemma_approx", lemma_approx_risk)) if m in methods}
     if "monte_carlo" in methods:
         mc = mc_expected_risks(pair, config, kinds,
                                derive_rng(config.master_seed, "mc", seed_index))
-    reports: list[RiskReport] = []
-    for kind, mc_report in zip(kinds, mc):
-        if analytic is not None:
-            reports.append(analytic.report(kind))
-        if mc_report is not None:
-            reports.append(mc_report)
-        if lemma is not None:
-            reports.append(lemma.report(kind))
-    return reports
+    rows: list[ResultRow] = []
+    for i, kind in enumerate(kinds):
+        lam, tau = kind.shown
+        for method in methods:
+            for task in TASKS:
+                if method == "monte_carlo":
+                    (value, se), terms = mc[i][task], {}
+                else:
+                    (value, terms), se = closed[method].task_risk(kind, task), None
+                rows.append(ResultRow(config.case or "", seed_index, kind.name, lam, tau,
+                                      task, method, value, se, terms))
+    return rows
 
 
 def _sweep_worker(args) -> tuple[int, list[ResultRow] | None, str | None]:
     config, seed_index, kinds = args
     try:
-        rows = [row for report in evaluate_seed(config, seed_index, kinds)
-                for row in rows_from_report(report, config.case or "", seed_index)]
-        return seed_index, rows, None
+        return seed_index, evaluate_seed(config, seed_index, kinds), None
     except Exception as exc:  # flagged, not fatal: the sweep continues
         return seed_index, None, f"{type(exc).__name__}: {exc}"
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .estimators import EstimatorKind
-from .risk import TASKS, DesignPair, RiskReport, TaskRisk
+from .risk import TASKS, DesignPair
 from .synth import _wishart_bartlett
 
 _MC_BATCH = 512
@@ -71,23 +71,19 @@ def _off_span_gram(rng: np.random.Generator, dof: int, m: int) -> np.ndarray:
 
 
 def mc_expected_risks(pair: DesignPair, env: ExperimentConfig, kinds: list[EstimatorKind],
-                      rng: np.random.Generator) -> list[RiskReport]:
+                      rng: np.random.Generator) -> list[dict[str, tuple[float, float]]]:
     """Monte-Carlo mean of the plug-in risk over env's ``mc_draws`` fresh
-    parameter/noise draws, one report per kind, every kind on the same draws.
+    parameter/noise draws and its standard error, ``{task: (mean, se)}`` per
+    kind, every kind on the same draws.
 
     The pair's designs (and fixed theta_c, if it has one) stay fixed; its
     solvers and one row-space reduction serve every draw, so a draw costs
     O(n) numbers and n x n work at any p (see the module docstring).  Draws
     are vectorised in batches of ``_MC_BATCH``, which fixes the stream.
     """
-    risks = _mc_risk_draws(pair, env, kinds, rng)
-
-    def summarise(r) -> TaskRisk:
-        return TaskRisk(value=float(np.mean(r)), se=float(np.std(r, ddof=1) / np.sqrt(r.size)))
-
-    return [RiskReport(method="monte_carlo", kind=kind, draws=env.mc_draws,
-                       pre=summarise(r["pre"]), ft=summarise(r["ft"]))
-            for kind, r in zip(kinds, risks)]
+    return [{t: (float(np.mean(r)), float(np.std(r, ddof=1) / np.sqrt(r.size)))
+             for t, r in risks.items()}
+            for risks in _mc_risk_draws(pair, env, kinds, rng)]
 
 
 def _mc_risk_draws(pair: DesignPair, env: ExperimentConfig, kinds: list[EstimatorKind],

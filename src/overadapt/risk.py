@@ -6,11 +6,12 @@
                              method below reads the pair and the config.
 ``TermRisk``                 reads per-task ``Term``s at each lam's resolvent
                              weights, one memo per (lam, task); its
-                             ``report(kind)`` covers both tasks.
+                             ``task_risk(kind, task)`` is one point's risk
+                             on one task and its five-term split.
 ``AnalyticRisk``             the ``TermRisk`` of the exact expectation over
                              (theta_c, alpha1, alpha2, noise) with the two
                              designs held fixed: five closed-form Terms
-                             (``AnalyticRisk(pair, env).report(kind)``).
+                             (``AnalyticRisk(pair, env).task_risk(kind, task)``).
 ``mc.mc_expected_risks``     Monte-Carlo estimates of the same expectation on
                              draws shared by all estimators, the independent
                              numerical check, in its own module.
@@ -18,7 +19,7 @@
                              shortcut, a ``TermRisk`` over two of the exact
                              evaluator's five Terms, term_zeta2 and
                              term_sigma_tilde
-                             (``lemma_approx_risk(pair, env).report(kind)``).
+                             (``lemma_approx_risk(pair, env).task_risk(kind, task)``).
 
 Trace reduction
 ---------------
@@ -59,7 +60,7 @@ quadratics, and then O(1) per tau.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -77,50 +78,6 @@ _CLAMP_REL = 1e-10
 TASKS = ("pre", "ft")
 
 
-@dataclass(frozen=True)
-class TaskRisk:
-    """Risk on one task: total value, five-way term split, optional MC error."""
-
-    value: float
-    terms: dict[str, float] = field(default_factory=dict)
-    se: float | None = None
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    """Risks of one estimator on both tasks under one evaluation method."""
-
-    method: str  # monte_carlo | analytic | lemma_approx
-    kind: EstimatorKind
-    pre: TaskRisk
-    ft: TaskRisk
-    draws: int | None = None
-
-    @property
-    def l_pre(self) -> float:
-        return self.pre.value
-
-    @property
-    def l_ft(self) -> float:
-        return self.ft.value
-
-    def task(self, name: str) -> TaskRisk:
-        if name not in TASKS:
-            raise ValueError(f"unknown task {name!r}; known: pre, ft")
-        return getattr(self, name)
-
-    def to_dict(self) -> dict:
-        lam, tau = self.kind.shown
-        d = {"method": self.method, "estimator": self.kind.name, "lambda": lam, "tau": tau,
-             "draws": self.draws}
-        for name, tr in (("pre", self.pre), ("ft", self.ft)):
-            d[f"l_{name}"] = tr.value
-            d[f"terms_{name}"] = dict(tr.terms)
-            if tr.se is not None:
-                d[f"se_{name}"] = tr.se
-        return d
-
-
 def _finish_terms(raw: dict[str, float]) -> tuple[float, dict[str, float]]:
     scale = sum(abs(v) for v in raw.values())
     terms = {}
@@ -130,21 +87,6 @@ def _finish_terms(raw: dict[str, float]) -> tuple[float, dict[str, float]]:
             v = 0.0
         terms[k] = float(v)
     return float(sum(terms.values())), terms
-
-
-class _Quad:
-    """Quadratic a0 + a1*tau + a2*tau^2."""
-
-    __slots__ = ("a0", "a1", "a2")
-
-    def __init__(self, a0=0.0, a1=0.0, a2=0.0):
-        self.a0, self.a1, self.a2 = float(a0), float(a1), float(a2)
-
-    def __call__(self, tau: float) -> float:
-        return self.a0 + tau * (self.a1 + tau * self.a2)
-
-    def __add__(self, other: "_Quad") -> "_Quad":
-        return _Quad(self.a0 + other.a0, self.a1 + other.a1, self.a2 + other.a2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,14 +103,14 @@ class Term:
     def _apply(self, d: np.ndarray) -> np.ndarray:
         return self.H * d if self.H.ndim == 1 else self.H @ d
 
-    def at(self, d: np.ndarray) -> _Quad:
-        """The term at one lam's weights d, as a quadratic in tau."""
-        return _Quad(self.c, self.b @ d, d @ self._apply(d))
+    def at(self, d: np.ndarray) -> tuple[float, float, float]:
+        """The term at one lam's weights d: (a0, a1, a2) of a0 + a1 tau + a2 tau^2."""
+        return float(self.c), float(self.b @ d), float(d @ self._apply(d))
 
-    def dlam(self, d: np.ndarray, n: int) -> _Quad:
+    def dlam(self, d: np.ndarray, n: int) -> tuple[float, float, float]:
         """d/d(lam) of ``at(d)``: tau b.d' + 2 tau^2 (H d).d', d' = -n d^2, H symmetric."""
         dd = -n * d * d
-        return _Quad(0.0, self.b @ dd, 2.0 * (self._apply(d) @ dd))
+        return 0.0, float(self.b @ dd), float(2.0 * (self._apply(d) @ dd))
 
 
 def _runs(blocks: dict[str, Sequence]) -> tuple[list[tuple[int, int]], dict[str, np.ndarray]]:
@@ -307,37 +249,33 @@ class TermRisk:
     """Reads per-task ``Term``s (``terms[task][key]``) at each lam's resolvent weights.
 
     Keeps each (lam, task)'s term quadratics for every tau; at tau = 0 a term
-    is its c and no weights are read.  Every report covers both tasks.  The
-    exact evaluator (``AnalyticRisk``) reads the five ``TERM_KEYS``, the
-    two-term shortcut (``lemma_approx_risk``) two of them.
+    is its c and no weights are read.  ``task_risk(kind, task)`` is one
+    point's risk on one task and its term split.  The exact evaluator
+    (``AnalyticRisk``) reads the five ``TERM_KEYS``, the two-term shortcut
+    (``lemma_approx_risk``) two of them.
     """
 
-    def __init__(self, method: str, resolvent: FtResolvent,
-                 terms: dict[str, dict[str, Term]]):
-        self.method = method
+    def __init__(self, resolvent: FtResolvent, terms: dict[str, dict[str, Term]]):
         self.resolvent = resolvent
         self.terms = terms
         self._quads = {}  # (lam, task) -> term quadratics
 
-    def term_quadratics(self, lam: float, task: str) -> dict[str, _Quad]:
-        """Each risk term as an exact quadratic in tau, at fixed lam; built once per (lam, task)."""
+    def term_quadratics(self, lam: float, task: str) -> dict[str, tuple[float, float, float]]:
+        """Each risk term's (a0, a1, a2) in tau, at fixed lam; built once per (lam, task)."""
         if (lam, task) not in self._quads:
             d = self.resolvent.d(lam)
             self._quads[lam, task] = {k: term.at(d) for k, term in self.terms[task].items()}
         return self._quads[lam, task]
 
-    def task_risk(self, kind: EstimatorKind, task: str) -> TaskRisk:
+    def task_risk(self, kind: EstimatorKind, task: str) -> tuple[float, dict[str, float]]:
+        """The risk of ``kind`` on ``task`` and its split over ``TERM_KEYS``."""
         lam, tau = kind.effective
         if tau == 0.0:
             raw = {k: term.c for k, term in self.terms[task].items()}
         else:
-            raw = {k: q(tau) for k, q in self.term_quadratics(lam, task).items()}
-        value, terms = _finish_terms(raw)
-        return TaskRisk(value=value, terms=terms)
-
-    def report(self, kind: EstimatorKind) -> RiskReport:
-        return RiskReport(method=self.method, kind=kind,
-                          **{t: self.task_risk(kind, t) for t in TASKS})
+            raw = {k: a0 + tau * (a1 + tau * a2)
+                   for k, (a0, a1, a2) in self.term_quadratics(lam, task).items()}
+        return _finish_terms(raw)
 
 
 class AnalyticRisk(TermRisk):
@@ -385,7 +323,7 @@ class AnalyticRisk(TermRisk):
                      "term_sigma": Term(sigma2 * u0, -2 * sigma2 * c2, sigma2 * (M * Q2.T)),
                      **res.two_terms(env, t)}
             all_terms[t] = {k: terms[k] for k in TERM_KEYS}
-        super().__init__("analytic", res, all_terms)
+        super().__init__(res, all_terms)
 
 
 def lemma_approx_risk(pair: DesignPair, env: ExperimentConfig) -> TermRisk:
@@ -394,5 +332,4 @@ def lemma_approx_risk(pair: DesignPair, env: ExperimentConfig) -> TermRisk:
     tasks, read like the exact evaluator's Terms.
     """
     res = pair.resolvent
-    return TermRisk("lemma_approx", res,
-                    {t: res.two_terms(env, t) for t in TASKS})
+    return TermRisk(res, {t: res.two_terms(env, t) for t in TASKS})

@@ -24,7 +24,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig
 from .estimators import EstimatorKind
 from .presets import DESK_P, _sizes
-from .risk import AnalyticRisk, DesignPair, TermRisk, _Quad
+from .risk import AnalyticRisk, DesignPair, TermRisk
 from .synth import _wishart_bartlett
 
 # A chain inequality counts as strict only if the gap beats this fraction of
@@ -71,8 +71,8 @@ def tau_prime(ev: TermRisk, lam: float) -> float:
     lam <= lambda_prime(env) and equals 1 exactly at that boundary.
     """
     quads = ev.term_quadratics(lam, "ft")
-    q = sum((quads[k] for k in TWO_TERMS), _Quad())
-    return -q.a1 / (2.0 * q.a2)
+    (_, b1, c1), (_, b2, c2) = (quads[k] for k in TWO_TERMS)
+    return -(b1 + b2) / (2.0 * (c1 + c2))
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ def _seed_outcome(env: ExperimentConfig, rep: int) -> SeedOutcome:
     lam_star = lambda_prime(env)
     ev = AnalyticRisk(DesignPair.draw(env, rep), env)
     # the evaluator builds each (lam, task)'s term quadratics once, tau_prime's too
-    l_ft = lambda kind: ev.task_risk(kind, "ft").value
-    l_sum = lambda kind: ev.task_risk(kind, "pre").value + ev.task_risk(kind, "ft").value
+    l_ft = lambda kind: ev.task_risk(kind, "ft")[0]
+    l_sum = lambda kind: ev.task_risk(kind, "pre")[0] + ev.task_risk(kind, "ft")[0]
     ft_pre = l_ft(EstimatorKind.pretrained())
     ft_ridgeless = l_ft(EstimatorKind.ridgeless())
     sum_ridgeless = l_sum(EstimatorKind.ridgeless())

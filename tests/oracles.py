@@ -7,8 +7,9 @@ law.  None of this code is shared with it except in
 ``mc_pointwise_risk_draws``, which reuses the package's row-space draw and
 weighs every point's estimate in full.  ``CountingRng`` counts the
 numbers a generator hands out, ``two_term`` reads the package's own
-``Term``s for the theory's stationarity identities, and ``pair_of`` reduces
-given designs at a config's spectra, for tests that build or edit designs.
+``Term``s for the theory's stationarity identities (``at_tau`` evaluates
+them), and ``pair_of`` reduces given designs at a config's spectra, for
+tests that build or edit designs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from overadapt.mc import _MC_BATCH, _off_span_gram, row_space
-from overadapt.risk import DesignPair, _Quad
+from overadapt.risk import DesignPair
 from overadapt.theory import TWO_TERMS
 
 
@@ -236,7 +237,7 @@ def random_block_instance(rng, n=5, p=11, p_tilde=None, k_star=2):
 
 
 def two_term(ev, lam, objective="ft", dlam=False):
-    """The two-term risk at lam as a quadratic in tau, or its d/d(lam) (``Term.dlam``).
+    """The two-term risk at lam as (a0, a1, a2) in tau, or its d/d(lam) (``Term.dlam``).
 
     The fine-tune task's term_zeta2 plus term_sigma_tilde; "sum" is the
     theorems' reduced two-task form, the same tau^2 coefficient once more.
@@ -244,5 +245,11 @@ def two_term(ev, lam, objective="ft", dlam=False):
     res = ev.resolvent
     parts = ([ev.terms["ft"][k].dlam(res.d(lam), res.n) for k in TWO_TERMS] if dlam
              else [ev.term_quadratics(lam, "ft")[k] for k in TWO_TERMS])
-    q = sum(parts, _Quad())
-    return q + _Quad(0.0, 0.0, q.a2) if objective == "sum" else q
+    a0, a1, a2 = (sum(coefs) for coefs in zip(*parts))
+    return a0, a1, 2 * a2 if objective == "sum" else a2
+
+
+def at_tau(quadratic, tau):
+    """a0 + a1 tau + a2 tau^2 of a (a0, a1, a2) quadratic."""
+    a0, a1, a2 = quadratic
+    return a0 + tau * (a1 + tau * a2)

@@ -27,7 +27,7 @@ from overadapt.theory import (
     theorem_check_env,
     verify_theorem_orderings,
 )
-from oracles import estimator_oracle, padded, pair_of, two_term
+from oracles import at_tau, estimator_oracle, padded, pair_of, two_term
 
 MASTER_SEED = 0
 
@@ -144,8 +144,9 @@ def test_c03_analytic_vs_monte_carlo():
                                    derive_rng(MASTER_SEED, "mc", 100 * seed + k))[0]
             for task in ("pre", "ft"):
                 total += 1
-                gap = abs(mc.task(task).value - exact.task_risk(kind, task).value)
-                hits += gap <= 3 * mc.task(task).se
+                mean, se = mc[task]
+                gap = abs(mean - exact.task_risk(kind, task)[0])
+                hits += gap <= 3 * se
     elapsed = time.perf_counter() - start
     ok = hits / total >= 0.95 and elapsed < 120.0
     report(3, ok, f"{hits}/{total} points within 3 SE at 2000 draws, {elapsed:.1f}s")
@@ -186,7 +187,7 @@ def test_c05_ensemble_beats_ridge_and_stationarity(ordering_env):
         for lam in (0.0, lam_star / 2):
             ts = tau_prime(ev, lam)
             quads = ev.term_quadratics(lam, "ft")
-            vals = np.array([sum(q(t) for q in quads.values()) for t in taus])
+            vals = np.array([sum(at_tau(q, t) for q in quads.values()) for t in taus])
             worst = max(worst, abs(taus[int(np.argmin(vals))] - ts))
     ok = held >= 18 and worst <= 2e-3
     report(5, ok,
@@ -259,11 +260,11 @@ def test_c08_stationarity_identities(ordering_env):
         ev = AnalyticRisk(DesignPair.draw(replace(env, master_seed=MASTER_SEED), seed), env)
         res = ev.resolvent
         # the reduced two-term risks' derivatives: in lam at tau = 1, and in tau
-        dlam = lambda l, objective: two_term(ev, l, objective, dlam=True)(1.0)
+        dlam = lambda l, objective: at_tau(two_term(ev, l, objective, dlam=True), 1.0)
 
         def dtau(l, u, objective):
-            q = two_term(ev, l, objective)
-            return q.a1 + 2.0 * u * q.a2
+            _, a1, a2 = two_term(ev, l, objective)
+            return a1 + 2.0 * u * a2
 
         worst_tp = max(worst_tp, abs(tau_prime(ev, lam_star) - 1.0))
         t = res.traces(lam_star)
@@ -277,11 +278,12 @@ def test_c08_stationarity_identities(ordering_env):
         # central differences of the reduced risks
         h_lam = 1e-5 * lam
         for objective in ("ft", "sum"):
-            func = lambda l: two_term(ev, l, objective)(1.0)
+            func = lambda l: at_tau(two_term(ev, l, objective), 1.0)
             fd = (func(lam + h_lam) - func(lam - h_lam)) / (2 * h_lam)
             deriv = dlam(lam, objective)
             worst_fd = max(worst_fd, abs(deriv - fd) / abs(deriv))
-            func = two_term(ev, lam, objective)
+            q = two_term(ev, lam, objective)
+            func = lambda u: at_tau(q, u)
             fd = (func(0.4 + 1e-6) - func(0.4 - 1e-6)) / 2e-6
             deriv = dtau(lam, 0.4, objective)
             worst_fd = max(worst_fd, abs(deriv - fd) / abs(deriv))

@@ -159,10 +159,10 @@ def test_ensemble_endpoints_exact():
              EstimatorKind.ensemble(lam, 1.0), EstimatorKind.ridge(lam)]
     mc = mc_expected_risks(pair, replace(env, mc_draws=300), kinds, derive_rng(3, "mc", 0))
     analytic = AnalyticRisk(pair, env)
-    for reports in (mc, [analytic.report(kind) for kind in kinds]):
-        for task in ("pre", "ft"):
-            assert reports[0].task(task).value == reports[1].task(task).value
-            assert reports[2].task(task).value == reports[3].task(task).value
+    for task in ("pre", "ft"):
+        for values in ([r[task][0] for r in mc], [analytic.task_risk(k, task)[0] for k in kinds]):
+            assert values[0] == values[1]
+            assert values[2] == values[3]
 
 
 def test_ensemble_tau_validation():
@@ -179,11 +179,11 @@ def test_ensemble_collinearity_across_tau():
     env = small_env()
     pair = DesignPair.draw(replace(env, master_seed=7), 0)
     taus = (0.0, 0.1, 0.25, 0.5, 0.6, 0.9, 1.0)
-    reports = mc_expected_risks(pair, replace(env, mc_draws=2),
-                                [EstimatorKind.ensemble(0.05, t) for t in taus],
-                                derive_rng(7, "mc", 0))
+    risks = mc_expected_risks(pair, replace(env, mc_draws=2),
+                              [EstimatorKind.ensemble(0.05, t) for t in taus],
+                              derive_rng(7, "mc", 0))
     for task in ("pre", "ft"):
-        r = {t: rep.task(task).value for t, rep in zip(taus, reports)}
+        r = {t: risk[task][0] for t, risk in zip(taus, risks)}
         c = r[0.0]
         a = 2 * r[0.0] - 4 * r[0.5] + 2 * r[1.0]
         b = r[1.0] - c - a

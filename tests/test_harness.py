@@ -250,10 +250,10 @@ def test_sweep_single_point_matches_direct_evaluation():
     result = run_sweep(cfg, workers=1)
     X = sample_design(cfg.spectrum_pre, cfg.n, derive_rng(0, "design_pre", 0))
     Xt = sample_design(cfg.spectrum_ft, cfg.n, derive_rng(0, "design_ft", 0))
-    direct = AnalyticRisk(pair_of(X, Xt, cfg), cfg).report(EstimatorKind.ridge(1e-3))
+    direct = AnalyticRisk(pair_of(X, Xt, cfg), cfg)
     got = {r.task: r.value for r in result.rows}
-    assert got["pre"] == direct.l_pre
-    assert got["ft"] == direct.l_ft
+    assert got["pre"] == direct.task_risk(EstimatorKind.ridge(1e-3), "pre")[0]
+    assert got["ft"] == direct.task_risk(EstimatorKind.ridge(1e-3), "ft")[0]
 
 
 def test_sweep_deterministic_bytes(tmp_path):
@@ -452,9 +452,9 @@ def test_fixed_theta_c_shared_across_replicates():
         Xt = sample_design(cfg.spectrum_ft, cfg.n,
                            derive_rng(cfg.master_seed, "design_ft", seed))
         pair = pair_of(X, Xt, cfg, theta_c=tc)
-        direct = AnalyticRisk(pair, cfg).report(EstimatorKind.pretrained())
+        direct, _ = AnalyticRisk(pair, cfg).task_risk(EstimatorKind.pretrained(), "pre")
         got = {r.task: r.value for r in rows if r.seed == seed}
-        assert got["pre"] == direct.l_pre
+        assert got["pre"] == direct
 
 
 def test_preset_lambda_override():
@@ -494,10 +494,9 @@ def test_evaluate_seed_eigendecomposes_each_design_once(monkeypatch, methods, ei
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    reports = evaluate_seed(cfg, 0, kinds)
+    rows = evaluate_seed(cfg, 0, kinds)
     assert len(calls) == eighs
-    assert len(reports) == len(kinds) * len(methods)
-    assert all(r.pre is not None and r.ft is not None for r in reports)
+    assert [r.task for r in rows] == ["pre", "ft"] * len(kinds) * len(methods)
 
 
 @pytest.mark.parametrize("fix_theta_c", [False, True])
@@ -509,9 +508,9 @@ def test_evaluate_seed_reduces_the_designs_without_a_qr(monkeypatch, fix_theta_c
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape)
                         or qr(a, *args, **kw))
-    reports = evaluate_seed(cfg, 0, expand_estimator_points(cfg))
+    rows = evaluate_seed(cfg, 0, expand_estimator_points(cfg))
     assert calls == []
-    assert {r.method for r in reports} == {"analytic", "monte_carlo", "lemma_approx"}
+    assert {r.method for r in rows} == {"analytic", "monte_carlo", "lemma_approx"}
 
 
 def test_evaluate_seed_frees_the_designs_before_monte_carlo(monkeypatch):
@@ -532,9 +531,9 @@ def test_evaluate_seed_frees_the_designs_before_monte_carlo(monkeypatch):
 
     monkeypatch.setattr(risk, "sample_designs", sample)  # DesignPair.draw's draw
     monkeypatch.setattr(harness, "mc_expected_risks", monte_carlo)
-    reports = evaluate_seed(cfg, 0, expand_estimator_points(cfg))
+    rows = evaluate_seed(cfg, 0, expand_estimator_points(cfg))
     assert len(designs) == 2 and alive == [[False, False]]
-    assert {r.method for r in reports} == {"analytic", "monte_carlo"}
+    assert {r.method for r in rows} == {"analytic", "monte_carlo"}
 
 @pytest.mark.parametrize("methods", [["analytic"], ["lemma_approx"]],
                          ids=["analytic", "lemma_approx"])
@@ -766,9 +765,10 @@ def test_cli_risk_json_and_numerical_failure(tmp_path, monkeypatch, capsys):
     assert cli_main(["risk", "--estimator", "ridge_ft", "--lambda", "1e-3",
                      "--case", "a"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["method"] == "analytic"
-    assert payload["l_ft"] > 0
-    # without --out or a config out the report is JSON on stdout: --format is refused
+    assert [(row["method"], row["task"]) for row in payload] == [("analytic", "pre"),
+                                                                 ("analytic", "ft")]
+    assert payload[1]["value"] > 0
+    # without --out or a config out the rows are JSON on stdout: --format is refused
     assert cli_main(["risk", "--estimator", "ridge_ft", "--lambda", "1e-4",
                      "--case", "a", "--format", "csv"]) == 1
     captured = capsys.readouterr()
@@ -797,12 +797,12 @@ def test_cli_risk_json_and_numerical_failure(tmp_path, monkeypatch, capsys):
 ])
 def test_cli_risk_json_shows_only_the_parameters_its_kind_takes(tmp_path, capsys, estimator,
                                                                 flags, shown):
-    # the JSON report and the rows show lambda and tau alike: null where the kind
-    # takes no such parameter (the pretrained estimator is tau = 0, not 1)
+    # the printed and the written rows show lambda and tau alike: null where the
+    # kind takes no such parameter (the pretrained estimator is tau = 0, not 1)
     argv = ["risk", "--estimator", estimator, "--case", "a", "--method", "lemma_approx", *flags]
     assert cli_main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert (payload["lambda"], payload["tau"]) == shown
+    assert [(row["lambda"], row["tau"]) for row in payload] == [shown, shown]
     out = tmp_path / "risk.json"
     assert cli_main([*argv, "--format", "json", "--out", str(out)]) == 0
     assert {(row["lambda"], row["tau"]) for row in json.loads(out.read_text())} == {shown}
@@ -829,6 +829,19 @@ def test_cli_risk_out_writes_the_sweep_rows(tmp_path, capsys, fmt, method, overr
     swept = tmp_path / f"sweep.{fmt}"
     write_results(run_sweep(cfg, workers=1).rows, swept, fmt)
     assert out.read_bytes() == swept.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["analytic", "monte_carlo", "lemma_approx"])
+def test_cli_risk_prints_the_rows_it_writes_as_json(tmp_path, capsys, method):
+    # one JSON row format: stdout is the file that --format json --out writes
+    argv = ["risk", "--estimator", "ensemble", "--lambda", "1e-3", "--tau", "0.5",
+            "--case", "a", "--seed", "2", "--mc-draws", "200", "--method", method]
+    assert cli_main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "risk.json"
+    assert cli_main([*argv, "--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 2 rows to {out}\n"
+    assert printed.encode() == out.read_bytes()
 
 
 def test_cli_risk_writes_to_the_config_out_key(tmp_path, monkeypatch, capsys):
@@ -911,14 +924,22 @@ def test_cli_risk_rejects_zero_mc_draws(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_risk_takes_mc_draws_from_config_or_flag(tmp_path, capsys):
+def test_cli_risk_takes_mc_draws_from_config_or_flag(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
     save_config(small_config(mc_draws=300), cfg_path)
     argv = ["risk", "--config", str(cfg_path), "--estimator", "ridge_ft",
             "--lambda", "1e-3", "--method", "monte_carlo"]
+    drawn, mc = [], harness.mc_expected_risks
+
+    def monte_carlo(pair, env, *args):
+        drawn.append(env.mc_draws)
+        return mc(pair, env, *args)
+
+    monkeypatch.setattr(harness, "mc_expected_risks", monte_carlo)
     for extra, draws in (([], 300), (["--mc-draws", "150"], 150)):
         assert cli_main([*argv, *extra]) == 0
-        assert json.loads(capsys.readouterr().out)["draws"] == draws
+        assert drawn.pop() == draws and drawn == []
+        assert {row["method"] for row in json.loads(capsys.readouterr().out)} == {"monte_carlo"}
 
 
 def test_cli_verify_quick(tmp_path, capsys):
@@ -1061,10 +1082,10 @@ def test_forked_children_load_no_module(tmp_path):
             "from overadapt.config import load_config\n"
             "evaluate = harness.evaluate_seed\n"
             "def recorded(*args):\n"
-            "    reports = evaluate(*args)\n"
+            "    rows = evaluate(*args)\n"
             "    with open(f'{os.getpid()}.modules', 'w') as fh:\n"
             "        json.dump(sorted(sys.modules), fh)\n"
-            "    return reports\n"
+            "    return rows\n"
             "harness.evaluate_seed = recorded\n"
             "config = load_config('cfg.json')\n"
             "before = set(sys.modules)\n"

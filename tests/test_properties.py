@@ -172,14 +172,14 @@ def test_analytic_terms_match_the_dense_oracle(seed, n, n_pre, support, lengths,
     kind = _kind(lam, tau)
     # the two-term shortcut reads only the fine-tune shift and noise variances
     lemma = lemma_approx_risk(pair, SimpleNamespace(zeta2=variances[1],
-                                                    sigma2_tilde=variances[3])).report(kind)
+                                                    sigma2_tilde=variances[3]))
     two = ("term_zeta2", "term_sigma_tilde")
     for task in ("pre", "ft"):
-        got = ev.task_risk(kind, task).terms
+        _, got = ev.task_risk(kind, task)
         # at tau = 0 the terms do not depend on lam, which keeps the oracle's R invertible
         want = dense_risk_terms(X, Xt, blocks_pre, blocks_ft, *variances, lam, tau, task,
                                 theta_c=theta_c, theta_c_norm=1.3)
-        assert {k: lemma.task(task).terms[k] for k in two} == pytest.approx(
+        assert {k: lemma.task_risk(kind, task)[1][k] for k in two} == pytest.approx(
             {k: want[k] for k in two}, rel=1e-9, abs=1e-12), task
         for key in TERM_KEYS:
             assert got[key] == pytest.approx(want[key], rel=1e-9, abs=1e-12), (task, key)

@@ -26,8 +26,6 @@ KEPT = {
     "risk.FtResolvent.traces",
     # library conveniences the tests and library callers use
     "harness.run_preset",
-    "risk.RiskReport.l_pre",
-    "risk.RiskReport.l_ft",
     # process-level paths: the entry point and the BLAS thread controls run in
     # a fresh process or a forked worker, which the subprocess tests cover
     "cli.entry",

@@ -19,7 +19,7 @@ from overadapt.theory import (
     theorem_check_env,
     verify_theorem_orderings,
 )
-from oracles import CountingRng, two_term
+from oracles import CountingRng, at_tau, two_term
 
 
 def bench_env(p=600, n=24):
@@ -40,13 +40,13 @@ def central_diff(f, x, h):
 
 def dlam(ev, lam, objective="ft"):
     """d/d(lam) of the two-term ridge risk (tau = 1)."""
-    return two_term(ev, lam, objective, dlam=True)(1.0)
+    return at_tau(two_term(ev, lam, objective, dlam=True), 1.0)
 
 
 def dtau(ev, lam, tau, objective="ft"):
     """d/d(tau) of the two-term ensemble risk."""
-    q = two_term(ev, lam, objective)
-    return q.a1 + 2.0 * tau * q.a2
+    _, a1, a2 = two_term(ev, lam, objective)
+    return a1 + 2.0 * tau * a2
 
 
 # -------------------------------------------------------------- lambda_prime
@@ -89,7 +89,7 @@ def test_tau_prime_interior_and_grid_argmin():
     assert 0.0 < ts < 1.0
     taus = np.round(np.arange(0.0, 1.0001, 1e-3), 9)
     quads = ev.term_quadratics(0.0, "ft")
-    vals = np.array([sum(q(t) for q in quads.values()) for t in taus])
+    vals = np.array([sum(at_tau(q, t) for q in quads.values()) for t in taus])
     assert abs(taus[int(np.argmin(vals))] - ts) <= 2e-3
 
 
@@ -130,9 +130,10 @@ def test_derivatives_match_finite_differences():
     lam0, tau0 = 0.01, 0.45
     h = 1e-5 * lam0
     for objective in ("ft", "sum"):
-        fd_lam = central_diff(lambda l: two_term(ev, l, objective)(1.0), lam0, h)
+        fd_lam = central_diff(lambda l: at_tau(two_term(ev, l, objective), 1.0), lam0, h)
         assert dlam(ev, lam0, objective) == pytest.approx(fd_lam, rel=1e-4)
-        fd_tau = central_diff(two_term(ev, lam0, objective), tau0, 1e-6)
+        q = two_term(ev, lam0, objective)
+        fd_tau = central_diff(lambda u: at_tau(q, u), tau0, 1e-6)
         assert dtau(ev, lam0, tau0, objective) == pytest.approx(fd_tau, rel=1e-4)
 
 
@@ -254,8 +255,8 @@ def test_ridge_at_optimum_beats_interpolation_per_instance():
     strict = 0
     for seed in range(10):
         ev = AnalyticRisk(draw_pair(env, seed), env)
-        ridge = ev.task_risk(EstimatorKind.ridge(lam_star), "ft").value
-        ridgeless = ev.task_risk(EstimatorKind.ridgeless(), "ft").value
+        ridge, _ = ev.task_risk(EstimatorKind.ridge(lam_star), "ft")
+        ridgeless, _ = ev.task_risk(EstimatorKind.ridgeless(), "ft")
         assert ridge <= ridgeless
         strict += ridge < ridgeless
     assert strict >= 9  # strict in at least 90% of seeds
