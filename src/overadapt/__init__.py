@@ -23,7 +23,7 @@ _SUBMODULE_NAMES = {
     "mc": ("mc_expected_risks",),
     "presets": ("preset_points",),
     "risk": ("AnalyticRisk", "DesignPair", "FtResolvent", "lemma_approx_risk"),
-    "svgplot": ("MissingSeriesError", "render_tradeoff_svg"),
+    "svgplot": ("MissingSeriesError", "render_ft_svg", "render_tradeoff_svg"),
     "synth": ("derive_rng", "sample_design", "sample_designs", "sample_theta_c"),
     "theory": ("EigenBandReport", "OrderingReport", "eigen_band_check", "lambda_prime",
                "tau_prime", "theorem_check_env", "verify_theorem_orderings"),

@@ -8,11 +8,12 @@ Subcommands:
                      (its rows to --out or the config's out, else the
                      rows as JSON on stdout, as --format json writes them)
 
-Exit codes: 0 success, 1 validation error (usage errors included), 2
+Exit codes: 0 success, 1 validation error (usage errors included, and two
+outputs, or an output and the --config file read, that name one file), 2
 numerical failure (ill-conditioned Gram without --jitter, or any failed seed
 of a preset or sweep, whose surviving rows are still written), 3 I/O error
-(an output whose directory is missing or unwritable is refused before any
-seed runs).
+(an output whose directory is missing or unwritable).  Every output is
+checked before any seed runs.
 
 ``main`` runs one command and returns its exit code, with no other effect on
 the process, so callers can run it in process.  ``entry`` is the process's
@@ -126,12 +127,22 @@ def _config(args, base: dict):
     return config_from_dict({**base, **{k: v for k, v in flags.items() if v is not None}})
 
 
-def _check_writable(*paths) -> None:
-    """Raise ``OSError`` (exit 3) for the first path, ``None`` aside, that cannot be written.
+def _check_outputs(outputs, read: str | None = None) -> None:
+    """Refuse, before any seed runs, outputs that cannot all be written.
 
-    Called before any seed runs, so that a bad output path costs no computation.
+    ``outputs`` holds a (flag, path) pair per output, ``None`` for one not
+    written.  Two that resolve to one file, or one other than ``--save-config``
+    that is the ``--config`` file ``read``, are a ``ValueError`` (exit 1); a
+    path that cannot be written is an ``OSError`` (exit 3).  So a bad output
+    costs no computation and overwrites no other file of the command.
     """
-    for path in filter(None, paths):
+    claimed = {os.path.realpath(read): "--config"} if read else {}
+    for flag, path in outputs:
+        if not path:
+            continue
+        other = claimed.setdefault(os.path.realpath(path), flag)
+        if other != flag and (flag, other) != ("--save-config", "--config"):
+            raise ValueError(f"{other} and {flag} both name {path}; give each its own file")
         folder = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path):
             raise OSError(f"cannot write {path}: it is a directory")
@@ -141,12 +152,18 @@ def _check_writable(*paths) -> None:
             raise OSError(f"cannot write {path}: directory {folder} is not writable")
 
 
-def _run(args, config, kinds, name: str, save_config_to: str | None = None) -> int:
+def _out_flag(args, config) -> str:
+    """What names the rows' file: the flag, the config's key or the default."""
+    return "--out" if args.out else "the config's out" if config.out else "the default out"
+
+
+def _run(args, config, kinds, name: str) -> int:
     """Run ``config`` over ``kinds``, report failed seeds, write the rows (and plots)."""
     out = args.out or config.out or f"{name}.{config.format}"
-    plot = getattr(args, "plot", None)
+    plot, save_config_to = getattr(args, "plot", None), getattr(args, "save_config", None)
     svgs = (f"{plot}-tradeoff.svg", f"{plot}-ft.svg") if plot else ()
-    _check_writable(out, *svgs, save_config_to)
+    _check_outputs([(_out_flag(args, config), out), *(("--plot", svg) for svg in svgs),
+                    ("--save-config", save_config_to)], getattr(args, "config", None))
     from .harness import run_sweep, write_results
 
     result = run_sweep(config, workers=args.workers, kinds=kinds)
@@ -156,12 +173,10 @@ def _run(args, config, kinds, name: str, save_config_to: str | None = None) -> i
     print(f"wrote {len(result.rows)} rows to {out} "
           f"({result.workers} workers, {len(result.failures)} flagged)")
     if svgs and result.rows:
-        from .svgplot import render_tradeoff_svg
+        from .svgplot import render_ft_svg, render_tradeoff_svg
 
-        render_tradeoff_svg(result.rows, svgs[0], mode="tradeoff",
-                            ensemble_lambda=config.lambda_grid[0])
-        render_tradeoff_svg(result.rows, svgs[1], mode="ft_curve",
-                            ensemble_lambda=FT_ONLY_LAMBDA, ft_lambda=FT_ONLY_LAMBDA)
+        render_tradeoff_svg(result.rows, svgs[0], config.lambda_grid[0])
+        render_ft_svg(result.rows, svgs[1], FT_ONLY_LAMBDA)
         print(f"wrote {svgs[0]} and {svgs[1]}")
     if save_config_to:  # once the run has resolved every setting
         save_config(config, save_config_to)
@@ -177,7 +192,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _config(args, load_config(args.config).to_dict())
-    return _run(args, config, None, "sweep", args.save_config)
+    return _run(args, config, None, "sweep")
 
 
 def _cmd_verify(args) -> int:
@@ -190,7 +205,7 @@ def _cmd_verify(args) -> int:
         if given:
             raise ValueError(f"verify runs in one process and writes a JSON report "
                              f"of exact risks; {flag} does not apply")
-    _check_writable(args.out)
+    _check_outputs([("--out", args.out)])
     from .theory import eigen_band_check, theorem_check_env, verify_theorem_orderings
 
     env = _config(args, theorem_check_env(p=args.p, n=args.n).to_dict())
@@ -233,7 +248,7 @@ def _cmd_risk(args) -> int:
     if args.format and not out:
         raise ValueError("risk prints its rows as JSON without --out or a config out; "
                          "--format does not apply")
-    _check_writable(out)
+    _check_outputs([(_out_flag(args, config), out)], args.config)
     kind = EstimatorKind(args.estimator, **given)
     # replicate 0 of a one-method sweep of the config at this one point
     rows = evaluate_seed(config, 0, [kind])

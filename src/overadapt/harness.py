@@ -12,14 +12,15 @@ has loaded every module a seed uses before it forks, so no child imports
 anything.  Elsewhere,
 and at one worker or one replicate, they run in the calling process.  Each
 seed derives its own random streams, so the merged output is independent of
-worker count and execution order.  Rows are emitted in a fixed schema:
+worker count and execution order.  A ``ResultRow`` is a tuple of the fixed
+CSV columns, so rows leave the workers as tuples:
 
     case,seed,estimator,lambda,tau,task,method,value,se,
     bias_thetac,term_zeta1,term_zeta2,term_sigma,term_sigma_tilde
 
-Floats are written as their shortest round-trip decimal; fields that do not
-apply (lambda for the pretrained estimator, se for non-MC methods, the term
-split for MC rows) stay empty.
+The CSV is written column by column.  Floats are written as their shortest
+round-trip decimal; fields that do not apply (lambda for the pretrained
+estimator, se for non-MC methods, the term split for MC rows) stay empty.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 # Every seed draws from numpy.random, which numpy loads on first use, with
 # secrets and hashlib behind it (and OpenSSL, unless ``cli.entry`` kept it
@@ -54,8 +56,9 @@ WORKERS_ENV_VAR = "OVERADAPT_WORKERS"
 _CAN_FORK = sys.platform == "linux"
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
+    """One result row: the fields are ``CSV_COLUMNS`` in order (``lam`` is "lambda")."""
+
     case: str
     seed: int
     estimator: str
@@ -65,35 +68,26 @@ class ResultRow:
     method: str
     value: float
     se: float | None = None
-    terms: dict[str, float] = field(default_factory=dict)
+    bias_thetac: float | None = None
+    term_zeta1: float | None = None
+    term_zeta2: float | None = None
+    term_sigma: float | None = None
+    term_sigma_tilde: float | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "case": self.case,
-            "seed": self.seed,
-            "estimator": self.estimator,
-            "lambda": self.lam,
-            "tau": self.tau,
-            "task": self.task,
-            "method": self.method,
-            "value": self.value,
-            "se": self.se,
-        }
-        for k in TERM_KEYS:
-            d[k] = self.terms.get(k)
-        return d
+        return dict(zip(CSV_COLUMNS, self))
 
 
 CSV_COLUMNS = ("case", "seed", "estimator", "lambda", "tau", "task", "method",
                "value", "se", *TERM_KEYS)
+_NO_TERMS = dict.fromkeys(TERM_KEYS)  # a Monte Carlo row's term split: none
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
+def _cells(column):
+    """One column's CSV cells, made as the writer reaches them (no formatted column is
+    held whole): empty for None, a float's shortest round-trip decimal."""
+    return ("" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+            for v in column)
 
 
 def write_results(rows, path, format: str = "csv") -> None:
@@ -103,9 +97,7 @@ def write_results(rows, path, format: str = "csv") -> None:
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(CSV_COLUMNS)
-                for row in rows:
-                    d = row.to_dict()
-                    writer.writerow([_fmt(d[c]) for c in CSV_COLUMNS])
+                writer.writerows(zip(*map(_cells, zip(*rows))))
         elif format == "json":
             with open(path, "w") as fh:
                 json.dump([r.to_dict() for r in rows], fh, indent=2, sort_keys=True)
@@ -148,11 +140,11 @@ def evaluate_seed(config: ExperimentConfig, seed_index: int,
         for method in methods:
             for task in TASKS:
                 if method == "monte_carlo":
-                    (value, se), terms = mc[i][task], {}
+                    (value, se), terms = mc[i][task], _NO_TERMS
                 else:
                     (value, terms), se = closed[method].task_risk(kind, task), None
                 rows.append(ResultRow(config.case or "", seed_index, kind.name, lam, tau,
-                                      task, method, value, se, terms))
+                                      task, method, value, se, *terms.values()))
     return rows
 
 

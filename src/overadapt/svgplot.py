@@ -1,9 +1,11 @@
-"""Self-contained SVG emission for the two standard plots.
+"""Self-contained SVG emission for the two standard figures, one function each.
 
 No plotting library: the files are small hand-built SVG 1.1 documents with
-a viewBox, axes, tick labels, a legend and one polyline per curve.  Two
-modes: the two-task trade-off (x = fine-tune risk, y = pretrain risk) and
-the fine-tune-only curve (x = ensemble weight, y = fine-tune risk).
+a viewBox, axes, tick labels, a legend and one polyline per curve.
+``render_tradeoff_svg`` draws the two-task trade-off (x = fine-tune risk,
+y = pretrain risk) and ``render_ft_svg`` the fine-tune-only curve (x =
+ensemble weight, y = fine-tune risk), each for the ensemble at one ridge
+level and from the analytic rows' means over seeds.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ WIDTH, HEIGHT = 720, 480
 PAD_L, PAD_R, PAD_T, PAD_B = 80, 180, 50, 60
 
 METHOD = "analytic"  # the rows a plot draws
+TICKS = 5  # per axis
 
 COLORS = {
     ENSEMBLE: "#1f77b4",
@@ -41,24 +44,19 @@ class MissingSeriesError(ValueError):
     """A required estimator series is absent from the rows."""
 
 
-def _mean(vals):
-    return float(np.mean(vals))
-
-
-def _collect(rows, estimator, task):
-    picked = [r for r in rows if r.estimator == estimator and r.task == task
-              and r.method == METHOD]
-    if not picked:
-        raise MissingSeriesError(
-            f"no {METHOD} rows for estimator {estimator!r} on task {task!r}")
-    return picked
-
-
-def _group_mean(rows, key):
-    groups: dict[float, list[float]] = {}
+def _seed_means(rows, estimator, task, lam=None) -> dict[tuple, float]:
+    """The mean over seeds of ``estimator``'s analytic risk on ``task`` at each of
+    its points, keyed by (lambda, tau) in sorted order; ``lam`` keeps one level's."""
+    groups: dict[tuple, list[float]] = {}
     for r in rows:
-        groups.setdefault(key(r), []).append(r.value)
-    return {k: _mean(v) for k, v in groups.items()}
+        if (r.estimator == estimator and r.task == task and r.method == METHOD
+                and (lam is None or r.lam == lam)):
+            groups.setdefault((r.lam, r.tau), []).append(r.value)
+    if not groups:
+        at = "" if lam is None else f" at lambda {lam!r}"
+        raise MissingSeriesError(
+            f"no {METHOD} rows for estimator {estimator!r} on task {task!r}{at}")
+    return {point: float(np.mean(v)) for point, v in sorted(groups.items())}
 
 
 class _Axis:
@@ -81,23 +79,11 @@ class _Axis:
         frac = (x - self.lo) / (self.hi - self.lo)
         return self.pixel_lo + frac * (self.pixel_hi - self.pixel_lo)
 
-    def ticks(self, count=5):
-        out = []
-        for i in range(count):
-            x = self.lo + (self.hi - self.lo) * i / (count - 1)
+    def ticks(self):
+        for i in range(TICKS):
+            x = self.lo + (self.hi - self.lo) * i / (TICKS - 1)
             v = 10.0**x if self.log else x
-            out.append((self(v), f"{v:.3g}"))
-        return out
-
-
-def _svg_header(title):
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
-        f'<rect width="100%" height="100%" fill="white"/>\n'
-        f'<text x="{WIDTH / 2:.1f}" y="28" font-family="sans-serif" font-size="16" '
-        f'text-anchor="middle">{_escape(title)}</text>\n'
-    )
+            yield self(v), f"{v:.3g}"
 
 
 def _axes(xaxis, yaxis, xlabel, ylabel):
@@ -127,118 +113,89 @@ def _axes(xaxis, yaxis, xlabel, ylabel):
     return "\n".join(parts) + "\n"
 
 
-def _legend(entries):
+def _legend(markers):
+    """The four estimators' legend; those in ``markers`` show a dot, the others a line."""
     x = WIDTH - PAD_R + 16
     parts = []
-    for i, (color, label, kind) in enumerate(entries):
+    for i, est in enumerate(COLORS):
         y = PAD_T + 14 + 22 * i
-        if kind == "line":
-            parts.append(f'<line x1="{x}" y1="{y - 4}" x2="{x + 22}" y2="{y - 4}" '
-                         f'stroke="{color}" stroke-width="2"/>')
+        if est in markers:
+            parts.append(f'<circle cx="{x + 11}" cy="{y - 4}" r="4" fill="{COLORS[est]}"/>')
         else:
-            parts.append(f'<circle cx="{x + 11}" cy="{y - 4}" r="4" fill="{color}"/>')
+            parts.append(f'<line x1="{x}" y1="{y - 4}" x2="{x + 22}" y2="{y - 4}" '
+                         f'stroke="{COLORS[est]}" stroke-width="2"/>')
         parts.append(f'<text x="{x + 28}" y="{y}" font-family="sans-serif" '
-                     f'font-size="12">{_escape(label)}</text>')
+                     f'font-size="12">{_escape(LABELS[est])}</text>')
     return "\n".join(parts) + "\n"
 
 
-def render_tradeoff_svg(
-    rows,
-    path,
-    mode: str = "tradeoff",
-    title: str = "",
-    ensemble_lambda: float | None = None,
-    ft_lambda: float | None = None,
-) -> None:
-    """Write one plot to ``path``.
+def _ensemble_curve(points, xaxis, yaxis) -> list[str]:
+    """The ensemble's tau sweep: a polyline through ``points`` with a dot at each."""
+    pts = " ".join(f"{xaxis(x):.2f},{yaxis(y):.2f}" for x, y in points)
+    return [f'<polyline points="{pts}" fill="none" '
+            f'stroke="{COLORS[ENSEMBLE]}" stroke-width="2"/>',
+            *(f'<circle cx="{xaxis(x):.2f}" cy="{yaxis(y):.2f}" r="2.5" '
+              f'fill="{COLORS[ENSEMBLE]}"/>' for x, y in points)]
 
-    mode "tradeoff": ensemble tau-sweep as a polyline in (ft risk, pre risk)
-    space, ridge family / interpolating / pretrained as labelled markers.
-    mode "ft_curve": mean fine-tune risk against the ensemble weight with
-    the comparison estimators as horizontal reference lines.
-    """
-    if mode not in ("tradeoff", "ft_curve"):
-        raise ValueError(f"unknown mode {mode!r}")
-    ens_pick = [r for r in rows if r.estimator == ENSEMBLE
-                and (ensemble_lambda is None or r.lam == ensemble_lambda)]
-    if not ens_pick:
-        raise MissingSeriesError(f"no rows for estimator {ENSEMBLE!r}")
-    case = rows[0].case if rows else ""
-    if not title:
-        title = f"case {case or '?'}: " + (
-            "two-task trade-off" if mode == "tradeoff" else "fine-tune risk vs ensemble weight")
 
-    if mode == "tradeoff":
-        ens_ft = _group_mean(_collect(ens_pick, ENSEMBLE, "ft"), lambda r: r.tau)
-        ens_pre = _group_mean(_collect(ens_pick, ENSEMBLE, "pre"), lambda r: r.tau)
-        curve = [(ens_ft[t], ens_pre[t]) for t in sorted(ens_ft)]
-        ridge_ft = _group_mean(_collect(rows, RIDGE, "ft"), lambda r: r.lam)
-        ridge_pre = _group_mean(_collect(rows, RIDGE, "pre"), lambda r: r.lam)
-        ridge_pts = [(ridge_ft[l], ridge_pre[l]) for l in sorted(ridge_ft)]
-        singles = {}
-        for est in (RIDGELESS, PRETRAINED):
-            singles[est] = (
-                _mean([r.value for r in _collect(rows, est, "ft")]),
-                _mean([r.value for r in _collect(rows, est, "pre")]),
-            )
-        xs = [p[0] for p in curve + ridge_pts + list(singles.values())]
-        ys = [p[1] for p in curve + ridge_pts + list(singles.values())]
-        xaxis = _Axis(xs, PAD_L, WIDTH - PAD_R)
-        yaxis = _Axis(ys, HEIGHT - PAD_B, PAD_T)
-        body = []
-        pts = " ".join(f"{xaxis(x):.2f},{yaxis(y):.2f}" for x, y in curve)
-        body.append(f'<polyline points="{pts}" fill="none" '
-                    f'stroke="{COLORS[ENSEMBLE]}" stroke-width="2"/>')
-        for x, y in curve:
-            body.append(f'<circle cx="{xaxis(x):.2f}" cy="{yaxis(y):.2f}" r="2.5" '
-                        f'fill="{COLORS[ENSEMBLE]}"/>')
-        for x, y in ridge_pts:
-            body.append(f'<circle cx="{xaxis(x):.2f}" cy="{yaxis(y):.2f}" r="4" '
-                        f'fill="{COLORS[RIDGE]}"/>')
-        for est, (x, y) in singles.items():
-            body.append(f'<rect x="{xaxis(x) - 4:.2f}" y="{yaxis(y) - 4:.2f}" width="8" '
-                        f'height="8" fill="{COLORS[est]}"/>')
-        legend = _legend([
-            (COLORS[ENSEMBLE], LABELS[ENSEMBLE], "line"),
-            (COLORS[RIDGE], LABELS[RIDGE], "marker"),
-            (COLORS[RIDGELESS], LABELS[RIDGELESS], "marker"),
-            (COLORS[PRETRAINED], LABELS[PRETRAINED], "marker"),
-        ])
-        xlabel, ylabel = "fine-tune excess risk", "pretrain excess risk"
-    else:
-        ens_ft = _group_mean(_collect(ens_pick, ENSEMBLE, "ft"), lambda r: r.tau)
-        curve = sorted(ens_ft.items())
-        refs = []
-        for est in (RIDGE, RIDGELESS, PRETRAINED):
-            sel = [r for r in rows if r.estimator == est
-                   and (est != RIDGE or ft_lambda is None or r.lam == ft_lambda)]
-            refs.append((est, _mean([r.value for r in _collect(sel, est, "ft")])))
-        ys = [v for _, v in curve] + [v for _, v in refs]
-        xaxis = _Axis([t for t, _ in curve], PAD_L, WIDTH - PAD_R)
-        yaxis = _Axis(ys, HEIGHT - PAD_B, PAD_T)
-        body = []
-        pts = " ".join(f"{xaxis(t):.2f},{yaxis(v):.2f}" for t, v in curve)
-        body.append(f'<polyline points="{pts}" fill="none" '
-                    f'stroke="{COLORS[ENSEMBLE]}" stroke-width="2"/>')
-        for t, v in curve:
-            body.append(f'<circle cx="{xaxis(t):.2f}" cy="{yaxis(v):.2f}" r="2.5" '
-                        f'fill="{COLORS[ENSEMBLE]}"/>')
-        for est, v in refs:
-            py = yaxis(v)
-            body.append(f'<line x1="{PAD_L}" y1="{py:.2f}" x2="{WIDTH - PAD_R}" y2="{py:.2f}" '
-                        f'stroke="{COLORS[est]}" stroke-width="1.5" stroke-dasharray="6 3"/>')
-        legend = _legend([
-            (COLORS[ENSEMBLE], LABELS[ENSEMBLE], "line"),
-            (COLORS[RIDGE], LABELS[RIDGE], "line"),
-            (COLORS[RIDGELESS], LABELS[RIDGELESS], "line"),
-            (COLORS[PRETRAINED], LABELS[PRETRAINED], "line"),
-        ])
-        xlabel, ylabel = "ensemble weight tau", "fine-tune excess risk"
-
-    svg = (_svg_header(title) + _axes(xaxis, yaxis, xlabel, ylabel)
-           + "\n".join(body) + "\n" + legend + "</svg>\n")
+def _write(path, title, xaxis, yaxis, labels, body, markers) -> None:
+    """Write one figure to ``path``: ``title``, the axes with their two ``labels``,
+    the ``body`` elements and the legend (see ``_legend`` for ``markers``)."""
+    svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+           f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+           f'<rect width="100%" height="100%" fill="white"/>\n'
+           f'<text x="{WIDTH / 2:.1f}" y="28" font-family="sans-serif" font-size="16" '
+           f'text-anchor="middle">{_escape(title)}</text>\n'
+           + _axes(xaxis, yaxis, *labels) + "\n".join(body) + "\n" + _legend(markers)
+           + "</svg>\n")
     try:
         with open(path, "w") as fh:
             fh.write(svg)
     except OSError as exc:
         raise OSError(f"cannot write SVG to {path}: {exc}") from exc
+
+
+def render_tradeoff_svg(rows, path, lam: float) -> None:
+    """Write the two-task trade-off to ``path``, each point a mean over seeds.
+
+    The ensemble's tau sweep at ridge level ``lam`` is a curve in (fine-tune
+    risk, pretrain risk) space; the ridge family's levels are dots, and the
+    interpolating and pretrained estimators squares.
+    """
+    def points(estimator, level=None):
+        ft, pre = (_seed_means(rows, estimator, task, level) for task in ("ft", "pre"))
+        return [(ft[k], pre[k]) for k in ft]
+
+    curve, ridge = points(ENSEMBLE, lam), points(RIDGE)
+    singles = {est: points(est)[0] for est in (RIDGELESS, PRETRAINED)}
+    every = curve + ridge + list(singles.values())
+    xaxis = _Axis([x for x, _ in every], PAD_L, WIDTH - PAD_R)
+    yaxis = _Axis([y for _, y in every], HEIGHT - PAD_B, PAD_T)
+    body = _ensemble_curve(curve, xaxis, yaxis)
+    body += [f'<circle cx="{xaxis(x):.2f}" cy="{yaxis(y):.2f}" r="4" fill="{COLORS[RIDGE]}"/>'
+             for x, y in ridge]
+    body += [f'<rect x="{xaxis(x) - 4:.2f}" y="{yaxis(y) - 4:.2f}" width="8" '
+             f'height="8" fill="{COLORS[est]}"/>' for est, (x, y) in singles.items()]
+    _write(path, f"case {rows[0].case or '?'}: two-task trade-off", xaxis, yaxis,
+           ("fine-tune excess risk", "pretrain excess risk"), body,
+           (RIDGE, RIDGELESS, PRETRAINED))
+
+
+def render_ft_svg(rows, path, lam: float) -> None:
+    """Write the fine-tune risk against the ensemble weight to ``path``.
+
+    The ensemble's tau sweep at ridge level ``lam`` is a curve; ridge at
+    ``lam`` and the interpolating and pretrained estimators are dashed
+    horizontal lines.  Each value is a mean over seeds.
+    """
+    curve = [(tau, v) for (_, tau), v in _seed_means(rows, ENSEMBLE, "ft", lam).items()]
+    refs = [(est, v) for est in (RIDGE, RIDGELESS, PRETRAINED)
+            for v in _seed_means(rows, est, "ft", lam if est == RIDGE else None).values()]
+    xaxis = _Axis([t for t, _ in curve], PAD_L, WIDTH - PAD_R)
+    yaxis = _Axis([v for _, v in curve + refs], HEIGHT - PAD_B, PAD_T)
+    body = _ensemble_curve(curve, xaxis, yaxis)
+    body += [f'<line x1="{PAD_L}" y1="{yaxis(v):.2f}" x2="{WIDTH - PAD_R}" y2="{yaxis(v):.2f}" '
+             f'stroke="{COLORS[est]}" stroke-width="1.5" stroke-dasharray="6 3"/>'
+             for est, v in refs]
+    _write(path, f"case {rows[0].case or '?'}: fine-tune risk vs ensemble weight", xaxis,
+           yaxis, ("ensemble weight tau", "fine-tune excess risk"), body, ())

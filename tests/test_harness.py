@@ -1,4 +1,6 @@
+import csv
 import errno
+import io
 import json
 import os
 import pickle
@@ -42,7 +44,7 @@ from overadapt.presets import (
     preset_points,
 )
 from overadapt.risk import AnalyticRisk, FtResolvent
-from overadapt.svgplot import MissingSeriesError, render_tradeoff_svg
+from overadapt.svgplot import MissingSeriesError, render_ft_svg, render_tradeoff_svg
 from overadapt.synth import derive_rng, sample_design, sample_theta_c
 from oracles import pair_of
 
@@ -214,10 +216,9 @@ def test_write_results_empty_is_header_only(tmp_path):
 
 def test_write_results_analytic_row_has_empty_se(tmp_path):
     row = ResultRow(case="a", seed=0, estimator="ridge_ft", lam=1e-4, tau=None,
-                    task="ft", method="analytic", value=0.125,
-                    terms={k: 0.025 for k in
-                           ("bias_thetac", "term_zeta1", "term_zeta2",
-                            "term_sigma", "term_sigma_tilde")})
+                    task="ft", method="analytic", value=0.125, bias_thetac=0.025,
+                    term_zeta1=0.025, term_zeta2=0.025, term_sigma=0.025,
+                    term_sigma_tilde=0.025)
     path = tmp_path / "one.csv"
     write_results([row], path, "csv")
     lines = path.read_text().strip().splitlines()
@@ -227,6 +228,33 @@ def test_write_results_analytic_row_has_empty_se(tmp_path):
     assert fields[idx["tau"]] == ""
     assert fields[idx["value"]] == "0.125"
     assert fields[idx["lambda"]] == "0.0001"
+
+
+def _fmt(v) -> str:
+    """The per-cell rule of the CSV: empty for None, a float's shortest round-trip decimal."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
+
+
+def test_write_results_csv_is_the_per_cell_rule(tmp_path):
+    # the fields are the columns, and the column-wise writer gives each cell
+    # the bytes a row-by-row writer gives it under the per-cell rule
+    assert ResultRow._fields == tuple("lam" if c == "lambda" else c for c in CSV_COLUMNS)
+    values = [None, 0, 7, np.int64(-3), True, "a", "x,y", 'q"uote', "line\nbreak", -0.0,
+              1e-7, 5e-324, 1e300, -1e300, 0.1, np.float64(0.1), float("inf"), 2.0**53]
+    rows = [ResultRow(*(values[(i + j) % len(values)] for j in range(len(CSV_COLUMNS))))
+            for i in range(len(values))]
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    path = tmp_path / "mixed.csv"
+    write_results(rows, path, "csv")
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_json_results_round_trip(tmp_path):
@@ -624,7 +652,7 @@ def rows_a():
 def test_svg_tradeoff_well_formed(tmp_path, rows_a):
     path = tmp_path / "tradeoff.svg"
     rows = [r for r in rows_a if r.estimator != "ensemble" or r.lam == 1e-4]
-    render_tradeoff_svg(rows, path, mode="tradeoff", ensemble_lambda=1e-4)
+    render_tradeoff_svg(rows, path, 1e-4)
     root = ET.parse(path).getroot()
     assert root.tag.endswith("svg")
     assert root.get("viewBox")
@@ -637,8 +665,7 @@ def test_svg_tradeoff_well_formed(tmp_path, rows_a):
 def test_svg_ft_curve_well_formed(tmp_path, rows_a):
     path = tmp_path / "ft.svg"
     rows = [r for r in rows_a if r.estimator != "ensemble" or r.lam == 1e-7]
-    render_tradeoff_svg(rows, path, mode="ft_curve", ensemble_lambda=1e-7,
-                        ft_lambda=1e-7)
+    render_ft_svg(rows, path, 1e-7)
     root = ET.parse(path).getroot()
     assert root.get("viewBox")
 
@@ -648,28 +675,28 @@ def test_svg_escapes_text_as_xml_escape_did(tmp_path, rows_a, monkeypatch):
 
     import overadapt.svgplot as svgplot
 
-    label, title = 'ridge <&> "family"', "a & b <c> 'd'"
+    label, case = 'ridge <&> "family"', "a & b <c> 'd'"
     rows = [r for r in rows_a if r.estimator != "ensemble" or r.lam == 1e-4]
 
-    def render(name, title, label):
+    def render(name, case, label):
         monkeypatch.setitem(svgplot.LABELS, "ridge_ft", label)
         path = tmp_path / name
-        render_tradeoff_svg(rows, path, mode="tradeoff", ensemble_lambda=1e-4, title=title)
+        render_tradeoff_svg([r._replace(case=case) for r in rows], path, 1e-4)
         return path.read_bytes()
 
-    svg = render("escaped.svg", title, label)
+    svg = render("escaped.svg", case, label)
     # the same render with plain stand-ins, each replaced by saxutils' escape
-    plain = render("plain.svg", "TITLE-TEXT", "LABEL-TEXT")
-    assert svg == plain.replace(b"TITLE-TEXT", escape(title).encode()).replace(
+    plain = render("plain.svg", "CASE-TEXT", "LABEL-TEXT")
+    assert svg == plain.replace(b"CASE-TEXT", escape(case).encode()).replace(
         b"LABEL-TEXT", escape(label).encode())
     texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
-    assert title in texts and label in texts
+    assert f"case {case}: two-task trade-off" in texts and label in texts
 
 
 def test_svg_single_point_curve(tmp_path):
     res = run_preset("a", overrides={"replicates": 1, "p": 300, "tau_grid": [0.5]}, workers=1)
     path = tmp_path / "degenerate.svg"
-    render_tradeoff_svg(res.rows, path, mode="tradeoff", ensemble_lambda=1e-4)
+    render_tradeoff_svg(res.rows, path, 1e-4)
     assert ET.parse(path).getroot().get("viewBox")
 
 
@@ -677,11 +704,38 @@ def test_svg_missing_series_named(tmp_path, rows_a):
     rows = [r for r in rows_a if r.estimator != "pretrained"]
     rows = [r for r in rows if r.estimator != "ensemble" or r.lam == 1e-4]
     with pytest.raises(MissingSeriesError, match="pretrained"):
-        render_tradeoff_svg(rows, tmp_path / "x.svg", mode="tradeoff",
-                            ensemble_lambda=1e-4)
+        render_tradeoff_svg(rows, tmp_path / "x.svg", 1e-4)
     with pytest.raises(MissingSeriesError, match="ensemble"):
         render_tradeoff_svg([r for r in rows_a if r.estimator != "ensemble"],
-                            tmp_path / "y.svg", mode="tradeoff")
+                            tmp_path / "y.svg", 1e-4)
+
+
+def test_svg_figures_draw_each_point_once(tmp_path, rows_a):
+    import overadapt.svgplot as svgplot
+
+    svg = lambda tag: "{http://www.w3.org/2000/svg}" + tag  # noqa: E731
+    taus = {r.tau for r in rows_a if r.estimator == "ensemble"}
+    levels = {r.lam for r in rows_a if r.estimator == "ridge_ft"}
+    legend_x = svgplot.WIDTH - svgplot.PAD_R  # the plot area ends here, the legend follows
+    render_tradeoff_svg(rows_a, tmp_path / "tradeoff.svg", TRADEOFF_LAMBDA)
+    render_ft_svg(rows_a, tmp_path / "ft.svg", FT_ONLY_LAMBDA)
+    for name in ("tradeoff.svg", "ft.svg"):
+        root = ET.parse(tmp_path / name).getroot()
+        [curve] = root.iter(svg("polyline"))  # one tau sweep, at the one lambda given
+        assert len(curve.get("points").split()) == len(taus)
+        legend = [t.text for t in root.iter(svg("text")) if float(t.get("x")) > legend_x]
+        assert legend == list(svgplot.LABELS.values())
+        if name == "tradeoff.svg":
+            dots = [c.get("fill") for c in root.iter(svg("circle"))
+                    if c.get("r") == "4" and float(c.get("cx")) < legend_x]
+            assert dots == [svgplot.COLORS["ridge_ft"]] * len(levels)
+            squares = [r.get("fill") for r in root.iter(svg("rect")) if r.get("width") == "8"]
+            assert squares == [svgplot.COLORS[e] for e in ("ridgeless_ft", "pretrained")]
+        else:
+            dashed = [ln.get("stroke") for ln in root.iter(svg("line"))
+                      if ln.get("stroke-dasharray")]
+            assert dashed == [svgplot.COLORS[e] for e in ("ridge_ft", "ridgeless_ft",
+                                                          "pretrained")]
 
 
 # ----------------------------------------------------------------------- cli
@@ -759,6 +813,42 @@ def test_cli_refuses_an_unwritable_output_before_any_seed_runs(tmp_path, monkeyp
     assert captured.err.startswith("i/o error: cannot write ")
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("argv, config_out, names", [
+    pytest.param(["preset", "a", "--replicates", "1", "--plot", "{tmp}/x",
+                  "--out", "{tmp}/x-ft.svg"], False, ("--out", "--plot"), id="out-is-a-figure"),
+    pytest.param(["sweep", "--config", "{cfg}", "--out", "{tmp}/s.csv",
+                  "--save-config", "{tmp}/./s.csv"], False, ("--out", "--save-config"),
+                 id="out-is-save-config"),
+    pytest.param(["sweep", "--config", "{cfg}", "--out", "{cfg}"], False, ("--config", "--out"),
+                 id="sweep-out-is-the-config"),
+    pytest.param(["sweep", "--config", "{cfg}"], True, ("--config", "the config's out"),
+                 id="config-out-is-the-config"),
+    pytest.param(["risk", "--estimator", "pretrained", "--config", "{cfg}", "--out",
+                  "{tmp}/link.json"], False, ("--config", "--out"), id="risk-out-is-the-config"),
+])
+def test_cli_refuses_outputs_that_name_one_file_before_any_seed_runs(
+        tmp_path, monkeypatch, capsys, argv, config_out, names):
+    monkeypatch.setattr(harness, "evaluate_seed", lambda *args: pytest.fail("a seed ran"))
+    cfg_path = tmp_path / "cfg.json"
+    save_config(small_config(replicates=2, out=str(cfg_path) if config_out else None), cfg_path)
+    (tmp_path / "link.json").symlink_to(cfg_path)
+    before = cfg_path.read_bytes()
+    assert cli_main([a.format(cfg=cfg_path, tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {names[0]} and {names[1]} both name ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "link.json"]
+    assert cfg_path.read_bytes() == before
+
+
+def test_cli_save_config_may_rewrite_the_config_it_read(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    save_config(small_config(replicates=1), cfg_path)
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
+                     "--save-config", str(cfg_path), "--workers", "1"]) == 0
+    assert load_config(cfg_path) == small_config(replicates=1)
 
 
 def test_cli_risk_json_and_numerical_failure(tmp_path, monkeypatch, capsys):

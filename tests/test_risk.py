@@ -633,9 +633,9 @@ def test_lemma_rows_are_the_analytic_two_terms():
         assert (exact.estimator, exact.lam, exact.tau, exact.task) == \
             (approx.estimator, approx.lam, approx.tau, approx.task)
         for key in ("term_zeta2", "term_sigma_tilde"):
-            assert approx.terms[key] == pytest.approx(exact.terms[key], rel=1e-12, abs=0)
+            assert getattr(approx, key) == pytest.approx(getattr(exact, key), rel=1e-12, abs=0)
         assert approx.value == pytest.approx(
-            exact.terms["term_zeta2"] + exact.terms["term_sigma_tilde"], rel=1e-12, abs=0)
+            exact.term_zeta2 + exact.term_sigma_tilde, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("raw", [
