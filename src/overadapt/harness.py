@@ -44,7 +44,6 @@ import numpy.random  # noqa: F401
 from ._blas import pin_single_thread
 from .config import METHODS, ExperimentConfig, config_from_dict
 from .estimators import EstimatorKind
-from .mc import mc_expected_risks  # loaded before seeds fan out, like numpy.random
 from .presets import preset_points
 from .risk import TASKS, TERM_KEYS, AnalyticRisk, DesignPair, lemma_approx_risk
 from .synth import derive_rng
@@ -132,6 +131,8 @@ def evaluate_seed(config: ExperimentConfig, seed_index: int,
     closed = {m: make(pair, config) for m, make in
               (("analytic", AnalyticRisk), ("lemma_approx", lemma_approx_risk)) if m in methods}
     if "monte_carlo" in methods:
+        from .mc import mc_expected_risks
+
         mc = mc_expected_risks(pair, config, kinds,
                                derive_rng(config.master_seed, "mc", seed_index))
     rows: list[ResultRow] = []
@@ -312,6 +313,8 @@ def run_sweep(config: ExperimentConfig, workers: int | None = None,
     ``failures`` and the sweep continues.
     """
     kinds = expand_estimator_points(config) if kinds is None else kinds
+    if "monte_carlo" in config.methods:  # loaded before seeds fan out, like numpy.random
+        from . import mc  # noqa: F401
     nworkers = resolve_workers(workers if workers is not None else config.workers)
     jobs = [(config, s, kinds) for s in range(config.replicates)]
     return SweepResult(*_run_seeds(jobs, nworkers), _processes(nworkers, len(jobs)), config)

@@ -29,8 +29,6 @@ PURPOSE = {
     "design_pre": 101,
     "design_ft": 102,
     "params": 103,
-    "noise_pre": 104,
-    "noise_ft": 105,
     "mc": 106,
     "eigen": 107,
 }

@@ -5,10 +5,10 @@ term_sigma_tilde are the two-term risk, a quadratic in the ensemble weight.
 Its optima are the ridge level ``lambda_prime = sigma2_tilde / (n * zeta2)``
 for the fine-tune task (twice that for the summed two-task risk) and the
 ensemble weight ``tau_prime(lam)`` (half that for the sum).
-``verify_theorem_orderings`` replays the three predicted strict orderings on
-freshly drawn designs using the exact conditional risks, with its seed count,
-master seed and grids read from the config (``theorem_check_env`` is the one
-the ``verify`` command starts from), and
+``verify_theorem_orderings`` replays the three predicted strict orderings,
+the rows of ``ORDERINGS``, on freshly drawn designs using the exact
+conditional risks, with its seed count, master seed and grids read from the
+config (``theorem_check_env`` is the one the ``verify`` command starts from), and
 ``eigen_band_check`` probes the tail-Gram eigenvalue concentration that
 underpins them: with Gaussian coordinates that Gram is exactly gamma times a
 Wishart matrix, drawn by the Bartlett decomposition.
@@ -22,9 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .estimators import EstimatorKind
+from .estimators import ENSEMBLE, PRETRAINED, RIDGE, RIDGELESS, EstimatorKind
 from .presets import DESK_P, _sizes
-from .risk import AnalyticRisk, DesignPair, TermRisk
+from .risk import TASKS, AnalyticRisk, DesignPair, TermRisk
 from .synth import _wishart_bartlett
 
 # A chain inequality counts as strict only if the gap beats this fraction of
@@ -32,6 +32,15 @@ from .synth import _wishart_bartlett
 STRICT_REL = 1e-12
 
 TWO_TERMS = ("term_zeta2", "term_sigma_tilde")
+
+# The predicted orderings, one row each: the tasks whose risks are summed, the
+# lam range as a predicate of (lam, lambda'), the fraction of tau'(lam) that its
+# ensemble points start from (None: no ensemble), and its chain, best first.
+ORDERINGS = {
+    "item1": (("ft",), lambda lam, ls: 0.0 < lam <= 2 * ls, None, (RIDGE, RIDGELESS, PRETRAINED)),
+    "item2": (TASKS, lambda lam, ls: 0.0 < lam <= 2 * ls, 0.5, (ENSEMBLE, RIDGE, RIDGELESS)),
+    "item3": (("ft",), lambda lam, ls: 0.0 <= lam < ls, 1.0, (ENSEMBLE, RIDGE)),
+}
 
 
 def lambda_prime(env: ExperimentConfig) -> float:
@@ -131,31 +140,29 @@ def _seed_outcome(env: ExperimentConfig, rep: int) -> SeedOutcome:
     """The orderings on one seed: its own frame, freed before the next seed draws."""
     lam_star = lambda_prime(env)
     ev = AnalyticRisk(DesignPair.draw(env, rep), env)
-    # the evaluator builds each (lam, task)'s term quadratics once, tau_prime's too
-    l_ft = lambda kind: ev.task_risk(kind, "ft")[0]
-    l_sum = lambda kind: ev.task_risk(kind, "pre")[0] + ev.task_risk(kind, "ft")[0]
-    ft_pre = l_ft(EstimatorKind.pretrained())
-    ft_ridgeless = l_ft(EstimatorKind.ridgeless())
-    sum_ridgeless = l_sum(EstimatorKind.ridgeless())
+    risks: dict[tuple, float] = {}  # (name, tasks, lam, tau) -> the summed risk
 
-    chains: dict[str, list[list[float]]] = {"item1": [], "item2": [], "item3": []}
+    def risk(name: str, tasks: tuple[str, ...], lam: float, tau: float | None) -> float:
+        # keyed by the parameters its kind takes: one ridgeless, one ridge per lam
+        free = EstimatorKind.PARAMS[name]
+        key = (name, tasks, lam if "lam" in free else None, tau if "tau" in free else None)
+        if key not in risks:
+            kind = EstimatorKind(name, **{k: v for k, v in (("lam", lam), ("tau", tau)) if k in free})
+            risks[key] = sum(ev.task_risk(kind, task)[0] for task in tasks)
+        return risks[key]
+
+    chains: dict[str, list[list[float]]] = {item: [] for item in ORDERINGS}
     tau_stars: dict[str, float] = {}
     for lam in env.lambda_grid:
-        ts = tau_prime(ev, lam)
-        tau_stars[repr(float(lam))] = ts
-        # grid points at tau = 1 are evaluated anyway: there the ensemble
-        # coincides with its ridge leg, which shows up as a recorded tie
-        if 0.0 < lam <= 2 * lam_star:
-            chains["item1"].append([l_ft(EstimatorKind.ridge(lam)), ft_ridgeless, ft_pre])
-            sum_ridge = l_sum(EstimatorKind.ridge(lam))
-            taus2 = sorted({t for t in env.tau_grid if ts / 2 <= t} | {min(ts / 2, 1.0)})
-            chains["item2"] += [[l_sum(EstimatorKind.ensemble(lam, tau)), sum_ridge,
-                                 sum_ridgeless] for tau in taus2]
-        if 0.0 <= lam < lam_star:
-            ft_ridge = l_ft(EstimatorKind.ridge(lam))
-            taus3 = sorted({t for t in env.tau_grid if ts <= t} | {min(ts, 1.0)})
-            chains["item3"] += [[l_ft(EstimatorKind.ensemble(lam, tau)), ft_ridge]
-                                for tau in taus3]
+        tau_stars[repr(float(lam))] = ts = tau_prime(ev, lam)
+        for item, (tasks, in_range, tau_from, chain) in ORDERINGS.items():
+            if not in_range(lam, lam_star):
+                continue
+            # grid points at tau = 1 are evaluated anyway: there the ensemble
+            # coincides with its ridge leg, which shows up as a recorded tie
+            taus = [None] if tau_from is None else sorted(
+                {t for t in env.tau_grid if tau_from * ts <= t} | {min(tau_from * ts, 1.0)})
+            chains[item] += [[risk(name, tasks, lam, tau) for name in chain] for tau in taus]
     verdicts = {item: _chain(c) for item, c in chains.items()}
     holds, ties, margins = ({item: v[k] for item, v in verdicts.items()} for k in range(3))
     return SeedOutcome(seed=rep, holds=holds, ties=ties, margins=margins,
@@ -173,7 +180,7 @@ def verify_theorem_orderings(env: ExperimentConfig) -> OrderingReport:
     """
     outcomes = [_seed_outcome(env, rep) for rep in range(env.replicates)]
     rates = {}
-    for item in ("item1", "item2", "item3"):
+    for item in ORDERINGS:
         evaluated = [o.holds[item] for o in outcomes if o.holds[item] is not None]
         rates[item] = (sum(evaluated) / len(evaluated)) if evaluated else float("nan")
     summary = {

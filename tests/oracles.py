@@ -9,7 +9,9 @@ weighs every point's estimate in full.  ``CountingRng`` counts the
 numbers a generator hands out, ``two_term`` reads the package's own
 ``Term``s for the theory's stationarity identities (``at_tau`` evaluates
 them), and ``pair_of`` reduces given designs at a config's spectra, for
-tests that build or edit designs.
+tests that build or edit designs.  ``seed_outcome_oracle`` is the three
+orderings' chains written out by hand, the reference for the theory's
+``ORDERINGS`` table.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from overadapt.mc import _MC_BATCH, _off_span_gram, row_space
-from overadapt.risk import DesignPair
-from overadapt.theory import TWO_TERMS
+from overadapt.estimators import EstimatorKind
+from overadapt.risk import AnalyticRisk, DesignPair
+from overadapt.theory import TWO_TERMS, SeedOutcome, _chain, lambda_prime, tau_prime
 
 
 def pair_of(X, Xt, env, theta_c=None):
@@ -253,3 +256,41 @@ def at_tau(quadratic, tau):
     """a0 + a1 tau + a2 tau^2 of a (a0, a1, a2) quadratic."""
     a0, a1, a2 = quadratic
     return a0 + tau * (a1 + tau * a2)
+
+
+def seed_outcome_oracle(env, rep):
+    """One seed's ``SeedOutcome`` with each ordering's chains written out by hand.
+
+    item1: [ridge(lam), ridgeless, pretrained] on the fine-tune task, for lam
+    in (0, 2 lambda'].  item2: [ensemble(lam, tau), ridge(lam), ridgeless] on
+    the summed risk, for the same lams and tau >= tau'(lam)/2.  item3:
+    [ensemble(lam, tau), ridge(lam)] on the fine-tune task, for lam in
+    [0, lambda') and tau >= tau'(lam).
+    """
+    lam_star = lambda_prime(env)
+    ev = AnalyticRisk(DesignPair.draw(env, rep), env)
+    l_ft = lambda kind: ev.task_risk(kind, "ft")[0]  # noqa: E731
+    l_sum = lambda kind: ev.task_risk(kind, "pre")[0] + ev.task_risk(kind, "ft")[0]  # noqa: E731
+    ft_pre = l_ft(EstimatorKind.pretrained())
+    ft_ridgeless = l_ft(EstimatorKind.ridgeless())
+    sum_ridgeless = l_sum(EstimatorKind.ridgeless())
+    chains = {"item1": [], "item2": [], "item3": []}
+    tau_stars = {}
+    for lam in env.lambda_grid:
+        ts = tau_prime(ev, lam)
+        tau_stars[repr(float(lam))] = ts
+        if 0.0 < lam <= 2 * lam_star:
+            chains["item1"].append([l_ft(EstimatorKind.ridge(lam)), ft_ridgeless, ft_pre])
+            sum_ridge = l_sum(EstimatorKind.ridge(lam))
+            taus2 = sorted({t for t in env.tau_grid if ts / 2 <= t} | {min(ts / 2, 1.0)})
+            chains["item2"] += [[l_sum(EstimatorKind.ensemble(lam, tau)), sum_ridge,
+                                 sum_ridgeless] for tau in taus2]
+        if 0.0 <= lam < lam_star:
+            ft_ridge = l_ft(EstimatorKind.ridge(lam))
+            taus3 = sorted({t for t in env.tau_grid if ts <= t} | {min(ts, 1.0)})
+            chains["item3"] += [[l_ft(EstimatorKind.ensemble(lam, tau)), ft_ridge]
+                                for tau in taus3]
+    verdicts = {item: _chain(c) for item, c in chains.items()}
+    holds, ties, margins = ({item: v[k] for item, v in verdicts.items()} for k in range(3))
+    return SeedOutcome(seed=rep, holds=holds, ties=ties, margins=margins,
+                       lambda_star=lam_star, tau_star=tau_stars)

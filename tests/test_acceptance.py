@@ -93,16 +93,16 @@ def test_c02_interpolation_and_ridge_limits():
     worst_interp = worst_small = worst_large = 0.0
     n = env.n
     for seed in range(20):
-        # one instance per replicate: designs, theta_c and both offsets from
-        # the params stream, each task's label noise from its own stream
+        # one instance per replicate: designs from their streams, then theta_c,
+        # both offsets and both tasks' label noise from the params stream
         X, Xt = sample_designs(replace(env, master_seed=MASTER_SEED), seed)
         Xt = padded(Xt, env.p)  # the fine-tune design with its zero columns
         params = derive_rng(MASTER_SEED, "params", seed)
         theta_c = sample_theta_c(env, params)
         alpha1 = params.standard_normal(env.p) * np.sqrt(env.zeta1)
         alpha2 = params.standard_normal(env.p) * np.sqrt(env.zeta2)
-        noise_pre = derive_rng(MASTER_SEED, "noise_pre", seed).standard_normal(X.shape[0])
-        noise_ft = derive_rng(MASTER_SEED, "noise_ft", seed).standard_normal(n)
+        noise_pre = params.standard_normal(X.shape[0])
+        noise_ft = params.standard_normal(n)
         Y = X @ (theta_c + alpha1) + noise_pre * np.sqrt(env.sigma2)
         Yt = Xt @ (theta_c + alpha2) + noise_ft * np.sqrt(env.sigma2_tilde)
         st = GramSolver(Xt @ Xt.T)

@@ -16,6 +16,7 @@ import pytest
 
 import overadapt
 from overadapt import harness, risk
+from overadapt import mc as mc_module
 from overadapt.cli import main as cli_main
 from overadapt.config import (
     ConfigError,
@@ -546,7 +547,7 @@ def test_evaluate_seed_frees_the_designs_before_monte_carlo(monkeypatch):
     # the p-dimensional designs
     cfg = mc_crosscheck_config(methods=["analytic", "monte_carlo"], mc_draws=100)
     designs, alive = [], []
-    draw, mc = risk.sample_designs, harness.mc_expected_risks
+    draw, mc = risk.sample_designs, mc_module.mc_expected_risks
 
     def sample(*args):
         X, Xt = draw(*args)
@@ -558,7 +559,7 @@ def test_evaluate_seed_frees_the_designs_before_monte_carlo(monkeypatch):
         return mc(*args)
 
     monkeypatch.setattr(risk, "sample_designs", sample)  # DesignPair.draw's draw
-    monkeypatch.setattr(harness, "mc_expected_risks", monte_carlo)
+    monkeypatch.setattr(mc_module, "mc_expected_risks", monte_carlo)
     rows = evaluate_seed(cfg, 0, expand_estimator_points(cfg))
     assert len(designs) == 2 and alive == [[False, False]]
     assert {r.method for r in rows} == {"analytic", "monte_carlo"}
@@ -1019,13 +1020,13 @@ def test_cli_risk_takes_mc_draws_from_config_or_flag(tmp_path, monkeypatch, caps
     save_config(small_config(mc_draws=300), cfg_path)
     argv = ["risk", "--config", str(cfg_path), "--estimator", "ridge_ft",
             "--lambda", "1e-3", "--method", "monte_carlo"]
-    drawn, mc = [], harness.mc_expected_risks
+    drawn, mc = [], mc_module.mc_expected_risks
 
     def monte_carlo(pair, env, *args):
         drawn.append(env.mc_draws)
         return mc(pair, env, *args)
 
-    monkeypatch.setattr(harness, "mc_expected_risks", monte_carlo)
+    monkeypatch.setattr(mc_module, "mc_expected_risks", monte_carlo)
     for extra, draws in (([], 300), (["--mc-draws", "150"], 150)):
         assert cli_main([*argv, *extra]) == 0
         assert drawn.pop() == draws and drawn == []
@@ -1074,18 +1075,21 @@ def test_cli_run_loads_no_scipy(tmp_path):
 @pytest.mark.parametrize("argv, absent", [
     (["verify", "--p", "400", "--n", "16", "--replicates", "2", "--trials", "10"],
      ["overadapt.harness", "overadapt.mc", "concurrent.futures.process", "multiprocessing"]),
-    (["preset", "a", "--replicates", "1", "--workers", "1"], ["overadapt.theory"]),
+    (["preset", "a", "--replicates", "1", "--workers", "1"],
+     ["overadapt.theory", "overadapt.mc"]),
     (["preset", "a", "--replicates", "2", "--workers", "2"],
-     ["concurrent.futures.process", "multiprocessing"]),
+     ["overadapt.mc", "concurrent.futures.process", "multiprocessing"]),
     (["sweep", "--config", "cfg.json", "--workers", "2"],
-     ["concurrent.futures.process", "multiprocessing"]),
-    (["preset", "a", "--replicates", "1", "--workers", "1", "--plot", "a"], ["html"]),
+     ["overadapt.mc", "concurrent.futures.process", "multiprocessing"]),
+    (["preset", "a", "--replicates", "1", "--workers", "1", "--plot", "a"],
+     ["html", "overadapt.mc"]),
     (["sweep", "--config", "mc.json", "--workers", "2"],
      ["concurrent.futures.process", "multiprocessing"]),
 ])
 def test_cli_command_loads_only_what_it_runs(tmp_path, argv, absent):
-    # verify runs no harness and no Monte Carlo, a preset no theory, and a plot
-    # no html; seeds fan out by a bare fork, after the parent has loaded mc
+    # verify runs no harness and no Monte Carlo, a preset no theory, an
+    # analytic run no Monte Carlo, and a plot no html; seeds fan out by a bare
+    # fork, after the parent has loaded mc exactly when the run has Monte Carlo
     save_config(small_config(replicates=2), tmp_path / "cfg.json")
     save_config(small_config(replicates=2, methods=["analytic", "monte_carlo"], mc_draws=50),
                 tmp_path / "mc.json")
@@ -1105,7 +1109,7 @@ def test_cli_command_loads_only_what_it_runs(tmp_path, argv, absent):
     rc, loaded, forked = json.loads(proc.stdout.splitlines()[-1])
     assert (rc, loaded) == (0, [])
     forks = harness._CAN_FORK and "--workers" in argv and argv[argv.index("--workers") + 1] == "2"
-    assert forked == [True] * len(forked) and bool(forked) == forks
+    assert forked == ["mc.json" in argv] * len(forked) and bool(forked) == forks
 
 
 def test_cli_process_entry_exit_codes_and_output(tmp_path, capsys):

@@ -29,7 +29,7 @@ def test_derive_rng_reproducible_and_disjoint():
     b = derive_rng(7, "params", 3).standard_normal(5)
     assert np.array_equal(a, b)
     c = derive_rng(7, "params", 4).standard_normal(5)
-    d = derive_rng(7, "noise_ft", 3).standard_normal(5)
+    d = derive_rng(7, "design_ft", 3).standard_normal(5)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
     with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from overadapt.theory import (
     theorem_check_env,
     verify_theorem_orderings,
 )
-from oracles import CountingRng, at_tau, two_term
+from oracles import CountingRng, at_tau, seed_outcome_oracle, two_term
 
 
 def bench_env(p=600, n=24):
@@ -233,6 +233,31 @@ def test_verify_orderings_tau_one_is_tie():
         replace(env, replicates=2, master_seed=1, lambda_grid=[lam_star / 2], tau_grid=[1.0]))
     for seed in report.seeds:
         assert seed.ties["item3"] >= 1  # ensemble at weight 1 equals its ridge leg
+
+
+def test_orderings_table_matches_the_hand_written_chains():
+    # the table against the chains written out by hand, dumped as JSON so that
+    # NaN margins compare equal
+    def outcome(env, rep):
+        got = json.dumps(asdict(theory._seed_outcome(env, rep)), sort_keys=True)
+        assert got == json.dumps(asdict(seed_outcome_oracle(env, rep)), sort_keys=True)
+        return json.loads(got)
+
+    env = theorem_check_env(p=400, n=16)
+    for rep in range(4):
+        outcome(env, rep)
+    # with ten times the fine-tune noise, interpolation loses to the pretrained
+    # model, so item1's last link decides its verdict
+    assert outcome(replace(env, sigma2_tilde=10 * env.sigma2_tilde), 0)["holds"]["item1"] is False
+    # each lam range's ends: item3 takes 0, items 1 and 2 take exactly
+    # 2 lambda', and no item takes 3 lambda'; at lambda'/100 ridge is so close
+    # to ridgeless that a chain missing a link would show in its margin
+    lam = lambda_prime(env)
+    outcome(replace(env, lambda_grid=(0.0, lam / 100, lam / 2, lam, 2 * lam, 3 * lam)), 0)
+    for level, items in ((0.0, {"item3"}), (2 * lam, {"item1", "item2"}), (3 * lam, set())):
+        seed = outcome(replace(env, lambda_grid=(level,)), 0)
+        assert {i for i, held in seed["holds"].items() if held is not None or seed["ties"][i]} \
+            == items
 
 
 def test_ordering_report_serialization():
