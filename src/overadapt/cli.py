@@ -44,15 +44,17 @@ from .synth import derive_rng
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3
 
 
-def _add_common(parser, pool: bool = True, draws: bool = True, formats=FORMATS):
-    """The flags the commands share: --seed, --out and --format (one of
-    ``formats``); with ``pool`` --replicates and --workers, with ``draws``
-    --mc-draws and --jitter.  argparse refuses a flag a command lacks (exit 1)."""
+def _add_common(parser, pool: bool = True, draws: bool = True, report: bool = False):
+    """The flags the commands share: --seed, --out and --format, of the rows or with
+    ``report`` of one JSON report; with ``pool`` --replicates and --workers, with
+    ``draws`` --mc-draws and --jitter.  argparse refuses a flag a command lacks (exit 1)."""
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (default: the config's master_seed)")
-    parser.add_argument("--out", default=None, help="output path for result rows")
-    parser.add_argument("--format", choices=formats, default=None,
-                        help="row format (default: the config's format)")
+    parser.add_argument("--out", default=None, help="output path for "
+                        + ("the JSON report" if report else "result rows"))
+    parser.add_argument("--format", choices=("json",) if report else FORMATS, default=None,
+                        help="report format, json only" if report
+                        else "row format (default: the config's format)")
     if pool:
         parser.add_argument("--replicates", type=int, default=None)
         parser.add_argument("--workers", type=int, default=None,
@@ -106,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--replicates", type=int, default=None)
     # one process and one JSON report of exact risks: 1 names that process
     p_verify.add_argument("--workers", type=int, choices=(1,), default=None)
-    _add_common(p_verify, pool=False, draws=False, formats=("json",))
+    _add_common(p_verify, pool=False, draws=False, report=True)
 
     p_risk = sub.add_parser("risk", help="single-point risk evaluation")
     p_risk.add_argument("--estimator", required=True, choices=tuple(EstimatorKind.PARAMS))
@@ -205,17 +207,18 @@ def _cmd_verify(args) -> int:
 
     env = _config(args, theorem_check_env(p=args.p, n=args.n).to_dict())
     report = verify_theorem_orderings(env)
+    r_k, gamma = env.spectrum_pre[1]  # the pretrain tail, after the k_star spike
+    band = eigen_band_check(gamma, r_k, n=env.n, trials=args.trials,
+                            rng=derive_rng(env.master_seed, "eigen", 0))
+    if args.out:  # before the printout, which a closed pipe cuts short
+        with open(args.out, "w") as fh:
+            json.dump({**asdict(report), "eigen_band": asdict(band)}, fh, indent=2, sort_keys=True)
     print(f"lambda' = {report.env['lambda_star']!r}")
     for item, rate in report.rates.items():
         print(f"{item}: rate {rate:.3f} over {env.replicates} seeds")
-    band = eigen_band_check(1e-2, 200 * env.n, n=env.n, trials=args.trials,
-                            rng=derive_rng(env.master_seed, "eigen", 0))
     print(f"eigen band: {band.inside}/{band.trials} inside "
           f"[{band.band[0]:.3g}, {band.band[1]:.3g}] x scale (regime_ok={band.regime_ok})")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({**asdict(report), "eigen_band": asdict(band)}, fh, indent=2,
-                      sort_keys=True)
         print(f"wrote {args.out}")
     ok = all(rate >= 0.9 for rate in report.rates.values()) and band.rate >= 0.95
     return EXIT_OK if ok else EXIT_NUMERICAL

@@ -90,7 +90,6 @@ class SeedOutcome:
     holds: dict[str, bool | None]        # item -> chain held (None: no eligible points)
     ties: dict[str, int]                 # item -> count of tie comparisons excluded
     margins: dict[str, float]            # item -> smallest strict margin observed
-    lambda_star: float
     tau_star: dict[str, float]           # per lam (as str) -> tau_prime value
 
 
@@ -138,7 +137,6 @@ def _chain(chains: list[list[float]]) -> tuple[bool | None, int, float]:
 
 def _seed_outcome(env: ExperimentConfig, rep: int) -> SeedOutcome:
     """The orderings on one seed: its own frame, freed before the next seed draws."""
-    lam_star = lambda_prime(env)
     ev = AnalyticRisk(DesignPair.draw(env, rep), env)
     risks: dict[tuple, float] = {}  # (name, tasks, lam, tau) -> the summed risk
 
@@ -156,7 +154,7 @@ def _seed_outcome(env: ExperimentConfig, rep: int) -> SeedOutcome:
     for lam in env.lambda_grid:
         tau_stars[repr(float(lam))] = ts = tau_prime(ev, lam)
         for item, (tasks, in_range, tau_from, chain) in ORDERINGS.items():
-            if not in_range(lam, lam_star):
+            if not in_range(lam, lambda_prime(env)):
                 continue
             # grid points at tau = 1 are evaluated anyway: there the ensemble
             # coincides with its ridge leg, which shows up as a recorded tie
@@ -165,8 +163,7 @@ def _seed_outcome(env: ExperimentConfig, rep: int) -> SeedOutcome:
             chains[item] += [[risk(name, tasks, lam, tau) for name in chain] for tau in taus]
     verdicts = {item: _chain(c) for item, c in chains.items()}
     holds, ties, margins = ({item: v[k] for item, v in verdicts.items()} for k in range(3))
-    return SeedOutcome(seed=rep, holds=holds, ties=ties, margins=margins,
-                       lambda_star=lam_star, tau_star=tau_stars)
+    return SeedOutcome(seed=rep, holds=holds, ties=ties, margins=margins, tau_star=tau_stars)
 
 
 def verify_theorem_orderings(env: ExperimentConfig) -> OrderingReport:

@@ -292,5 +292,4 @@ def seed_outcome_oracle(env, rep):
                                 for tau in taus3]
     verdicts = {item: _chain(c) for item, c in chains.items()}
     holds, ties, margins = ({item: v[k] for item, v in verdicts.items()} for k in range(3))
-    return SeedOutcome(seed=rep, holds=holds, ties=ties, margins=margins,
-                       lambda_star=lam_star, tau_star=tau_stars)
+    return SeedOutcome(seed=rep, holds=holds, ties=ties, margins=margins, tau_star=tau_stars)

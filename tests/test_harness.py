@@ -1054,6 +1054,52 @@ def test_cli_verify_rejects_flags_it_cannot_honour(tmp_path, capsys):
     assert json.loads(out.read_text())["rates"]
 
 
+def test_cli_verify_band_checks_the_config_pretrain_tail(tmp_path, capsys):
+    # the band's Gram is that of the tail block after the k_star spike, and
+    # lambda' is stated once, in the report's env, not per seed
+    out = tmp_path / "v.json"
+    assert cli_main(["verify", "--p", "400", "--n", "16", "--replicates", "2", "--trials", "10",
+                     "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    r_k, gamma = report["env"]["spectrum_pre"][1]
+    assert (r_k, gamma) == (399, 16 ** -1.5)
+    assert report["eigen_band"]["scale"] == gamma * r_k
+    assert all("lambda_star" not in seed for seed in report["seeds"])
+    # at p = 200 that tail's Gram leaves the band though every ordering holds,
+    # and the exit code says so
+    assert cli_main(["verify", "--p", "200", "--n", "40", "--replicates", "4", "--trials", "50",
+                     "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["eigen_band"]["rate"] < 0.95
+    assert set(report["rates"].values()) == {1.0}
+    capsys.readouterr()
+
+
+def test_cli_verify_help_names_its_json_report(capsys):
+    # the shared --out and --format: verify's name its one JSON report, preset's its rows
+    for command, names, absent in (("verify", "JSON report", "rows"), ("preset", "rows", "report")):
+        with pytest.raises(SystemExit):
+            cli_main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert names in text and absent not in text
+
+
+def test_cli_verify_writes_its_report_before_a_closed_pipe_cuts_its_output(tmp_path,
+                                                                          monkeypatch):
+    class ClosedAfterOneLine(io.StringIO):
+        def write(self, text):
+            if self.getvalue().count("\n"):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+            return super().write(text)
+
+    out = tmp_path / "v.json"
+    monkeypatch.setattr(sys, "stdout", ClosedAfterOneLine())
+    assert cli_main(["verify", "--p", "400", "--n", "16", "--replicates", "2", "--trials", "5",
+                     "--out", str(out)]) == 3
+    assert sys.stdout.getvalue().startswith("lambda' = ")
+    assert json.loads(out.read_text())["rates"]
+
+
 def test_cli_run_loads_no_scipy(tmp_path):
     # no scipy, and no XML or web stack for the plots; modules the interpreter's
     # own start-up loads (site may load urllib.parse) are not the command's

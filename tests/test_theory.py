@@ -8,6 +8,7 @@ from scipy.stats import ks_2samp
 
 from overadapt.config import ConfigError, ExperimentConfig
 from overadapt.estimators import EstimatorKind
+from overadapt import mc as mc_module
 from overadapt import synth, theory
 from overadapt.risk import AnalyticRisk, DesignPair, FtResolvent
 from overadapt.synth import _wishart_bartlett, derive_rng
@@ -258,6 +259,41 @@ def test_orderings_table_matches_the_hand_written_chains():
         seed = outcome(replace(env, lambda_grid=(level,)), 0)
         assert {i for i, held in seed["holds"].items() if held is not None or seed["ties"][i]} \
             == items
+
+
+def test_monte_carlo_confirms_the_orderings():
+    # the ORDERINGS chains at each seed's tau'(lam), all kinds on one call's
+    # shared draws: wherever an adjacent pair's exact gap exceeds 5 of MC's
+    # paired standard errors, MC's mean gap has its sign.  The setup (n = 10,
+    # 64,000 draws, master seeds 0-3) was fixed before the test was first run
+    decisive = dict.fromkeys(theory.ORDERINGS, 0)
+    for seed in range(4):
+        env = replace(theorem_check_env(p=2000, n=10), mc_draws=64_000, master_seed=seed)
+        pair = DesignPair.draw(env, 0)
+        ev = AnalyticRisk(pair, env)
+        chains = []  # (item, tasks, kinds best first)
+        for lam in env.lambda_grid:
+            ts = tau_prime(ev, lam)
+            for item, (tasks, in_range, tau_from, chain) in theory.ORDERINGS.items():
+                if not in_range(lam, lambda_prime(env)):
+                    continue
+                taus = [None] if tau_from is None else sorted(
+                    {t for t in env.tau_grid if tau_from * ts <= t} | {min(tau_from * ts, 1.0)})
+                for tau in taus:
+                    given = {"lam": lam, "tau": tau}
+                    chains.append((item, tasks, [EstimatorKind(name, **{
+                        k: given[k] for k in EstimatorKind.PARAMS[name]}) for name in chain]))
+        kinds = list(dict.fromkeys(kind for *_, chain in chains for kind in chain))
+        draws = dict(zip(kinds, mc_module._mc_risk_draws(pair, env, kinds,
+                                                         derive_rng(seed, "mc", 0))))
+        for item, tasks, chain in chains:
+            for better, worse in zip(chain, chain[1:]):
+                gap = sum(ev.task_risk(worse, t)[0] - ev.task_risk(better, t)[0] for t in tasks)
+                diff = sum(draws[worse][t] - draws[better][t] for t in tasks)
+                if abs(gap) > 5 * np.std(diff, ddof=1) / np.sqrt(diff.size):
+                    decisive[item] += 1
+                    assert np.sign(diff.mean()) == np.sign(gap), (seed, item, better, worse)
+    assert min(decisive.values()) >= 1, decisive
 
 
 def test_ordering_report_serialization():
